@@ -112,7 +112,7 @@ def _cones_batch(args) -> int:
         family = cones_mod.random_family(rng)
         inter = cones_mod.intersection_nonempty(family)
         sep = cones_mod.approx_separate(family, args.eps)
-        if abs(inter.margin) <= 1e-9:
+        if 0.0 < inter.margin <= 1e-9:
             degenerate += 1
             continue
         if inter.nonempty != sep.separated:

@@ -14,7 +14,17 @@ class ParseError(LmpkitError):
 
 
 class EvalError(LmpkitError):
-    """Raised when evaluation hits an unbound variable or leaves the reals."""
+    """Raised when evaluation hits an unbound variable or leaves the reals.
+
+    Evaluation over arrays sets ``sample`` to the index of the first bad
+    sample point and keeps the bare cause in ``reason``.
+    """
+
+    def __init__(self, reason: str, sample: int | None = None):
+        where = "" if sample is None else f" at sample {sample}"
+        super().__init__(f"{reason}{where}")
+        self.reason = reason
+        self.sample = sample
 
 
 class InputError(LmpkitError):

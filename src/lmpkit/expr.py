@@ -16,8 +16,10 @@ values ``x0_1..x0_n`` / ``x1_1..x1_n`` used by terminal cost expressions.
 Fractional powers are written via exp/log.
 
 Evaluation never returns NaN or infinity: any excursion outside the reals
-raises :class:`~lmpkit.errors.EvalError`.  Expressions are immutable after
-parsing, so evaluation is reentrant and thread-safe.
+raises :class:`~lmpkit.errors.EvalError`.  :func:`evaluate_many` evaluates
+one expression over arrays of sample points with the same checks, and names
+the first bad sample.  Expressions are immutable after parsing, so evaluation
+is reentrant and thread-safe.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
+
+import numpy as np
 
 from .errors import EvalError, ParseError
 
@@ -40,6 +44,7 @@ __all__ = [
     "Scope",
     "parse",
     "evaluate",
+    "evaluate_many",
     "differentiate",
     "free_variables",
     "node_count",
@@ -359,6 +364,104 @@ def _eval(e: Expression, binding: Mapping[str, float]) -> float:
     if not math.isfinite(out):
         raise EvalError(f"{e.func} overflowed")
     return float(out)
+
+
+# -- evaluation over arrays ----------------------------------------------------
+
+_ARRAY_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+
+# Arguments for which the math module raises instead of returning a
+# non-finite value; they get the "left the real domain" message.
+_RAISING_ARGUMENT: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "exp": np.isfinite,
+    "sin": np.isinf,
+    "cos": np.isinf,
+}
+
+
+class _Faults:
+    """The first failure of every sample, in evaluation order."""
+
+    def __init__(self, size: int):
+        self.code = np.zeros(size, dtype=np.intp)
+        self.reasons = [""]
+
+    def flag(self, bad: np.ndarray, reason: str) -> None:
+        if not bad.any():
+            return
+        fresh = bad & (self.code == 0)
+        if fresh.any():
+            self.reasons.append(reason)
+            self.code[fresh] = len(self.reasons) - 1
+
+
+def evaluate_many(e: Expression, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Evaluate at every sample of equal-length columns, one per variable.
+
+    Applies the checks of :func:`evaluate` to each sample, and raises
+    EvalError for the first sample (lowest index) at which evaluate would
+    raise, with the reason evaluate would give.  + - * / and negation give
+    the same floats as evaluate; powers and functions use numpy's kernels
+    and may differ from the math module in the last bit.
+    """
+    size = len(next(iter(columns.values()))) if columns else 0
+    faults = _Faults(size)
+    with np.errstate(all="ignore"):
+        value = _eval_many(e, columns, size, faults)
+        faults.flag(~np.isfinite(value), "expression evaluated to a non-finite value")
+    if faults.code.any():
+        first = int(np.argmax(faults.code != 0))
+        raise EvalError(faults.reasons[faults.code[first]], sample=first)
+    return value
+
+
+def _eval_many(e: Expression, columns, size: int, faults: _Faults) -> np.ndarray:
+    if isinstance(e, Const):
+        return np.full(size, e.value)
+    if isinstance(e, Var):
+        try:
+            return np.asarray(columns[e.name], dtype=float)
+        except KeyError:
+            raise EvalError(f"unbound variable '{e.name}'") from None
+    if isinstance(e, Neg):
+        return -_eval_many(e.child, columns, size, faults)
+    if isinstance(e, Binary):
+        a = _eval_many(e.left, columns, size, faults)
+        b = _eval_many(e.right, columns, size, faults)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        faults.flag(b == 0.0, "division by zero")
+        return a / b
+    if isinstance(e, Pow):
+        base = _eval_many(e.base, columns, size, faults)
+        if e.exponent < 0:
+            faults.flag(base == 0.0, "zero raised to a negative power")
+        out = np.power(base, float(e.exponent))
+        faults.flag(~np.isfinite(out), "power overflow")
+        return out
+    arg = _eval_many(e.arg, columns, size, faults)
+    if e.func == "log":
+        faults.flag(arg <= 0.0, "log of a non-positive value")
+    if e.func == "sqrt":
+        faults.flag(arg < 0.0, "sqrt of a negative value")
+    out = _ARRAY_FUNCTIONS[e.func](arg)
+    bad = ~np.isfinite(out)
+    raising = _RAISING_ARGUMENT.get(e.func)
+    if raising is not None:
+        faults.flag(bad & raising(arg), f"{e.func} left the real domain")
+    faults.flag(bad, f"{e.func} overflowed")
+    return out
 
 
 # -- differentiation ---------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .problem import ProblemDef, Trajectory
+from .samples import Samples
 
 __all__ = [
     "ClmValue",
@@ -63,9 +64,10 @@ class ContactSet:
     def node_in(self, k: int) -> bool:
         return bool(self.flags[k])
 
-    def cell_in(self, k: int) -> bool:
-        """A cell belongs to the contact region iff both its nodes do."""
-        return bool(self.flags[k] and self.flags[k + 1])
+    @property
+    def cell_flags(self) -> np.ndarray:
+        """Per cell: it belongs to the contact region, i.e. both its nodes do."""
+        return self.flags[:-1] & self.flags[1:]
 
     def interval_times(self) -> tuple[tuple[float, float], ...]:
         return tuple(
@@ -113,30 +115,23 @@ def in_phase_set(
 
 
 def contact_set(
-    problem: ProblemDef, trajectory: Trajectory, delta: float, eps: float
+    problem: ProblemDef,
+    trajectory: Trajectory,
+    delta: float,
+    eps: float,
+    samples: Samples | None = None,
 ) -> ContactSet:
     """Flag the nodes where some closure-in-measure point is a relaxed phase
     point; assemble maximal runs of flagged nodes as closed intervals."""
-    grid = trajectory.grid
-    nnodes = grid.ncells + 1
-    flags = np.zeros(nnodes, dtype=bool)
-    for k in range(nnodes):
-        xk = trajectory.x[k]
-        for u in trajectory.control_points(k):
-            if in_phase_set(problem, xk, u, delta, eps):
-                flags[k] = True
-                break
-    intervals = []
-    k = 0
-    while k < nnodes:
-        if flags[k]:
-            start = k
-            while k + 1 < nnodes and flags[k + 1]:
-                k += 1
-            intervals.append((start, k))
-        k += 1
+    samples = samples or Samples(problem, trajectory)
+    flags = samples.node_flags(delta, eps)
+    edges = np.diff(np.concatenate(([0], flags.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
     return ContactSet(
-        grid_nodes=grid.nodes, flags=flags, intervals=tuple(intervals)
+        grid_nodes=trajectory.grid.nodes,
+        flags=flags,
+        intervals=tuple(zip(starts.tolist(), ends.tolist())),
     )
 
 
@@ -156,30 +151,40 @@ def jump_directions(
     eps: float,
 ) -> JumpDirectionSet:
     """Generators {G_x(x(t), u)} over closure-in-measure points u that pass
-    the relaxed phase test; the costate may jump only into their convex hull."""
+    the relaxed phase test; the costate may jump only into their convex hull.
+    Evaluates at the single time t; the grid-wide forms read from Samples."""
     value = clm_at(trajectory, t)
     gens = _directions(problem, trajectory.x_at(t), value.points, delta, eps)
     return JumpDirectionSet(t=t, generators=gens)
 
 
 def jump_directions_at_node(
-    problem: ProblemDef, trajectory: Trajectory, k: int, delta: float, eps: float
+    problem: ProblemDef,
+    trajectory: Trajectory,
+    k: int,
+    delta: float,
+    eps: float,
+    samples: Samples | None = None,
 ) -> JumpDirectionSet:
-    t = float(trajectory.grid.nodes[k])
-    gens = _directions(
-        problem, trajectory.x[k], trajectory.control_points(k), delta, eps
+    samples = samples or Samples(problem, trajectory)
+    return JumpDirectionSet(
+        t=float(trajectory.grid.nodes[k]),
+        generators=samples.node_generators(k, delta, eps),
     )
-    return JumpDirectionSet(t=t, generators=gens)
 
 
 def jump_directions_at_cell_mid(
-    problem: ProblemDef, trajectory: Trajectory, k: int, delta: float, eps: float
+    problem: ProblemDef,
+    trajectory: Trajectory,
+    k: int,
+    delta: float,
+    eps: float,
+    samples: Samples | None = None,
 ) -> JumpDirectionSet:
-    t = float(trajectory.grid.midpoints[k])
-    gens = _directions(
-        problem, trajectory.x_mid(k), (trajectory.u_mid(k),), delta, eps
-    )
-    return JumpDirectionSet(t=t, generators=gens)
+    samples = samples or Samples(problem, trajectory)
+    mid = samples.mid
+    gens = (mid.phase_gradients(delta, eps)[k],) if mid.phase(delta, eps)[k] else ()
+    return JumpDirectionSet(t=float(trajectory.grid.midpoints[k]), generators=gens)
 
 
 # -- distance to a convex hull -------------------------------------------------

@@ -74,6 +74,24 @@ def _field(doc: dict, key: str, kind, path: str):
     return value
 
 
+def _matrix(rows: list, path: str) -> np.ndarray:
+    """A list of number rows of one common length, read in one call.
+
+    Input that is not such a list is read again row by row, so that the
+    error names the offending row.
+    """
+    try:
+        arr = np.array(rows)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.ndim == 2 and arr.shape[1] >= 1 and arr.dtype.kind in "biuf":
+        return arr.astype(float)
+    dim = len(rows[0]) if isinstance(rows[0], list) else -1
+    if dim < 1:
+        raise InputError(f"{path}[0]: expected a list of numbers")
+    return np.vstack([_vector(row, dim, f"{path}[{i}]") for i, row in enumerate(rows)])
+
+
 def _vector(value, size: int | None, path: str) -> np.ndarray:
     if not isinstance(value, list) or not all(
         isinstance(v, (int, float)) for v in value
@@ -133,12 +151,7 @@ def load_trajectory(path: str) -> Trajectory:
     x_rows = _field(doc, "x", list, path)
     if len(x_rows) != N + 1:
         raise InputError(f"{path}.x: expected {N + 1} node rows")
-    dim = len(x_rows[0]) if isinstance(x_rows[0], list) else -1
-    if dim < 1:
-        raise InputError(f"{path}.x[0]: expected a list of numbers")
-    x = np.vstack(
-        [_vector(row, dim, f"{path}.x[{i}]") for i, row in enumerate(x_rows)]
-    )
+    x = _matrix(x_rows, f"{path}.x")
     cells = _field(doc, "u_cells", list, path)
     if len(cells) != N:
         raise InputError(f"{path}.u_cells: expected {N} cells")
@@ -253,15 +266,8 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     values_rows = _field(p_doc, "values", list, f"{path}.p")
     if len(values_rows) != N + 1:
         raise InputError(f"{path}.p.values: expected {N + 1} node rows")
-    dim = len(values_rows[0]) if isinstance(values_rows[0], list) else -1
-    if dim < 1:
-        raise InputError(f"{path}.p.values[0]: expected a list of numbers")
-    values = np.vstack(
-        [
-            _vector(row, dim, f"{path}.p.values[{i}]")
-            for i, row in enumerate(values_rows)
-        ]
-    )
+    values = _matrix(values_rows, f"{path}.p.values")
+    dim = values.shape[1]
     exterior = _vector(
         p_doc.get("exterior_left", values_rows[0]), dim, f"{path}.p.exterior_left"
     )

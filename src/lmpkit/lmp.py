@@ -32,6 +32,7 @@ from . import expr, geometry
 from .errors import EvalError, InputError, LmpkitError
 from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, Trajectory, dynamics_defect
+from .samples import Samples
 
 __all__ = [
     "SupportDirection",
@@ -277,9 +278,11 @@ def check_signs_slackness(
     problem: ProblemDef,
     trajectory: Trajectory,
     config: CheckConfig = CheckConfig(),
+    samples: Samples | None = None,
 ) -> list[Entry]:
     """Sign conditions, complementary slackness, and the contact-set support
     of the singular measure (at grid resolution)."""
+    samples = samples or Samples(problem, trajectory)
     tol = config.structural_tol
     grid = trajectory.grid
     entries = [
@@ -290,34 +293,30 @@ def check_signs_slackness(
             tol,
         ),
     ]
+    density = ms.eta.density[:, 0]
     neg_mass = sum(
         max(0.0, -ms.eta.scalar_atom(k)) for k in ms.eta.atoms
-    ) + float(np.sum(np.maximum(0.0, -ms.eta.density[:, 0]) * grid.widths))
+    ) + float(np.sum(np.maximum(0.0, -density) * grid.widths))
     entries.append(Entry("eta_sign", neg_mass, tol))
 
-    g_nodes_left = np.empty(grid.ncells)
-    g_nodes_right = np.empty(grid.ncells)
-    for k in range(grid.ncells):
-        g_nodes_left[k] = problem.G_at(trajectory.x[k], trajectory.u_left[k])
-        g_nodes_right[k] = problem.G_at(trajectory.x[k + 1], trajectory.u_right[k])
     slack = float(
         np.sum(
             np.abs(ms.lam)
             * 0.5
-            * (np.abs(g_nodes_left) + np.abs(g_nodes_right))
+            * (np.abs(samples.left.G) + np.abs(samples.right.G))
             * grid.widths
         )
     )
     entries.append(Entry("slackness", slack, tol))
 
-    contact = geometry.contact_set(problem, trajectory, config.delta, config.eps)
-    outside = 0.0
-    for k in ms.eta.atoms:
-        if not contact.node_in(k):
-            outside += abs(ms.eta.scalar_atom(k))
-    for k in range(grid.ncells):
-        if ms.eta.density[k, 0] != 0.0 and not contact.cell_in(k):
-            outside += abs(ms.eta.density[k, 0]) * grid.widths[k]
+    contact = geometry.contact_set(
+        problem, trajectory, config.delta, config.eps, samples
+    )
+    outside = sum(
+        abs(ms.eta.scalar_atom(k)) for k in ms.eta.atoms if not contact.node_in(k)
+    )
+    off = (density != 0.0) & ~contact.cell_flags
+    outside += float(np.sum(np.abs(density[off]) * grid.widths[off]))
     entries.append(Entry("eta_outside_contact", outside, tol))
     return entries
 
@@ -333,39 +332,67 @@ def check_nontriviality(ms: MultiplierSet, config: CheckConfig = CheckConfig()) 
     )
 
 
-def _support_elements(ms: MultiplierSet):
-    """Atoms (by node) and density cells (by cell) carrying eta mass."""
+def _support_elements(ms: MultiplierSet) -> tuple[list[tuple[int, float]], np.ndarray]:
+    """Atoms (node, mass) and the density cells carrying eta mass."""
     atoms = [(k, ms.eta.scalar_atom(k)) for k in sorted(ms.eta.atoms)
              if ms.eta.scalar_atom(k) != 0.0]
-    cells = [
-        (k, float(ms.eta.density[k, 0] * ms.grid.widths[k]))
-        for k in range(ms.grid.ncells)
-        if ms.eta.density[k, 0] != 0.0
-    ]
-    return atoms, cells
+    return atoms, np.flatnonzero(ms.eta.density[:, 0] != 0.0)
 
 
 def _resolve_direction(
     sd: SupportDirection | None,
     gens: tuple[np.ndarray, ...],
     n: int,
-    where: str,
+    kind: str,
+    index: int,
 ) -> np.ndarray:
+    """The direction s on one support element, the node or cell ``index``."""
     if sd is None:
-        raise InputError(f"direction s is missing on the eta support at {where}")
+        raise InputError(f"direction s is missing on the eta support at {kind} {index}")
     if sd.vector is not None:
         if sd.vector.size != n:
-            raise InputError(f"direction vector at {where} has wrong dimension")
+            raise InputError(f"direction vector at {kind} {index} has wrong dimension")
         return sd.vector
     if not gens:
         raise InputError(
-            f"weights given at {where} but no jump directions are available there"
+            f"weights given at {kind} {index} but no jump directions are available there"
         )
     if sd.weights.size != len(gens):
         raise InputError(
-            f"{sd.weights.size} weights for {len(gens)} generators at {where}"
+            f"{sd.weights.size} weights for {len(gens)} generators at {kind} {index}"
         )
     return np.asarray(sd.weights) @ np.asarray(gens)
+
+
+def _cell_directions(
+    ms: MultiplierSet, cells: np.ndarray, gens: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The directions s on density cells, resolved in one pass over their
+    records; raises at the first cell whose direction is missing or wrong.
+
+    ``gens[i]`` is the generator at the midpoint of ``cells[i]`` (a midpoint
+    has at most one), a NaN row where there is none.  Returns the rows of s,
+    and where s is given as weights, its single weight and a True flag.
+    """
+    if cells.size == 0:
+        return np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool)
+
+    def resolve(k: int, g: np.ndarray, available: bool) -> tuple[np.ndarray, float, bool]:
+        sd = ms.s_cells.get(k)
+        row = _resolve_direction(sd, (g,) if available else (), n, "cell", k)
+        if sd.weights is None:
+            return row, 0.0, False
+        return row, float(sd.weights[0]), True
+
+    available = (~np.isnan(gens[:, 0])).tolist()
+    rows, weights, weighted = zip(*map(resolve, cells.tolist(), gens, available))
+    return np.array(rows), np.array(weights), np.array(weighted)
+
+
+def _mid_generators(samples: Samples, config: CheckConfig):
+    """Per cell: whether the midpoint is a relaxed phase point, and its G_x."""
+    mid = samples.mid
+    return mid.phase(config.delta, config.eps), mid.phase_gradients(config.delta, config.eps)
 
 
 def check_jump_inclusion(
@@ -373,6 +400,7 @@ def check_jump_inclusion(
     problem: ProblemDef,
     trajectory: Trajectory,
     config: CheckConfig = CheckConfig(),
+    samples: Samples | None = None,
 ) -> list[Entry]:
     """Distance of s to the convex hull of the reachable constraint
     gradients, over every element of the eta support; mass sitting where no
@@ -381,12 +409,13 @@ def check_jump_inclusion(
     Density cells are sampled at their midpoints; a sampled violation fails
     the check (the conservative reading of an a.e.-in-measure condition).
     """
+    samples = samples or Samples(problem, trajectory)
     atoms, cells = _support_elements(ms)
     worst = 0.0
     outside_mass = 0.0
     for k, mass in atoms:
         gens = geometry.jump_directions_at_node(
-            problem, trajectory, k, config.delta, config.eps
+            problem, trajectory, k, config.delta, config.eps, samples
         ).generators
         sd = ms.s_atoms.get(k)
         if not gens:
@@ -401,29 +430,24 @@ def check_jump_inclusion(
             violation += abs(float(np.sum(sd.weights)) - 1.0)
             worst = max(worst, violation)
             continue
-        shat = _resolve_direction(sd, gens, problem.n, f"node {k}")
+        shat = _resolve_direction(sd, gens, problem.n, "node", k)
         dist, _ = geometry.dist_to_convex_hull(shat, gens)
         worst = max(worst, dist)
-    for k, mass in cells:
-        gens = geometry.jump_directions_at_cell_mid(
-            problem, trajectory, k, config.delta, config.eps
-        ).generators
-        sd = ms.s_cells.get(k)
-        if not gens:
-            outside_mass += abs(mass)
-            continue
-        if sd is not None and sd.weights is not None:
-            if sd.weights.size != len(gens):
-                raise InputError(
-                    f"{sd.weights.size} weights for {len(gens)} generators on cell {k}"
-                )
-            violation = max(0.0, -float(np.min(sd.weights)))
-            violation += abs(float(np.sum(sd.weights)) - 1.0)
-            worst = max(worst, violation)
-            continue
-        shat = _resolve_direction(sd, gens, problem.n, f"cell {k}")
-        dist, _ = geometry.dist_to_convex_hull(shat, gens)
-        worst = max(worst, dist)
+
+    has_gen, mid_gens = _mid_generators(samples, config)
+    widths = ms.grid.widths
+    bare = cells[~has_gen[cells]]
+    outside_mass += float(np.sum(np.abs(ms.eta.density[bare, 0] * widths[bare])))
+    covered = cells[has_gen[cells]]
+    rows, weights, weighted = _cell_directions(ms, covered, mid_gens[covered], problem.n)
+    w = weights[weighted]
+    violation = np.maximum(0.0, -w) + np.abs(w - 1.0)
+    dist = np.linalg.norm(mid_gens[covered][~weighted] - rows[~weighted], axis=1)
+    worst = max(
+        worst,
+        float(np.max(violation, initial=0.0)),
+        float(np.max(dist, initial=0.0)),
+    )
     tol = config.structural_tol
     return [
         Entry("jump_inclusion", worst, tol),
@@ -436,25 +460,55 @@ def _direction_measure(
     problem: ProblemDef,
     trajectory: Trajectory,
     config: CheckConfig,
+    samples: Samples | None = None,
 ) -> SignedMeasure:
     """The vector measure s*d-eta used by the costate balance."""
+    samples = samples or Samples(problem, trajectory)
     atoms, cells = _support_elements(ms)
     n = problem.n
     atom_map: dict[int, np.ndarray] = {}
     for k, mass in atoms:
         gens = geometry.jump_directions_at_node(
-            problem, trajectory, k, config.delta, config.eps
+            problem, trajectory, k, config.delta, config.eps, samples
         ).generators
-        shat = _resolve_direction(ms.s_atoms.get(k), gens, n, f"node {k}")
+        shat = _resolve_direction(ms.s_atoms.get(k), gens, n, "node", k)
         atom_map[k] = shat * mass
+    _, mid_gens = _mid_generators(samples, config)
+    rows, _, _ = _cell_directions(ms, cells, mid_gens[cells], n)
     density = np.zeros((ms.grid.ncells, n))
-    for k, _mass in cells:
-        gens = geometry.jump_directions_at_cell_mid(
-            problem, trajectory, k, config.delta, config.eps
-        ).generators
-        shat = _resolve_direction(ms.s_cells.get(k), gens, n, f"cell {k}")
-        density[k] = shat * ms.eta.density[k, 0]
+    density[cells] = rows * ms.eta.density[cells, 0][:, None]
     return SignedMeasure(grid=ms.grid, dim=n, atoms=atom_map, density=density)
+
+
+def _costate_times(p_rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row k of the result is the row vector p_rows[k] times matrix table[k]."""
+    return np.einsum("ki,kij->kj", p_rows, table)
+
+
+def _balance_rows(
+    p: BVFunction,
+    a_left: np.ndarray,
+    a_right: np.ndarray,
+    widths: np.ndarray,
+    atoms: np.ndarray,
+    cell_mass: np.ndarray,
+) -> np.ndarray:
+    """Rows of the cumulative costate balance at every node k: the right
+    limit of p minus its exterior left value, plus the trapezoid integral of
+    a through node k, plus the closed-interval mass through node k of the
+    measure with node atoms ``atoms`` and per-cell masses ``cell_mass``.
+
+    Both sums run in node order (atom, then the following cell), as a
+    running sum would.
+    """
+    N, n = cell_mass.shape
+    acc = np.zeros((N + 1, n))
+    acc[1:] = np.cumsum((0.5 * widths)[:, None] * (a_left + a_right), axis=0)
+    steps = np.empty((2 * N + 1, n))
+    steps[0::2] = atoms
+    steps[1::2] = cell_mass
+    mass = np.cumsum(steps, axis=0)[0::2]
+    return p.right_limits() - p.exterior_left + acc + mass
 
 
 def _adjoint_profile(
@@ -462,6 +516,7 @@ def _adjoint_profile(
     problem: ProblemDef,
     trajectory: Trajectory,
     config: CheckConfig,
+    samples: Samples | None = None,
 ) -> tuple[np.ndarray, float]:
     """Residual rows of the cumulative costate balance at every node.
 
@@ -470,30 +525,23 @@ def _adjoint_profile(
     p taken by its left-limit node values) minus the closed-interval mass of
     s*d-eta through node k.  Returns (rows, data scale).
     """
+    samples = samples or Samples(problem, trajectory)
     grid = ms.grid
-    N = grid.ncells
     p = ms.p
-    sdeta = _direction_measure(ms, problem, trajectory, config)
-    rows = np.empty((N + 1, problem.n))
-    scale = 1.0
-    acc = np.zeros(problem.n)  # running AC integral
-    smass = sdeta.atom(0).copy()  # closed-interval measure mass up to node k
-    rows[0] = p.right_limit(0) - p.exterior_left + smass
-    for k in range(N):
-        a_left = p.left_limit(k) @ problem.fx_at(
-            trajectory.x[k], trajectory.u_left[k]
-        ) + ms.lam[k] * problem.Gx_at(trajectory.x[k], trajectory.u_left[k])
-        a_right = p.left_limit(k + 1) @ problem.fx_at(
-            trajectory.x[k + 1], trajectory.u_right[k]
-        ) + ms.lam[k] * problem.Gx_at(trajectory.x[k + 1], trajectory.u_right[k])
-        scale = max(
-            scale,
-            float(np.max(np.abs(a_left))),
-            float(np.max(np.abs(a_right))),
-        )
-        acc = acc + 0.5 * grid.widths[k] * (a_left + a_right)
-        smass = smass + sdeta.density[k] * grid.widths[k] + sdeta.atom(k + 1)
-        rows[k + 1] = p.right_limit(k + 1) - p.exterior_left + acc + smass
+    sdeta = _direction_measure(ms, problem, trajectory, config, samples)
+    left, right = samples.left, samples.right
+    lam = ms.lam[:, None]
+    a_left = _costate_times(p.values[:-1], left.f_x) + lam * left.G_x
+    a_right = _costate_times(p.values[1:], right.f_x) + lam * right.G_x
+    scale = max(1.0, float(np.max(np.abs(a_left))), float(np.max(np.abs(a_right))))
+    rows = _balance_rows(
+        p,
+        a_left,
+        a_right,
+        grid.widths,
+        sdeta.dense_atoms(),
+        sdeta.density * grid.widths[:, None],
+    )
     return rows, scale
 
 
@@ -508,9 +556,10 @@ def check_adjoint(
     problem: ProblemDef,
     trajectory: Trajectory,
     config: CheckConfig = CheckConfig(),
+    samples: Samples | None = None,
 ) -> Entry:
     """Max-norm residual of the costate balance in cumulative form."""
-    rows, scale = _adjoint_profile(ms, problem, trajectory, config)
+    rows, scale = _adjoint_profile(ms, problem, trajectory, config, samples)
     residual = float(np.max(np.abs(rows)))
     h = float(np.max(ms.grid.widths))
     tol = _auto_tol(config.adjoint_tol, config, h, scale)
@@ -531,36 +580,34 @@ def check_transversality(
     return Entry("transversality", left + right, config.structural_tol)
 
 
-def _stationarity_samples(ms: MultiplierSet, trajectory: Trajectory):
-    p = ms.p
-    for k in range(trajectory.grid.ncells):
-        yield k, trajectory.x[k], trajectory.u_left[k], p.right_limit(k)
-        yield k, trajectory.x_mid(k), trajectory.u_mid(k), 0.5 * (
-            p.right_limit(k) + p.left_limit(k + 1)
-        )
-        yield k, trajectory.x[k + 1], trajectory.u_right[k], p.left_limit(k + 1)
-
-
 def check_stationarity(
     ms: MultiplierSet,
     problem: ProblemDef,
     trajectory: Trajectory,
     config: CheckConfig = CheckConfig(),
+    samples: Samples | None = None,
 ) -> Entry:
     """Essential-supremum residual of p.f_u + lambda*G_u, sampled at both
     cell sides and the midpoint; the L1 aggregate is reported as detail."""
+    samples = samples or Samples(problem, trajectory)
     grid = trajectory.grid
-    worst = 0.0
-    l1 = 0.0
+    p = ms.p
+    right_limits = p.right_limits()[:-1]
+    left_limits = p.values[1:]
+    sides = (
+        (samples.left, right_limits),
+        (samples.mid, 0.5 * (right_limits + left_limits)),
+        (samples.right, left_limits),
+    )
     scale = 1.0
-    cell_acc = np.zeros(grid.ncells)
-    for k, x, u, p in _stationarity_samples(ms, trajectory):
-        hu = p @ problem.fu_at(x, u)
-        gu = ms.lam[k] * problem.Gu_at(x, u)
-        value = float(np.max(np.abs(hu + gu)))
+    values = []
+    for points, costate in sides:
+        hu = _costate_times(costate, points.f_u)
+        gu = ms.lam[:, None] * points.G_u
+        values.append(np.max(np.abs(hu + gu), axis=1))
         scale = max(scale, float(np.max(np.abs(hu))), float(np.max(np.abs(gu))))
-        worst = max(worst, value)
-        cell_acc[k] += value / 3.0
+    worst = max(float(np.max(v)) for v in values)
+    cell_acc = values[0] / 3.0 + values[1] / 3.0 + values[2] / 3.0
     l1 = float(np.sum(cell_acc * grid.widths))
     h = float(np.max(grid.widths))
     tol = _auto_tol(config.stationarity_tol, config, h, scale)
@@ -578,26 +625,30 @@ def check_certificate(
     trajectory: Trajectory,
     ms: MultiplierSet,
     config: CheckConfig = CheckConfig(),
+    samples: Samples | None = None,
 ) -> Report:
     """Run every condition check and assemble the report.
 
-    Sub-check errors become failing entries instead of aborting the rest.
-    Diagnostics carry the dynamics defect (informational, not a gate), the
-    nontriviality value, and the nodes where an atom of d-eta coincides with
-    a costate or control discontinuity (list of convention-sensitive nodes).
+    The problem data are evaluated once, into one Samples shared by every
+    sub-check.  Sub-check errors become failing entries instead of aborting
+    the rest.  Diagnostics carry the dynamics defect (informational, not a
+    gate), the nontriviality value, and the convention-sensitive nodes:
+    atoms of d-eta at declared control jumps whose two sides differ, where
+    the integrand side at the atom is a convention.
     """
+    samples = samples or Samples(problem, trajectory)
     entries: list[Entry] = []
     try:
-        entries.extend(check_signs_slackness(ms, problem, trajectory, config))
+        entries.extend(check_signs_slackness(ms, problem, trajectory, config, samples))
     except LmpkitError as err:
         entries.append(_error_entry("signs_slackness", err))
     entries.append(check_nontriviality(ms, config))
     try:
-        entries.extend(check_jump_inclusion(ms, problem, trajectory, config))
+        entries.extend(check_jump_inclusion(ms, problem, trajectory, config, samples))
     except LmpkitError as err:
         entries.append(_error_entry("jump_inclusion", err))
     try:
-        entries.append(check_adjoint(ms, problem, trajectory, config))
+        entries.append(check_adjoint(ms, problem, trajectory, config, samples))
     except LmpkitError as err:
         entries.append(_error_entry("adjoint", err))
     try:
@@ -605,27 +656,26 @@ def check_certificate(
     except LmpkitError as err:
         entries.append(_error_entry("transversality", err))
     try:
-        entries.append(check_stationarity(ms, problem, trajectory, config))
+        entries.append(check_stationarity(ms, problem, trajectory, config, samples))
     except LmpkitError as err:
         entries.append(_error_entry("stationarity", err))
 
     diagnostics: dict = {}
     try:
-        defect = dynamics_defect(problem, trajectory)
+        defect = dynamics_defect(problem, trajectory, samples)
         diagnostics["dynamics_defect_max"] = float(np.max(np.abs(defect)))
     except (EvalError, InputError) as err:
         diagnostics["dynamics_defect_max"] = f"error: {err}"
-    sensitive = []
-    for k in sorted(ms.eta.atoms):
-        if ms.eta.scalar_atom(k) == 0.0:
-            continue
-        p_jump = bool(np.any(ms.p.jump(k) != 0.0))
-        if trajectory.is_jump(k) or p_jump:
-            sensitive.append(int(k))
-    diagnostics["convention_sensitive_nodes"] = sensitive
+    diagnostics["convention_sensitive_nodes"] = [
+        int(k)
+        for k in sorted(ms.eta.atoms)
+        if ms.eta.scalar_atom(k) != 0.0 and k in samples.two_sided
+    ]
     diagnostics["nu"] = ms.nu()
     try:
-        contact = geometry.contact_set(problem, trajectory, config.delta, config.eps)
+        contact = geometry.contact_set(
+            problem, trajectory, config.delta, config.eps, samples
+        )
         diagnostics["contact_intervals"] = [list(iv) for iv in contact.intervals]
     except LmpkitError as err:
         diagnostics["contact_intervals"] = f"error: {err}"
@@ -650,6 +700,7 @@ def merge_state_constraint(
     trajectory: Trajectory,
     ms: MultiplierSet,
     config: CheckConfig = CheckConfig(),
+    samples: Samples | None = None,
 ) -> MergedStateConstraint:
     """Merge lambda*dt + d-eta into one measure for G(x, u) = g(x).
 
@@ -661,36 +712,27 @@ def merge_state_constraint(
     """
     if not all(expr.is_zero(e) for e in problem.G_u):
         raise InputError("G depends on the control; the merged form needs G(x,u)=g(x)")
+    samples = samples or Samples(problem, trajectory)
     grid = ms.grid
-    N = grid.ncells
     merged = SignedMeasure.scalar(
         grid,
         atoms={k: ms.eta.scalar_atom(k) for k in ms.eta.atoms},
         density=ms.lam + ms.eta.density[:, 0],
     )
-
-    gprime = np.empty((N + 1, problem.n))
-    gvals = np.empty(N + 1)
-    for k in range(N + 1):
-        u = trajectory.control_points(k)[0]
-        gprime[k] = problem.Gx_at(trajectory.x[k], u)
-        gvals[k] = problem.G_at(trajectory.x[k], u)
+    left, right = samples.left, samples.right
+    gprime = samples.at_nodes(left.G_x, right.G_x)
+    gvals = samples.at_nodes(left.G, right.G)
 
     p = ms.p
-    acc = np.zeros(problem.n)
-    mass = merged.scalar_atom(0) * gprime[0]
-    worst = float(np.max(np.abs(p.right_limit(0) - p.exterior_left + mass)))
-    for k in range(N):
-        a_left = p.left_limit(k) @ problem.fx_at(trajectory.x[k], trajectory.u_left[k])
-        a_right = p.left_limit(k + 1) @ problem.fx_at(
-            trajectory.x[k + 1], trajectory.u_right[k]
-        )
-        acc = acc + 0.5 * grid.widths[k] * (a_left + a_right)
-        cell_dir = 0.5 * (gprime[k] + gprime[k + 1])
-        mass = mass + merged.density[k, 0] * grid.widths[k] * cell_dir
-        mass = mass + merged.scalar_atom(k + 1) * gprime[k + 1]
-        row = p.right_limit(k + 1) - p.exterior_left + acc + mass
-        worst = max(worst, float(np.max(np.abs(row))))
+    rows = _balance_rows(
+        p,
+        _costate_times(p.values[:-1], left.f_x),
+        _costate_times(p.values[1:], right.f_x),
+        grid.widths,
+        merged.dense_atoms() * gprime,
+        (merged.density[:, 0] * grid.widths)[:, None] * (0.5 * (gprime[:-1] + gprime[1:])),
+    )
+    worst = float(np.max(np.abs(rows)))
 
     slack = sum(
         abs(gvals[k]) * abs(merged.scalar_atom(k)) for k in merged.atoms

@@ -40,6 +40,14 @@ def _as_row(value, dim: int) -> np.ndarray:
     return row
 
 
+def _dense(atoms: Mapping[int, np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """Sparse node rows as a dense array, zero rows elsewhere."""
+    out = np.zeros(shape)
+    for k, row in atoms.items():
+        out[k] = row
+    return out
+
+
 @dataclass(frozen=True)
 class BVFunction:
     """Left-continuous function of bounded variation with exterior values.
@@ -92,6 +100,10 @@ class BVFunction:
 
     def right_limit(self, k: int) -> np.ndarray:
         return self.values[k] + self.jump(k)
+
+    def right_limits(self) -> np.ndarray:
+        """:meth:`right_limit` at every node, one row per node."""
+        return self.values + _dense(self.atoms, self.values.shape)
 
     def within_cell(self, k: int, theta: float) -> np.ndarray:
         """Value at tau_k + theta*h_k for theta in (0, 1)."""
@@ -176,16 +188,16 @@ class SignedMeasure:
     def scalar_atom(self, k: int) -> float:
         return float(self.atom(k)[0])
 
+    def dense_atoms(self) -> np.ndarray:
+        """:meth:`atom` at every node, one row per node."""
+        return _dense(self.atoms, (self.grid.ncells + 1, self.dim))
+
     def mass(self, a: int = 0, b: int | None = None) -> np.ndarray:
         """Closed-interval mass over [tau_a, tau_b]: atoms at both ends included."""
         a, b = self._bounds(a, b)
-        total = np.zeros(self.dim)
-        for k, w in self.atoms.items():
-            if a <= k <= b:
-                total = total + w
-        for k in range(a, b):
-            total = total + self.density[k] * self.grid.widths[k]
-        return total
+        atoms = self.dense_atoms()[a : b + 1]
+        cells = self.density[a:b] * self.grid.widths[a:b, None]
+        return np.sum(atoms, axis=0) + np.sum(cells, axis=0)
 
     def _bounds(self, a, b) -> tuple[int, int]:
         if b is None:

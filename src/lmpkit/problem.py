@@ -5,7 +5,8 @@ constraint G(x,u) <= 0, and an endpoint cost J(x(t0), x(t1)).  Candidate
 processes live on a time grid: the state is a continuous piecewise-linear
 interpolant of node samples, the control is piecewise smooth with finitely
 many declared jump nodes carrying explicit left/right values.  All types are
-immutable after construction; per-cell evaluations are independent.
+immutable after construction; :class:`~lmpkit.samples.Samples` evaluates the
+data over all grid cells at once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import expr
 from .errors import EvalError, InputError
+from .samples import Samples
 
 __all__ = [
     "ProblemDef",
@@ -257,15 +259,15 @@ class Trajectory:
         if len(set(self.jumps)) != len(self.jumps):
             raise InputError("duplicate jump nodes")
         scale = 1.0 + float(np.max(np.abs(ul))) if ul.size else 1.0
-        jumpset = set(self.jumps)
-        for k in range(1, ncells):
-            if k in jumpset:
-                continue
-            gap = float(np.max(np.abs(ur[k - 1] - ul[k])))
-            if gap > _CONTINUITY_TOL * scale:
-                raise InputError(
-                    f"control is discontinuous at node {k} but no jump is declared"
-                )
+        # gap[k - 1] is the control gap at interior node k
+        gap = np.max(np.abs(ur[:-1] - ul[1:]), axis=1, initial=0.0)
+        broken = gap > _CONTINUITY_TOL * scale
+        broken[np.asarray(self.jumps, dtype=np.intp) - 1] = False
+        if broken.any():
+            k = int(np.argmax(broken)) + 1
+            raise InputError(
+                f"control is discontinuous at node {k} but no jump is declared"
+            )
 
     @property
     def n(self) -> int:
@@ -320,24 +322,28 @@ class Trajectory:
         return self.x[0], self.x[-1]
 
 
-def dynamics_defect(problem: ProblemDef, trajectory: Trajectory) -> np.ndarray:
+def dynamics_defect(
+    problem: ProblemDef, trajectory: Trajectory, samples: Samples | None = None
+) -> np.ndarray:
     """Per-cell trapezoidal defect of the dynamics; a diagnostic, not a gate.
 
     defect_k = x(tau_{k+1}) - x(tau_k) - h_k/2 * (f(w(tau_k+)) + f(w(tau_{k+1}-))).
     """
-    if trajectory.n != problem.n or trajectory.m != problem.m:
-        raise InputError("trajectory dimensions do not match the problem")
-    grid = trajectory.grid
-    out = np.empty((grid.ncells, problem.n))
-    for k in range(grid.ncells):
+    samples = samples or Samples(problem, trajectory)
+    errors = []
+    for points in (samples.left, samples.right):
         try:
-            fa = problem.f_at(trajectory.x[k], trajectory.u_left[k])
-            fb = problem.f_at(trajectory.x[k + 1], trajectory.u_right[k])
+            points.f
         except EvalError as err:
-            raise EvalError(f"dynamics evaluation failed on cell {k}: {err}") from err
-        h = grid.widths[k]
-        out[k] = trajectory.x[k + 1] - trajectory.x[k] - 0.5 * h * (fa + fb)
-    return out
+            errors.append(err)
+    if errors:  # the first failing cell, its left end first
+        err = min(errors, key=lambda e: e.sample)
+        raise EvalError(
+            f"dynamics evaluation failed on cell {err.sample}: {err.reason}"
+        ) from err
+    h = trajectory.grid.widths
+    fa, fb = samples.left.f, samples.right.f
+    return trajectory.x[1:] - trajectory.x[:-1] - (0.5 * h)[:, None] * (fa + fb)
 
 
 def endpoint_cost(problem: ProblemDef, trajectory: Trajectory) -> float:

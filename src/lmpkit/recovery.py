@@ -37,6 +37,7 @@ from .lmp import (
 )
 from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, Trajectory
+from .samples import Samples
 
 __all__ = [
     "RecoveryConfig",
@@ -106,23 +107,21 @@ class RecoveryResult:
     theta: np.ndarray
 
 
-def _slack_threshold(problem, trajectory, config) -> float:
+def _slack_threshold(samples: Samples, config: RecoveryConfig) -> float:
     if config.delta_slack is not None:
         return config.delta_slack
-    sup = 1.0
-    for k in range(trajectory.grid.ncells):
-        sup = max(
-            sup,
-            abs(problem.G_at(trajectory.x[k], trajectory.u_left[k])),
-            abs(problem.G_at(trajectory.x[k + 1], trajectory.u_right[k])),
-        )
-    return 1e-6 * sup
+    return 1e-6 * max(
+        1.0,
+        float(np.max(np.abs(samples.left.G))),
+        float(np.max(np.abs(samples.right.G))),
+    )
 
 
 def build_program(
     problem: ProblemDef,
     trajectory: Trajectory,
     config: RecoveryConfig = RecoveryConfig(),
+    samples: Samples | None = None,
 ) -> RecoveryProgram:
     """Assemble unknowns, the normalisation row, the affine costate
     recursion, and the quadratic objective.
@@ -131,41 +130,34 @@ def build_program(
     midpoints; an empty generator set there means the working tolerances do
     not resolve the contact geometry and is reported as an input error.
     """
+    samples = samples or Samples(problem, trajectory)
+    left, mid, right = samples.left, samples.mid, samples.right
     grid = trajectory.grid
     N = grid.ncells
     n = problem.n
 
-    slack = _slack_threshold(problem, trajectory, config)
-    active = []
-    for k in range(N):
-        g_left = problem.G_at(trajectory.x[k], trajectory.u_left[k])
-        g_right = problem.G_at(trajectory.x[k + 1], trajectory.u_right[k])
-        if max(g_left, g_right) >= -slack:
-            active.append(k)
+    slack = _slack_threshold(samples, config)
+    active = np.flatnonzero(np.maximum(left.G, right.G) >= -slack).tolist()
 
-    contact = geometry.contact_set(problem, trajectory, config.delta, config.eps)
-    atom_nodes = [k for k in range(N + 1) if contact.node_in(k)]
-    atom_gens = []
-    for k in atom_nodes:
-        gens = geometry.jump_directions_at_node(
-            problem, trajectory, k, config.delta, config.eps
-        ).generators
-        atom_gens.append(np.asarray(gens))
-    eta_cells = []
-    cell_gens = []
-    for k in range(N):
-        if not contact.cell_in(k):
-            continue
-        gens = geometry.jump_directions_at_cell_mid(
-            problem, trajectory, k, config.delta, config.eps
-        ).generators
-        if not gens:
-            raise InputError(
-                f"no jump directions at the midpoint of contact cell {k}: "
-                "tolerance mismatch between the contact set and the phase test"
-            )
-        eta_cells.append(k)
-        cell_gens.append(np.asarray(gens))
+    contact = geometry.contact_set(problem, trajectory, config.delta, config.eps, samples)
+    atom_nodes = np.flatnonzero(contact.flags).tolist()
+    atom_gens = [
+        np.asarray(
+            geometry.jump_directions_at_node(
+                problem, trajectory, k, config.delta, config.eps, samples
+            ).generators
+        )
+        for k in atom_nodes
+    ]
+    eta_cells = np.flatnonzero(contact.cell_flags).tolist()
+    bare = np.flatnonzero(contact.cell_flags & ~mid.phase(config.delta, config.eps))
+    if bare.size:
+        raise InputError(
+            f"no jump directions at the midpoint of contact cell {bare[0]}: "
+            "tolerance mismatch between the contact set and the phase test"
+        )
+    mid_gens = mid.phase_gradients(config.delta, config.eps)
+    cell_gens = [mid_gens[k : k + 1] for k in eta_cells]
 
     # unknown layout: alpha0, lambda on active cells, atom coefficients,
     # cell-mass coefficients
@@ -211,10 +203,10 @@ def build_program(
     eye = np.eye(n)
     for k in range(N - 1, -1, -1):
         h = grid.widths[k]
-        F_left = problem.fx_at(trajectory.x[k], trajectory.u_left[k])
-        F_right = problem.fx_at(trajectory.x[k + 1], trajectory.u_right[k])
-        Gx_left = problem.Gx_at(trajectory.x[k], trajectory.u_left[k])
-        Gx_right = problem.Gx_at(trajectory.x[k + 1], trajectory.u_right[k])
+        F_left = left.f_x[k]
+        F_right = right.f_x[k]
+        Gx_left = left.G_x[k]
+        Gx_right = right.G_x[k]
         rhs = A_L[k + 1] @ (eye + 0.5 * h * F_right)
         if k in W:
             rhs = rhs + W[k]
@@ -241,16 +233,15 @@ def build_program(
         weight = np.sqrt(h / 3.0)
         A_pl = A_L[k] - W[k] if k in W else A_L[k]
         A_pr = A_L[k + 1]
-        samples = (
-            (trajectory.x[k], trajectory.u_left[k], A_pl),
-            (trajectory.x_mid(k), trajectory.u_mid(k), 0.5 * (A_pl + A_pr)),
-            (trajectory.x[k + 1], trajectory.u_right[k], A_pr),
+        sides = (
+            (left, A_pl),
+            (mid, 0.5 * (A_pl + A_pr)),
+            (right, A_pr),
         )
-        for x_s, u_s, A_p in samples:
-            Fu = problem.fu_at(x_s, u_s)
-            block = (A_p @ Fu).T  # (m, nvars)
+        for points, A_p in sides:
+            block = (A_p @ points.f_u[k]).T  # (m, nvars)
             if k in idx_lam:
-                block[:, idx_lam[k]] += problem.Gu_at(x_s, u_s)
+                block[:, idx_lam[k]] += points.G_u[k]
             rows[row : row + m] = weight * block
             row += m
     trans = A_L[0].T.copy()  # (n, nvars)
@@ -566,9 +557,10 @@ def cross_validate(
     trajectory: Trajectory,
     ms: MultiplierSet,
     check_config: CheckConfig = CheckConfig(),
+    samples: Samples | None = None,
 ) -> Report:
     """Independent acceptance: pipe recovered multipliers through the checker."""
-    return check_certificate(problem, trajectory, ms, check_config)
+    return check_certificate(problem, trajectory, ms, check_config, samples)
 
 
 @dataclass(frozen=True)
@@ -586,10 +578,11 @@ def recover(
     check_config: CheckConfig | None = None,
 ) -> RecoveryOutcome:
     """End-to-end recovery: build, solve, cross-validate."""
-    program = build_program(problem, trajectory, config)
+    samples = Samples(problem, trajectory)
+    program = build_program(problem, trajectory, config, samples)
     result = solve(program)
     cfg = check_config or CheckConfig(delta=config.delta, eps=config.eps)
-    report = cross_validate(problem, trajectory, result.multipliers, cfg)
+    report = cross_validate(problem, trajectory, result.multipliers, cfg, samples)
     return RecoveryOutcome(
         result=result,
         report=report,

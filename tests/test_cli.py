@@ -157,6 +157,7 @@ class TestCones:
         assert run_cli("cones", "--seeds", "25") == 0
         out = capsys.readouterr().out
         assert "25 instances" in out
+        assert "25 consistent, 0 degenerate" in out
         assert "0 violations" in out
 
     def test_missing_file_is_input_error(self, tmp_path):

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from lmpkit import expr
 from lmpkit.errors import EvalError, ParseError
-from oracles import central_difference, fd_comparable_sample, random_binding
+from oracles import (
+    central_difference,
+    fd_comparable_sample,
+    random_binding,
+    random_expression,
+)
 
 G_EX1 = "0.5*u1^2 - x1 + 1"
 
@@ -193,3 +198,96 @@ def test_evaluate_never_returns_nonfinite():
     with pytest.raises(EvalError):
         expr.evaluate(e, {"x1": 400.0})
     assert math.isfinite(expr.evaluate(e, {"x1": 1.0}))
+
+
+# -- evaluation over arrays ------------------------------------------------------
+
+
+def _exact_ops_only(e) -> bool:
+    """True when the tree uses only + - * / and negation."""
+    if isinstance(e, (expr.Const, expr.Var)):
+        return True
+    if isinstance(e, expr.Neg):
+        return _exact_ops_only(e.child)
+    if isinstance(e, expr.Binary):
+        return _exact_ops_only(e.left) and _exact_ops_only(e.right)
+    return False
+
+
+def _magnitude(e, binding) -> float:
+    """Largest absolute value over the subexpressions of e at a binding."""
+    try:
+        top = abs(expr.evaluate(e, binding))
+    except EvalError:
+        return math.inf
+    if isinstance(e, (expr.Const, expr.Var)):
+        return top
+    if isinstance(e, expr.Binary):
+        return max(top, _magnitude(e.left, binding), _magnitude(e.right, binding))
+    child = e.child if isinstance(e, expr.Neg) else (
+        e.base if isinstance(e, expr.Pow) else e.arg
+    )
+    return max(top, _magnitude(child, binding))
+
+
+# numpy's exp, log and pow may differ from the math module in the last bit;
+# where they appear, values agree within this many units of the largest
+# subexpression magnitude
+ARRAY_KERNEL_TOL = 1e-12
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_evaluate_many_matches_evaluate(seed):
+    rng = np.random.default_rng(seed)
+    names = ["x1", "x2", "u1"]
+    e = random_expression(rng, names, depth=int(rng.integers(1, 6)))
+    size = int(rng.integers(1, 30))
+    columns = {name: rng.uniform(-2.0, 2.0, size) for name in names}
+    for column in columns.values():  # exact zeros reach the division checks
+        column[rng.random(size) < 0.2] = 0.0
+    bindings = [{name: float(c[i]) for name, c in columns.items()} for i in range(size)]
+    expected, first_error = [], None
+    for i, binding in enumerate(bindings):
+        try:
+            expected.append(expr.evaluate(e, binding))
+        except EvalError as err:
+            first_error = first_error or (i, str(err))
+    if first_error is not None:
+        with pytest.raises(EvalError) as info:
+            expr.evaluate_many(e, columns)
+        assert (info.value.sample, info.value.reason) == first_error
+        return
+    values = expr.evaluate_many(e, columns)
+    expected = np.array(expected)
+    if _exact_ops_only(e):
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        return
+    scale = np.array([_magnitude(e, b) for b in bindings])
+    assert np.all(np.abs(values - expected) <= ARRAY_KERNEL_TOL * (1.0 + scale))
+
+
+@pytest.mark.parametrize(
+    "source, bad, reason",
+    [
+        ("x1/u1", {"u1": 0.0}, "division by zero"),
+        ("1/(1/u1)", {"u1": 0.0}, "division by zero"),
+        ("x1^-1", {"x1": 0.0}, "zero raised to a negative power"),
+        ("log(x1)", {"x1": 0.0}, "log of a non-positive value"),
+        ("sqrt(x1)", {"x1": -1.0}, "sqrt of a negative value"),
+        ("exp(x1)", {"x1": 1e9}, "exp left the real domain"),
+        ("x1^3", {"x1": 1e200}, "power overflow"),
+        ("x1*x1 - x1*x1", {"x1": 1e200}, "expression evaluated to a non-finite value"),
+    ],
+)
+def test_evaluate_many_names_first_bad_sample(source, bad, reason):
+    e = expr.parse(source)
+    columns = {"x1": np.full(8, 1.5), "u1": np.full(8, 2.0)}
+    for name, value in bad.items():
+        columns[name][[3, 6]] = value
+    with pytest.raises(EvalError) as info:
+        expr.evaluate_many(e, columns)
+    assert (info.value.sample, info.value.reason) == (3, reason)
+    binding = {name: float(column[3]) for name, column in columns.items()}
+    with pytest.raises(EvalError, match=reason):
+        expr.evaluate(e, binding)

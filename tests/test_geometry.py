@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from lmpkit import geometry
-from lmpkit.errors import InputError
-from lmpkit.problem import TimeGrid, Trajectory, builtin_example
-from oracles import hull_distance_bruteforce, random_trajectory
+from lmpkit.errors import EvalError, InputError
+from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
+from oracles import (
+    RELAXED,
+    hull_distance_bruteforce,
+    random_problem,
+    random_trajectory,
+    reference_contact_flags,
+    reference_node_generators,
+)
 
 
 def jumpy_trajectory():
@@ -200,3 +207,45 @@ class TestHullDistance:
             dist_fw, _ = geometry.dist_to_convex_hull(s, gens)
             dist_exact, _ = geometry._hull_distance_exact(s, gens)
             assert dist_fw == pytest.approx(dist_exact, abs=1e-6)
+
+
+def test_contact_set_skips_derivatives_off_the_phase_set():
+    # G_u = u1/abs(u1) is undefined at u1 = 0, where G = -1 is far from the
+    # band -delta <= G <= 0; the phase test must not evaluate it there
+    problem = ProblemDef.from_strings(
+        n=1, m=1, t0=0.0, t1=1.0, f=["u1"], G="abs(u1) - x1", J="x1_1"
+    )
+    u_nodes = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    trajectory = Trajectory(
+        grid=TimeGrid.uniform(0.0, 1.0, 5),
+        x=np.ones((6, 1)),
+        u_left=u_nodes[:-1, None],
+        u_right=u_nodes[1:, None],
+    )
+    with pytest.raises(EvalError):
+        problem.Gu_at(trajectory.x[0], trajectory.u_left[0])
+    for eps in (1e-8, 2.0):
+        contact = geometry.contact_set(problem, trajectory, 1e-8, eps)
+        expected = reference_contact_flags(problem, trajectory, 1e-8, eps)
+        assert np.array_equal(contact.flags, expected)
+    assert geometry.contact_set(problem, trajectory, 1e-8, 2.0).intervals == ((3, 5),)
+    for k in (3, 4):
+        gens = geometry.jump_directions_at_node(problem, trajectory, k, 1e-8, 2.0).generators
+        assert len(gens) == 1 and gens[0][0] == -1.0
+
+
+def test_node_generators_match_reference_on_random_trajectories():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        trajectory = random_trajectory(rng)
+        problem = random_problem(trajectory.n, trajectory.m)
+        for k in range(trajectory.grid.ncells + 1):
+            gens = geometry.jump_directions_at_node(
+                problem, trajectory, k, RELAXED.delta, RELAXED.eps
+            ).generators
+            expected = reference_node_generators(
+                problem, trajectory, k, RELAXED.delta, RELAXED.eps
+            )
+            assert len(gens) == len(expected)
+            for g, e in zip(gens, expected):
+                assert np.array_equal(g, e)

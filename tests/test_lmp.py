@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lmpkit import lmp
+from lmpkit import geometry, lmp
 from lmpkit.errors import InputError
 from lmpkit.lmp import (
     CheckConfig,
@@ -19,6 +21,15 @@ from lmpkit.lmp import (
 )
 from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
+from oracles import (
+    RELAXED,
+    random_certificate,
+    random_problem,
+    random_trajectory,
+    reference_check,
+    reference_contact_flags,
+    reference_dynamics_defect,
+)
 
 
 def make_problem(f, G, J="x1_1", n=1, m=1, t0=0.0, t1=1.0):
@@ -167,6 +178,22 @@ class TestJumpInclusion:
         )
         entries = {e.name: e for e in check_jump_inclusion(bad, problem, trajectory)}
         assert entries["jump_inclusion"].residual == pytest.approx(1.0, abs=1e-12)
+
+    def test_cell_weights_off_the_simplex(self, ex2):
+        problem, trajectory, ms = ex2
+        weights = {k: SupportDirection(weights=np.array([1.0])) for k in ms.s_cells}
+        weights[min(weights)] = SupportDirection(weights=np.array([-0.25]))
+        bad = MultiplierSet(
+            alpha0=ms.alpha0,
+            lam=ms.lam,
+            eta=ms.eta,
+            s_atoms={},
+            s_cells=weights,
+            p=ms.p,
+        )
+        entries = {e.name: e for e in check_jump_inclusion(bad, problem, trajectory)}
+        # the negative part 0.25 plus the gap 1.25 of the sum to 1
+        assert entries["jump_inclusion"].residual == 1.5
 
     def test_missing_direction_is_error(self, ex1):
         problem, trajectory, ms = ex1
@@ -425,3 +452,89 @@ class TestMergedStateConstraint:
         )
         merged = merge_state_constraint(problem, inside, ms)
         assert merged.slackness_residual == pytest.approx(2.0, abs=1e-14)
+
+
+# -- the array-based checker against the scalar reference ------------------------
+
+
+def assert_matches_reference(problem, trajectory, ms, config):
+    report = check_certificate(problem, trajectory, ms, config)
+    expected = reference_check(problem, trajectory, ms, config)
+    assert [e.name for e in report.entries] == [name for name, _, _ in expected]
+    for entry, (name, residual, tol) in zip(report.entries, expected):
+        assert entry.passed == (residual <= tol), name
+        assert entry.tolerance == pytest.approx(tol, rel=1e-12, abs=0.0), name
+        if np.isinf(residual):
+            assert np.isinf(entry.residual), name
+        else:
+            assert abs(entry.residual - residual) <= 1e-12 * max(abs(residual), tol), name
+    flags = reference_contact_flags(problem, trajectory, config.delta, config.eps)
+    contact = geometry.contact_set(problem, trajectory, config.delta, config.eps)
+    assert np.array_equal(contact.flags, flags)
+    defect = reference_dynamics_defect(problem, trajectory)
+    assert report.diagnostics["dynamics_defect_max"] == pytest.approx(
+        float(np.max(np.abs(defect))), rel=1e-12, abs=1e-300
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_checker_matches_scalar_reference_on_random_trajectories(seed):
+    rng = np.random.default_rng(500 + seed)
+    trajectory = random_trajectory(rng)
+    problem = random_problem(trajectory.n, trajectory.m)
+    for config in (RELAXED, CheckConfig()):
+        ms = random_certificate(rng, problem, trajectory, config)
+        assert_matches_reference(problem, trajectory, ms, config)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ex1", {"ncells": 100}),
+    ("ex2", {"ncells": 100}),
+    ("ex2", {"ncells": 150, "contact_split": (0.0, 1.0)}),
+])
+def test_checker_matches_scalar_reference_on_fixtures(name, params):
+    problem, trajectory, ms = builtin_example(name, **params)
+    for certificate in (ms, replace(ms, alpha0=-ms.alpha0)):
+        assert_matches_reference(problem, trajectory, certificate, CheckConfig())
+
+
+def test_scalar_evaluations_do_not_grow_with_the_grid(monkeypatch):
+    from lmpkit import expr
+
+    counts = {}
+    evaluate = expr.evaluate
+
+    def counting(e, binding):
+        counts[N] += 1
+        return evaluate(e, binding)
+
+    monkeypatch.setattr(expr, "evaluate", counting)
+    for N in (100, 400):
+        counts[N] = 0
+        problem, trajectory, ms = builtin_example("ex2", ncells=N)
+        assert check_certificate(problem, trajectory, ms).overall_pass
+    assert counts[100] == counts[400]
+
+
+def test_convention_sensitive_nodes_are_atoms_at_two_sided_jumps(ex1):
+    problem, trajectory, ms = ex1
+    assert check_certificate(problem, trajectory, ms).diagnostics[
+        "convention_sensitive_nodes"
+    ] == []
+    grid = TimeGrid.uniform(0.0, 1.0, 6)
+    jumpy = Trajectory(
+        grid=grid,
+        x=np.ones((7, 1)),
+        u_left=np.array([[0.0], [0.0], [0.0], [0.5], [0.5], [0.5]]),
+        u_right=np.array([[0.0], [0.0], [0.0], [0.5], [0.5], [0.5]]),
+        jumps=(3,),
+    )
+    eta = SignedMeasure.scalar(grid, atoms={1: 0.5, 3: 1.0}, nonnegative=True)
+    certificate = make_multipliers(
+        grid,
+        alpha0=1.0,
+        eta=eta,
+        s_atoms={k: SupportDirection(vector=np.array([-1.0])) for k in (1, 3)},
+    )
+    report = check_certificate(problem, jumpy, certificate)
+    assert report.diagnostics["convention_sensitive_nodes"] == [3]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmpkit.errors import InputError
+from lmpkit.errors import EvalError, InputError
 from lmpkit.problem import (
     ProblemDef,
     TimeGrid,
@@ -125,6 +125,18 @@ class TestDynamicsDefect:
         # trapezoid is exact on the control integral; only the quadratic
         # state arc contributes, at O(h^3) per cell
         assert np.max(np.abs(defect[:, 1])) <= 1e-12
+
+
+    def test_evaluation_error_names_the_first_cell(self):
+        # x = 0 at node 3 is the right end of cell 2 and the left end of cell 3
+        problem = constant_problem(f=["1/x1"])
+        x = np.arange(11.0)[:, None] - 3.0
+        trajectory = flat_trajectory(problem)
+        trajectory = Trajectory(
+            grid=trajectory.grid, x=x, u_left=trajectory.u_left, u_right=trajectory.u_right
+        )
+        with pytest.raises(EvalError, match="failed on cell 2: division by zero"):
+            dynamics_defect(problem, trajectory)
 
 
 class TestEndpointCost:
