@@ -1,0 +1,309 @@
+"""Sweep of `lmpkit check` and `lmpkit recover` over grid sizes, written to a
+BENCH record.
+
+    python3 scripts/bench.py --label NAME [--src NAME=PATH ...]
+
+For the fixtures ex1 and ex2 at N in 100, 400, 800, 1600 and 3200 cells it
+records, per checkout:
+- the median and minimum CPU time (`time.process_time`) of `lmpkit check` on
+  the closed-form certificate and of `lmpkit recover`, each one call of
+  `lmpkit.cli.main` with loading and writing included;
+- for recover, the wall time of its three phases (build, solve, re-check),
+  taken from the spans of `perfbench/spans.py`;
+- the `tracemalloc` peak of one more recover call, and whether recovery
+  certified (exit code 0).
+
+Each size is timed three times.  Sizes run in ascending order, and a size is
+skipped, with the skip recorded, when its predicted wall time per call
+exceeds 30 s or, for recover, its predicted `tracemalloc` peak exceeds
+256 MB.  The predictions extrapolate the two sizes below it, with an exponent
+of at least 2 (the recovery program is dense).  Once a call runs over the
+time budget, the sizes above it are skipped.
+
+Each checkout runs in its own process, with lmpkit imported from its `src/`
+and OpenBLAS at one thread; `--src` may be given more than once, so that one
+record holds a change and its parent side by side.  Without `--src` the
+checkout holding this script is measured.  The record goes to
+`BENCH_<label>.json` in the current directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ("ex1", "ex2")
+COMMANDS = ("check", "recover")
+SIZES = (100, 400, 800, 1600, 3200)
+PHASES = {
+    "build": "recovery.build_program",
+    "solve": "recovery.solve",
+    "recheck": "recovery.cross_validate",
+}
+REPEATS = 3
+BUDGET_S = 30.0  # wall seconds per call
+MEMORY_BUDGET_MB = 256.0  # tracemalloc peak of one recover call
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description="lmpkit size sweep")
+    parser.add_argument("--label", help="the record is written to BENCH_<label>.json")
+    parser.add_argument(
+        "--src",
+        action="append",
+        default=[],
+        metavar="NAME=PATH",
+        help="a checkout to measure, under a name (repeatable)",
+    )
+    parser.add_argument("--worker", metavar="PATH", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is None and not args.label:
+        parser.error("--label is required")
+    for src in args.src:
+        if "=" not in src:
+            parser.error(f"--src expects NAME=PATH, got {src!r}")
+    return args
+
+
+def predict(history: list[tuple[int, float]], N: int) -> float | None:
+    """Extrapolate (size, value) pairs to size N by a power law whose
+    exponent is fitted to the last two pairs and is at least 2."""
+    if not history:
+        return None
+    exponent = 2.0
+    if len(history) >= 2:
+        (n0, v0), (n1, v1) = history[-2:]
+        if v0 > 0 and v1 > 0:
+            exponent = max(exponent, math.log(v1 / v0) / math.log(n1 / n0))
+    n1, v1 = history[-1]
+    return v1 * (N / n1) ** exponent
+
+
+class Sweep:
+    """The measurements of one checkout; runs inside the worker process."""
+
+    def __init__(self, workdir: Path):
+        import spans
+        from lmpkit import cli
+
+        self.main = cli.main
+        self.tracer = spans.Tracer()
+        spans.install(self.tracer)
+        self.workdir = workdir
+
+    def call(self, argv: list[str]) -> int:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return self.main(argv)
+
+    def inputs(self, fixture: str, N: int) -> tuple[list[str], Path]:
+        d = self.workdir / f"{fixture}-N{N}"
+        if not d.exists():
+            rc = self.call(["example", fixture, "--N", str(N), "--out-dir", str(d)])
+            if rc != 0:
+                raise RuntimeError(f"lmpkit example failed for {fixture} N={N}")
+        return [str(d / "problem.json"), str(d / "trajectory.json")], d
+
+    def argv(self, command: str, fixture: str, N: int) -> list[str]:
+        files, d = self.inputs(fixture, N)
+        if command == "check":
+            files.append(str(d / "certificate.json"))
+        else:
+            files += ["--out-certificate", str(d / "recovered.json")]
+        return [command, *files, "--format", "json", "--out", str(d / "report.json")]
+
+    def timed(self, argv: list[str]) -> tuple[int, float, float, dict]:
+        """One traced call: exit code, CPU s, wall s, wall ms per phase."""
+        tracer = self.tracer
+        tracer.records.clear()
+        tracer.begin_op(argv[0])
+        cpu, wall = time.process_time(), time.perf_counter()
+        try:
+            rc = self.call(argv)
+        finally:
+            cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+            tracer.end_op()
+        phases = {key: 0.0 for key in PHASES}
+        for rec in tracer.records:  # the spans of this call only
+            for key, name in PHASES.items():
+                if rec["name"] == name:
+                    phases[key] += 1e3 * (rec["end"] - rec["start"])
+        return rc, cpu, wall, phases
+
+    def peak_mb(self, argv: list[str]) -> float:
+        tracemalloc.start()
+        try:
+            self.call(argv)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def run(self) -> list[dict]:
+        results = []
+        for fixture in FIXTURES:
+            for command in COMMANDS:
+                walls: list[tuple[int, float]] = []
+                peaks: list[tuple[int, float]] = []
+                over = None
+                for N in SIZES:
+                    entry = {"fixture": fixture, "command": command, "N": N}
+                    results.append(entry)
+                    reason = self.skip_reason(walls, peaks, N, over)
+                    if reason:
+                        entry["skipped"] = reason
+                        continue
+                    entry.update(self.measure(command, fixture, N))
+                    walls.append((N, max(entry["wall_s"])))
+                    if "tracemalloc_peak_mb" in entry:
+                        peaks.append((N, entry["tracemalloc_peak_mb"]))
+                    if max(entry["wall_s"]) > BUDGET_S:
+                        over = N
+                print(f"{fixture} {command} done", file=sys.stderr, flush=True)
+        return results
+
+    @staticmethod
+    def skip_reason(walls, peaks, N, over) -> str | None:
+        if over is not None:
+            return f"N={over} took over the {BUDGET_S:g} s budget"
+        wall = predict(walls, N)
+        if wall is not None and wall > BUDGET_S:
+            return f"predicted {wall:.3g} s over the {BUDGET_S:g} s budget"
+        peak = predict(peaks, N)
+        if peak is not None and peak > MEMORY_BUDGET_MB:
+            return f"predicted peak {peak:.3g} MB over the {MEMORY_BUDGET_MB:g} MB budget"
+        return None
+
+    def measure(self, command: str, fixture: str, N: int) -> dict:
+        argv = self.argv(command, fixture, N)
+        codes, cpus, walls, phases = [], [], [], []
+        for _ in range(REPEATS):
+            rc, cpu, wall, split = self.timed(argv)
+            codes.append(rc)
+            cpus.append(cpu)
+            walls.append(wall)
+            phases.append(split)
+            if wall > BUDGET_S:
+                break
+        out = {
+            "exit_codes": codes,
+            "cpu_s": {"median": statistics.median(cpus), "min": min(cpus), "runs": cpus},
+            "wall_s": walls,
+        }
+        if command == "recover":
+            out["phases_wall_ms"] = {
+                key: {
+                    "median": statistics.median(p[key] for p in phases),
+                    "min": min(p[key] for p in phases),
+                }
+                for key in PHASES
+            }
+            out["certified"] = codes[0] == 0
+            out["tracemalloc_peak_mb"] = self.peak_mb(argv)
+        return out
+
+
+def worker(args) -> int:
+    src = Path(args.worker).resolve() / "src"
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(src))
+    import lmpkit
+
+    if Path(lmpkit.__file__).resolve().parent != src / "lmpkit":
+        raise SystemExit(f"error: imported lmpkit from {lmpkit.__file__}, not {src}")
+    with tempfile.TemporaryDirectory(prefix="lmpkit-bench-") as tmp:
+        results = Sweep(Path(tmp)).run()
+    json.dump(results, sys.stdout)
+    return 0
+
+
+def describe(path: Path) -> str | None:
+    """The checkout's commit, marked dirty when its files differ from it."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(path), "describe", "--always", "--dirty"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return proc.stdout.strip()
+
+
+def machine() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import numpy as np
+    from run import blas_info
+
+    cpu = None
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    return {
+        "cpu": cpu,
+        "nproc": os.cpu_count(),
+        "system": platform.system(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_info(),
+    }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    for var in BLAS_ENV:
+        os.environ[var] = "1"
+    if args.worker is not None:
+        return worker(args)
+    sources = [s.split("=", 1) for s in args.src] or [["this", str(ROOT)]]
+    record = {
+        "label": args.label,
+        "machine": machine(),
+        "sizes": list(SIZES),
+        "repeats": REPEATS,
+        "budget_s": BUDGET_S,
+        "memory_budget_mb": MEMORY_BUDGET_MB,
+        "units": {
+            "cpu_s": "CPU seconds of one lmpkit.cli.main call",
+            "wall_s": "wall seconds of the same calls",
+            "phases_wall_ms": "wall ms of each recover phase, from perfbench/spans.py",
+            "tracemalloc_peak_mb": "tracemalloc peak of one more recover call",
+        },
+        "checkouts": {},
+    }
+    for name, path in sources:
+        print(f"measuring {name}", file=sys.stderr, flush=True)
+        proc = subprocess.run(
+            [sys.executable, __file__, "--worker", path],
+            stdout=subprocess.PIPE,
+            text=True,
+            check=True,
+        )
+        record["checkouts"][name] = {
+            "commit": describe(Path(path)),
+            "results": json.loads(proc.stdout),
+        }
+    out = Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,21 +66,25 @@ def cmd_recover(args) -> int:
         delta=args.delta,
         eps=args.eps,
         delta_slack=args.delta_slack,
-        seeds=args.seeds,
-        max_iterations=args.max_iterations,
-        seed_base=args.seed_base,
     )
     outcome = recovery.recover(problem, trajectory, config)
     log.info("recovery dims: %s", outcome.dims)
     if args.out_certificate:
         io.save_certificate(outcome.result.multipliers, args.out_certificate)
     _emit_report(outcome.report, args)
+    result = outcome.result
     sys.stdout.write(
-        f"recovery objective: {outcome.result.objective:.6e} "
-        f"(kkt residual {outcome.result.kkt_residual:.2e})\n"
+        f"recovery objective: {result.objective:.6e} "
+        f"(kkt residual {result.kkt_residual:.2e}, status {result.status}, "
+        f"{result.iterations} iterations)\n"
     )
     if not outcome.certified:
         sys.stdout.write("local minimum principle not certified at this grid\n")
+        if result.status != "optimal":
+            sys.stdout.write(f"the solver stopped early ({result.status})\n")
+        else:
+            failing = next(e.name for e in outcome.report.entries if not e.passed)
+            sys.stdout.write(f"the solver converged; the checker rejects {failing}\n")
         return 1
     return 0
 
@@ -193,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--delta", type=float, default=1e-8)
     rec.add_argument("--eps", type=float, default=1e-8)
     rec.add_argument("--delta-slack", type=float, default=None)
-    rec.add_argument("--seeds", type=int, default=3)
-    rec.add_argument("--seed-base", type=int, default=0)
-    rec.add_argument("--max-iterations", type=int, default=5000)
     rec.add_argument("--out-certificate", default=None)
     _add_output_options(rec)
     rec.set_defaults(fn=cmd_recover)

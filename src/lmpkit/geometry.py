@@ -12,7 +12,6 @@ in floating point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,8 @@ __all__ = [
     "jump_directions_at_node",
     "jump_directions_at_cell_mid",
     "dist_to_convex_hull",
+    "MinNormPoint",
+    "min_norm_point",
 ]
 
 
@@ -189,18 +190,13 @@ def jump_directions_at_cell_mid(
 
 # -- distance to a convex hull -------------------------------------------------
 
-_FW_TOL = 1e-10
-_FW_MAX_ITER = 100_000
-
 
 def dist_to_convex_hull(
     s: np.ndarray, generators
 ) -> tuple[float, np.ndarray]:
-    """Euclidean distance from s to conv{generators} and optimal weights.
-
-    Exact active-set search (enumeration of faces) for small generator
-    counts, Frank-Wolfe with exact line search otherwise.  A distance below
-    1e-9 certifies membership.
+    """Euclidean distance from s to conv{generators} and optimal weights:
+    the minimum-norm point of the generators shifted by -s.  A distance
+    below 1e-9 certifies membership.
     """
     vs = np.asarray(generators, dtype=float)
     if vs.ndim == 1:
@@ -210,104 +206,130 @@ def dist_to_convex_hull(
     s = np.asarray(s, dtype=float).reshape(-1)
     if vs.shape[1] != s.size:
         raise InputError("generator dimension does not match the point")
-    r, d = vs.shape
-    if r == 1:
-        return float(np.linalg.norm(vs[0] - s)), np.array([1.0])
-    if r <= d + 2 or r <= 6:
-        return _hull_distance_exact(s, vs)
-    return _hull_distance_frank_wolfe(s, vs)
+    w = min_norm_point((vs - s).T).w
+    return float(np.linalg.norm(w @ vs - s)), w
 
 
-def _hull_distance_exact(s: np.ndarray, vs: np.ndarray) -> tuple[float, np.ndarray]:
-    r = vs.shape[0]
-    best: tuple[float, np.ndarray] | None = None
-    for size in range(1, r + 1):
-        for subset in itertools.combinations(range(r), size):
-            sub = vs[list(subset)]
-            w = _affine_least_squares(s, sub)
-            if w is None or np.any(w < -1e-10):
-                continue
-            w = np.clip(w, 0.0, None)
-            w = w / np.sum(w)
-            dist = float(np.linalg.norm(w @ sub - s))
-            if best is None or dist < best[0] - 1e-15:
-                full = np.zeros(r)
-                full[list(subset)] = w
-                best = (dist, full)
-    if best is None:  # numerically degenerate face solves; fall back
-        return _hull_distance_frank_wolfe(s, vs)
-    return best
+# -- minimum-norm point of a polytope ------------------------------------------
 
 
-def _affine_least_squares(s: np.ndarray, sub: np.ndarray) -> np.ndarray | None:
-    """Minimise |w @ sub - s| subject to sum(w) = 1 (signs unconstrained)."""
-    k = sub.shape[0]
-    if k == 1:
-        return np.array([1.0])
-    # KKT system of the equality-constrained least-squares problem
-    gram = sub @ sub.T
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * gram
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * (sub @ s), [1.0]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    w = sol[:k]
-    if not np.all(np.isfinite(w)) or abs(float(np.sum(w)) - 1.0) > 1e-8:
-        return None
-    return w
+@dataclass(frozen=True)
+class MinNormPoint:
+    """Simplex weights ``w`` of the point ``x = P w`` of least norm in the
+    convex hull of the columns of ``P``, with the Wolfe gap
+    ``|x|^2 - min_j <x, P_j>`` (zero exactly at the minimum), the number of
+    major iterations, and how the loop ended: ``optimal``, ``degenerate``
+    (the entering point is numerically in the affine hull of the corral) or
+    ``iteration_cap``."""
+
+    w: np.ndarray
+    gap: float
+    iterations: int
+    status: str
 
 
-def _hull_distance_frank_wolfe(
-    s: np.ndarray, vs: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Away-step Frank-Wolfe with exact line search; the away steps give
-    linear convergence on polytopes, so the duality-gap tolerance is
-    actually reachable within the iteration budget."""
-    r = vs.shape[0]
-    start = int(np.argmin(np.linalg.norm(vs - s, axis=1)))
-    w = np.zeros(r)
-    w[start] = 1.0
-    x = vs[start].copy()
-    for _ in range(_FW_MAX_ITER):
-        grad = x - s
-        scores = vs @ grad
-        j_fw = int(np.argmin(scores))
-        gap_fw = float(grad @ x - scores[j_fw])
-        if gap_fw <= _FW_TOL:
+def min_norm_point(P) -> MinNormPoint:
+    """Wolfe's algorithm (Math. Programming 11, 1976) for the point of least
+    norm in conv{P_j}, the columns of a (d, r) array; finite and exact.
+
+    The corral S is a set of affinely independent points whose affine
+    minimiser is ``v = (G_S + 1 1^T)^{-1} 1`` normalised to sum 1, with
+    ``G = P^T P``.  That inverse is kept up to date by bordering when a point
+    enters and by a Schur-complement downdate when one leaves, and each solve
+    takes one step of iterative refinement.  Ties go to the lowest index, so
+    the result is deterministic.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] == 0:
+        raise InputError("min_norm_point needs a (d, r) array of r >= 1 points")
+    d, r = P.shape
+    points = P.T
+    sq = np.einsum("ij,ij->i", points, points)
+    gap_tol = 1e-15 * float(np.max(sq))
+    # The corral lives in the leading s slots of buffers that double when
+    # full, up to min(r, d + 1): no more points are affinely independent.
+    limit = min(r, d + 1)
+    cap = min(limit, 32)
+    idx = np.empty(cap, dtype=np.intp)
+    rows = np.empty((cap, d))  # the corral's points
+    w = np.empty(cap)
+    B = np.empty((cap, cap))  # G_S + 1 1^T
+    B_inv = np.empty((cap, cap))
+    in_corral = np.zeros(r, dtype=bool)
+    j = int(np.argmin(sq))
+    s = 1
+    idx[0], rows[0], w[0] = j, points[j], 1.0
+    B[0, 0] = sq[j] + 1.0
+    B_inv[0, 0] = 1.0 / B[0, 0]
+    in_corral[j] = True
+    max_iterations = 50 * r + 100
+    iterations = 0
+    while True:
+        x = w[:s] @ rows[:s]
+        scores = points @ x
+        j = int(np.argmin(scores))
+        gap = float(x @ x - scores[j])
+        if gap <= gap_tol or in_corral[j]:
+            status = "optimal"
             break
-        support = np.flatnonzero(w > 0.0)
-        j_aw = int(support[np.argmax(scores[support])])
-        gap_aw = float(scores[j_aw] - grad @ x)
-        if gap_fw >= gap_aw:
-            direction = vs[j_fw] - x
-            gamma_max = 1.0
-            toward, away = j_fw, None
-        else:
-            direction = x - vs[j_aw]
-            w_a = w[j_aw]
-            gamma_max = w_a / (1.0 - w_a) if w_a < 1.0 else 1e12
-            toward, away = None, j_aw
-        denom = float(direction @ direction)
-        if denom <= 0.0:
+        if iterations == max_iterations:
+            status = "iteration_cap"
             break
-        gamma = min(gamma_max, max(0.0, float(-(grad @ direction)) / denom))
-        if gamma <= 0.0:
+        iterations += 1
+        b = rows[:s] @ points[j] + 1.0
+        u = B_inv[:s, :s] @ b
+        beta = sq[j] + 1.0
+        schur = float(beta - b @ u)
+        if s == limit or schur <= 1e-14 * beta:
+            status = "degenerate"
             break
-        x = x + gamma * direction
-        if toward is not None:
-            w *= 1.0 - gamma
-            w[toward] += gamma
-        else:
-            w *= 1.0 + gamma
-            w[away] -= gamma
-            if w[away] < 1e-15:
-                w[away] = 0.0
-        np.clip(w, 0.0, None, out=w)
-    total = float(np.sum(w))
-    if total > 0.0:
-        w = w / total
-    return float(np.linalg.norm(x - s)), w
+        if s == cap:
+            grow = min(cap, limit - cap)
+            cap += grow
+            idx, w = np.pad(idx, (0, grow)), np.pad(w, (0, grow))
+            rows = np.pad(rows, ((0, grow), (0, 0)))
+            B, B_inv = (np.pad(M, ((0, grow), (0, grow))) for M in (B, B_inv))
+        # bordering: the inverse of [[B, b], [b^T, beta]]
+        B_inv[:s, :s] += np.outer(u / schur, u)
+        B_inv[:s, s] = B_inv[s, :s] = -u / schur
+        B_inv[s, s] = 1.0 / schur
+        B[:s, s] = B[s, :s] = b
+        B[s, s] = beta
+        idx[s], rows[s], w[s] = j, points[j], 0.0
+        in_corral[j] = True
+        s += 1
+        while True:  # minor cycle: move toward the affine minimiser
+            v = B_inv[:s, :s].sum(axis=1)
+            v += B_inv[:s, :s] @ (1.0 - B[:s, :s] @ v)
+            v /= v.sum()
+            if np.all(v > 0.0):
+                w[:s] = v
+                break
+            ws = w[:s]
+            drop = np.flatnonzero(v <= 0.0)
+            ratios = ws[drop] / np.maximum(ws[drop] - v[drop], np.finfo(float).tiny)
+            theta = float(np.min(ratios))
+            ws *= 1.0 - theta
+            ws += theta * v
+            ws[drop[np.argmin(ratios)]] = 0.0
+            # from the top down, so that the slot moved into a freed one
+            # is never one still to drop
+            for i in np.flatnonzero(ws <= 0.0)[::-1]:
+                in_corral[idx[i]] = False
+                s = _remove(i, s, B, B_inv, idx, rows, w)
+    weights = np.zeros(r)
+    weights[idx[:s]] = w[:s]
+    return MinNormPoint(w=weights, gap=gap, iterations=iterations, status=status)
+
+
+def _remove(i, s, B, B_inv, idx, rows, w) -> int:
+    """Drop slot i of an s-point corral: downdate the inverse through the
+    Schur complement of its pivot, then move the last slot into slot i."""
+    col = B_inv[:s, i].copy()
+    B_inv[:s, :s] -= np.outer(col / col[i], col)
+    last = s - 1
+    for M in (B, B_inv):
+        M[i, :s] = M[last, :s]
+        M[:s, i] = M[:s, last]
+    idx[i], rows[i], w[i] = idx[last], rows[last], w[last]
+    return last

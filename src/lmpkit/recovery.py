@@ -14,10 +14,13 @@ initial transversality defect) is convex quadratic.  The one equality
 constraint is the normalisation: cost weight + density mass + measure mass
 equals 1.
 
-The solver is projected gradient (Barzilai-Borwein steps, monotone Armijo
-safeguard) onto the weighted simplex, refined by a primal active-set pass on
-the face it lands on.  Recovered certificates are always routed through the
-independent checker; recovery is never accepted by construction alone.
+Scaling each unknown by its normalisation coefficient turns the program into
+the minimum-norm point of a polytope, which Wolfe's algorithm
+(``geometry.min_norm_point``) solves exactly in finitely many steps.  The
+solve ends with a named status: ``optimal``, ``degenerate`` (the corral lost
+affine independence in floating point) or ``iteration_cap``.  Recovered
+certificates are always routed through the independent checker; recovery is
+never accepted by construction alone.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ class RecoveryConfig:
     delta: float = 1e-8
     eps: float = 1e-8
     delta_slack: float | None = None  # None: 1e-6 * max(1, sup |G|)
-    seeds: int = 3
-    max_iterations: int = 5000
-    kkt_tol: float = 1e-9
-    seed_base: int = 0
 
 
 @dataclass
@@ -85,26 +84,19 @@ class RecoveryProgram:
     def costate_left_limits(self, theta: np.ndarray) -> np.ndarray:
         return np.einsum("j,kjn->kn", theta, self.A_L)
 
-    @property
-    def gram(self) -> np.ndarray:
-        if not hasattr(self, "_gram"):
-            self._gram = self.M.T @ self.M
-        return self._gram
-
     def objective(self, theta: np.ndarray) -> float:
         r = self.M @ theta
         return float(r @ r)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.gram @ theta)
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
     multipliers: MultiplierSet
     objective: float
-    kkt_residual: float
+    kkt_residual: float  # Wolfe gap of the min-norm-point solve
     theta: np.ndarray
+    status: str  # geometry.MinNormPoint.status
+    iterations: int
 
 
 def _slack_threshold(samples: Samples, config: RecoveryConfig) -> float:
@@ -277,191 +269,26 @@ def build_program(
     )
 
 
-# -- weighted-simplex projection and the solver --------------------------------
+# -- the solver ----------------------------------------------------------------
 
 
-def project_simplex(y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {theta >= 0, a.theta = 1} with a > 0."""
-    ratios = y / a
-    order = np.argsort(-ratios)
-    ay = (a * y)[order]
-    a2 = (a * a)[order]
-    cum_ay = np.cumsum(ay)
-    cum_a2 = np.cumsum(a2)
-    mus = (cum_ay - 1.0) / cum_a2
-    r_sorted = ratios[order]
-    size = y.size
-    chosen = None
-    for j in range(size):
-        upper = r_sorted[j]
-        lower = r_sorted[j + 1] if j + 1 < size else -np.inf
-        if lower <= mus[j] <= upper + 1e-15:
-            chosen = mus[j]
-            break
-    if chosen is None:  # numerical guard; the bracket search cannot miss
-        chosen = mus[-1]
-    return np.maximum(0.0, y - chosen * a)
+def solve(program: RecoveryProgram) -> RecoveryResult:
+    """Minimise the program objective exactly.
 
-
-def _kkt_residual(program: RecoveryProgram, theta: np.ndarray) -> float:
-    step = theta - program.gradient(theta)
-    return float(np.max(np.abs(theta - project_simplex(step, program.normal))))
-
-
-def _lipschitz(program: RecoveryProgram) -> float:
-    """Largest curvature of the objective via power iteration on the Gram."""
-    Q = program.gram
-    rng = np.random.default_rng(7)
-    v = rng.random(program.nvars) + 1e-3
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(60):
-        w = Q @ v
-        norm = float(np.linalg.norm(w))
-        if norm <= 1e-30:
-            return 1.0
-        lam = norm
-        v = w / norm
-    return 2.0 * lam  # gradient factor
-
-
-def _projected_gradient(
-    program: RecoveryProgram, theta: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Accelerated projected gradient (fixed 1/L step, value restarts)."""
-    a = program.normal
-    Q = program.gram
-    step = 1.0 / max(_lipschitz(program), 1e-30)
-    x = project_simplex(theta, a)
-    y = x.copy()
-    fx = program.objective(x)
-    momentum = 1.0
-    for it in range(program.config.max_iterations):
-        grad = 2.0 * (Q @ y)
-        x_new = project_simplex(y - step * grad, a)
-        f_new = program.objective(x_new)
-        if f_new > fx:  # value restart keeps the scheme monotone
-            y = x.copy()
-            momentum = 1.0
-            grad = 2.0 * (Q @ y)
-            x_new = project_simplex(y - step * grad, a)
-            f_new = program.objective(x_new)
-            if f_new > fx:
-                break
-        momentum_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-        y = x_new + ((momentum - 1.0) / momentum_new) * (x_new - x)
-        x, fx, momentum = x_new, f_new, momentum_new
-        if it % 25 == 0 and _kkt_residual(program, x) <= program.config.kkt_tol:
-            break
-    return x, fx
-
-
-def _face_solve(program: RecoveryProgram, idx: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimise on the face {theta_W = 0}: bordered system with a tiny ridge
-    (the objective can be flat along non-unique multiplier splits)."""
-    a = program.normal
-    Q = program.gram
-    H = 2.0 * Q[np.ix_(idx, idx)]
-    ridge = 1e-13 * (1.0 + float(np.trace(H)) / max(idx.size, 1))
-    kkt = np.zeros((idx.size + 1, idx.size + 1))
-    kkt[: idx.size, : idx.size] = H + ridge * np.eye(idx.size)
-    kkt[: idx.size, -1] = a[idx]
-    kkt[-1, : idx.size] = a[idx]
-    rhs = np.zeros(idx.size + 1)
-    rhs[-1] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[: idx.size], float(sol[-1])
-
-
-def _active_set_polish(
-    program: RecoveryProgram, theta: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Primal active-set refinement of a feasible point; exact on the face."""
-    a = program.normal
-    theta = project_simplex(theta, a)
-    working = theta <= 1e-12
-    for _ in range(120):
-        idx = np.flatnonzero(~working)
-        face, mu = _face_solve(program, idx)
-        candidate = np.zeros(program.nvars)
-        candidate[idx] = face
-        if np.min(face, initial=0.0) >= -1e-12:
-            candidate = np.maximum(candidate, 0.0)
-            norm = float(a @ candidate)
-            if norm <= 0:
-                break
-            candidate /= norm
-            grad = program.gradient(candidate)
-            zeta = grad[working] - mu * a[working]
-            if zeta.size == 0 or float(np.min(zeta)) >= -1e-9:
-                return candidate, program.objective(candidate)
-            # release every variable with a clearly negative multiplier
-            release = np.flatnonzero(working)[zeta < -1e-9]
-            working[release] = False
-            theta = candidate
-            continue
-        # blocked: step toward the face solution until a variable hits zero
-        direction = candidate - theta
-        blocking = -1
-        beta = 1.0
-        for i in idx:
-            if direction[i] < -1e-16 and theta[i] > 0.0:
-                step = theta[i] / -direction[i]
-                if step < beta:
-                    beta = step
-                    blocking = i
-        theta = np.maximum(theta + beta * direction, 0.0)
-        norm = float(a @ theta)
-        if norm > 0:
-            theta /= norm
-        if blocking >= 0:
-            working[blocking] = True
-        else:
-            break
-    return theta, program.objective(theta)
-
-
-def _seed_points(program: RecoveryProgram) -> list[np.ndarray]:
-    a = program.normal
-    T = program.nvars
-    cost_only = np.zeros(T)
-    cost_only[0] = 1.0 / a[0]
-    seeds = [cost_only, np.full(T, 1.0) / float(np.sum(a))]
-    for i in range(max(0, program.config.seeds - len(seeds))):
-        rng = np.random.default_rng(program.config.seed_base + i)
-        seeds.append(project_simplex(rng.random(T), a))
-    return seeds[: max(1, program.config.seeds)]
-
-
-def solve(
-    program: RecoveryProgram, warm_start: np.ndarray | None = None
-) -> RecoveryResult:
-    """Minimise the program objective; returns the assembled, normalised
-    multipliers together with the objective and the final KKT residual."""
+    With ``P_j = M[:, j] / a_j`` and ``w = a * theta`` the program
+    ``min |M theta|^2, theta >= 0, a.theta = 1`` is the minimum-norm point of
+    conv{P_j}; the KKT residual reported is its Wolfe gap."""
     if program.nvars == 0:
         raise InputError("no nontrivial multipliers found at this discretization")
-    if warm_start is not None:
-        starts = [np.asarray(warm_start, dtype=float)]
-    else:
-        starts = _seed_points(program)
-    best: tuple[float, np.ndarray] | None = None
-    for start in starts:
-        theta, f = _projected_gradient(program, start)
-        theta, f = _active_set_polish(program, theta)
-        if best is None or f < best[0]:
-            best = (f, theta)
-        if best[0] <= 1e-20:  # an exact certificate; later seeds cannot improve
-            break
-    f, theta = best
-    kkt = _kkt_residual(program, theta)
+    mnp = geometry.min_norm_point(program.M / program.normal)
+    theta = mnp.w / program.normal
     return RecoveryResult(
         multipliers=_assemble(program, theta),
-        objective=f,
-        kkt_residual=kkt,
+        objective=program.objective(theta),
+        kkt_residual=mnp.gap,
         theta=theta,
+        status=mnp.status,
+        iterations=mnp.iterations,
     )
 
 
@@ -506,7 +333,7 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
 
 
 def encode_certificate(program: RecoveryProgram, ms: MultiplierSet) -> np.ndarray:
-    """Map a certificate onto the program unknowns (for warm starts)."""
+    """Map a certificate onto the program unknowns, to evaluate it there."""
     theta = np.zeros(program.nvars)
     theta[0] = ms.alpha0
     for k in range(program.trajectory.grid.ncells):

@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the code paths under test: derivatives
 are checked by central differences of the evaluator, hull distances by
-exhaustive simplex-grid enumeration, cone intersections by rejection
+exhaustive simplex-grid and face enumeration, cone intersections by rejection
 sampling, and expected fixture values by closed forms written out by hand.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -155,6 +157,46 @@ def _bruteforce_four(s, vs, n, pairs) -> float:
         vals = A[:cut] + w3 * B[:cut]
         best = min(best, float(np.min(vals)) + C * w3 * w3)
     return float(np.sqrt(max(best, 0.0)))
+
+
+def hull_distance_faces(s, generators) -> float:
+    """Distance from s to conv{generators} by enumerating every face: the
+    affine least-squares point of each subset, kept when its weights are
+    nonnegative.  Exact up to the conditioning of the face solves."""
+    vs = np.asarray(generators, dtype=float)
+    s = np.asarray(s, dtype=float)
+    r = vs.shape[0]
+    best = np.inf
+    for size in range(1, r + 1):
+        for subset in itertools.combinations(range(r), size):
+            sub = vs[list(subset)]
+            w = _affine_least_squares(s, sub)
+            if w is None or np.any(w < -1e-10):
+                continue
+            w = np.clip(w, 0.0, None)
+            w = w / np.sum(w)
+            best = min(best, float(np.linalg.norm(w @ sub - s)))
+    return best
+
+
+def _affine_least_squares(s, sub):
+    """Minimise |w @ sub - s| subject to sum(w) = 1 (signs unconstrained)."""
+    k = sub.shape[0]
+    if k == 1:
+        return np.array([1.0])
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * (sub @ sub.T)
+    kkt[:k, k] = 1.0
+    kkt[k, :k] = 1.0
+    rhs = np.concatenate([2.0 * (sub @ s), [1.0]])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    w = sol[:k]
+    if not np.all(np.isfinite(w)) or abs(float(np.sum(w)) - 1.0) > 1e-8:
+        return None
+    return w
 
 
 # -- cone sampling oracle --------------------------------------------------------

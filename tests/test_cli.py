@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from lmpkit import geometry
 from lmpkit.cli import main
 
 
@@ -120,7 +122,26 @@ class TestRecover:
         doc["x"] = [[v + 0.1 for v in row] for row in doc["x"]]
         open(trajectory, "w").write(json.dumps(doc))
         assert run_cli("recover", problem, trajectory) == 1
-        assert "not certified" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "status optimal" in out
+        assert "not certified" in out
+        assert "the solver converged; the checker rejects transversality" in out
+
+    def test_early_stop_is_reported(self, fixture_dir, capsys, monkeypatch):
+        exact = geometry.min_norm_point
+
+        def capped(P):
+            return dataclasses.replace(exact(P), status="iteration_cap")
+
+        monkeypatch.setattr(geometry, "min_norm_point", capped)
+        problem, trajectory, _ = paths(fixture_dir)
+        doc = json.loads(open(trajectory).read())
+        doc["x"] = [[v + 0.1 for v in row] for row in doc["x"]]
+        open(trajectory, "w").write(json.dumps(doc))
+        assert run_cli("recover", problem, trajectory) == 1
+        out = capsys.readouterr().out
+        assert "status iteration_cap" in out
+        assert "the solver stopped early (iteration_cap)" in out
 
 
 class TestCones:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmpkit import geometry
 from lmpkit.errors import EvalError, InputError
@@ -7,6 +9,7 @@ from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from oracles import (
     RELAXED,
     hull_distance_bruteforce,
+    hull_distance_faces,
     random_problem,
     random_trajectory,
     reference_contact_flags,
@@ -199,14 +202,92 @@ class TestHullDistance:
             dist, _ = geometry.dist_to_convex_hull(inside, gens)
             assert dist <= 1e-9
 
-    def test_frank_wolfe_path_matches_exact(self):
+    def test_many_generators_match_face_enumeration(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            gens = rng.normal(size=(9, 2))  # many generators forces the FW path
+            gens = rng.normal(size=(9, 2))
             s = rng.normal(size=2)
-            dist_fw, _ = geometry.dist_to_convex_hull(s, gens)
-            dist_exact, _ = geometry._hull_distance_exact(s, gens)
-            assert dist_fw == pytest.approx(dist_exact, abs=1e-6)
+            dist, _ = geometry.dist_to_convex_hull(s, gens)
+            assert dist == pytest.approx(hull_distance_faces(s, gens), abs=1e-9)
+
+    def test_point_equal_to_a_generator(self):
+        gens = np.array([[1.0, 2.0, 0.0], [-1.0, 0.5, 3.0], [0.0, 0.0, 1.0]])
+        for k in range(3):
+            dist, weights = geometry.dist_to_convex_hull(gens[k], gens)
+            assert dist == 0.0
+            assert weights[k] == 1.0
+
+    def test_dimension_mismatch_error(self):
+        with pytest.raises(InputError):
+            geometry.dist_to_convex_hull(np.zeros(3), np.ones((2, 2)))
+
+
+def assert_min_norm_point(P):
+    """Weights on the simplex, Wolfe gap at the optimum, and the distance of
+    the face-enumeration oracle."""
+    P = np.asarray(P, dtype=float)
+    res = geometry.min_norm_point(P)
+    scale = max(1.0, float(np.max(np.sum(P * P, axis=0))))
+    assert res.status == "optimal"
+    assert np.all(res.w >= 0.0)
+    assert float(np.sum(res.w)) == pytest.approx(1.0, abs=1e-12)
+    assert res.gap <= 1e-12 * scale
+    x = P @ res.w
+    assert float(np.linalg.norm(x)) == pytest.approx(
+        hull_distance_faces(np.zeros(P.shape[0]), P.T), abs=1e-9
+    )
+    return res
+
+
+class TestMinNormPoint:
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_polytopes(self, d, r, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.normal(size=(d, r)) * rng.uniform(0.1, 10.0)
+        P += rng.normal(size=(d, 1)) * rng.uniform(0.0, 3.0)  # move off the origin
+        assert_min_norm_point(P)
+
+    def test_duplicate_columns(self):
+        P = np.array([[1.0, 2.0, 1.0, 2.0], [1.0, -1.0, 1.0, -1.0]])
+        res = assert_min_norm_point(P)
+        assert float(np.linalg.norm(P @ res.w)) == pytest.approx(np.sqrt(1.8), abs=1e-12)
+
+    def test_zero_column(self):
+        P = np.array([[1.0, 0.0, -2.0], [3.0, 0.0, 1.0]])
+        res = assert_min_norm_point(P)
+        assert res.w.tolist() == [0.0, 1.0, 0.0]
+        assert res.gap == 0.0
+
+    def test_collinear_points(self):
+        # five points on the line x = (1, 0) + t (1, 1): the foot of the
+        # origin is t = -1/2, between the second and third points
+        t = np.array([-3.0, -1.0, 0.5, 2.0, 4.0])
+        P = np.array([1.0 + t, t])
+        res = assert_min_norm_point(P)
+        assert P @ res.w == pytest.approx([0.5, -0.5], abs=1e-12)
+
+    def test_more_points_than_the_dimension_allows(self):
+        # twelve points on a circle of radius 2 around (3, 0), in the plane
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        P = np.array([3.0 + 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
+        res = assert_min_norm_point(P)
+        assert np.count_nonzero(res.w) <= 3
+
+    def test_origin_inside(self):
+        P = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
+        res = assert_min_norm_point(P)
+        assert float(np.linalg.norm(P @ res.w)) <= 1e-15
+
+    def test_ties_go_to_the_lowest_index(self):
+        P = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        res = geometry.min_norm_point(P)
+        assert res.w.tolist() == [1.0, 0.0, 0.0]
+        assert res.iterations == 0
+
+    def test_empty_input_error(self):
+        with pytest.raises(InputError):
+            geometry.min_norm_point(np.zeros((2, 0)))
 
 
 def test_contact_set_skips_derivatives_off_the_phase_set():

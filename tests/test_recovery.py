@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from lmpkit.cli import main
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import (
-    RecoveryConfig,
     build_program,
     cross_validate,
     encode_certificate,
-    project_simplex,
     recover,
     solve,
 )
@@ -77,9 +74,9 @@ class TestSolve:
         program = build_program(problem, trajectory)
         theta = encode_certificate(program, ms.normalized())
         assert program.objective(theta) <= 1e-20
-        result = solve(program, warm_start=theta)
+        result = solve(program)
         assert result.objective <= 1e-20
-        assert float(np.max(np.abs(result.theta - theta))) <= 1e-9
+        assert result.status == "optimal"
 
     def test_perturbed_trajectory_not_certified(self, ex1_small):
         problem, trajectory, _ = ex1_small
@@ -95,19 +92,19 @@ class TestSolve:
         report = cross_validate(problem, shifted, result.multipliers)
         assert not report.overall_pass
 
-    def test_seed_independence_of_acceptance(self):
-        problem, trajectory, _ = builtin_example("ex2", ncells=100)
-        outcomes = []
-        for base in (0, 1000):
-            outcome = recover(
-                problem, trajectory, RecoveryConfig(seeds=3, seed_base=base)
-            )
-            assert outcome.certified
-            outcomes.append(outcome.result.multipliers)
-        # the split on the contact region is not unique; acceptance is the
-        # invariant, not the split itself
-        for r in outcomes:
-            assert r.nu() == pytest.approx(1.0, abs=1e-9)
+    def test_recover_writes_identical_certificates(self, tmp_path):
+        d = tmp_path / "ex2"
+        assert main(["example", "ex2", "--N", "100", "--out-dir", str(d)]) == 0
+        written = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            code = main([
+                "recover", str(d / "problem.json"), str(d / "trajectory.json"),
+                "--out-certificate", str(out),
+            ])
+            assert code == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_objective_does_not_grow_under_refinement(self):
         values = {}
@@ -137,20 +134,21 @@ class TestCrossValidate:
         assert float(np.max(np.abs(interior))) <= 1e-8
 
 
-@given(
-    st.integers(2, 30),
-    st.integers(0, 10_000),
-)
-@settings(max_examples=60, deadline=None)
-def test_simplex_projection_kkt(size, seed):
-    rng = np.random.default_rng(seed)
-    y = rng.normal(size=size) * 3.0
-    a = rng.uniform(0.1, 2.0, size=size)
-    theta = project_simplex(y, a)
-    assert np.all(theta >= 0.0)
-    assert float(a @ theta) == pytest.approx(1.0, abs=1e-9)
-    # variational inequality: no feasible direction improves the distance
-    for _ in range(10):
-        z = rng.uniform(0.0, 1.0, size=size)
-        z /= float(a @ z)
-        assert float((theta - y) @ (z - theta)) >= -1e-8
+class TestArcFixtureRecovery:
+    @pytest.mark.parametrize("ncells", [400, 800])
+    def test_certifies_on_grids_that_fit_the_arc(self, ncells):
+        problem, trajectory, _ = builtin_example("ex2", ncells=ncells)
+        outcome = recover(problem, trajectory)
+        assert outcome.result.status == "optimal"
+        assert outcome.result.objective <= 1e-20
+        assert outcome.certified
+
+    def test_arc_ends_inside_cells_fail_only_transversality(self):
+        # at N=50 the arc ends +-0.5 fall inside cells; the terminal-anchored
+        # costate recursion then cannot meet transversality at 1e-7 even
+        # though the solve is exact
+        problem, trajectory, _ = builtin_example("ex2", ncells=50)
+        outcome = recover(problem, trajectory)
+        assert outcome.result.status == "optimal"
+        failing = [e.name for e in outcome.report.entries if not e.passed]
+        assert failing == ["transversality"]
