@@ -1,5 +1,5 @@
-"""Sweep of `lmpkit check` and `lmpkit recover` over grid sizes, written to a
-BENCH record.
+"""Sweep of `lmpkit check` and `lmpkit recover` over grid sizes, and a batch
+of cone-separation LPs, written to a BENCH record.
 
     python3 scripts/bench.py --label NAME [--src NAME=PATH ...]
 
@@ -19,6 +19,13 @@ exceeds 30 s or, for recover, its predicted `tracemalloc` peak exceeds
 256 MB.  The predictions extrapolate the two sizes below it, with an exponent
 of at least 2 (the recovery program is dense).  Once a call runs over the
 time budget, the sizes above it are skipped.
+
+The cone batch is the 750 families that `perfbench/workloads.py`'s
+`cone_family_doc` draws for seed 0, written to files and loaded as the
+cones-batch workload loads them.  It records the median and minimum CPU time
+per family of `cones.intersection_nonempty` followed by
+`cones.approx_separate`, over three passes; each pass gives its CPU time
+divided by the number of families.
 
 Each checkout runs in its own process, with lmpkit imported from its `src/`
 and OpenBLAS at one thread; `--src` may be given more than once, so that one
@@ -54,6 +61,8 @@ PHASES = {
     "recheck": "recovery.cross_validate",
 }
 REPEATS = 3
+CONE_SEED = 0
+CONE_FAMILIES = 750
 BUDGET_S = 30.0  # wall seconds per call
 MEMORY_BUDGET_MB = 256.0  # tracemalloc peak of one recover call
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -215,6 +224,38 @@ class Sweep:
         return out
 
 
+def cone_batch(workdir: Path) -> dict:
+    """CPU time per family of the two cone LPs over one seeded batch."""
+    import numpy as np
+    from workloads import SEPARATION_EPS, cone_family_doc
+
+    from lmpkit import cones
+    from lmpkit.io import load_cone_family
+
+    rng = np.random.default_rng(CONE_SEED)
+    families = []
+    for i in range(CONE_FAMILIES):
+        path = workdir / f"family-{i:04d}.json"
+        path.write_text(json.dumps(cone_family_doc(rng, i)))
+        families.append(load_cone_family(str(path)))
+    per_family = []
+    for _ in range(REPEATS):
+        cpu = time.process_time()
+        for family in families:
+            cones.intersection_nonempty(family)
+            cones.approx_separate(family, SEPARATION_EPS)
+        per_family.append((time.process_time() - cpu) / len(families))
+    return {
+        "seed": CONE_SEED,
+        "families": CONE_FAMILIES,
+        "cpu_ms_per_family": {
+            "median": 1e3 * statistics.median(per_family),
+            "min": 1e3 * min(per_family),
+            "runs": [1e3 * t for t in per_family],
+        },
+    }
+
+
 def worker(args) -> int:
     src = Path(args.worker).resolve() / "src"
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -225,7 +266,8 @@ def worker(args) -> int:
         raise SystemExit(f"error: imported lmpkit from {lmpkit.__file__}, not {src}")
     with tempfile.TemporaryDirectory(prefix="lmpkit-bench-") as tmp:
         results = Sweep(Path(tmp)).run()
-    json.dump(results, sys.stdout)
+        cones = cone_batch(Path(tmp))
+    json.dump({"results": results, "cones": cones}, sys.stdout)
     return 0
 
 
@@ -284,6 +326,8 @@ def main(argv=None) -> int:
             "wall_s": "wall seconds of the same calls",
             "phases_wall_ms": "wall ms of each recover phase, from perfbench/spans.py",
             "tracemalloc_peak_mb": "tracemalloc peak of one more recover call",
+            "cpu_ms_per_family": "CPU ms per cone family of intersection_nonempty "
+            "and approx_separate, one value per pass over the batch",
         },
         "checkouts": {},
     }
@@ -295,10 +339,7 @@ def main(argv=None) -> int:
             text=True,
             check=True,
         )
-        record["checkouts"][name] = {
-            "commit": describe(Path(path)),
-            "results": json.loads(proc.stdout),
-        }
+        record["checkouts"][name] = {"commit": describe(Path(path)), **json.loads(proc.stdout)}
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -33,7 +33,6 @@ __all__ = [
     "SeparationResult",
     "intersection_nonempty",
     "approx_separate",
-    "sec_bounded",
 ]
 
 
@@ -85,8 +84,10 @@ _MARGIN_TOL = 1e-9
 class IntersectionResult:
     """``margin`` is the optimal LP value t*.  Because x = 0 is always
     feasible, t* is never negative: robustly empty families report exactly
-    0, and values in (0, 1e-9] are simplex noise around the threshold (the
-    degenerate band callers may want to log)."""
+    0.  The margin comes from a fresh solve of the optimal basis and is
+    accurate to about 1e-14 on unit-scale data, so a value in (0, 1e-9] is
+    an intersection too thin to count as nonempty, not rounding noise: the
+    degenerate band callers may want to log."""
 
     nonempty: bool
     witness: np.ndarray | None
@@ -125,57 +126,35 @@ def intersection_nonempty(cones) -> IntersectionResult:
     for c in cones:
         if c.ngens == 0:
             raise InputError("degenerate input: a cone has no generators")
-    closed_rows = []
-    open_rows = []
-    for c in cones:
-        (open_rows if c.open else closed_rows).extend(np.asarray(c.generators))
-    n_open = len(open_rows)
-    n_closed = len(closed_rows)
-    if n_open == 0:
+    closed = [c.generators for c in cones if not c.open]
+    opened = [c.generators for c in cones if c.open]
+    if not opened:
         raise InputError("at least one open cone is required")
+    G = np.vstack(closed + opened)
+    k = G.shape[0]
+    n_closed = k - sum(g.shape[0] for g in opened)
 
-    # Standard-form layout: x = xp - xm (2d), t = tp - tm (2), one surplus per
-    # generator row, one slack per box face.
-    nvar = 2 * d + 2 + n_closed + n_open + 2 * d
-    rows = []
-    rhs = []
-
-    def xrow(g):
-        row = np.zeros(nvar)
-        row[:d] = g
-        row[d : 2 * d] = -g
-        return row
-
-    for i, g in enumerate(closed_rows):
-        row = xrow(g)
-        row[2 * d + 2 + i] = -1.0  # surplus: g.x - s = 0
-        rows.append(row)
-        rhs.append(0.0)
-    for i, g in enumerate(open_rows):
-        row = xrow(g)
-        row[2 * d] = -1.0  # -t
-        row[2 * d + 1] = 1.0
-        row[2 * d + 2 + n_closed + i] = -1.0  # surplus: g.x - t - s = 0
-        rows.append(row)
-        rhs.append(0.0)
-    for j in range(d):  # box: x_j + slack = 1 and -x_j + slack = 1
-        row = np.zeros(nvar)
-        row[j] = 1.0
-        row[d + j] = -1.0
-        row[2 * d + 2 + n_closed + n_open + j] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-        row = np.zeros(nvar)
-        row[j] = -1.0
-        row[d + j] = 1.0
-        row[2 * d + 2 + n_closed + n_open + d + j] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
+    # Standard-form layout: x = xp - xm (2d), t = tp - tm (2), one surplus s
+    # per generator row (g.x - s = 0 closed, g.x - t - s = 0 open), then one
+    # slack per box face (x_j + slack = 1 and -x_j + slack = 1, row by row).
+    nvar = 2 * d + 2 + k + 2 * d
+    eye = np.eye(d)
+    rows = np.zeros((k + 2 * d, nvar))
+    rows[:k, :d] = G
+    rows[:k, d : 2 * d] = -G
+    rows[n_closed:k, 2 * d : 2 * d + 2] = [-1.0, 1.0]
+    rows[:k, 2 * d + 2 : 2 * d + 2 + k] = -np.eye(k)
+    rows[k::2, : 2 * d] = np.hstack([eye, -eye])
+    rows[k + 1 :: 2, : 2 * d] = np.hstack([-eye, eye])
+    rows[k::2, 2 * d + 2 + k : 2 * d + 2 + k + d] = eye
+    rows[k + 1 :: 2, 2 * d + 2 + k + d :] = eye
+    rhs = np.zeros(k + 2 * d)
+    rhs[k:] = 1.0
 
     cost = np.zeros(nvar)
     cost[2 * d] = -1.0  # maximise t
     cost[2 * d + 1] = 1.0
-    result = solve_standard_form(cost, np.array(rows), np.array(rhs))
+    result = solve_standard_form(cost, rows, rhs)
     if result.status != "optimal":
         # The box keeps the LP bounded and x = 0, t <= 0 is always feasible.
         raise InputError(f"intersection LP ended with status {result.status}")
@@ -220,11 +199,8 @@ def approx_separate(cones, eps: float) -> SeparationResult:
     nvar = total + 2 * d
     rows = np.zeros((d + 1, nvar))
     rhs = np.zeros(d + 1)
-    col = 0
-    for c in cones:
-        for g in np.asarray(c.generators):
-            rows[:d, col] = -g
-            col += 1
+    if total:
+        rows[:d, :total] = -np.vstack([c.generators for c in cones if c.ngens]).T
     rows[:d, total : total + d] = np.eye(d)
     rows[:d, total + d :] = -np.eye(d)
     rows[d, :total] = pairing
@@ -254,27 +230,6 @@ def approx_separate(cones, eps: float) -> SeparationResult:
         h=tuple(hs),
         coefficients=tuple(coeffs),
     )
-
-
-def sec_bounded(cone: PolyCone, x0: np.ndarray) -> tuple[float, bool]:
-    """Largest 1-norm over the section {h in H : <x0, h> = 1}.
-
-    The section is a polytope whose vertices are the generators scaled to
-    the section, so the maximum is attained at a scaled generator.  A
-    generator pairing <x0, g> <= 0 makes the section unbounded, which
-    violates the interiority hypothesis and is reported as an input error.
-    Returns (bound, section_is_empty).
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if cone.ngens == 0:
-        return 0.0, True
-    pairings = np.asarray(cone.generators) @ x0
-    if np.min(pairings) <= 0.0:
-        raise InputError(
-            "section is unbounded: x0 is not strictly interior to the induced cone"
-        )
-    norms = np.linalg.norm(cone.generators, ord=1, axis=1)
-    return float(np.max(norms / pairings)), False
 
 
 def random_family(rng: np.random.Generator, dim: int | None = None) -> list[PolyCone]:

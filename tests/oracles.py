@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: derivatives
 are checked by central differences of the evaluator, hull distances by
 exhaustive simplex-grid and face enumeration, cone intersections by rejection
-sampling, and expected fixture values by closed forms written out by hand.
+sampling, small linear programs by enumerating their bases, and expected
+fixture values by closed forms written out by hand.
 """
 
 from __future__ import annotations
@@ -228,6 +229,55 @@ def intersection_by_sampling(
         if ok.any():
             return True
     return False
+
+
+# -- linear programs by basis enumeration ---------------------------------------
+
+
+def _basic_feasible_solutions(A, b) -> list[np.ndarray]:
+    """Every basic feasible solution of A x = b, x >= 0: the rows are cut to
+    a maximal independent set, then every set of columns of that size whose
+    submatrix is nonsingular is solved, and kept when x >= 0."""
+    m, n = A.shape
+    rank = np.linalg.matrix_rank(A) if A.size else 0
+    if np.linalg.matrix_rank(np.column_stack([A, b])) > rank:
+        return []
+    rows: list[int] = []
+    for i in range(m):
+        if np.linalg.matrix_rank(A[rows + [i]]) > len(rows):
+            rows.append(i)
+    A, b = A[rows], b[rows]
+    found = []
+    for cols in itertools.combinations(range(n), rank):
+        B = A[:, list(cols)]
+        if rank and np.linalg.matrix_rank(B) < rank:
+            continue
+        x = np.zeros(n)
+        x[list(cols)] = np.linalg.solve(B, b)
+        if x.min() >= -1e-9:
+            found.append(x)
+    return found
+
+
+def lp_by_basis_enumeration(c, A, b) -> tuple[str, float | None]:
+    """min c.x s.t. A x = b, x >= 0 for m <= 4 rows and n <= 8 columns.
+
+    Returns (status, objective).  A feasible program has a basic feasible
+    solution, and its optimum is the least objective among them unless the
+    program is unbounded, which it is exactly when some vertex d of
+    {d >= 0, A d = 0, sum(d) = 1} has c.d < 0.
+    """
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    m, n = A.shape
+    if m > 4 or n > 8:
+        raise ValueError("basis enumeration is for m <= 4 and n <= 8")
+    vertices = _basic_feasible_solutions(A, b)
+    if not vertices:
+        return "infeasible", None
+    rays = _basic_feasible_solutions(np.vstack([A, np.ones(n)]), np.eye(m + 1)[m])
+    if any(c @ d < -1e-9 for d in rays):
+        return "unbounded", None
+    return "optimal", min(float(c @ x) for x in vertices)
 
 
 # -- random trajectories ---------------------------------------------------------

@@ -1,14 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lmpkit import cones
 from lmpkit.cones import (
     PolyCone,
     approx_separate,
     intersection_nonempty,
     random_family,
-    sec_bounded,
 )
 from lmpkit.errors import InputError
+from lmpkit.io import load_cone_family
 from lmpkit.lp import solve_standard_form
 from oracles import intersection_by_sampling
 
@@ -86,6 +89,28 @@ class TestIntersection:
         assert agree >= 45
 
 
+def test_family_449_reaches_the_true_margin(monkeypatch):
+    """Family 449 of the benchmark's seed-0 batch: a simplex that reads x
+    off its running tableau, not a fresh solve of the basis, stops there at
+    margin 0.060280, slightly infeasible.  The reference value is HiGHS's
+    optimum of the same LP."""
+    family = load_cone_family(str(Path(__file__).parent / "data" / "cone_family_449.json"))
+    solved = []
+
+    def spy(c, A, b):
+        result = solve_standard_form(c, A, b)
+        solved.append((A, b, result))
+        return result
+
+    monkeypatch.setattr(cones, "solve_standard_form", spy)
+    result = intersection_nonempty(family)
+    assert abs(result.margin - 0.06106540398710622) <= 1e-9
+    pairings = np.concatenate([c.generators @ result.witness for c in family if c.open])
+    assert pairings.min() >= result.margin - 1e-12
+    (A, b, lp_result), = solved
+    assert np.max(np.abs(A @ lp_result.x - b)) <= 1e-12
+
+
 class TestSeparation:
     def test_opposite_rays_cancel(self):
         closed = halfspace([1.0, 0.0], open=False)
@@ -144,37 +169,6 @@ class TestSeparation:
             sa = approx_separate(family, eps=1e-6)
             sb = approx_separate(scaled, eps=1e-6)
             assert sa.separated == sb.separated
-
-
-class TestSectionBound:
-    def test_quadrant_section(self):
-        cone = PolyCone(
-            generators=np.array([[1.0, 0.0], [0.0, 1.0]]), open=True, x0=np.array([1.0, 1.0])
-        )
-        bound, empty = sec_bounded(cone, np.array([1.0, 1.0]))
-        assert not empty
-        assert bound == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_ray(self):
-        cone = halfspace([1.0, 0.0], x0=np.array([1.0, 0.0]))
-        bound, empty = sec_bounded(cone, np.array([1.0, 0.0]))
-        assert not empty
-        assert bound == pytest.approx(1.0, abs=1e-12)
-
-    def test_boundary_point_is_input_error(self):
-        cone = PolyCone(
-            generators=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            open=True,
-            x0=np.array([1.0, 1.0]),
-        )
-        with pytest.raises(InputError):
-            sec_bounded(cone, np.array([1.0, 0.0]))
-
-    def test_trivial_cone_empty_section(self):
-        cone = PolyCone(generators=np.zeros((0, 2)), open=False)
-        bound, empty = sec_bounded(cone, np.array([1.0, 0.0]))
-        assert empty
-        assert bound == 0.0
 
 
 class TestConstructionInvariants:
