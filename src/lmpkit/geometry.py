@@ -25,9 +25,7 @@ __all__ = [
     "ContactSet",
     "JumpDirectionSet",
     "clm_at",
-    "in_phase_set",
     "contact_set",
-    "jump_directions",
     "jump_directions_at_node",
     "jump_directions_at_cell_mid",
     "dist_to_convex_hull",
@@ -51,10 +49,9 @@ class ClmValue:
 
 @dataclass(frozen=True)
 class ContactSet:
-    """Grid nodes whose closure-in-measure values meet the phase set, plus
+    """Per grid node: some closure-in-measure value meets the phase set; plus
     the maximal closed runs of flagged nodes as (first, last) node pairs."""
 
-    grid_nodes: np.ndarray
     flags: np.ndarray
     intervals: tuple[tuple[int, int], ...]
 
@@ -69,12 +66,6 @@ class ContactSet:
     def cell_flags(self) -> np.ndarray:
         """Per cell: it belongs to the contact region, i.e. both its nodes do."""
         return self.flags[:-1] & self.flags[1:]
-
-    def interval_times(self) -> tuple[tuple[float, float], ...]:
-        return tuple(
-            (float(self.grid_nodes[a]), float(self.grid_nodes[b]))
-            for a, b in self.intervals
-        )
 
 
 @dataclass(frozen=True)
@@ -103,18 +94,6 @@ def clm_at(trajectory: Trajectory, t: float) -> ClmValue:
     return ClmValue(t=t, points=trajectory.control_points(k))
 
 
-def in_phase_set(
-    problem: ProblemDef, x: np.ndarray, u: np.ndarray, delta: float, eps: float
-) -> bool:
-    """Relaxed phase-point test: -delta <= G(x,u) <= 0 and |G_u(x,u)| <= eps."""
-    if delta < 0 or eps < 0:
-        raise InputError("tolerances must be nonnegative")
-    g = problem.G_at(x, u)
-    if g < -delta or g > 0.0:
-        return False
-    return float(np.linalg.norm(problem.Gu_at(x, u))) <= eps
-
-
 def contact_set(
     problem: ProblemDef,
     trajectory: Trajectory,
@@ -130,33 +109,9 @@ def contact_set(
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
     return ContactSet(
-        grid_nodes=trajectory.grid.nodes,
         flags=flags,
         intervals=tuple(zip(starts.tolist(), ends.tolist())),
     )
-
-
-def _directions(problem, x, clm_points, delta, eps) -> tuple[np.ndarray, ...]:
-    gens = []
-    for u in clm_points:
-        if in_phase_set(problem, x, u, delta, eps):
-            gens.append(problem.Gx_at(x, u))
-    return tuple(gens)
-
-
-def jump_directions(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    t: float,
-    delta: float,
-    eps: float,
-) -> JumpDirectionSet:
-    """Generators {G_x(x(t), u)} over closure-in-measure points u that pass
-    the relaxed phase test; the costate may jump only into their convex hull.
-    Evaluates at the single time t; the grid-wide forms read from Samples."""
-    value = clm_at(trajectory, t)
-    gens = _directions(problem, trajectory.x_at(t), value.points, delta, eps)
-    return JumpDirectionSet(t=t, generators=gens)
 
 
 def jump_directions_at_node(
@@ -167,6 +122,9 @@ def jump_directions_at_node(
     eps: float,
     samples: Samples | None = None,
 ) -> JumpDirectionSet:
+    """Generators {G_x(x_k, u)} over the closure-in-measure points u of node
+    k that pass the relaxed phase test; the costate may jump at node k only
+    into their convex hull."""
     samples = samples or Samples(problem, trajectory)
     return JumpDirectionSet(
         t=float(trajectory.grid.nodes[k]),
@@ -182,6 +140,8 @@ def jump_directions_at_cell_mid(
     eps: float,
     samples: Samples | None = None,
 ) -> JumpDirectionSet:
+    """The generator G_x at the midpoint of cell k if that is a relaxed phase
+    point, none otherwise."""
     samples = samples or Samples(problem, trajectory)
     mid = samples.mid
     gens = (mid.phase_gradients(delta, eps)[k],) if mid.phase(delta, eps)[k] else ()

@@ -29,7 +29,6 @@ __all__ = [
     "load_certificate",
     "save_certificate",
     "load_cone_family",
-    "save_report",
     "dump_json",
 ]
 
@@ -235,6 +234,17 @@ def _load_direction(rec: dict, where: str) -> SupportDirection:
     return SupportDirection(weights=_vector(rec["weights"], None, f"{where}.weights"))
 
 
+def _index(rec: dict, key: str, size: int, taken: dict, where: str) -> int:
+    """The integer field ``key`` of one record of a list: a node or cell
+    index below ``size`` that no earlier record of the list has taken."""
+    k = _field(rec, key, int, where)
+    if not 0 <= k < size:
+        raise InputError(f"{where}.{key}: outside the grid")
+    if k in taken:
+        raise InputError(f"{where}.{key}: duplicate {key} {k}")
+    return k
+
+
 def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     doc = _load_json(path)
     _check_version(doc, path)
@@ -245,9 +255,7 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     atoms = {}
     for i, rec in enumerate(eta_doc.get("atoms", [])):
         where = f"{path}.eta.atoms[{i}]"
-        node = _field(rec, "node", int, where)
-        if not 0 <= node <= N:
-            raise InputError(f"{where}.node: outside the grid")
+        node = _index(rec, "node", N + 1, atoms, where)
         atoms[node] = _field(rec, "weight", float, where)
     density = _vector(eta_doc.get("density", [0.0] * N), N, f"{path}.eta.density")
     eta = SignedMeasure.scalar(grid, atoms=atoms, density=density)
@@ -255,12 +263,12 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     s_atoms = {}
     for i, rec in enumerate(s_doc.get("atoms", [])):
         where = f"{path}.s.atoms[{i}]"
-        node = _field(rec, "node", int, where)
+        node = _index(rec, "node", N + 1, s_atoms, where)
         s_atoms[node] = _load_direction(rec, where)
     s_cells = {}
     for i, rec in enumerate(s_doc.get("cells", [])):
         where = f"{path}.s.cells[{i}]"
-        cell = _field(rec, "cell", int, where)
+        cell = _index(rec, "cell", N, s_cells, where)
         s_cells[cell] = _load_direction(rec, where)
     p_doc = _field(doc, "p", dict, path)
     values_rows = _field(p_doc, "values", list, f"{path}.p")
@@ -278,7 +286,7 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     p_atoms = {}
     for i, rec in enumerate(p_doc.get("atoms", [])):
         where = f"{path}.p.atoms[{i}]"
-        node = _field(rec, "node", int, where)
+        node = _index(rec, "node", N + 1, p_atoms, where)
         p_atoms[node] = _vector(rec.get("jump"), dim, f"{where}.jump")
     p = BVFunction(grid=grid, values=values, atoms=p_atoms)
     return MultiplierSet(
@@ -354,8 +362,3 @@ def load_cone_family(path: str) -> list[cones_mod.PolyCone]:
         )
     return out
 
-
-def save_report(report, path: str) -> None:
-    doc = {"format_version": FORMAT_VERSION}
-    doc.update(report.to_json_dict())
-    dump_json(doc, path)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr, geometry
 from .errors import EvalError, InputError, LmpkitError
-from .measures import BVFunction, SignedMeasure
+from .measures import BVFunction, SignedMeasure, running_sum
 from .problem import ProblemDef, Trajectory, dynamics_defect
 from .samples import Samples
 
@@ -40,8 +40,6 @@ __all__ = [
     "CheckConfig",
     "Entry",
     "Report",
-    "Pontryagin",
-    "pontryagin",
     "check_signs_slackness",
     "check_nontriviality",
     "check_jump_inclusion",
@@ -237,39 +235,6 @@ def _jsonable(obj):
     return obj
 
 
-# -- Hamiltonian assembly ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Pontryagin:
-    """Callable data for H(x,u,p) = p.f(x,u) and the augmented form
-    p.f + lambda*G, with gradients taken from the exact derivative tables."""
-
-    problem: ProblemDef
-
-    def H(self, x, u, p) -> float:
-        return float(np.asarray(p) @ self.problem.f_at(x, u))
-
-    def H_x(self, x, u, p) -> np.ndarray:
-        return np.asarray(p) @ self.problem.fx_at(x, u)
-
-    def H_u(self, x, u, p) -> np.ndarray:
-        return np.asarray(p) @ self.problem.fu_at(x, u)
-
-    def Hbar(self, x, u, p, lam: float) -> float:
-        return self.H(x, u, p) + lam * self.problem.G_at(x, u)
-
-    def Hbar_x(self, x, u, p, lam: float) -> np.ndarray:
-        return self.H_x(x, u, p) + lam * self.problem.Gx_at(x, u)
-
-    def Hbar_u(self, x, u, p, lam: float) -> np.ndarray:
-        return self.H_u(x, u, p) + lam * self.problem.Gu_at(x, u)
-
-
-def pontryagin(problem: ProblemDef) -> Pontryagin:
-    return Pontryagin(problem)
-
-
 # -- individual condition checks -----------------------------------------------
 
 
@@ -332,67 +297,94 @@ def check_nontriviality(ms: MultiplierSet, config: CheckConfig = CheckConfig()) 
     )
 
 
-def _support_elements(ms: MultiplierSet) -> tuple[list[tuple[int, float]], np.ndarray]:
-    """Atoms (node, mass) and the density cells carrying eta mass."""
-    atoms = [(k, ms.eta.scalar_atom(k)) for k in sorted(ms.eta.atoms)
-             if ms.eta.scalar_atom(k) != 0.0]
-    return atoms, np.flatnonzero(ms.eta.density[:, 0] != 0.0)
+@dataclass(frozen=True)
+class _Support:
+    """The eta support, its ``natoms`` atoms of nonzero mass in node order
+    and then its density cells in cell order, with s resolved on it.
 
-
-def _resolve_direction(
-    sd: SupportDirection | None,
-    gens: tuple[np.ndarray, ...],
-    n: int,
-    kind: str,
-    index: int,
-) -> np.ndarray:
-    """The direction s on one support element, the node or cell ``index``."""
-    if sd is None:
-        raise InputError(f"direction s is missing on the eta support at {kind} {index}")
-    if sd.vector is not None:
-        if sd.vector.size != n:
-            raise InputError(f"direction vector at {kind} {index} has wrong dimension")
-        return sd.vector
-    if not gens:
-        raise InputError(
-            f"weights given at {kind} {index} but no jump directions are available there"
-        )
-    if sd.weights.size != len(gens):
-        raise InputError(
-            f"{sd.weights.size} weights for {len(gens)} generators at {kind} {index}"
-        )
-    return np.asarray(sd.weights) @ np.asarray(gens)
-
-
-def _cell_directions(
-    ms: MultiplierSet, cells: np.ndarray, gens: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The directions s on density cells, resolved in one pass over their
-    records; raises at the first cell whose direction is missing or wrong.
-
-    ``gens[i]`` is the generator at the midpoint of ``cells[i]`` (a midpoint
-    has at most one), a NaN row where there is none.  Returns the rows of s,
-    and where s is given as weights, its single weight and a True flag.
+    Per element: the node or cell ``index``; the eta ``value`` (an atom's
+    mass, a cell's density) and ``width`` (1 at an atom), whose product is
+    its eta mass; ``count`` generators in the leading rows of ``gens``; the
+    row of s (NaN if not resolved); and whether s came as weights, which
+    fill the leading entries of their row of ``weights``, zeros after them.
     """
-    if cells.size == 0:
-        return np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool)
 
-    def resolve(k: int, g: np.ndarray, available: bool) -> tuple[np.ndarray, float, bool]:
-        sd = ms.s_cells.get(k)
-        row = _resolve_direction(sd, (g,) if available else (), n, "cell", k)
-        if sd.weights is None:
-            return row, 0.0, False
-        return row, float(sd.weights[0]), True
-
-    available = (~np.isnan(gens[:, 0])).tolist()
-    rows, weights, weighted = zip(*map(resolve, cells.tolist(), gens, available))
-    return np.array(rows), np.array(weights), np.array(weighted)
+    natoms: int
+    index: np.ndarray
+    value: np.ndarray
+    width: np.ndarray
+    count: np.ndarray
+    gens: np.ndarray
+    rows: np.ndarray
+    weighted: np.ndarray
+    weights: np.ndarray
 
 
-def _mid_generators(samples: Samples, config: CheckConfig):
-    """Per cell: whether the midpoint is a relaxed phase point, and its G_x."""
-    mid = samples.mid
-    return mid.phase(config.delta, config.eps), mid.phase_gradients(config.delta, config.eps)
+def _support_directions(
+    ms: MultiplierSet,
+    n: int,
+    samples: Samples,
+    config: CheckConfig,
+    resolve_bare: bool,
+) -> _Support:
+    """Resolve s on every element of the eta support from its record.
+
+    An atom's generators are G_x at the relaxed phase points of its closure
+    in measure, a cell's the G_x row at its midpoint if that is one (G_x is
+    never NaN, so the NaN rows of ``gens`` mark missing generators).  The
+    records are read in element order, and the first one that is missing or
+    does not fit its generators raises.  Elements without generators are
+    skipped unless ``resolve_bare`` is set; then weights there raise too.
+    """
+    delta, eps = config.delta, config.eps
+    nodes = [k for k in sorted(ms.eta.atoms) if ms.eta.scalar_atom(k) != 0.0]
+    cells = np.flatnonzero(ms.eta.density[:, 0] != 0.0)
+    natoms = len(nodes)
+    node_gens = [samples.node_generators(k, delta, eps) for k in nodes]
+    gens = np.full((natoms + cells.size, max([1] + [len(g) for g in node_gens]), n), np.nan)
+    for i, g in enumerate(node_gens):
+        gens[i, : len(g)] = np.reshape(g, (-1, n))
+    gens[natoms:, 0] = samples.mid.phase_gradients(delta, eps)[cells]
+    count = np.count_nonzero(~np.isnan(gens[:, :, 0]), axis=1)
+    index = np.concatenate([nodes, cells]).astype(int)
+    records = [ms.s_atoms.get(k) for k in nodes] + [ms.s_cells.get(k) for k in cells.tolist()]
+    rows = np.full((len(gens), n), np.nan)
+    weights = np.zeros(gens.shape[:2])
+    weighted = np.zeros(len(gens), dtype=bool)
+
+    def where(i: int) -> str:
+        return f"{'node' if i < natoms else 'cell'} {index[i]}"
+
+    for i, (sd, c) in enumerate(zip(records, count.tolist())):
+        if c == 0 and not resolve_bare:
+            continue
+        if sd is None:
+            raise InputError(f"direction s is missing on the eta support at {where(i)}")
+        if sd.vector is not None:
+            if sd.vector.size != n:
+                raise InputError(f"direction vector at {where(i)} has wrong dimension")
+            rows[i] = sd.vector
+            continue
+        if c == 0:
+            raise InputError(
+                f"weights given at {where(i)} but no jump directions are available there"
+            )
+        if sd.weights.size != c:
+            raise InputError(f"{sd.weights.size} weights for {c} generators at {where(i)}")
+        rows[i] = sd.weights @ gens[i, :c]
+        weights[i, :c] = sd.weights
+        weighted[i] = True
+    return _Support(
+        natoms=natoms,
+        index=index,
+        value=np.concatenate([ms.eta.dense_atoms()[nodes, 0], ms.eta.density[cells, 0]]),
+        width=np.concatenate([np.ones(natoms), ms.grid.widths[cells]]),
+        count=count,
+        gens=gens,
+        rows=rows,
+        weighted=weighted,
+        weights=weights,
+    )
 
 
 def check_jump_inclusion(
@@ -408,46 +400,21 @@ def check_jump_inclusion(
 
     Density cells are sampled at their midpoints; a sampled violation fails
     the check (the conservative reading of an a.e.-in-measure condition).
+    Where s is given as weights, the residual is their distance from the
+    simplex, max(0, -min w) + |sum w - 1|.
     """
     samples = samples or Samples(problem, trajectory)
-    atoms, cells = _support_elements(ms)
-    worst = 0.0
-    outside_mass = 0.0
-    for k, mass in atoms:
-        gens = geometry.jump_directions_at_node(
-            problem, trajectory, k, config.delta, config.eps, samples
-        ).generators
-        sd = ms.s_atoms.get(k)
-        if not gens:
-            outside_mass += abs(mass)
-            continue
-        if sd is not None and sd.weights is not None:
-            if sd.weights.size != len(gens):
-                raise InputError(
-                    f"{sd.weights.size} weights for {len(gens)} generators at node {k}"
-                )
-            violation = max(0.0, -float(np.min(sd.weights)))
-            violation += abs(float(np.sum(sd.weights)) - 1.0)
-            worst = max(worst, violation)
-            continue
-        shat = _resolve_direction(sd, gens, problem.n, "node", k)
-        dist, _ = geometry.dist_to_convex_hull(shat, gens)
-        worst = max(worst, dist)
-
-    has_gen, mid_gens = _mid_generators(samples, config)
-    widths = ms.grid.widths
-    bare = cells[~has_gen[cells]]
-    outside_mass += float(np.sum(np.abs(ms.eta.density[bare, 0] * widths[bare])))
-    covered = cells[has_gen[cells]]
-    rows, weights, weighted = _cell_directions(ms, covered, mid_gens[covered], problem.n)
-    w = weights[weighted]
-    violation = np.maximum(0.0, -w) + np.abs(w - 1.0)
-    dist = np.linalg.norm(mid_gens[covered][~weighted] - rows[~weighted], axis=1)
-    worst = max(
-        worst,
-        float(np.max(violation, initial=0.0)),
-        float(np.max(dist, initial=0.0)),
-    )
+    sup = _support_directions(ms, problem.n, samples, config, resolve_bare=False)
+    outside_mass = float(np.sum(np.abs(sup.value * sup.width)[sup.count == 0]))
+    w = sup.weights[sup.weighted]
+    # the zeros after the weights change neither max(0, -min w) nor sum w
+    violation = np.maximum(0.0, -np.min(w, axis=1)) + np.abs(np.sum(w, axis=1) - 1.0)
+    single = (sup.count == 1) & ~sup.weighted
+    dist = np.linalg.norm(sup.gens[single, 0] - sup.rows[single], axis=1)
+    several = np.flatnonzero((sup.count > 1) & ~sup.weighted)
+    hull = [geometry.dist_to_convex_hull(sup.rows[i], sup.gens[i, : sup.count[i]])[0]
+            for i in several]
+    worst = float(np.max(np.concatenate([violation, dist, hull]), initial=0.0))
     tol = config.structural_tol
     return [
         Entry("jump_inclusion", worst, tol),
@@ -464,20 +431,13 @@ def _direction_measure(
 ) -> SignedMeasure:
     """The vector measure s*d-eta used by the costate balance."""
     samples = samples or Samples(problem, trajectory)
-    atoms, cells = _support_elements(ms)
-    n = problem.n
-    atom_map: dict[int, np.ndarray] = {}
-    for k, mass in atoms:
-        gens = geometry.jump_directions_at_node(
-            problem, trajectory, k, config.delta, config.eps, samples
-        ).generators
-        shat = _resolve_direction(ms.s_atoms.get(k), gens, n, "node", k)
-        atom_map[k] = shat * mass
-    _, mid_gens = _mid_generators(samples, config)
-    rows, _, _ = _cell_directions(ms, cells, mid_gens[cells], n)
-    density = np.zeros((ms.grid.ncells, n))
-    density[cells] = rows * ms.eta.density[cells, 0][:, None]
-    return SignedMeasure(grid=ms.grid, dim=n, atoms=atom_map, density=density)
+    sup = _support_directions(ms, problem.n, samples, config, resolve_bare=True)
+    sdeta = sup.rows * sup.value[:, None]
+    k = sup.natoms
+    density = np.zeros((ms.grid.ncells, problem.n))
+    density[sup.index[k:]] = sdeta[k:]
+    atoms = dict(zip(sup.index[:k].tolist(), sdeta[:k]))
+    return SignedMeasure(grid=ms.grid, dim=problem.n, atoms=atoms, density=density)
 
 
 def _costate_times(p_rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -498,16 +458,13 @@ def _balance_rows(
     a through node k, plus the closed-interval mass through node k of the
     measure with node atoms ``atoms`` and per-cell masses ``cell_mass``.
 
-    Both sums run in node order (atom, then the following cell), as a
-    running sum would.
+    The trapezoid sum runs in cell order, the mass in node order (atom,
+    then the following cell), as :func:`running_sum` adds it.
     """
     N, n = cell_mass.shape
     acc = np.zeros((N + 1, n))
     acc[1:] = np.cumsum((0.5 * widths)[:, None] * (a_left + a_right), axis=0)
-    steps = np.empty((2 * N + 1, n))
-    steps[0::2] = atoms
-    steps[1::2] = cell_mass
-    mass = np.cumsum(steps, axis=0)[0::2]
+    mass = running_sum(np.zeros(n), atoms, cell_mass)[1::2]
     return p.right_limits() - p.exterior_left + acc + mass
 
 

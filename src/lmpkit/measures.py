@@ -28,7 +28,7 @@ __all__ = [
     "SignedMeasure",
     "stieltjes_integral",
     "cumulative",
-    "total_variation",
+    "running_sum",
     "convention_sensitive_nodes",
 ]
 
@@ -104,25 +104,6 @@ class BVFunction:
     def right_limits(self) -> np.ndarray:
         """:meth:`right_limit` at every node, one row per node."""
         return self.values + _dense(self.atoms, self.values.shape)
-
-    def within_cell(self, k: int, theta: float) -> np.ndarray:
-        """Value at tau_k + theta*h_k for theta in (0, 1)."""
-        a = self.right_limit(k)
-        bv = self.left_limit(k + 1)
-        return (1.0 - theta) * a + theta * bv
-
-    def value(self, t: float, side: str = "left") -> np.ndarray:
-        """One-sided value at time t ('left' or 'right')."""
-        grid = self.grid
-        if abs(t - grid.t0) <= 0 and side == "left":
-            return self.exterior_left
-        try:
-            k = grid.node_index(t)
-        except InputError:
-            k = grid.cell_of(t)
-            theta = (t - grid.nodes[k]) / grid.widths[k]
-            return self.within_cell(k, theta)
-        return self.left_limit(k) if side == "left" else self.right_limit(k)
 
     def total_variation(self) -> float:
         tv = sum(float(np.linalg.norm(j)) for j in self.atoms.values())
@@ -243,15 +224,16 @@ class SignedMeasure:
         )
 
 
-def _phi_sides(
-    phi: np.ndarray,
-    k: int,
-    phi_jumps: Mapping[int, tuple[float, float]] | None,
-) -> tuple[float, float]:
-    if phi_jumps and k in phi_jumps:
-        left, right = phi_jumps[k]
-        return float(left), float(right)
-    return float(phi[k]), float(phi[k])
+def running_sum(base, atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Running sum of base, atoms[0], cells[0], atoms[1], ..., atoms[-1],
+    added one after another: for one row of ``atoms`` per node and of
+    ``cells`` per cell, entry 2k is the sum up to node k, its atom excluded,
+    and entry 2k + 1 the sum over the closed interval through node k."""
+    steps = np.empty((2 * atoms.shape[0], atoms.shape[1]))
+    steps[0] = base
+    steps[1::2] = atoms
+    steps[2::2] = cells
+    return np.cumsum(steps, axis=0)
 
 
 def stieltjes_integral(
@@ -267,25 +249,20 @@ def stieltjes_integral(
     ``phi_jumps[node] = (left, right)``) the atom uses the two-sided average
     and the node is reported by :func:`convention_sensitive_nodes`.  The
     density part is integrated by the trapezoidal rule, which is exact here
-    because the density is constant on each cell.
+    because the density is constant on each cell.  The terms are summed in
+    node order, as :func:`cumulative` sums them.
     """
     a, b = dmu._bounds(a, b)
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or phi.size != dmu.grid.ncells + 1:
         raise InputError("phi must be sampled at every grid node")
-    # accumulate in node order (atom, then the following cell) so the result
-    # reproduces the cumulative construction term by term
-    total = np.zeros(dmu.dim)
-    for k in range(a, b + 1):
-        if k in dmu.atoms:
-            left, right = _phi_sides(phi, k, phi_jumps)
-            total = total + 0.5 * (left + right) * dmu.atoms[k]
-        if k < b:
-            _, phi_a = _phi_sides(phi, k, phi_jumps)
-            phi_b, _ = _phi_sides(phi, k + 1, phi_jumps)
-            total = total + 0.5 * (phi_a + phi_b) * (
-                dmu.density[k] * dmu.grid.widths[k]
-            )
+    left, right = phi.copy(), phi.copy()
+    for k, (phi_left, phi_right) in (phi_jumps or {}).items():
+        if 0 <= k < phi.size:
+            left[k], right[k] = phi_left, phi_right
+    atoms = (0.5 * (left + right))[:, None] * dmu.dense_atoms()
+    cells = (0.5 * (right[:-1] + left[1:]))[:, None] * (dmu.density * dmu.grid.widths[:, None])
+    total = running_sum(np.zeros(dmu.dim), atoms[a : b + 1], cells[a:b])[-1]
     if dmu.dim == 1:
         return float(total[0])
     return total
@@ -320,16 +297,8 @@ def cumulative(dmu: SignedMeasure, base=None) -> BVFunction:
     if base is None:
         base = np.zeros(dmu.dim)
     base = _as_row(base, dmu.dim)
-    nnodes = dmu.grid.ncells + 1
-    values = np.empty((nnodes, dmu.dim))
-    values[0] = base
-    for k in range(dmu.grid.ncells):
-        right = values[k] + dmu.atom(k)
-        values[k + 1] = right + dmu.density[k] * dmu.grid.widths[k]
+    cells = dmu.density * dmu.grid.widths[:, None]
+    values = running_sum(base, dmu.dense_atoms(), cells)[0::2]
     atoms = {k: w.copy() for k, w in dmu.atoms.items() if np.any(w != 0.0)}
     return BVFunction(grid=dmu.grid, values=values, atoms=atoms)
 
-
-def total_variation(dmu: SignedMeasure) -> float:
-    """Total variation norm: atom norms plus density mass."""
-    return dmu.total_variation()

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: derivatives
 are checked by central differences of the evaluator, hull distances by
 exhaustive simplex-grid and face enumeration, cone intersections by rejection
-sampling, small linear programs by enumerating their bases, and expected
-fixture values by closed forms written out by hand.
+sampling, small linear programs by enumerating their bases, cumulative
+functions of measures by a loop over the nodes, and expected fixture values
+by closed forms written out by hand.
 """
 
 from __future__ import annotations
@@ -278,6 +279,23 @@ def lp_by_basis_enumeration(c, A, b) -> tuple[str, float | None]:
     if any(c @ d < -1e-9 for d in rays):
         return "unbounded", None
     return "optimal", min(float(c @ x) for x in vertices)
+
+
+# -- cumulative function of a measure ------------------------------------------
+
+
+def cumulative_by_loop(dmu: SignedMeasure, base=None) -> BVFunction:
+    """The BV function p with dp = dmu and p(t0-) = base, node by node: the
+    right limit at node k is the value there plus its atom, and the value at
+    node k + 1 adds cell k's mass to that."""
+    base = np.zeros(dmu.dim) if base is None else np.asarray(base, dtype=float)
+    values = np.empty((dmu.grid.ncells + 1, dmu.dim))
+    values[0] = base
+    for k in range(dmu.grid.ncells):
+        right = values[k] + dmu.atom(k)
+        values[k + 1] = right + dmu.density[k] * dmu.grid.widths[k]
+    atoms = {k: w.copy() for k, w in dmu.atoms.items() if np.any(w != 0.0)}
+    return BVFunction(grid=dmu.grid, values=values, atoms=atoms)
 
 
 # -- random trajectories ---------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lmpkit import geometry
 from lmpkit.errors import EvalError, InputError
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
+from lmpkit.samples import Samples
 from oracles import (
     RELAXED,
     hull_distance_bruteforce,
@@ -63,28 +64,39 @@ class TestClm:
                 assert len(points) == (2 if k in trajectory.jumps else 1)
 
 
+def phase_points(problem, x, u):
+    """The left point set of a two-cell trajectory that stays at (x, u)."""
+    trajectory = Trajectory(
+        grid=TimeGrid.uniform(problem.t0, problem.t1, 2),
+        x=np.array([x] * 3, dtype=float),
+        u_left=np.array([u] * 2, dtype=float),
+        u_right=np.array([u] * 2, dtype=float),
+    )
+    return Samples(problem, trajectory).left
+
+
 class TestPhaseSet:
     def test_exact_phase_point(self, ex1):
         problem, _, _ = ex1
-        assert geometry.in_phase_set(problem, np.array([1.0]), np.array([0.0]), 0.0, 0.0)
+        assert phase_points(problem, [1.0], [0.0]).phase(0.0, 0.0)[0]
 
     def test_strict_slack_rejected(self, ex1):
         problem, _, _ = ex1
-        assert not geometry.in_phase_set(
-            problem, np.array([2.0]), np.array([0.0]), 0.5, 0.5
-        )
+        assert not phase_points(problem, [2.0], [0.0]).phase(0.5, 0.5)[0]
 
     def test_relaxed_membership_bands(self, ex2):
         problem, _, _ = ex2
-        x = np.array([0.0, 0.02])
-        u = np.array([0.1])
-        assert geometry.in_phase_set(problem, x, u, 0.02, 0.1)
-        assert not geometry.in_phase_set(problem, x, u, 0.02, 0.05)
+        points = phase_points(problem, [0.0, 0.02], [0.1])
+        assert points.phase(0.02, 0.1)[0]
+        assert not points.phase(0.02, 0.05)[0]
 
     def test_negative_tolerances_rejected(self, ex1):
         problem, _, _ = ex1
+        points = phase_points(problem, [1.0], [0.0])
         with pytest.raises(InputError):
-            geometry.in_phase_set(problem, np.array([1.0]), np.array([0.0]), -1.0, 0.0)
+            points.phase(-1.0, 0.0)
+        with pytest.raises(InputError):
+            points.phase(0.0, -1.0)
 
 
 class TestContactSet:
@@ -125,21 +137,31 @@ class TestContactSet:
 class TestJumpDirections:
     def test_atom_fixture_direction(self, ex1):
         problem, trajectory, _ = ex1
-        value = geometry.jump_directions(problem, trajectory, 0.37, 1e-8, 1e-8)
-        # snaps inside the cell; single generator G_x = -1
+        k = trajectory.grid.cell_of(0.375)
+        value = geometry.jump_directions_at_cell_mid(problem, trajectory, k, 1e-8, 1e-8)
+        # the midpoint of the cell is a phase point; single generator G_x = -1
+        assert value.t == 0.375
         assert len(value.generators) == 1
         assert value.generators[0][0] == -1.0
 
     def test_arc_fixture_direction(self, ex2):
         problem, trajectory, _ = ex2
-        value = geometry.jump_directions(problem, trajectory, 0.0, 1e-9, 1e-9)
+        k = trajectory.grid.node_index(0.0)
+        value = geometry.jump_directions_at_node(problem, trajectory, k, 1e-9, 1e-9)
         assert len(value.generators) == 1
         assert np.array_equal(value.generators[0], np.array([0.0, -1.0]))
 
     def test_inactive_time_empty(self, ex2):
         problem, trajectory, _ = ex2
-        value = geometry.jump_directions(problem, trajectory, 0.9, 1e-9, 1e-9)
-        assert value.is_empty
+        grid = trajectory.grid
+        node = geometry.jump_directions_at_node(
+            problem, trajectory, grid.node_index(0.9), 1e-9, 1e-9
+        )
+        mid = geometry.jump_directions_at_cell_mid(
+            problem, trajectory, grid.cell_of(0.9), 1e-9, 1e-9
+        )
+        assert node.is_empty
+        assert mid.is_empty
 
     def test_tolerance_monotonicity(self, ex2):
         problem, trajectory, _ = ex2

@@ -62,3 +62,44 @@ def test_undeclared_control_jump_names_its_node(ex2_files):
     path = rewrite(tmp_path / "trajectory.json", edit)
     with pytest.raises(InputError, match="discontinuous at node 9 but no jump"):
         io.load_trajectory(path)
+
+
+@pytest.mark.parametrize("field, key, record", [
+    ("eta.atoms", "node", {"node": 0, "weight": 5.0}),
+    ("s.atoms", "node", {"node": 0, "vector": [0.0, -1.0]}),
+    ("s.cells", "cell", {"cell": 9, "vector": [0.0, -1.0]}),
+    ("p.atoms", "node", {"node": 0, "jump": [0.0, 1.0]}),
+])
+def test_duplicate_record_names_its_path(ex2_files, field, key, record):
+    tmp_path, trajectory, _ = ex2_files
+    outer, inner = field.split(".")
+
+    def edit(doc):
+        records = doc[outer].setdefault(inner, [])
+        records[:] = [record, dict(record)]
+
+    path = rewrite(tmp_path / "certificate.json", edit)
+    index = record[key]
+    pattern = rf"\.{outer}\.{inner}\[1\]\.{key}: duplicate {key} {index}$"
+    with pytest.raises(InputError, match=pattern):
+        io.load_certificate(path, trajectory.grid)
+
+
+@pytest.mark.parametrize("field, key, record", [
+    ("eta.atoms", "node", {"node": 21, "weight": 1.0}),
+    ("s.atoms", "node", {"node": 21, "vector": [0.0, -1.0]}),
+    ("s.atoms", "node", {"node": -1, "vector": [0.0, -1.0]}),
+    ("s.cells", "cell", {"cell": 20, "vector": [0.0, -1.0]}),
+    ("p.atoms", "node", {"node": 21, "jump": [0.0, 1.0]}),
+])
+def test_record_outside_the_grid_names_its_path(ex2_files, field, key, record):
+    tmp_path, trajectory, _ = ex2_files
+    outer, inner = field.split(".")
+
+    def edit(doc):
+        doc[outer].setdefault(inner, []).append(record)
+
+    path = rewrite(tmp_path / "certificate.json", edit)
+    pattern = rf"\.{outer}\.{inner}\[\d+\]\.{key}: outside the grid$"
+    with pytest.raises(InputError, match=pattern):
+        io.load_certificate(path, trajectory.grid)

@@ -17,7 +17,6 @@ from lmpkit.lmp import (
     check_stationarity,
     check_transversality,
     merge_state_constraint,
-    pontryagin,
 )
 from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
@@ -55,41 +54,6 @@ def make_multipliers(grid, alpha0=0.0, lam=None, eta=None, p=None, n=1, **s):
         p=p if p is not None else BVFunction(grid=grid, values=np.zeros((N + 1, n))),
         **s,
     )
-
-
-class TestPontryagin:
-    def test_atom_fixture_hamiltonian(self, ex1):
-        problem, _, _ = ex1
-        H = pontryagin(problem)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            p = rng.normal(size=1)
-            u = np.array([rng.normal()])
-            x = np.array([rng.normal()])
-            lamval = float(rng.uniform(0, 2))
-            assert H.H(x, u, p) == pytest.approx(float(p[0] * u[0]), abs=1e-14)
-            assert H.Hbar_u(x, u, p, lamval)[0] == pytest.approx(
-                float(p[0] + lamval * u[0]), abs=1e-14
-            )
-
-    def test_zero_dynamics(self):
-        problem = make_problem(["0"], "-x1")
-        H = pontryagin(problem)
-        x, u, p = np.array([2.0]), np.array([3.0]), np.array([5.0])
-        assert H.H(x, u, p) == 0.0
-        assert np.all(H.H_x(x, u, p) == 0.0)
-
-    def test_arc_fixture_augmented(self, ex2):
-        problem, _, _ = ex2
-        H = pontryagin(problem)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            p = rng.normal(size=2)
-            x = rng.normal(size=2)
-            u = np.array([rng.normal()])
-            lamval = float(rng.uniform(0, 2))
-            expected = p[0] * x[1] + p[1] * u[0] + lamval * (0.5 * u[0] ** 2 - x[1])
-            assert H.Hbar(x, u, p, lamval) == pytest.approx(expected, abs=1e-13)
 
 
 class TestSignsSlackness:
@@ -207,6 +171,72 @@ class TestJumpInclusion:
         )
         with pytest.raises(InputError):
             check_jump_inclusion(stripped, problem, trajectory)
+
+
+def off_the_constraint(trajectory):
+    """The ex1 trajectory raised by one: G = -1 everywhere, so no point is a
+    phase point and no support element has a jump direction."""
+    return Trajectory(
+        grid=trajectory.grid,
+        x=trajectory.x + 1.0,
+        u_left=trajectory.u_left,
+        u_right=trajectory.u_right,
+    )
+
+
+@pytest.mark.parametrize("atoms, cell, records, message", [
+    ({3: 0.5}, None, {}, "direction s is missing on the eta support at node 3"),
+    (
+        {},
+        2,
+        {"s_cells": {2: SupportDirection(weights=np.array([1.0]))}},
+        "weights given at cell 2 but no jump directions are available there",
+    ),
+])
+def test_elements_without_generators_split_the_errors(ex1, atoms, cell, records, message):
+    # jump inclusion counts such an element as outside mass whatever its
+    # record says, while the costate balance needs a direction on it
+    problem, trajectory, _ = ex1
+    raised = off_the_constraint(trajectory)
+    grid = raised.grid
+    density = np.zeros(grid.ncells)
+    if cell is not None:
+        density[cell] = 1.0
+    eta = SignedMeasure.scalar(grid, atoms=atoms, density=density)
+    ms = make_multipliers(grid, alpha0=1.0, eta=eta, **records)
+    mass = ms.eta_mass()
+    assert mass > 0.0
+    entries = {e.name: e for e in check_jump_inclusion(ms, problem, raised)}
+    assert entries["jump_inclusion"].residual == 0.0
+    assert entries["jump_inclusion_outside"].residual == mass
+    with pytest.raises(InputError, match=message):
+        check_adjoint(ms, problem, raised)
+    report = check_certificate(problem, raised, ms)
+    errors = {e.name for e in report.entries if e.detail.startswith("error:")}
+    assert errors == {"adjoint"}
+    assert report.entry("adjoint").detail == f"error: {message}"
+
+
+@pytest.mark.parametrize("s_atoms, cell, message", [
+    ({0: SupportDirection(vector=np.array([-1.0, 0.0]))}, None,
+     "direction vector at node 0 has wrong dimension"),
+    ({0: SupportDirection(weights=np.array([0.5, 0.5]))}, None,
+     "2 weights for 1 generators at node 0"),
+    ({}, 5, "direction s is missing on the eta support at cell 5"),
+])
+def test_records_that_do_not_fit_fail_both_checks(ex1, s_atoms, cell, message):
+    problem, trajectory, ms = ex1
+    density = np.zeros(trajectory.grid.ncells)
+    if cell is not None:
+        density[cell] = 1.0
+    eta = SignedMeasure.scalar(trajectory.grid, atoms={0: 1.0}, density=density)
+    bad = replace(ms, eta=eta, s_atoms={0: ms.s_atoms[0], **s_atoms}, s_cells={})
+    for check in (check_jump_inclusion, check_adjoint):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            check(bad, problem, trajectory)
+    report = check_certificate(problem, trajectory, bad)
+    errors = {e.name for e in report.entries if e.detail.startswith("error:")}
+    assert errors == {"jump_inclusion", "adjoint"}
 
 
 class TestAdjoint:

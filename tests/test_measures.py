@@ -10,9 +10,9 @@ from lmpkit.measures import (
     convention_sensitive_nodes,
     cumulative,
     stieltjes_integral,
-    total_variation,
 )
 from lmpkit.problem import TimeGrid
+from oracles import cumulative_by_loop
 
 
 @pytest.fixture()
@@ -92,14 +92,14 @@ class TestCumulative:
 class TestTotalVariation:
     def test_two_atoms(self, grid):
         dmu = SignedMeasure.scalar(grid, atoms={0: 1.0, grid.ncells: -1.0})
-        assert total_variation(dmu) == 2.0
+        assert dmu.total_variation() == 2.0
 
     def test_arc_fixture_density_mass(self, ex2):
         _, _, ms = ex2
-        assert total_variation(ms.eta) == pytest.approx(0.5, abs=1e-12)
+        assert ms.eta.total_variation() == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_measure(self, grid):
-        assert total_variation(SignedMeasure.scalar(grid)) == 0.0
+        assert SignedMeasure.scalar(grid).total_variation() == 0.0
 
 
 class TestNonnegativeFlag:
@@ -173,7 +173,36 @@ def test_cumulative_linearity_and_norm_triangle(mu, nu, c):
     assert np.allclose(
         p_combo.values, c * p_mu.values + p_nu.values, atol=1e-12, rtol=0.0
     )
-    assert total_variation(mu + nu) <= total_variation(mu) + total_variation(nu) + 1e-12
+    assert (mu + nu).total_variation() <= mu.total_variation() + nu.total_variation() + 1e-12
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def vector_measures(draw):
+    """A measure of dimension 1 to 3 on a random grid, and a base value."""
+    dim = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.floats(0.01, 2.0), min_size=2, max_size=12))
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(widths)]))
+    row = st.lists(finite, min_size=dim, max_size=dim)
+    nodes = draw(st.sets(st.integers(0, grid.ncells)))
+    atoms = {k: np.array(draw(row)) for k in sorted(nodes)}
+    density = np.array([draw(row) for _ in range(grid.ncells)])
+    base = np.array(draw(row))
+    return SignedMeasure(grid=grid, dim=dim, atoms=atoms, density=density), base
+
+
+@given(vector_measures())
+@settings(max_examples=150, deadline=None)
+def test_cumulative_matches_the_node_loop_bitwise(measure):
+    dmu, base = measure
+    p = cumulative(dmu, base=base)
+    expected = cumulative_by_loop(dmu, base=base)
+    # the same additions in the same order: equal to the last bit
+    assert p.values.tobytes() == expected.values.tobytes()
+    assert p.right_limits().tobytes() == expected.right_limits().tobytes()
+    assert p.atoms.keys() == expected.atoms.keys()
 
 
 class TestBVFunction:
@@ -182,12 +211,6 @@ class TestBVFunction:
         p = BVFunction(grid=grid, values=values, atoms={grid.ncells: np.array([0.5])})
         assert p.exterior_left[0] == 0.0
         assert p.exterior_right[0] == 1.5
-
-    def test_within_cell_interpolation(self, grid):
-        values = np.zeros((grid.ncells + 1, 1))
-        p = BVFunction(grid=grid, values=values, atoms={0: np.array([1.0])})
-        # cell 0 runs from the post-jump value 1 down to the next left limit 0
-        assert p.within_cell(0, 0.5)[0] == 0.5
 
     def test_total_variation_counts_atoms_and_ramps(self, grid):
         values = np.zeros((grid.ncells + 1, 1))
