@@ -5,6 +5,7 @@ one nonregular mixed state-control constraint."""
 from .errors import EvalError, InputError, LmpkitError, NumericalError, ParseError
 from .lmp import (
     CheckConfig,
+    Directions,
     MultiplierSet,
     Report,
     SupportDirection,
@@ -19,6 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BVFunction",
     "CheckConfig",
+    "Directions",
     "EvalError",
     "InputError",
     "LmpkitError",

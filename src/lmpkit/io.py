@@ -5,18 +5,36 @@ Every document carries ``format_version``; unknown major versions are
 refused.  Loaders validate shapes and report failures with the offending
 field path.  Writers emit a fixed key order, so identical inputs produce
 byte-identical files.
+
+Every number must be finite: ``NaN``, ``Infinity`` and numbers too large
+for a double are refused with the path of the first bad entry (e.g.
+``cert.json.lambda[3]: not a finite number``).  Where an integer is
+expected (indices, sizes, ``format_version``), ``true`` and ``false`` are
+refused too.
+
+The long lists are read by columns: the state and costate rows, the
+control cells and the direction records of s are each turned into arrays
+by a few ``np.array`` calls over whole columns, with one finiteness test
+per column.  Input the column read does not take as it stands (a record
+that is not an object, a missing or extra key, an index that is not an
+int, a non-number, ragged rows, an index outside the grid or taken
+twice, a non-finite number) is read again record by record.  That reader
+returns the same arrays where the input is valid, and otherwise raises
+the error of the first bad record in file order, so which reader ran
+never shows in the result.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
 from . import cones as cones_mod
 from .errors import InputError
-from .lmp import MultiplierSet, SupportDirection
+from .lmp import Directions, MultiplierSet, SupportDirection
 from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, TimeGrid, Trajectory
 
@@ -53,7 +71,7 @@ def _check_version(doc: Any, path: str) -> None:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
     version = doc.get("format_version")
-    if not isinstance(version, int):
+    if type(version) is not int:
         raise InputError(f"{path}.format_version: missing or not an integer")
     if version != FORMAT_VERSION:
         raise InputError(
@@ -66,11 +84,37 @@ def _field(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise InputError(f"{path}.{key}: missing required field")
     value = doc[key]
+    if kind is int and isinstance(value, bool):
+        raise InputError(f"{path}.{key}: expected int")
     if kind is float and isinstance(value, int):
-        value = float(value)
+        value = _float(value)
     if not isinstance(value, kind):
         raise InputError(f"{path}.{key}: expected {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise InputError(f"{path}.{key}: not a finite number")
     return value
+
+
+def _float(value: int | float) -> float:
+    """A JSON number as a float; inf where it is too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _columns(value, ndim: int) -> np.ndarray | None:
+    """``value`` as an ``ndim``-dimensional float array, read by one
+    ``np.array`` call, if it is a regular nest of finite JSON numbers
+    (booleans count as 0 and 1, as in :func:`_vector`); else None."""
+    try:
+        arr = np.array(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.ndim != ndim or arr.dtype.kind not in "biuf":
+        return None
+    arr = arr.astype(float, copy=False)
+    return arr if np.isfinite(arr).all() else None
 
 
 def _matrix(rows: list, path: str) -> np.ndarray:
@@ -79,12 +123,9 @@ def _matrix(rows: list, path: str) -> np.ndarray:
     Input that is not such a list is read again row by row, so that the
     error names the offending row.
     """
-    try:
-        arr = np.array(rows)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is not None and arr.ndim == 2 and arr.shape[1] >= 1 and arr.dtype.kind in "biuf":
-        return arr.astype(float)
+    arr = _columns(rows, 2)
+    if arr is not None and arr.shape[1] >= 1:
+        return arr
     dim = len(rows[0]) if isinstance(rows[0], list) else -1
     if dim < 1:
         raise InputError(f"{path}[0]: expected a list of numbers")
@@ -92,14 +133,23 @@ def _matrix(rows: list, path: str) -> np.ndarray:
 
 
 def _vector(value, size: int | None, path: str) -> np.ndarray:
+    """A list of ``size`` numbers (any number if None), read in one call;
+    input that is not such a list is read entry by entry, so that the error
+    names the first bad entry."""
+    arr = _columns(value, 1) if isinstance(value, list) else None
+    if arr is not None and (size is None or arr.size == size):
+        return arr
     if not isinstance(value, list) or not all(
         isinstance(v, (int, float)) for v in value
     ):
         raise InputError(f"{path}: expected a list of numbers")
-    arr = np.asarray(value, dtype=float)
-    if size is not None and arr.size != size:
-        raise InputError(f"{path}: expected {size} numbers, got {arr.size}")
-    return arr
+    if size is not None and len(value) != size:
+        raise InputError(f"{path}: expected {size} numbers, got {len(value)}")
+    numbers = [_float(v) for v in value]
+    for i, v in enumerate(numbers):
+        if not math.isfinite(v):
+            raise InputError(f"{path}[{i}]: not a finite number")
+    return np.array(numbers)
 
 
 # -- problem -------------------------------------------------------------------
@@ -154,20 +204,8 @@ def load_trajectory(path: str) -> Trajectory:
     cells = _field(doc, "u_cells", list, path)
     if len(cells) != N:
         raise InputError(f"{path}.u_cells: expected {N} cells")
-    u_left, u_right = [], []
-    m = None
-    for i, cell in enumerate(cells):
-        where = f"{path}.u_cells[{i}]"
-        if not isinstance(cell, dict):
-            raise InputError(f"{where}: expected an object")
-        if "value" in cell:
-            left = right = _vector(cell["value"], m, f"{where}.value")
-        else:
-            left = _vector(cell.get("left"), m, f"{where}.left")
-            right = _vector(cell.get("right"), left.size, f"{where}.right")
-        m = left.size
-        u_left.append(left)
-        u_right.append(right)
+    u_left, u_right = _u_cells(cells, f"{path}.u_cells")
+    m = u_left.shape[1]
     jumps = []
     for i, rec in enumerate(doc.get("jumps", [])):
         where = f"{path}.jumps[{i}]"
@@ -185,13 +223,51 @@ def load_trajectory(path: str) -> Trajectory:
                 f"{where}: jump values disagree with the adjacent cell descriptors"
             )
         jumps.append(node)
-    return Trajectory(
-        grid=grid,
-        x=x,
-        u_left=np.vstack(u_left),
-        u_right=np.vstack(u_right),
-        jumps=tuple(jumps),
-    )
+    return Trajectory(grid=grid, x=x, u_left=u_left, u_right=u_right, jumps=tuple(jumps))
+
+
+def _u_cells(cells: list, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right control values of the cell records."""
+    columns = _u_columns(cells)
+    return columns if columns is not None else _u_cells_by_record(cells, path)
+
+
+def _u_columns(cells: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cell records read as a left and a right column, each taking
+    ``value`` where a record has it; None if they are not that regular."""
+    if set(map(type, cells)) != {dict}:
+        return None
+    constant = ["value" in cell for cell in cells]
+    # a constant cell holds just "value", any other just "left" and "right"
+    if list(map(len, cells)) != [1 if c else 2 for c in constant]:
+        return None
+    try:
+        left = [cell["value" if c else "left"] for cell, c in zip(cells, constant)]
+        right = [cell["value" if c else "right"] for cell, c in zip(cells, constant)]
+    except KeyError:
+        return None
+    u_left, u_right = _columns(left, 2), _columns(right, 2)
+    if u_left is None or u_right is None or u_left.shape != u_right.shape:
+        return None
+    return u_left, u_right
+
+
+def _u_cells_by_record(cells: list, path: str) -> tuple[np.ndarray, np.ndarray]:
+    u_left, u_right = [], []
+    m = None
+    for i, cell in enumerate(cells):
+        where = f"{path}[{i}]"
+        if not isinstance(cell, dict):
+            raise InputError(f"{where}: expected an object")
+        if "value" in cell:
+            left = right = _vector(cell["value"], m, f"{where}.value")
+        else:
+            left = _vector(cell.get("left"), m, f"{where}.left")
+            right = _vector(cell.get("right"), left.size, f"{where}.right")
+        m = left.size
+        u_left.append(left)
+        u_right.append(right)
+    return np.vstack(u_left), np.vstack(u_right)
 
 
 def save_trajectory(trajectory: Trajectory, path: str) -> None:
@@ -226,6 +302,52 @@ def save_trajectory(trajectory: Trajectory, path: str) -> None:
 # -- certificate ---------------------------------------------------------------
 
 
+def _directions(records: list, key: str, size: int, path: str) -> Directions:
+    """The direction records of s, each with an index ``key`` below
+    ``size``."""
+    columns = _direction_columns(records, key, size)
+    return columns if columns is not None else _directions_by_record(records, key, size, path)
+
+
+def _direction_columns(records: list, key: str, size: int) -> Directions | None:
+    """The records read as an index column and a numbers column; None if
+    they are not that regular or an index is out of range or taken twice."""
+    if not records:
+        return Directions.of({})
+    try:
+        index = [rec[key] for rec in records]
+        weighted = ["weights" in rec for rec in records]
+        numbers = [rec["weights" if w else "vector"] for rec, w in zip(records, weighted)]
+    except (TypeError, KeyError):
+        return None
+    # an index and one of vector or weights, no other key; ints, not bools
+    if set(map(len, records)) != {2} or set(map(type, index)) != {int}:
+        return None
+    index = np.array(index)
+    values = _columns(numbers, 2)
+    if index.dtype.kind != "i" or values is None:
+        return None
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    if index[0] < 0 or index[-1] >= size or (index[1:] == index[:-1]).any():
+        return None
+    return Directions(
+        index=index,
+        weighted=np.array(weighted)[order],
+        size=np.full(index.size, values.shape[1]),
+        values=values[order],
+    )
+
+
+def _directions_by_record(records: list, key: str, size: int, path: str) -> Directions:
+    out: dict[int, SupportDirection] = {}
+    for i, rec in enumerate(records):
+        where = f"{path}[{i}]"
+        k = _index(rec, key, size, out, where)
+        out[k] = _load_direction(rec, where)
+    return Directions.of(out)
+
+
 def _load_direction(rec: dict, where: str) -> SupportDirection:
     if ("vector" in rec) == ("weights" in rec):
         raise InputError(f"{where}: give exactly one of vector or weights")
@@ -237,6 +359,8 @@ def _load_direction(rec: dict, where: str) -> SupportDirection:
 def _index(rec: dict, key: str, size: int, taken: dict, where: str) -> int:
     """The integer field ``key`` of one record of a list: a node or cell
     index below ``size`` that no earlier record of the list has taken."""
+    if not isinstance(rec, dict):
+        raise InputError(f"{where}: expected an object")
     k = _field(rec, key, int, where)
     if not 0 <= k < size:
         raise InputError(f"{where}.{key}: outside the grid")
@@ -260,16 +384,8 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     density = _vector(eta_doc.get("density", [0.0] * N), N, f"{path}.eta.density")
     eta = SignedMeasure.scalar(grid, atoms=atoms, density=density)
     s_doc = doc.get("s", {})
-    s_atoms = {}
-    for i, rec in enumerate(s_doc.get("atoms", [])):
-        where = f"{path}.s.atoms[{i}]"
-        node = _index(rec, "node", N + 1, s_atoms, where)
-        s_atoms[node] = _load_direction(rec, where)
-    s_cells = {}
-    for i, rec in enumerate(s_doc.get("cells", [])):
-        where = f"{path}.s.cells[{i}]"
-        cell = _index(rec, "cell", N, s_cells, where)
-        s_cells[cell] = _load_direction(rec, where)
+    s_atoms = _directions(s_doc.get("atoms", []), "node", N + 1, f"{path}.s.atoms")
+    s_cells = _directions(s_doc.get("cells", []), "cell", N, f"{path}.s.cells")
     p_doc = _field(doc, "p", dict, path)
     values_rows = _field(p_doc, "values", list, f"{path}.p")
     if len(values_rows) != N + 1:
@@ -294,12 +410,19 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     )
 
 
-def save_certificate(ms: MultiplierSet, path: str) -> None:
-    def direction_doc(sd: SupportDirection) -> dict:
-        if sd.vector is not None:
-            return {"vector": sd.vector.tolist()}
-        return {"weights": sd.weights.tolist()}
+def _direction_docs(directions: Directions, key: str) -> list[dict]:
+    return [
+        {key: k, "weights" if w else "vector": row[:size]}
+        for k, w, size, row in zip(
+            directions.index.tolist(),
+            directions.weighted.tolist(),
+            directions.size.tolist(),
+            directions.values.tolist(),
+        )
+    ]
 
+
+def save_certificate(ms: MultiplierSet, path: str) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "alpha0": float(ms.alpha0),
@@ -312,14 +435,8 @@ def save_certificate(ms: MultiplierSet, path: str) -> None:
             "density": ms.eta.density[:, 0].tolist(),
         },
         "s": {
-            "atoms": [
-                {"node": int(k), **direction_doc(sd)}
-                for k, sd in sorted(ms.s_atoms.items())
-            ],
-            "cells": [
-                {"cell": int(k), **direction_doc(sd)}
-                for k, sd in sorted(ms.s_cells.items())
-            ],
+            "atoms": _direction_docs(ms.s_atoms, "node"),
+            "cells": _direction_docs(ms.s_cells, "cell"),
         },
         "p": {
             "exterior_left": ms.p.exterior_left.tolist(),

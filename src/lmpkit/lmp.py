@@ -23,8 +23,9 @@ a single aggregator that never aborts on a failing sub-check.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .samples import Samples
 
 __all__ = [
     "SupportDirection",
+    "Directions",
     "MultiplierSet",
     "CheckConfig",
     "Entry",
@@ -74,6 +76,78 @@ class SupportDirection:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class Directions(Mapping):
+    """The directions of s on the atoms or on the density cells of d-eta,
+    held as arrays, one row per record.
+
+    ``index`` holds the node or cell numbers, strictly increasing;
+    ``weighted`` whether a record gives weights (else a vector); ``size``
+    how many numbers it gives; ``values`` the numbers, one row per record,
+    zero-padded to a common width.  Records whose size does not fit their
+    element are held as given; the checker rejects them.
+
+    It is also a read-only ``Mapping[int, SupportDirection]`` whose records
+    are built on demand.  The field ``values`` shadows the Mapping method of
+    that name; use ``items()`` for the records.
+    """
+
+    index: np.ndarray
+    weighted: np.ndarray
+    size: np.ndarray
+    values: np.ndarray = field()  # not a bare annotation: Mapping.values would be its default
+
+    def __post_init__(self):
+        index = np.asarray(self.index, dtype=np.intp).reshape(-1)
+        size = np.asarray(self.size, dtype=np.intp).reshape(-1)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "weighted", np.asarray(self.weighted, dtype=bool).reshape(-1))
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2 or not index.size == self.weighted.size == size.size == len(values):
+            raise InputError("directions need one index, flag, size and row per record")
+        if (index[1:] <= index[:-1]).any():
+            raise InputError("direction indices must be strictly increasing")
+        if index.size and (size.min() < 0 or size.max() > values.shape[1]):
+            raise InputError("direction sizes must fit the value rows")
+
+    @classmethod
+    def of(cls, records: Mapping[int, SupportDirection]) -> "Directions":
+        """The arrays of a mapping from node or cell number to its record."""
+        if isinstance(records, Directions):
+            return records
+        keys = sorted(records)
+        weighted = [records[k].weights is not None for k in keys]
+        numbers = [
+            records[k].weights if w else records[k].vector for k, w in zip(keys, weighted)
+        ]
+        size = np.array([v.size for v in numbers], dtype=np.intp)
+        values = np.zeros((len(keys), int(size.max(initial=0))))
+        for row, v in zip(values, numbers):
+            row[: v.size] = v
+        return cls(index=keys, weighted=weighted, size=size, values=values)
+
+    def __getitem__(self, key) -> SupportDirection:
+        try:
+            k = operator.index(key)
+        except TypeError:
+            raise KeyError(key) from None
+        i = int(np.searchsorted(self.index, k))
+        if i == self.index.size or self.index[i] != k:
+            raise KeyError(key)
+        numbers = self.values[i, : self.size[i]].copy()
+        if self.weighted[i]:
+            return SupportDirection(weights=numbers)
+        return SupportDirection(vector=numbers)
+
+    def __iter__(self):
+        return iter(self.index.tolist())
+
+    def __len__(self) -> int:
+        return self.index.size
+
+
 @dataclass(frozen=True)
 class MultiplierSet:
     """Candidate multipliers (alpha0, lambda, d-eta, s, p).
@@ -81,14 +155,16 @@ class MultiplierSet:
     ``lam`` is the per-cell density of the integrable multiplier; ``eta``
     is a scalar measure flagged nonnegative whose support should lie in the
     contact set; ``s_atoms``/``s_cells`` assign directions on its atoms and
-    density cells; ``p`` is the row-vector costate of bounded variation.
+    density cells (given as any mapping from node or cell number to
+    :class:`SupportDirection`, held as :class:`Directions`); ``p`` is the
+    row-vector costate of bounded variation.
     """
 
     alpha0: float
     lam: np.ndarray
     eta: SignedMeasure
-    s_atoms: Mapping[int, SupportDirection] = field(default_factory=dict)
-    s_cells: Mapping[int, SupportDirection] = field(default_factory=dict)
+    s_atoms: Directions = field(default_factory=dict)
+    s_cells: Directions = field(default_factory=dict)
     p: BVFunction | None = None
 
     def __post_init__(self):
@@ -99,8 +175,8 @@ class MultiplierSet:
             raise InputError("lambda must have one value per grid cell")
         if self.p is None:
             raise InputError("a costate function p is required")
-        object.__setattr__(self, "s_atoms", dict(self.s_atoms))
-        object.__setattr__(self, "s_cells", dict(self.s_cells))
+        object.__setattr__(self, "s_atoms", Directions.of(self.s_atoms))
+        object.__setattr__(self, "s_cells", Directions.of(self.s_cells))
 
     @property
     def grid(self):
@@ -320,6 +396,23 @@ class _Support:
     weights: np.ndarray
 
 
+def _records(directions: Directions, keys: np.ndarray, width: int):
+    """Per key: whether ``directions`` holds its record, whether that gives
+    weights, its size, and its numbers zero-padded or cut to ``width``."""
+    pos = np.searchsorted(directions.index, keys)
+    found = pos < directions.index.size
+    found[found] = directions.index[pos[found]] == keys[found]
+    pos = pos[found]
+    weighted = np.zeros(keys.size, dtype=bool)
+    weighted[found] = directions.weighted[pos]
+    size = np.zeros(keys.size, dtype=np.intp)
+    size[found] = directions.size[pos]
+    values = np.zeros((keys.size, width))
+    w = min(width, directions.values.shape[1])
+    values[found, :w] = directions.values[pos, :w]
+    return found, weighted, size, values
+
+
 def _support_directions(
     ms: MultiplierSet,
     n: int,
@@ -332,9 +425,9 @@ def _support_directions(
     An atom's generators are G_x at the relaxed phase points of its closure
     in measure, a cell's the G_x row at its midpoint if that is one (G_x is
     never NaN, so the NaN rows of ``gens`` mark missing generators).  The
-    records are read in element order, and the first one that is missing or
-    does not fit its generators raises.  Elements without generators are
-    skipped unless ``resolve_bare`` is set; then weights there raise too.
+    first element, in element order, whose record is missing or does not
+    fit its generators raises.  Elements without generators are skipped
+    unless ``resolve_bare`` is set; then weights there raise too.
     """
     delta, eps = config.delta, config.eps
     nodes = [k for k in sorted(ms.eta.atoms) if ms.eta.scalar_atom(k) != 0.0]
@@ -346,34 +439,43 @@ def _support_directions(
         gens[i, : len(g)] = np.reshape(g, (-1, n))
     gens[natoms:, 0] = samples.mid.phase_gradients(delta, eps)[cells]
     count = np.count_nonzero(~np.isnan(gens[:, :, 0]), axis=1)
-    index = np.concatenate([nodes, cells]).astype(int)
-    records = [ms.s_atoms.get(k) for k in nodes] + [ms.s_cells.get(k) for k in cells.tolist()]
-    rows = np.full((len(gens), n), np.nan)
-    weights = np.zeros(gens.shape[:2])
-    weighted = np.zeros(len(gens), dtype=bool)
-
-    def where(i: int) -> str:
-        return f"{'node' if i < natoms else 'cell'} {index[i]}"
-
-    for i, (sd, c) in enumerate(zip(records, count.tolist())):
-        if c == 0 and not resolve_bare:
-            continue
-        if sd is None:
-            raise InputError(f"direction s is missing on the eta support at {where(i)}")
-        if sd.vector is not None:
-            if sd.vector.size != n:
-                raise InputError(f"direction vector at {where(i)} has wrong dimension")
-            rows[i] = sd.vector
-            continue
-        if c == 0:
+    index = np.concatenate([nodes, cells]).astype(np.intp)
+    width = max(n, gens.shape[1])
+    found, weighted, size, values = (
+        np.concatenate(parts)
+        for parts in zip(
+            _records(ms.s_atoms, index[:natoms], width),
+            _records(ms.s_cells, index[natoms:], width),
+        )
+    )
+    considered = (count > 0) | resolve_bare
+    missing = considered & ~found
+    vector = considered & found & ~weighted
+    weighted &= considered & found
+    bare = weighted & (count == 0)
+    failing = missing | (vector & (size != n)) | bare | (weighted & (size != count))
+    if failing.any():
+        i = int(np.argmax(failing))
+        where = f"{'node' if i < natoms else 'cell'} {index[i]}"
+        if missing[i]:
+            raise InputError(f"direction s is missing on the eta support at {where}")
+        if vector[i]:
+            raise InputError(f"direction vector at {where} has wrong dimension")
+        if bare[i]:
             raise InputError(
-                f"weights given at {where(i)} but no jump directions are available there"
+                f"weights given at {where} but no jump directions are available there"
             )
-        if sd.weights.size != c:
-            raise InputError(f"{sd.weights.size} weights for {c} generators at {where(i)}")
-        rows[i] = sd.weights @ gens[i, :c]
-        weights[i, :c] = sd.weights
-        weighted[i] = True
+        raise InputError(f"{size[i]} weights for {count[i]} generators at {where}")
+    rows = np.full((len(gens), n), np.nan)
+    rows[vector] = values[vector, :n]
+    # only the leading count generators of a row are read, never the NaN
+    # padding; rows of several generators are atoms at two-sided jumps, few
+    one = weighted & (count == 1)
+    rows[one] = values[one, :1] * gens[one, 0]
+    for i in np.flatnonzero(weighted & (count > 1)):
+        rows[i] = values[i, : count[i]] @ gens[i, : count[i]]
+    leading = np.arange(gens.shape[1]) < count[:, None]
+    weights = np.where(weighted[:, None] & leading, values[:, : gens.shape[1]], 0.0)
     return _Support(
         natoms=natoms,
         index=index,

@@ -33,6 +33,7 @@ from . import geometry
 from .errors import InputError, NumericalError
 from .lmp import (
     CheckConfig,
+    Directions,
     MultiplierSet,
     Report,
     SupportDirection,
@@ -292,29 +293,43 @@ def solve(program: RecoveryProgram) -> RecoveryResult:
     )
 
 
+def _weights(theta: np.ndarray, idx: dict[int, list[int]]) -> tuple[np.ndarray, Directions]:
+    """The elements of ``idx`` (node or cell -> its coefficient columns)
+    that carry positive eta mass: their masses, and s on them as the
+    weights coeff / mass."""
+    size = np.array([len(cols) for cols in idx.values()], dtype=np.intp)
+    coeff = np.zeros((size.size, int(size.max(initial=0))))
+    coeff[np.arange(coeff.shape[1]) < size[:, None]] = theta[
+        [col for cols in idx.values() for col in cols]
+    ]
+    mass = np.sum(coeff, axis=1)
+    keep = mass > 0.0
+    size = size[keep]
+    s = Directions(
+        index=np.fromiter(idx, dtype=np.intp, count=len(idx))[keep],
+        weighted=np.ones(size.size, dtype=bool),
+        size=size,
+        values=coeff[keep, : size.max(initial=0)] / mass[keep, None],
+    )
+    return mass[keep], s
+
+
 def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
     grid = program.trajectory.grid
     N = grid.ncells
     lam = np.zeros(N)
     for k, i in program.idx_lam.items():
         lam[k] = theta[i]
-    atoms = {}
-    s_atoms = {}
-    for k, gens in zip(program.atom_nodes, program.atom_gens):
-        coeff = theta[program.idx_atom[k]]
-        mass = float(np.sum(coeff))
-        if mass > 0.0:
-            atoms[k] = mass
-            s_atoms[k] = SupportDirection(weights=coeff / mass)
+    atom_mass, s_atoms = _weights(theta, program.idx_atom)
+    cell_mass, s_cells = _weights(theta, program.idx_cell)
     density = np.zeros(N)
-    s_cells = {}
-    for k, gens in zip(program.eta_cells, program.cell_gens):
-        coeff = theta[program.idx_cell[k]]
-        mass = float(np.sum(coeff))
-        if mass > 0.0:
-            density[k] = mass / grid.widths[k]
-            s_cells[k] = SupportDirection(weights=coeff / mass)
-    eta = SignedMeasure.scalar(grid, atoms=atoms, density=density, nonnegative=True)
+    density[s_cells.index] = cell_mass / grid.widths[s_cells.index]
+    eta = SignedMeasure.scalar(
+        grid,
+        atoms=dict(zip(s_atoms.index.tolist(), atom_mass.tolist())),
+        density=density,
+        nonnegative=True,
+    )
     values = program.costate_left_limits(theta)
     p_atoms = {}
     for k, Wk in program.W.items():

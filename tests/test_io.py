@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmpkit import io
 from lmpkit.errors import InputError
@@ -103,3 +105,284 @@ def test_record_outside_the_grid_names_its_path(ex2_files, field, key, record):
     pattern = rf"\.{outer}\.{inner}\[\d+\]\.{key}: outside the grid$"
     with pytest.raises(InputError, match=pattern):
         io.load_certificate(path, trajectory.grid)
+
+
+# -- numbers and indices ---------------------------------------------------------
+
+
+def _set(path):
+    """An edit that sets the entry at a key path of a document to a value."""
+    def setter(value):
+        def edit(doc):
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        return edit
+    return setter
+
+
+@pytest.mark.parametrize("file, path, message", [
+    ("certificate.json", ("alpha0",), r"\.alpha0: not a finite number$"),
+    ("certificate.json", ("lambda", 3), r"\.lambda\[3\]: not a finite number$"),
+    ("trajectory.json", ("x", 7, 1), r"\.x\[7\]\[1\]: not a finite number$"),
+    ("certificate.json", ("s", "cells", 4, "vector", 1),
+     r"\.s\.cells\[4\]\.vector\[1\]: not a finite number$"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+def test_non_finite_number_names_its_entry(ex2_files, file, path, message, value):
+    tmp_path, trajectory, _ = ex2_files
+    target = rewrite(tmp_path / file, _set(path)(value))
+    with pytest.raises(InputError, match=message):
+        if file == "trajectory.json":
+            io.load_trajectory(target)
+        else:
+            io.load_certificate(target, trajectory.grid)
+
+
+def test_non_finite_cone_generator_names_its_entry(tmp_path):
+    doc = {"format_version": 1, "dim": 2,
+           "cones": [{"generators": [[1.0, 0.0], [0.0, float("nan")]]}]}
+    path = tmp_path / "cones.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=r"\.cones\[0\]\.generators\[1\]\[1\]: not a finite"):
+        io.load_cone_family(str(path))
+
+
+def test_check_refuses_a_nan_multiplier(ex2_files, capsys):
+    from lmpkit.cli import main
+
+    tmp_path, _, _ = ex2_files
+    io.save_problem(builtin_example("ex2", ncells=20)[0], str(tmp_path / "problem.json"))
+    cert = rewrite(tmp_path / "certificate.json", _set(("alpha0",))(float("nan")))
+    code = main(["check", str(tmp_path / "problem.json"), str(tmp_path / "trajectory.json"), cert])
+    assert code == 2
+    assert "alpha0: not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, key, record", [
+    ("eta.atoms", "node", {"node": True, "weight": 1.0}),
+    ("s.atoms", "node", {"node": True, "vector": [0.0, -1.0]}),
+    ("s.cells", "cell", {"cell": True, "vector": [0.0, -1.0]}),
+    ("p.atoms", "node", {"node": False, "jump": [0.0, 1.0]}),
+])
+def test_boolean_index_is_refused(ex2_files, field, key, record):
+    tmp_path, trajectory, _ = ex2_files
+    outer, inner = field.split(".")
+
+    def edit(doc):
+        doc[outer].setdefault(inner, []).append(record)
+
+    path = rewrite(tmp_path / "certificate.json", edit)
+    with pytest.raises(InputError, match=rf"\.{outer}\.{inner}\[\d+\]\.{key}: expected int$"):
+        io.load_certificate(path, trajectory.grid)
+
+
+def test_boolean_jump_node_is_refused(ex2_files):
+    tmp_path, _, _ = ex2_files
+
+    def edit(doc):
+        doc["jumps"] = [{"node": True, "left": [0.0], "right": [0.0]}]
+
+    path = rewrite(tmp_path / "trajectory.json", edit)
+    with pytest.raises(InputError, match=r"\.jumps\[0\]\.node: expected int$"):
+        io.load_trajectory(path)
+
+
+@pytest.mark.parametrize("kind, key, message", [
+    ("problem", "n", "n: expected int"),
+    ("problem", "m", "m: expected int"),
+    ("cones", "dim", "dim: expected int"),
+    ("problem", "format_version", "format_version: missing or not an integer"),
+])
+def test_boolean_size_or_version_is_refused(tmp_path, kind, key, message):
+    if kind == "problem":
+        io.save_problem(builtin_example("ex1", ncells=4)[0], str(tmp_path / "doc.json"))
+        load = io.load_problem
+    else:
+        (tmp_path / "doc.json").write_text(json.dumps(
+            {"format_version": 1, "dim": 1, "cones": [{"generators": [[1.0]]}]}
+        ))
+        load = io.load_cone_family
+    path = rewrite(tmp_path / "doc.json", _set((key,))(True))
+    with pytest.raises(InputError, match=rf"\.{message}$"):
+        load(path)
+
+
+# -- the column read and the record-by-record read -------------------------------
+
+
+def test_saved_files_are_read_by_columns(tmp_path, monkeypatch):
+    """The files lmpkit writes, indented or compact, never need the
+    record-by-record reader; recovered certificates give s as weights."""
+    from lmpkit.recovery import recover
+
+    problem, trajectory, ms = builtin_example("ex2", ncells=20)
+    recovered = recover(problem, trajectory).result.multipliers
+    assert len(recovered.s_atoms) > 0 and len(recovered.s_cells) > 0
+    assert recovered.s_atoms.weighted.all() and recovered.s_cells.weighted.all()
+    io.save_trajectory(trajectory, str(tmp_path / "trajectory.json"))
+    for name, certificate in (("closed", ms), ("recovered", recovered)):
+        io.save_certificate(certificate, str(tmp_path / f"{name}.json"))
+
+    def refuse(*args):
+        raise AssertionError("read record by record")
+
+    monkeypatch.setattr(io, "_u_cells_by_record", refuse)
+    monkeypatch.setattr(io, "_directions_by_record", refuse)
+    for compact in (False, True):
+        if compact:  # as json.dump writes without indent
+            for name in ("trajectory", "closed", "recovered"):
+                rewrite(tmp_path / f"{name}.json", lambda doc: None)
+        loaded = io.load_trajectory(str(tmp_path / "trajectory.json"))
+        assert np.array_equal(loaded.u_left, trajectory.u_left)
+        assert np.array_equal(loaded.u_right, trajectory.u_right)
+        for name, certificate in (("closed", ms), ("recovered", recovered)):
+            cert = io.load_certificate(str(tmp_path / f"{name}.json"), loaded.grid)
+            for got, want in ((cert.s_atoms, certificate.s_atoms),
+                              (cert.s_cells, certificate.s_cells)):
+                assert np.array_equal(got.index, want.index)
+                assert np.array_equal(got.weighted, want.weighted)
+                assert np.array_equal(got.size, want.size)
+                assert np.array_equal(got.values, want.values)
+
+
+def test_one_wrong_dimension_vector_among_many_cells_fails_at_check(tmp_path):
+    from lmpkit.lmp import check_certificate
+
+    problem, trajectory, ms = builtin_example("ex2", ncells=2000)
+    assert len(ms.s_cells) == 1000
+    io.save_certificate(ms, str(tmp_path / "certificate.json"))
+    cell = ms.s_cells.index[437]
+
+    def edit(doc):
+        doc["s"]["cells"][437]["vector"].append(0.0)
+
+    path = rewrite(tmp_path / "certificate.json", edit)
+    cert = io.load_certificate(path, trajectory.grid)
+    assert cert.s_cells.size.tolist().count(3) == 1
+    report = check_certificate(problem, trajectory, cert)
+    failing = {e.name: e.detail for e in report.entries if not e.passed}
+    message = f"error: direction vector at cell {cell} has wrong dimension"
+    assert failing == {"jump_inclusion": message, "adjoint": message}
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+)
+NOT_A_NUMBER = st.sampled_from(["1.0", None, [1.0], {}])
+NOT_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400])
+NOT_AN_OBJECT = st.sampled_from([[], [1.0], 3, "value", None])
+
+
+def _spoil_row(draw, row):
+    """A row with one entry replaced by a non-number or a non-finite number."""
+    if not row:
+        return draw(st.sampled_from(["x", None, 1.0, [["x"]]]))
+    row = list(row)
+    row[draw(st.integers(0, len(row) - 1))] = draw(st.one_of(NOT_A_NUMBER, NOT_FINITE))
+    return row
+
+
+@st.composite
+def u_cell_lists(draw):
+    ncells, m = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    row = st.lists(NUMBERS, min_size=m, max_size=m)
+    cells = [
+        {"value": draw(row)} if draw(st.booleans())
+        else {"left": draw(row), "right": draw(row)}
+        for _ in range(ncells)
+    ]
+    fault = draw(st.sampled_from(
+        [None, None, "object", "missing", "extra", "entry", "ragged"]
+    ))
+    i = draw(st.integers(0, ncells - 1))
+    cell = cells[i]
+    keys = sorted(cell)
+    if fault == "object":
+        cells[i] = draw(NOT_AN_OBJECT)
+    elif fault == "missing":
+        del cell[draw(st.sampled_from(keys))]
+    elif fault == "extra":
+        cell[draw(st.sampled_from(["note", "left", "value"]))] = draw(row)
+    elif fault == "entry":
+        key = draw(st.sampled_from(keys))
+        cell[key] = _spoil_row(draw, cell[key])
+    elif fault == "ragged":
+        key = draw(st.sampled_from(keys))
+        cell[key] = cell[key] + [draw(NUMBERS)]
+    return cells
+
+
+@st.composite
+def direction_lists(draw):
+    key, size = draw(st.sampled_from([("node", 8), ("cell", 7)]))
+    index = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    ragged = draw(st.booleans())
+    width = draw(st.integers(0, 3))
+    records = []
+    for k in index:
+        length = draw(st.integers(0, 3)) if ragged else width
+        kind = draw(st.sampled_from(["vector", "weights"]))
+        records.append({key: k, kind: draw(st.lists(NUMBERS, min_size=length, max_size=length))})
+    fault = draw(st.sampled_from([
+        None, None, "object", "missing", "extra", "index", "outside", "duplicate", "entry",
+    ]))
+    if not records:
+        return records, key, size
+    i = draw(st.integers(0, len(records) - 1))
+    rec = records[i]
+    kind = "vector" if "vector" in rec else "weights"
+    if fault == "object":
+        records[i] = draw(NOT_AN_OBJECT)
+    elif fault == "missing":
+        del rec[draw(st.sampled_from([key, kind]))]
+    elif fault == "extra":
+        rec[draw(st.sampled_from(["note", "vector", "weights"]))] = [1.0]
+    elif fault == "index":
+        rec[key] = draw(st.sampled_from([True, False, 1.0, "1", None, 2**70]))
+    elif fault == "outside":
+        rec[key] = draw(st.sampled_from([-1, size, size + 5]))
+    elif fault == "duplicate":
+        rec[key] = records[draw(st.integers(0, len(records) - 1))][key]
+    elif fault == "entry":
+        rec[kind] = _spoil_row(draw, rec[kind])
+    return records, key, size
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except InputError as err:
+        return f"InputError: {err}"
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(u_cell_lists())
+@settings(max_examples=400, deadline=None)
+def test_u_cells_read_as_record_by_record(cells):
+    got = _outcome(io._u_cells, cells, "t.u_cells")
+    want = _outcome(io._u_cells_by_record, cells, "t.u_cells")
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+@given(direction_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_directions_read_as_record_by_record(drawn, random):
+    records, key, size = drawn
+    random.shuffle(records)
+    got = _outcome(io._directions, records, key, size, "c.s.cells")
+    want = _outcome(io._directions_by_record, records, key, size, "c.s.cells")
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for field in ("index", "weighted", "size", "values"):
+            assert _same_bits(getattr(got, field), getattr(want, field))

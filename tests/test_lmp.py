@@ -7,6 +7,7 @@ from lmpkit import geometry, lmp
 from lmpkit.errors import InputError
 from lmpkit.lmp import (
     CheckConfig,
+    Directions,
     MultiplierSet,
     SupportDirection,
     check_adjoint,
@@ -238,6 +239,47 @@ def test_records_that_do_not_fit_fail_both_checks(ex1, s_atoms, cell, message):
     errors = {e.name for e in report.entries if e.detail.startswith("error:")}
     assert errors == {"jump_inclusion", "adjoint"}
 
+
+
+@pytest.mark.parametrize("s_atoms, s_cells, message", [
+    # atoms come before cells, cells in cell order
+    ({}, {3: SupportDirection(vector=np.array([1.0, 2.0]))},
+     "direction vector at cell 3 has wrong dimension"),
+    ({0: SupportDirection(weights=np.array([0.5, 0.5]))},
+     {3: SupportDirection(vector=np.array([1.0, 2.0]))},
+     "2 weights for 1 generators at node 0"),
+])
+def test_the_first_failing_element_raises(ex1, s_atoms, s_cells, message):
+    problem, trajectory, ms = ex1
+    density = np.zeros(trajectory.grid.ncells)
+    density[[3, 5]] = 1.0  # cell 5 has no record
+    eta = SignedMeasure.scalar(trajectory.grid, atoms={0: 1.0}, density=density)
+    bad = replace(ms, eta=eta, s_atoms={0: ms.s_atoms[0], **s_atoms}, s_cells=s_cells)
+    for check in (check_jump_inclusion, check_adjoint):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            check(bad, problem, trajectory)
+
+
+def test_directions_read_as_a_mapping_of_records():
+    records = {
+        7: SupportDirection(weights=np.array([0.25, 0.75])),
+        2: SupportDirection(vector=np.array([-1.0])),
+    }
+    directions = Directions.of(records)
+    assert directions.index.tolist() == [2, 7]
+    assert directions.weighted.tolist() == [False, True]
+    assert directions.size.tolist() == [1, 2]
+    assert directions.values.tolist() == [[-1.0, 0.0], [0.25, 0.75]]
+    assert Directions.of(directions) is directions
+    assert list(directions) == [2, 7] and all(type(k) is int for k in directions)
+    assert len(directions) == 2 and 7 in directions and 3 not in directions
+    assert directions.get("7") is None and directions.get(3) is None
+    assert np.array_equal(directions[7].weights, [0.25, 0.75]) and directions[7].vector is None
+    assert np.array_equal(directions[np.int64(2)].vector, [-1.0])
+    directions[2].vector[0] = 5.0  # records are copies
+    assert directions.values[0, 0] == -1.0
+    with pytest.raises(InputError, match="strictly increasing"):
+        Directions(index=[7, 2], weighted=[False, False], size=[1, 1], values=[[1.0], [1.0]])
 
 class TestAdjoint:
     def test_atom_fixture_exact(self, ex1):
