@@ -10,7 +10,9 @@ Every number must be finite: ``NaN``, ``Infinity`` and numbers too large
 for a double are refused with the path of the first bad entry (e.g.
 ``cert.json.lambda[3]: not a finite number``).  Where an integer is
 expected (indices, sizes, ``format_version``), ``true`` and ``false`` are
-refused too.
+refused too.  An optional field (``jumps``, ``s``, and the lists
+``eta.atoms``, ``s.atoms``, ``s.cells`` and ``p.atoms``) may be left out,
+but where given it must be the container the format names.
 
 The long lists are read by columns: the state and costate rows, the
 control cells and the direction records of s are each turned into arrays
@@ -92,6 +94,15 @@ def _field(doc: dict, key: str, kind, path: str):
         raise InputError(f"{path}.{key}: expected {kind.__name__}")
     if kind is float and not math.isfinite(value):
         raise InputError(f"{path}.{key}: not a finite number")
+    return value
+
+
+def _optional(doc: dict, key: str, kind, path: str):
+    """The value of an optional field, an empty ``kind`` where it is absent."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        article = "an object" if kind is dict else "a list"
+        raise InputError(f"{path}.{key}: expected {article}")
     return value
 
 
@@ -207,7 +218,7 @@ def load_trajectory(path: str) -> Trajectory:
     u_left, u_right = _u_cells(cells, f"{path}.u_cells")
     m = u_left.shape[1]
     jumps = []
-    for i, rec in enumerate(doc.get("jumps", [])):
+    for i, rec in enumerate(_optional(doc, "jumps", list, path)):
         where = f"{path}.jumps[{i}]"
         if not isinstance(rec, dict):
             raise InputError(f"{where}: expected an object")
@@ -377,15 +388,19 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     lam = _vector(_field(doc, "lambda", list, path), N, f"{path}.lambda")
     eta_doc = _field(doc, "eta", dict, path)
     atoms = {}
-    for i, rec in enumerate(eta_doc.get("atoms", [])):
+    for i, rec in enumerate(_optional(eta_doc, "atoms", list, f"{path}.eta")):
         where = f"{path}.eta.atoms[{i}]"
         node = _index(rec, "node", N + 1, atoms, where)
         atoms[node] = _field(rec, "weight", float, where)
     density = _vector(eta_doc.get("density", [0.0] * N), N, f"{path}.eta.density")
     eta = SignedMeasure.scalar(grid, atoms=atoms, density=density)
-    s_doc = doc.get("s", {})
-    s_atoms = _directions(s_doc.get("atoms", []), "node", N + 1, f"{path}.s.atoms")
-    s_cells = _directions(s_doc.get("cells", []), "cell", N, f"{path}.s.cells")
+    s_doc = _optional(doc, "s", dict, path)
+    s_atoms = _directions(
+        _optional(s_doc, "atoms", list, f"{path}.s"), "node", N + 1, f"{path}.s.atoms"
+    )
+    s_cells = _directions(
+        _optional(s_doc, "cells", list, f"{path}.s"), "cell", N, f"{path}.s.cells"
+    )
     p_doc = _field(doc, "p", dict, path)
     values_rows = _field(p_doc, "values", list, f"{path}.p")
     if len(values_rows) != N + 1:
@@ -400,7 +415,7 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
             f"{path}.p.exterior_left: must equal values[0] (left-continuity)"
         )
     p_atoms = {}
-    for i, rec in enumerate(p_doc.get("atoms", [])):
+    for i, rec in enumerate(_optional(p_doc, "atoms", list, f"{path}.p")):
         where = f"{path}.p.atoms[{i}]"
         node = _index(rec, "node", N + 1, p_atoms, where)
         p_atoms[node] = _vector(rec.get("jump"), dim, f"{where}.jump")

@@ -21,6 +21,11 @@ solve ends with a named status: ``optimal``, ``degenerate`` (the corral lost
 affine independence in floating point) or ``iteration_cap``.  Recovered
 certificates are always routed through the independent checker; recovery is
 never accepted by construction alone.
+
+On contact cells the lambda column and the cell-mass column of the program
+agree to about 1e-12, so the minimum-norm point does not fix how mass splits
+between lambda and the eta density there: rounding decides it, while
+lambda + density and every checker verdict stay the same.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .lmp import (
     Directions,
     MultiplierSet,
     Report,
-    SupportDirection,
     check_certificate,
 )
 from .measures import BVFunction, SignedMeasure
@@ -63,27 +67,48 @@ class RecoveryConfig:
 
 @dataclass
 class RecoveryProgram:
-    """The assembled convex program; everything downstream is read-only."""
+    """The assembled convex program; everything downstream is read-only.
+
+    The unknowns theta are, in column order: the cost weight alpha0 (column
+    0); lambda on the cells ``lam_cells`` (columns ``lam_cols``); one
+    coefficient per jump generator at the contact nodes, column
+    ``atom_cols[i]`` for node ``atom_nodes[i]`` and generator
+    ``atom_gens[i]``; and one mass coefficient per contact cell, column
+    ``cell_cols[i]`` for cell ``eta_cells[i]`` and generator
+    ``cell_gens[i]``.  Cells and nodes increase within each block.
+
+    ``A_L`` is a transposed view of a node-major (N+1, n, nvars) array.
+    """
 
     problem: ProblemDef
     trajectory: Trajectory
     config: RecoveryConfig
     nvars: int
-    idx_lam: dict[int, int]
-    atom_nodes: list[int]
-    atom_gens: list[np.ndarray]
-    idx_atom: dict[int, list[int]]
-    eta_cells: list[int]
-    cell_gens: list[np.ndarray]
-    idx_cell: dict[int, list[int]]
+    lam_cells: np.ndarray  # (L,) cells that carry a lambda unknown
+    atom_nodes: np.ndarray  # (A,) node of each atom coefficient, nondecreasing
+    atom_gens: np.ndarray  # (A, n) its jump generator
+    eta_cells: np.ndarray  # (C,) cell of each cell-mass coefficient, increasing
+    cell_gens: np.ndarray  # (C, n) its generator
     normal: np.ndarray  # normalisation coefficients a > 0, a.theta = 1
     M: np.ndarray  # objective residual map, f = |M theta|^2
     A_L: np.ndarray  # (N+1, nvars, n): costate left limits, p_k = theta . A_L[k]
-    W: dict[int, np.ndarray]  # node -> (nvars, n) map of the measure atom of s*d-eta
     dims: dict = field(default_factory=dict)
 
+    @property
+    def lam_cols(self) -> np.ndarray:
+        return np.arange(1, 1 + self.lam_cells.size)
+
+    @property
+    def atom_cols(self) -> np.ndarray:
+        start = 1 + self.lam_cells.size
+        return np.arange(start, start + self.atom_nodes.size)
+
+    @property
+    def cell_cols(self) -> np.ndarray:
+        return np.arange(self.nvars - self.eta_cells.size, self.nvars)
+
     def costate_left_limits(self, theta: np.ndarray) -> np.ndarray:
-        return np.einsum("j,kjn->kn", theta, self.A_L)
+        return self.A_L.transpose(0, 2, 1) @ theta
 
     def objective(self, theta: np.ndarray) -> float:
         r = self.M @ theta
@@ -119,6 +144,10 @@ def build_program(
     """Assemble unknowns, the normalisation row, the affine costate
     recursion, and the quadratic objective.
 
+    The assembly runs over whole arrays: one batched inverse of the N
+    recursion matrices, one small product per cell in the backward sweep,
+    and one batched product per sample side for the stationarity rows.
+
     Density cells of the contact region must expose jump directions at their
     midpoints; an empty generator set there means the working tolerances do
     not resolve the contact geometry and is reported as an input error.
@@ -127,125 +156,101 @@ def build_program(
     left, mid, right = samples.left, samples.mid, samples.right
     grid = trajectory.grid
     N = grid.ncells
-    n = problem.n
+    n, m = problem.n, problem.m
+    h = grid.widths
 
     slack = _slack_threshold(samples, config)
-    active = np.flatnonzero(np.maximum(left.G, right.G) >= -slack).tolist()
+    lam_cells = np.flatnonzero(np.maximum(left.G, right.G) >= -slack)
 
     contact = geometry.contact_set(problem, trajectory, config.delta, config.eps, samples)
-    atom_nodes = np.flatnonzero(contact.flags).tolist()
-    atom_gens = [
-        np.asarray(
-            geometry.jump_directions_at_node(
-                problem, trajectory, k, config.delta, config.eps, samples
-            ).generators
-        )
-        for k in atom_nodes
+    nodes = np.flatnonzero(contact.flags)
+    node_gens = [
+        geometry.jump_directions_at_node(
+            problem, trajectory, k, config.delta, config.eps, samples
+        ).generators
+        for k in nodes.tolist()
     ]
-    eta_cells = np.flatnonzero(contact.cell_flags).tolist()
+    atom_nodes = np.repeat(nodes, [len(gens) for gens in node_gens])
+    atom_gens = np.array([g for gens in node_gens for g in gens]).reshape(-1, n)
+    eta_cells = np.flatnonzero(contact.cell_flags)
     bare = np.flatnonzero(contact.cell_flags & ~mid.phase(config.delta, config.eps))
     if bare.size:
         raise InputError(
             f"no jump directions at the midpoint of contact cell {bare[0]}: "
             "tolerance mismatch between the contact set and the phase test"
         )
-    mid_gens = mid.phase_gradients(config.delta, config.eps)
-    cell_gens = [mid_gens[k : k + 1] for k in eta_cells]
+    cell_gens = mid.phase_gradients(config.delta, config.eps)[eta_cells]
 
     # unknown layout: alpha0, lambda on active cells, atom coefficients,
     # cell-mass coefficients
-    idx_lam = {}
-    pos = 1
-    for k in active:
-        idx_lam[k] = pos
-        pos += 1
-    idx_atom = {}
-    for k, gens in zip(atom_nodes, atom_gens):
-        idx_atom[k] = list(range(pos, pos + gens.shape[0]))
-        pos += gens.shape[0]
-    idx_cell = {}
-    for k, gens in zip(eta_cells, cell_gens):
-        idx_cell[k] = list(range(pos, pos + gens.shape[0]))
-        pos += gens.shape[0]
-    nvars = pos
+    nvars = 1 + lam_cells.size + atom_nodes.size + eta_cells.size
+    normal = np.ones(nvars)
+    normal[1 : 1 + lam_cells.size] = h[lam_cells]
 
-    normal = np.zeros(nvars)
-    normal[0] = 1.0
-    for k, i in idx_lam.items():
-        normal[i] = grid.widths[k]
-    for cols in idx_atom.values():
-        normal[cols] = 1.0
-    for cols in idx_cell.values():
-        normal[cols] = 1.0
+    # terminal-anchored trapezoid recursion for the costate left limits:
+    # p_k (I - h/2 F_left) = p_{k+1} (I + h/2 F_right) + the local terms of
+    # cell k, so p_k = p_{k+1} T_k + (local terms) inv_k
+    eye = np.eye(n)
+    half = 0.5 * h[:, None, None]
+    M_left = eye - half * left.f_x
+    try:
+        inv = np.linalg.inv(M_left)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(
+            f"costate recursion matrix is singular on cell {_last_singular(M_left)}"
+        ) from err
+    T = (eye + half * right.f_x) @ inv
 
-    # measure atom maps W[k]: theta -> s*d-eta atom at node k (row vector)
-    W: dict[int, np.ndarray] = {}
-    for k, gens in zip(atom_nodes, atom_gens):
-        mat = np.zeros((nvars, n))
-        for col, g in zip(idx_atom[k], gens):
-            mat[col] = g
-        W[k] = mat
-
-    # terminal-anchored affine recursion for the costate left limits
+    # every column enters the recursion at exactly one cell (the cost weight
+    # and the last node's atoms at node N) as one row vector: scatter them
+    # into a node-major store S[k] = A_L[k].T, then sweep backwards
     x0, x1 = trajectory.endpoints
     jx0, jx1 = problem.endpoint_gradients(x0, x1)
-    A_L = np.zeros((N + 1, nvars, n))
-    A_L[N][0] = jx1
-    if N in W:
-        A_L[N] += W[N]
-    eye = np.eye(n)
+    origin = np.concatenate(([N], lam_cells, atom_nodes, eta_cells))
+    local = np.concatenate((
+        jx1[None],
+        (0.5 * h[lam_cells])[:, None] * (left.G_x[lam_cells] + right.G_x[lam_cells]),
+        atom_gens,
+        cell_gens,
+    ))
+    S = np.zeros((N + 1, n, nvars))
+    S[origin, :, np.arange(nvars)] = np.matmul(
+        local[:, None], np.concatenate((inv, eye[None]))[origin]
+    )[:, 0]
+    Tt = T.transpose(0, 2, 1)
     for k in range(N - 1, -1, -1):
-        h = grid.widths[k]
-        F_left = left.f_x[k]
-        F_right = right.f_x[k]
-        Gx_left = left.G_x[k]
-        Gx_right = right.G_x[k]
-        rhs = A_L[k + 1] @ (eye + 0.5 * h * F_right)
-        if k in W:
-            rhs = rhs + W[k]
-        if k in idx_lam:
-            rhs[idx_lam[k]] += 0.5 * h * (Gx_left + Gx_right)
-        if k in idx_cell:
-            for col, g in zip(idx_cell[k], cell_gens[eta_cells.index(k)]):
-                rhs[col] += g
-        M_left = eye - 0.5 * h * F_left
-        try:
-            A_L[k] = np.linalg.solve(M_left.T, rhs.T).T
-        except np.linalg.LinAlgError as err:
-            raise NumericalError(
-                f"costate recursion matrix is singular on cell {k}"
-            ) from err
+        S[k] += Tt[k] @ S[k + 1]
 
-    # objective rows: stationarity at three samples per cell, then the
-    # initial transversality defect
-    m = problem.m
-    rows = np.zeros((3 * N * m + n, nvars))
-    row = 0
-    for k in range(N):
-        h = grid.widths[k]
-        weight = np.sqrt(h / 3.0)
-        A_pl = A_L[k] - W[k] if k in W else A_L[k]
-        A_pr = A_L[k + 1]
-        sides = (
-            (left, A_pl),
-            (mid, 0.5 * (A_pl + A_pr)),
-            (right, A_pr),
-        )
-        for points, A_p in sides:
-            block = (A_p @ points.f_u[k]).T  # (m, nvars)
-            if k in idx_lam:
-                block[:, idx_lam[k]] += points.G_u[k]
-            rows[row : row + m] = weight * block
-            row += m
-    trans = A_L[0].T.copy()  # (n, nvars)
-    trans[:, 0] += jx0
-    rows[row : row + n] = trans
+    # objective rows: stationarity at the left, mid and right samples of
+    # each cell, then the initial transversality defect
+    rows = np.empty((3 * N * m + n, nvars))
+    R = rows[: 3 * N * m].reshape(N, 3, m, nvars)
+    weight = np.sqrt(h / 3.0)
+    w = weight[:, None, None]
+    F_left = w * left.f_u.transpose(0, 2, 1)  # (N, m, n)
+    F_mid = 0.5 * w * mid.f_u.transpose(0, 2, 1)
+    F_right = w * right.f_u.transpose(0, 2, 1)
+    # the mid sample reads p_k and p_{k+1} as one (2n, nvars) window of S
+    pairs = np.lib.stride_tricks.as_strided(S, (N, 2 * n, nvars), S.strides, writeable=False)
+    np.matmul(F_left, S[:N], out=R[:, 0])
+    np.matmul(np.concatenate((F_mid, F_mid), axis=2), pairs, out=R[:, 1])
+    np.matmul(F_right, S[1:], out=R[:, 2])
+    # the right limit at node k < N drops the atom there: p_k+ = p_k - s d-eta{k}
+    inner = np.flatnonzero(atom_nodes < N)
+    k, cols, gens = atom_nodes[inner], 1 + lam_cells.size + inner, atom_gens[inner, :, None]
+    R[k, 0, :, cols] -= np.matmul(F_left[k], gens)[..., 0]
+    R[k, 1, :, cols] -= np.matmul(F_mid[k], gens)[..., 0]
+    lam_cols = np.arange(1, 1 + lam_cells.size)
+    for side, points in enumerate((left, mid, right)):
+        R[lam_cells, side, :, lam_cols] += weight[lam_cells, None] * points.G_u[lam_cells]
+    rows[3 * N * m :] = S[0]
+    rows[3 * N * m :, 0] += jx0
 
     dims = {
         "unknowns": nvars,
-        "lambda_cells": len(active),
-        "eta_atoms": len(atom_nodes),
-        "eta_cells": len(eta_cells),
+        "lambda_cells": lam_cells.size,
+        "eta_atoms": nodes.size,
+        "eta_cells": eta_cells.size,
         "objective_rows": rows.shape[0],
         "constraints": 1 + nvars,
         "slack_threshold": slack,
@@ -255,19 +260,26 @@ def build_program(
         trajectory=trajectory,
         config=config,
         nvars=nvars,
-        idx_lam=idx_lam,
+        lam_cells=lam_cells,
         atom_nodes=atom_nodes,
         atom_gens=atom_gens,
-        idx_atom=idx_atom,
         eta_cells=eta_cells,
         cell_gens=cell_gens,
-        idx_cell=idx_cell,
         normal=normal,
         M=rows,
-        A_L=A_L,
-        W=W,
+        A_L=S.transpose(0, 2, 1),
         dims=dims,
     )
+
+
+def _last_singular(M_left: np.ndarray) -> int:
+    """The highest cell whose recursion matrix LAPACK finds singular."""
+    for k in range(len(M_left) - 1, -1, -1):
+        try:
+            np.linalg.inv(M_left[k])
+        except np.linalg.LinAlgError:
+            break
+    return k
 
 
 # -- the solver ----------------------------------------------------------------
@@ -293,20 +305,30 @@ def solve(program: RecoveryProgram) -> RecoveryResult:
     )
 
 
-def _weights(theta: np.ndarray, idx: dict[int, list[int]]) -> tuple[np.ndarray, Directions]:
-    """The elements of ``idx`` (node or cell -> its coefficient columns)
-    that carry positive eta mass: their masses, and s on them as the
-    weights coeff / mass."""
-    size = np.array([len(cols) for cols in idx.values()], dtype=np.intp)
-    coeff = np.zeros((size.size, int(size.max(initial=0))))
-    coeff[np.arange(coeff.shape[1]) < size[:, None]] = theta[
-        [col for cols in idx.values() for col in cols]
-    ]
+def _groups(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal entries of a nondecreasing array starts, and
+    its length."""
+    first = np.ones(elements.size, dtype=bool)
+    first[1:] = elements[1:] != elements[:-1]
+    starts = np.flatnonzero(first)
+    return starts, np.diff(np.append(starts, elements.size))
+
+
+def _weights(
+    theta: np.ndarray, elements: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, Directions]:
+    """The elements (node or cell of each coefficient column ``cols``) that
+    carry positive eta mass: their masses, and s on them as the weights
+    coeff / mass."""
+    starts, size = _groups(elements)
+    group = np.repeat(np.arange(starts.size), size)
+    coeff = np.zeros((starts.size, int(size.max(initial=0))))
+    coeff[group, np.arange(elements.size) - starts[group]] = theta[cols]
     mass = np.sum(coeff, axis=1)
     keep = mass > 0.0
     size = size[keep]
     s = Directions(
-        index=np.fromiter(idx, dtype=np.intp, count=len(idx))[keep],
+        index=elements[starts][keep],
         weighted=np.ones(size.size, dtype=bool),
         size=size,
         values=coeff[keep, : size.max(initial=0)] / mass[keep, None],
@@ -318,10 +340,9 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
     grid = program.trajectory.grid
     N = grid.ncells
     lam = np.zeros(N)
-    for k, i in program.idx_lam.items():
-        lam[k] = theta[i]
-    atom_mass, s_atoms = _weights(theta, program.idx_atom)
-    cell_mass, s_cells = _weights(theta, program.idx_cell)
+    lam[program.lam_cells] = theta[program.lam_cols]
+    atom_mass, s_atoms = _weights(theta, program.atom_nodes, program.atom_cols)
+    cell_mass, s_cells = _weights(theta, program.eta_cells, program.cell_cols)
     density = np.zeros(N)
     density[s_cells.index] = cell_mass / grid.widths[s_cells.index]
     eta = SignedMeasure.scalar(
@@ -331,11 +352,14 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
         nonnegative=True,
     )
     values = program.costate_left_limits(theta)
-    p_atoms = {}
-    for k, Wk in program.W.items():
-        jump = -(theta @ Wk)
-        if np.any(jump != 0.0):
-            p_atoms[k] = jump
+    # the costate jumps by -(s d-eta) at each contact node
+    starts, _ = _groups(program.atom_nodes)
+    nodes = program.atom_nodes[starts]
+    jumps = np.zeros((0, program.problem.n))
+    if nodes.size:
+        jumps = -np.add.reduceat(theta[program.atom_cols, None] * program.atom_gens, starts)
+    nonzero = np.any(jumps != 0.0, axis=1)
+    p_atoms = dict(zip(nodes[nonzero].tolist(), jumps[nonzero]))
     p = BVFunction(grid=grid, values=values, atoms=p_atoms)
     return MultiplierSet(
         alpha0=float(theta[0]),
@@ -348,50 +372,77 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
 
 
 def encode_certificate(program: RecoveryProgram, ms: MultiplierSet) -> np.ndarray:
-    """Map a certificate onto the program unknowns, to evaluate it there."""
+    """Map a certificate onto the program unknowns, to evaluate it there.
+
+    Lambda is checked first, then the atoms in the certificate's order, then
+    the density cells; the first element that cannot be encoded raises."""
+    grid = program.trajectory.grid
     theta = np.zeros(program.nvars)
     theta[0] = ms.alpha0
-    for k in range(program.trajectory.grid.ncells):
-        if ms.lam[k] != 0.0:
-            if k not in program.idx_lam:
-                raise InputError(
-                    f"certificate carries lambda mass on inactive cell {k}"
-                )
-            theta[program.idx_lam[k]] = ms.lam[k]
-    grid = program.trajectory.grid
-    for k in ms.eta.atoms:
-        mass = ms.eta.scalar_atom(k)
-        if mass == 0.0:
-            continue
-        if k not in program.idx_atom:
-            raise InputError(f"certificate carries an atom outside the contact set: node {k}")
-        gens = program.atom_gens[program.atom_nodes.index(k)]
-        theta[program.idx_atom[k]] = mass * _as_weights(ms.s_atoms.get(k), gens)
-    for k in range(grid.ncells):
-        e = float(ms.eta.density[k, 0])
-        if e == 0.0:
-            continue
-        if k not in program.idx_cell:
-            raise InputError(f"certificate carries density outside the contact set: cell {k}")
-        gens = program.cell_gens[program.eta_cells.index(k)]
-        mass = e * grid.widths[k]
-        theta[program.idx_cell[k]] = mass * _as_weights(ms.s_cells.get(k), gens)
+    lam_col = np.zeros(grid.ncells, dtype=np.intp)
+    lam_col[program.lam_cells] = program.lam_cols
+    carried = np.flatnonzero(ms.lam != 0.0)
+    inactive = carried[lam_col[carried] == 0]
+    if inactive.size:
+        raise InputError(f"certificate carries lambda mass on inactive cell {inactive[0]}")
+    theta[lam_col[carried]] = ms.lam[carried]
+
+    nodes = np.fromiter(ms.eta.atoms, dtype=np.intp, count=len(ms.eta.atoms))
+    mass = np.array([w[0] for w in ms.eta.atoms.values()], dtype=float)
+    _encode_mass(
+        theta, nodes[mass != 0.0], mass[mass != 0.0], ms.s_atoms,
+        program.atom_nodes, program.atom_cols, program.atom_gens,
+        "an atom outside the contact set: node",
+    )
+    cells = np.flatnonzero(ms.eta.density[:, 0] != 0.0)
+    _encode_mass(
+        theta, cells, ms.eta.density[cells, 0] * grid.widths[cells], ms.s_cells,
+        program.eta_cells, program.cell_cols, program.cell_gens,
+        "density outside the contact set: cell",
+    )
     return theta
 
 
-def _as_weights(sd: SupportDirection | None, gens: np.ndarray) -> np.ndarray:
-    if sd is None:
-        raise InputError("certificate is missing a direction on the eta support")
-    if sd.weights is not None:
-        if sd.weights.size != gens.shape[0]:
-            raise InputError("weight count does not match the generators")
-        return np.asarray(sd.weights, dtype=float)
-    dist, weights = geometry.dist_to_convex_hull(sd.vector, gens)
-    if dist > 1e-8:
-        raise InputError(
-            "certificate direction is not in the convex hull of the generators"
-        )
-    return weights
+def _encode_mass(theta, elements, mass, s, of, cols, gens, outside: str) -> None:
+    """Write the eta ``mass`` on ``elements`` (nodes or cells, in the order
+    given), split along the directions ``s``, into the coefficient columns
+    ``cols``, whose elements are ``of`` (nondecreasing) and generators
+    ``gens``."""
+    first = np.searchsorted(of, elements)
+    count = np.searchsorted(of, elements, side="right") - first
+    at = np.searchsorted(s.index, elements)
+    given = at < s.index.size
+    given[given] = s.index[at[given]] == elements[given]
+    at = at[given]
+    weighted = np.zeros(elements.size, dtype=bool)
+    weighted[given] = s.weighted[at]
+    size = np.zeros(elements.size, dtype=np.intp)
+    size[given] = s.size[at]
+    row = np.zeros(elements.size, dtype=np.intp)
+    row[given] = at
+    bad = (count == 0) | ~given | (weighted & (size != count))
+    stop = int(np.argmax(bad)) if bad.any() else elements.size
+
+    # the columns of the elements, element by element
+    offset = np.cumsum(count) - count
+    element = np.repeat(np.arange(elements.size), count)
+    place = np.arange(element.size) - offset[element]
+    weights = np.zeros(element.size)
+    for i in np.flatnonzero(given[:stop] & ~weighted[:stop]).tolist():
+        vector = s.values[row[i], : size[i]]
+        dist, w = geometry.dist_to_convex_hull(vector, gens[first[i] : first[i] + count[i]])
+        if dist > 1e-8:
+            raise InputError("certificate direction is not in the convex hull of the generators")
+        weights[offset[i] : offset[i] + count[i]] = w
+    if stop < elements.size:
+        if count[stop] == 0:
+            raise InputError(f"certificate carries {outside} {elements[stop]}")
+        if not given[stop]:
+            raise InputError("certificate is missing a direction on the eta support")
+        raise InputError("weight count does not match the generators")
+    by_weights = weighted[element]
+    weights[by_weights] = s.values[row[element[by_weights]], place[by_weights]]
+    theta[cols[first[element] + place]] = mass[element] * weights
 
 
 def cross_validate(

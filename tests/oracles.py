@@ -4,21 +4,25 @@ Everything here deliberately avoids the code paths under test: derivatives
 are checked by central differences of the evaluator, hull distances by
 exhaustive simplex-grid and face enumeration, cone intersections by rejection
 sampling, small linear programs by enumerating their bases, cumulative
-functions of measures by a loop over the nodes, and expected fixture values
-by closed forms written out by hand.
+functions of measures by a loop over the nodes, the recovery program by a
+loop over the cells, and expected fixture values by closed forms written out
+by hand.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
-from lmpkit import expr
-from lmpkit.errors import InputError, LmpkitError
+from lmpkit import expr, geometry
+from lmpkit.errors import InputError, LmpkitError, NumericalError
 from lmpkit.lmp import CheckConfig, MultiplierSet, SupportDirection
 from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory
+from lmpkit.recovery import RecoveryConfig, _slack_threshold
+from lmpkit.samples import Samples
 
 
 def central_difference(e, var: str, binding: dict, h: float = 1e-6) -> float:
@@ -296,6 +300,151 @@ def cumulative_by_loop(dmu: SignedMeasure, base=None) -> BVFunction:
         values[k + 1] = right + dmu.density[k] * dmu.grid.widths[k]
     atoms = {k: w.copy() for k, w in dmu.atoms.items() if np.any(w != 0.0)}
     return BVFunction(grid=dmu.grid, values=values, atoms=atoms)
+
+
+# -- the recovery program, cell by cell ------------------------------------------
+
+
+def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
+    """The recovery program assembled one cell at a time: per-node dense
+    atom maps ``W``, one linear solve per cell of the backward recursion and
+    one row block per sample.  It shares the sampled data and the contact
+    geometry with ``recovery.build_program`` and nothing of its assembly.
+
+    Returns ``nvars``, the column dicts ``idx_lam`` (cell -> column),
+    ``idx_atom`` (node -> columns) and ``idx_cell`` (cell -> columns), the
+    generators ``atom_gens``/``cell_gens`` keyed like them, ``normal``,
+    ``M``, ``A_L`` and ``W``."""
+    samples = Samples(problem, trajectory)
+    left, mid, right = samples.left, samples.mid, samples.right
+    grid = trajectory.grid
+    N = grid.ncells
+    n = problem.n
+
+    slack = _slack_threshold(samples, config)
+    active = np.flatnonzero(np.maximum(left.G, right.G) >= -slack).tolist()
+    contact = geometry.contact_set(problem, trajectory, config.delta, config.eps, samples)
+    atom_gens = {
+        k: np.asarray(
+            geometry.jump_directions_at_node(
+                problem, trajectory, k, config.delta, config.eps, samples
+            ).generators
+        )
+        for k in np.flatnonzero(contact.flags).tolist()
+    }
+    mid_gens = mid.phase_gradients(config.delta, config.eps)
+    cell_gens = {k: mid_gens[k : k + 1] for k in np.flatnonzero(contact.cell_flags).tolist()}
+
+    idx_lam = {k: 1 + i for i, k in enumerate(active)}
+    pos = 1 + len(active)
+    idx_atom, idx_cell = {}, {}
+    for idx, gens_of in ((idx_atom, atom_gens), (idx_cell, cell_gens)):
+        for k, gens in gens_of.items():
+            idx[k] = list(range(pos, pos + gens.shape[0]))
+            pos += gens.shape[0]
+    nvars = pos
+
+    normal = np.ones(nvars)
+    for k, i in idx_lam.items():
+        normal[i] = grid.widths[k]
+
+    W = {}
+    for k, gens in atom_gens.items():
+        W[k] = np.zeros((nvars, n))
+        W[k][idx_atom[k]] = gens
+
+    x0, x1 = trajectory.endpoints
+    jx0, jx1 = problem.endpoint_gradients(x0, x1)
+    A_L = np.zeros((N + 1, nvars, n))
+    A_L[N][0] = jx1
+    if N in W:
+        A_L[N] += W[N]
+    eye = np.eye(n)
+    for k in range(N - 1, -1, -1):
+        h = grid.widths[k]
+        rhs = A_L[k + 1] @ (eye + 0.5 * h * right.f_x[k])
+        if k in W:
+            rhs = rhs + W[k]
+        if k in idx_lam:
+            rhs[idx_lam[k]] += 0.5 * h * (left.G_x[k] + right.G_x[k])
+        for col, g in zip(idx_cell.get(k, ()), cell_gens.get(k, ())):
+            rhs[col] += g
+        try:
+            A_L[k] = np.linalg.solve((eye - 0.5 * h * left.f_x[k]).T, rhs.T).T
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(f"costate recursion matrix is singular on cell {k}") from err
+
+    m = problem.m
+    rows = np.zeros((3 * N * m + n, nvars))
+    row = 0
+    for k in range(N):
+        weight = np.sqrt(grid.widths[k] / 3.0)
+        A_pl = A_L[k] - W[k] if k in W else A_L[k]
+        A_pr = A_L[k + 1]
+        for points, A_p in ((left, A_pl), (mid, 0.5 * (A_pl + A_pr)), (right, A_pr)):
+            block = (A_p @ points.f_u[k]).T
+            if k in idx_lam:
+                block[:, idx_lam[k]] += points.G_u[k]
+            rows[row : row + m] = weight * block
+            row += m
+    rows[row:] = A_L[0].T
+    rows[row:, 0] += jx0
+    return SimpleNamespace(
+        nvars=nvars,
+        idx_lam=idx_lam,
+        idx_atom=idx_atom,
+        idx_cell=idx_cell,
+        atom_gens=atom_gens,
+        cell_gens=cell_gens,
+        normal=normal,
+        M=rows,
+        A_L=A_L,
+        W=W,
+    )
+
+
+def layout_by_cells(program) -> list[tuple[str, int | None]]:
+    """One (kind, node or cell) label per column of a program of
+    :func:`build_program_by_cells`."""
+    labels = [("alpha0", None)] * program.nvars
+    for kind, idx in (
+        ("lambda", {k: [i] for k, i in program.idx_lam.items()}),
+        ("atom", program.idx_atom),
+        ("cell", program.idx_cell),
+    ):
+        for k, cols in idx.items():
+            for col in cols:
+                labels[col] = (kind, k)
+    return labels
+
+
+def encode_certificate_by_cells(program, ms) -> np.ndarray:
+    """A certificate mapped onto the unknowns of :func:`build_program_by_cells`,
+    one cell and one atom at a time."""
+    grid = ms.grid
+    theta = np.zeros(program.nvars)
+    theta[0] = ms.alpha0
+    for k in range(grid.ncells):
+        if ms.lam[k] != 0.0:
+            theta[program.idx_lam[k]] = ms.lam[k]
+        e = float(ms.eta.density[k, 0])
+        if e != 0.0:
+            weights = _weights_by_hull(ms.s_cells[k], program.cell_gens[k])
+            theta[program.idx_cell[k]] = e * grid.widths[k] * weights
+    for k in ms.eta.atoms:
+        mass = ms.eta.scalar_atom(k)
+        if mass != 0.0:
+            weights = _weights_by_hull(ms.s_atoms[k], program.atom_gens[k])
+            theta[program.idx_atom[k]] = mass * weights
+    return theta
+
+
+def _weights_by_hull(sd: SupportDirection, gens: np.ndarray) -> np.ndarray:
+    if sd.weights is not None:
+        return sd.weights
+    dist, weights = geometry.dist_to_convex_hull(sd.vector, gens)
+    assert dist <= 1e-8
+    return weights
 
 
 # -- random trajectories ---------------------------------------------------------

@@ -1,7 +1,15 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import build_program_by_cells, encode_certificate_by_cells, layout_by_cells
 
+from lmpkit import io
 from lmpkit.cli import main
+from lmpkit.errors import InputError, NumericalError
+from lmpkit.lmp import MultiplierSet, SupportDirection
+from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import (
     build_program,
@@ -15,6 +23,169 @@ from lmpkit.recovery import (
 @pytest.fixture(scope="module")
 def ex1_small():
     return builtin_example("ex1", t0=0.0, t1=1.0, ncells=40)
+
+
+def _inactive_constraint_case():
+    problem = ProblemDef.from_strings(
+        n=1, m=1, t0=0.0, t1=1.0, f=["u1"], G="0*x1 + 0*u1 - 1", J="x1_1"
+    )
+    grid = TimeGrid.uniform(0.0, 1.0, 10)
+    trajectory = Trajectory(
+        grid=grid,
+        x=np.zeros((11, 1)),
+        u_left=np.zeros((10, 1)),
+        u_right=np.zeros((10, 1)),
+    )
+    return problem, trajectory
+
+
+def _perturbed_ex1():
+    problem, trajectory, _ = builtin_example("ex1", t0=0.0, t1=1.0, ncells=40)
+    shifted = Trajectory(
+        grid=trajectory.grid,
+        x=trajectory.x + 0.1,
+        u_left=trajectory.u_left,
+        u_right=trajectory.u_right,
+    )
+    return problem, shifted
+
+
+def _layout(program) -> list[tuple[str, int | None]]:
+    return (
+        [("alpha0", None)]
+        + [("lambda", k) for k in program.lam_cells.tolist()]
+        + [("atom", k) for k in program.atom_nodes.tolist()]
+        + [("cell", k) for k in program.eta_cells.tolist()]
+    )
+
+
+def _relative(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want), initial=0.0)) / max(
+        1.0, float(np.max(np.abs(want), initial=0.0))
+    )
+
+
+class TestBuildOverArrays:
+    """The build over whole arrays against the cell-by-cell assembly."""
+
+    @pytest.mark.parametrize("case", [
+        ("ex1", 20), ("ex1", 101), ("ex2", 20), ("ex2", 50), ("ex2", 150),
+        "inactive", "perturbed",
+    ], ids=str)
+    def test_matches_the_cell_by_cell_build(self, case):
+        if case == "inactive":
+            problem, trajectory = _inactive_constraint_case()
+        elif case == "perturbed":
+            problem, trajectory = _perturbed_ex1()
+        else:
+            problem, trajectory, _ = builtin_example(case[0], ncells=case[1])
+        program = build_program(problem, trajectory)
+        oracle = build_program_by_cells(problem, trajectory)
+        assert program.nvars == oracle.nvars
+        assert _layout(program) == layout_by_cells(oracle)
+        none = np.empty((0, problem.n))
+        assert np.array_equal(program.atom_gens, np.concatenate([none, *oracle.atom_gens.values()]))
+        assert np.array_equal(program.cell_gens, np.concatenate([none, *oracle.cell_gens.values()]))
+        assert np.array_equal(program.normal, oracle.normal)
+        assert program.M.shape == oracle.M.shape
+        assert program.A_L.shape == oracle.A_L.shape
+        assert _relative(program.M, oracle.M) <= 1e-12
+        assert _relative(program.A_L, oracle.A_L) <= 1e-12
+
+    @pytest.mark.parametrize("singular, named", [((2,), 2), ((0, 2), 2)])
+    def test_singular_recursion_names_the_highest_cell(self, tmp_path, capsys, singular, named):
+        # h = 0.5 and f_x = 2 x1 = 4 at the left end make I - h/2 f_x = 0
+        problem = ProblemDef.from_strings(
+            n=1, m=1, t0=0.0, t1=2.0, f=["x1*x1 + u1"], G="x1 + u1 - 10", J="x1_1"
+        )
+        x = np.ones((5, 1))
+        x[list(singular)] = 2.0
+        trajectory = Trajectory(
+            grid=TimeGrid.uniform(0.0, 2.0, 4),
+            x=x,
+            u_left=np.zeros((4, 1)),
+            u_right=np.zeros((4, 1)),
+        )
+        with pytest.raises(NumericalError, match=rf"singular on cell {named}$"):
+            build_program(problem, trajectory)
+        io.save_problem(problem, str(tmp_path / "problem.json"))
+        io.save_trajectory(trajectory, str(tmp_path / "trajectory.json"))
+        code = main(["recover", str(tmp_path / "problem.json"), str(tmp_path / "trajectory.json")])
+        assert code == 2
+        assert f"singular on cell {named}" in capsys.readouterr().err
+
+    def test_peak_memory_is_the_program_itself(self):
+        problem, trajectory, _ = builtin_example("ex2", ncells=400)
+        tracemalloc.start()
+        try:
+            program = build_program(problem, trajectory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the build needs little beyond M and A_L (1.02x here); per-node
+        # dense atom maps took 1.23x, and a temporary the size of A_L more
+        assert peak < 1.1 * (program.M.nbytes + program.A_L.nbytes)
+
+
+class TestEncodeCertificate:
+    @pytest.mark.parametrize("name, ncells", [("ex1", 100), ("ex2", 52), ("ex2", 100)])
+    def test_closed_forms_encode_to_zero_objective(self, name, ncells):
+        problem, trajectory, ms = builtin_example(name, ncells=ncells)
+        program = build_program(problem, trajectory)
+        assert program.objective(encode_certificate(program, ms.normalized())) <= 1e-20
+
+    def test_matches_the_cell_by_cell_layout(self):
+        problem, trajectory, ms = builtin_example("ex2", ncells=800)
+        ms = ms.normalized()
+        program = build_program(problem, trajectory)
+        oracle = build_program_by_cells(problem, trajectory)
+        theta = encode_certificate(program, ms)
+        assert np.array_equal(theta, encode_certificate_by_cells(oracle, ms))
+
+    @pytest.mark.parametrize("edit, message", [
+        ("inactive", "lambda mass on inactive cell 0"),
+        ("atom", "an atom outside the contact set: node 0"),
+        ("missing", "missing a direction on the eta support"),
+        ("count", "weight count does not match the generators"),
+        ("hull", "not in the convex hull of the generators"),
+        ("hull first", "not in the convex hull of the generators"),
+    ])
+    def test_refuses_what_the_program_cannot_carry(self, edit, message):
+        problem, trajectory, ms = builtin_example("ex2", ncells=20)
+        grid = trajectory.grid
+        cells = np.flatnonzero(ms.eta.density[:, 0]).tolist()
+        if edit == "inactive":
+            problem, trajectory = _inactive_constraint_case()
+            ms = MultiplierSet(
+                alpha0=1.0,
+                lam=np.ones(10),
+                eta=SignedMeasure.scalar(trajectory.grid),
+                p=BVFunction(grid=trajectory.grid, values=np.zeros((11, 1))),
+            )
+        elif edit == "atom":
+            eta = SignedMeasure.scalar(grid, atoms={0: 0.1}, density=ms.eta.density)
+            ms = replace(ms, eta=eta, s_atoms={0: SupportDirection(vector=[0.0, -1.0])})
+        elif edit == "missing":
+            ms = replace(ms, s_cells={})
+        elif edit == "count":
+            ms = replace(ms, s_cells={k: SupportDirection(weights=[0.5, 0.5]) for k in cells})
+        elif edit == "hull":
+            ms = replace(ms, s_cells={k: SupportDirection(vector=[5.0, 5.0]) for k in cells})
+        else:  # the first cell fails the hull test before the last misses its direction
+            s_cells = dict(ms.s_cells.items())
+            s_cells[cells[0]] = SupportDirection(vector=[5.0, 5.0])
+            del s_cells[cells[-1]]
+            ms = replace(ms, s_cells=s_cells)
+        program = build_program(problem, trajectory)
+        with pytest.raises(InputError, match=message):
+            encode_certificate(program, ms)
+
+    def test_recovered_certificate_encodes_to_its_theta(self):
+        problem, trajectory, _ = builtin_example("ex1", ncells=40)
+        program = build_program(problem, trajectory)
+        result = solve(program)
+        theta = encode_certificate(program, result.multipliers)
+        assert np.allclose(theta, result.theta, rtol=1e-12, atol=1e-15)
 
 
 class TestBuildProgram:
