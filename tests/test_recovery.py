@@ -197,16 +197,7 @@ class TestBuildProgram:
         assert program.dims["eta_cells"] == 100
 
     def test_inactive_constraint_strips_unknowns(self):
-        problem = ProblemDef.from_strings(
-            n=1, m=1, t0=0.0, t1=1.0, f=["u1"], G="0*x1 + 0*u1 - 1", J="x1_1"
-        )
-        grid = TimeGrid.uniform(0.0, 1.0, 10)
-        trajectory = Trajectory(
-            grid=grid,
-            x=np.zeros((11, 1)),
-            u_left=np.zeros((10, 1)),
-            u_right=np.zeros((10, 1)),
-        )
+        problem, trajectory = _inactive_constraint_case()
         program = build_program(problem, trajectory)
         assert program.dims["eta_atoms"] == 0
         assert program.dims["eta_cells"] == 0
@@ -249,14 +240,8 @@ class TestSolve:
         assert result.objective <= 1e-20
         assert result.status == "optimal"
 
-    def test_perturbed_trajectory_not_certified(self, ex1_small):
-        problem, trajectory, _ = ex1_small
-        shifted = Trajectory(
-            grid=trajectory.grid,
-            x=trajectory.x + 0.1,
-            u_left=trajectory.u_left,
-            u_right=trajectory.u_right,
-        )
+    def test_perturbed_trajectory_not_certified(self):
+        problem, shifted = _perturbed_ex1()
         program = build_program(problem, shifted)
         result = solve(program)
         assert result.objective > 1e-3
