@@ -232,6 +232,11 @@ def min_norm_point(P) -> MinNormPoint:
         if gap <= gap_tol or in_corral[j]:
             status = "optimal"
             break
+        if s == limit:
+            # d + 1 affinely independent points with positive weights: their
+            # affine minimiser x is the origin, and the gap is rounding
+            status = "optimal"
+            break
         if iterations == max_iterations:
             status = "iteration_cap"
             break
@@ -240,7 +245,7 @@ def min_norm_point(P) -> MinNormPoint:
         u = B_inv[:s, :s] @ b
         beta = sq[j] + 1.0
         schur = float(beta - b @ u)
-        if s == limit or schur <= 1e-14 * beta:
+        if schur <= 1e-14 * beta:
             status = "degenerate"
             break
         if s == cap:

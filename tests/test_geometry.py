@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmpkit import geometry
@@ -263,6 +263,7 @@ def assert_min_norm_point(P):
 
 class TestMinNormPoint:
     @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @example(1, 7, 2**32 - 2)  # the origin inside a full corral, with x ~ 3e-15
     @settings(max_examples=40, deadline=None)
     def test_random_polytopes(self, d, r, seed):
         rng = np.random.default_rng(seed)
