@@ -59,9 +59,6 @@ class ContactSet:
     def is_empty(self) -> bool:
         return not bool(np.any(self.flags))
 
-    def node_in(self, k: int) -> bool:
-        return bool(self.flags[k])
-
     @property
     def cell_flags(self) -> np.ndarray:
         """Per cell: it belongs to the contact region, i.e. both its nodes do."""
@@ -124,11 +121,12 @@ def jump_directions_at_node(
 ) -> JumpDirectionSet:
     """Generators {G_x(x_k, u)} over the closure-in-measure points u of node
     k that pass the relaxed phase test; the costate may jump at node k only
-    into their convex hull."""
-    samples = samples or Samples(problem, trajectory)
+    into their convex hull.  The rows are views of row k of
+    :meth:`Samples.node_gradients`, which batch readers index directly."""
+    row = (samples or Samples(problem, trajectory)).node_gradients(delta, eps)[k]
     return JumpDirectionSet(
         t=float(trajectory.grid.nodes[k]),
-        generators=samples.node_generators(k, delta, eps),
+        generators=tuple(row[~np.isnan(row[:, 0])]),
     )
 
 

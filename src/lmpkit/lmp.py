@@ -354,7 +354,7 @@ def check_signs_slackness(
         problem, trajectory, config.delta, config.eps, samples
     )
     outside = sum(
-        abs(ms.eta.scalar_atom(k)) for k in ms.eta.atoms if not contact.node_in(k)
+        abs(ms.eta.scalar_atom(k)) for k in ms.eta.atoms if not contact.flags[k]
     )
     off = (density != 0.0) & ~contact.cell_flags
     outside += float(np.sum(np.abs(density[off]) * grid.widths[off]))
@@ -430,16 +430,16 @@ def _support_directions(
     unless ``resolve_bare`` is set; then weights there raise too.
     """
     delta, eps = config.delta, config.eps
-    nodes = [k for k in sorted(ms.eta.atoms) if ms.eta.scalar_atom(k) != 0.0]
+    atoms = ms.eta.dense_atoms()[:, 0]
+    nodes = np.flatnonzero(atoms)
     cells = np.flatnonzero(ms.eta.density[:, 0] != 0.0)
-    natoms = len(nodes)
-    node_gens = [samples.node_generators(k, delta, eps) for k in nodes]
-    gens = np.full((natoms + cells.size, max([1] + [len(g) for g in node_gens]), n), np.nan)
-    for i, g in enumerate(node_gens):
-        gens[i, : len(g)] = np.reshape(g, (-1, n))
+    natoms = nodes.size
+    gens = np.full((natoms + cells.size, 2, n), np.nan)
+    if natoms:
+        gens[:natoms] = samples.node_gradients(delta, eps)[nodes]
     gens[natoms:, 0] = samples.mid.phase_gradients(delta, eps)[cells]
     count = np.count_nonzero(~np.isnan(gens[:, :, 0]), axis=1)
-    index = np.concatenate([nodes, cells]).astype(np.intp)
+    index = np.concatenate([nodes, cells])
     width = max(n, gens.shape[1])
     found, weighted, size, values = (
         np.concatenate(parts)
@@ -469,17 +469,17 @@ def _support_directions(
     rows = np.full((len(gens), n), np.nan)
     rows[vector] = values[vector, :n]
     # only the leading count generators of a row are read, never the NaN
-    # padding; rows of several generators are atoms at two-sided jumps, few
+    # padding; rows of two generators are atoms at two-sided jumps
     one = weighted & (count == 1)
     rows[one] = values[one, :1] * gens[one, 0]
-    for i in np.flatnonzero(weighted & (count > 1)):
-        rows[i] = values[i, : count[i]] @ gens[i, : count[i]]
+    two = weighted & (count == 2)
+    rows[two] = values[two, :1] * gens[two, 0] + values[two, 1:2] * gens[two, 1]
     leading = np.arange(gens.shape[1]) < count[:, None]
     weights = np.where(weighted[:, None] & leading, values[:, : gens.shape[1]], 0.0)
     return _Support(
         natoms=natoms,
         index=index,
-        value=np.concatenate([ms.eta.dense_atoms()[nodes, 0], ms.eta.density[cells, 0]]),
+        value=np.concatenate([atoms[nodes], ms.eta.density[cells, 0]]),
         width=np.concatenate([np.ones(natoms), ms.grid.widths[cells]]),
         count=count,
         gens=gens,
@@ -725,11 +725,8 @@ def check_certificate(
         diagnostics["dynamics_defect_max"] = float(np.max(np.abs(defect)))
     except (EvalError, InputError) as err:
         diagnostics["dynamics_defect_max"] = f"error: {err}"
-    diagnostics["convention_sensitive_nodes"] = [
-        int(k)
-        for k in sorted(ms.eta.atoms)
-        if ms.eta.scalar_atom(k) != 0.0 and k in samples.two_sided
-    ]
+    nodes = np.flatnonzero(ms.eta.dense_atoms()[:, 0])
+    diagnostics["convention_sensitive_nodes"] = nodes[np.isin(nodes, samples.two_sided)].tolist()
     diagnostics["nu"] = ms.nu()
     try:
         contact = geometry.contact_set(

@@ -144,9 +144,11 @@ def build_program(
     """Assemble unknowns, the normalisation row, the affine costate
     recursion, and the quadratic objective.
 
-    The assembly runs over whole arrays: one batched inverse of the N
-    recursion matrices, one small product per cell in the backward sweep,
-    and one batched product per sample side for the stationarity rows.
+    The assembly runs over whole arrays: the atom generators are one index
+    of :meth:`Samples.node_gradients` at the contact nodes, then one batched
+    inverse of the N recursion matrices, one small product per cell in the
+    backward sweep, and one batched product per sample side for the
+    stationarity rows.
 
     Density cells of the contact region must expose jump directions at their
     midpoints; an empty generator set there means the working tolerances do
@@ -164,14 +166,9 @@ def build_program(
 
     contact = geometry.contact_set(problem, trajectory, config.delta, config.eps, samples)
     nodes = np.flatnonzero(contact.flags)
-    node_gens = [
-        geometry.jump_directions_at_node(
-            problem, trajectory, k, config.delta, config.eps, samples
-        ).generators
-        for k in nodes.tolist()
-    ]
-    atom_nodes = np.repeat(nodes, [len(gens) for gens in node_gens])
-    atom_gens = np.array([g for gens in node_gens for g in gens]).reshape(-1, n)
+    table = samples.node_gradients(config.delta, config.eps)[nodes]
+    node, slot = np.nonzero(~np.isnan(table[:, :, 0]))
+    atom_nodes, atom_gens = nodes[node], table[node, slot]
     eta_cells = np.flatnonzero(contact.cell_flags)
     bare = np.flatnonzero(contact.cell_flags & ~mid.phase(config.delta, config.eps))
     if bare.size:

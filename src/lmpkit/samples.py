@@ -9,11 +9,11 @@ point sets, each with one point per grid cell k:
 
 Every table of the problem (f, f_x, f_u, G, G_x, G_u) is evaluated over a
 whole point set the first time it is read, with
-:func:`lmpkit.expr.evaluate_many`.  The relaxed phase test, the constraint
-gradients at phase points and the node contact flags are cached per
-tolerance pair (delta, eps).  The phase test evaluates G_u only where
--delta <= G <= 0 holds, and G_x is evaluated for the generators only at
-phase points, so data that are undefined off the phase set do not raise.
+:func:`lmpkit.expr.evaluate_many`.  Cached per tolerance pair (delta, eps):
+the relaxed phase test and G_x at the phase points of each point set, and
+the table of jump generators per node (laid out as :class:`Samples` says).
+G_u is evaluated only where -delta <= G <= 0 and G_x only at phase points,
+so data that are undefined off the phase set do not raise.
 Geometry, the checker and recovery all read their data from one Samples.
 """
 
@@ -138,7 +138,9 @@ class Samples:
     At node k the closure in measure holds the right limit u(tau_k + 0),
     which is left point k (right point N-1 at the last node), and at a
     declared jump whose sides differ also the left limit u(tau_k - 0),
-    right point k-1, listed first.
+    right point k-1.  Node arrays are (N+1, 2, ...): at such a two-sided
+    jump the left limit, then the right limit; at every other node its one
+    point, then a fill value.
     """
 
     def __init__(self, problem: "ProblemDef", trajectory: "Trajectory"):
@@ -150,34 +152,37 @@ class Samples:
         self.mid = PointSet(problem, 0.5 * (x[:-1] + x[1:]), 0.5 * (ul + ur))
         jumps = np.asarray(trajectory.jumps, dtype=np.intp)
         self.two_sided = _frozen(jumps[np.any(ur[jumps - 1] != ul[jumps], axis=1)])
-        self._node_flags: dict[tuple[float, float], np.ndarray] = {}
+        self._node_gradients: dict[tuple[float, float], np.ndarray] = {}
+
+    def _per_node(self, left: np.ndarray, right: np.ndarray, fill) -> np.ndarray:
+        """Arrays over the left and right point sets laid out per node, in
+        the two slots of the class docstring."""
+        first = np.concatenate([left, right[-1:]])
+        out = np.stack([first, np.full_like(first, fill)], axis=1)
+        k = self.two_sided
+        out[k, 1] = first[k]
+        out[k, 0] = right[k - 1]
+        return out
 
     def node_flags(self, delta: float, eps: float) -> np.ndarray:
         """Per node: some closure-in-measure point is a relaxed phase point."""
-        key = (delta, eps)
-        if key not in self._node_flags:
-            left = self.left.phase(delta, eps)
-            right = self.right.phase(delta, eps)
-            flags = np.append(left, right[-1])
-            flags[self.two_sided] |= right[self.two_sided - 1]
-            self._node_flags[key] = _frozen(flags)
-        return self._node_flags[key]
+        sides = (points.phase(delta, eps) for points in (self.left, self.right))
+        return _frozen(np.any(self._per_node(*sides, False), axis=1))
 
     def at_nodes(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Per node, the value at its first closure-in-measure point, from
         arrays over the left and right point sets."""
-        out = np.concatenate([left, right[-1:]])
-        out[self.two_sided] = right[self.two_sided - 1]
-        return out
+        return self._per_node(left, right, 0)[:, 0]
 
-    def node_generators(self, k: int, delta: float, eps: float) -> tuple[np.ndarray, ...]:
-        """G_x rows at the relaxed phase points among the closure-in-measure
-        points of node k, in the order of the class docstring."""
-        points = [(self.left, k) if k < self.left.size else (self.right, k - 1)]
-        if k in self.two_sided:
-            points.insert(0, (self.right, k - 1))
-        return tuple(
-            point_set.phase_gradients(delta, eps)[i]
-            for point_set, i in points
-            if point_set.phase(delta, eps)[i]
-        )
+    def node_gradients(self, delta: float, eps: float) -> np.ndarray:
+        """The (N+1, 2, n) table of jump generators: per node, G_x at the
+        relaxed phase points among its closure-in-measure points, in slot
+        order, in the leading slots; NaN rows after them."""
+        key = (delta, eps)
+        if key not in self._node_gradients:
+            sides = (points.phase_gradients(delta, eps) for points in (self.left, self.right))
+            table = self._per_node(*sides, np.nan)
+            # G_x is never NaN: a NaN first slot is a point off the phase set
+            table = np.where(np.isnan(table[:, :1, :1]), table[:, ::-1], table)
+            self._node_gradients[key] = _frozen(table)
+        return self._node_gradients[key]

@@ -309,7 +309,8 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
     """The recovery program assembled one cell at a time: per-node dense
     atom maps ``W``, one linear solve per cell of the backward recursion and
     one row block per sample.  It shares the sampled data and the contact
-    geometry with ``recovery.build_program`` and nothing of its assembly.
+    set with ``recovery.build_program`` and nothing of its assembly; its jump
+    generators come from the scalar oracle ``reference_node_generators``.
 
     Returns ``nvars``, the column dicts ``idx_lam`` (cell -> column),
     ``idx_atom`` (node -> columns) and ``idx_cell`` (cell -> columns), the
@@ -326,9 +327,7 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
     contact = geometry.contact_set(problem, trajectory, config.delta, config.eps, samples)
     atom_gens = {
         k: np.asarray(
-            geometry.jump_directions_at_node(
-                problem, trajectory, k, config.delta, config.eps, samples
-            ).generators
+            reference_node_generators(problem, trajectory, k, config.delta, config.eps)
         )
         for k in np.flatnonzero(contact.flags).tolist()
     }

@@ -343,6 +343,8 @@ def test_node_generators_match_reference_on_random_trajectories():
     for _ in range(10):
         trajectory = random_trajectory(rng)
         problem = random_problem(trajectory.n, trajectory.m)
+        table = Samples(problem, trajectory).node_gradients(RELAXED.delta, RELAXED.eps)
+        assert table.shape == (trajectory.grid.ncells + 1, 2, trajectory.n)
         for k in range(trajectory.grid.ncells + 1):
             gens = geometry.jump_directions_at_node(
                 problem, trajectory, k, RELAXED.delta, RELAXED.eps
@@ -353,3 +355,8 @@ def test_node_generators_match_reference_on_random_trajectories():
             assert len(gens) == len(expected)
             for g, e in zip(gens, expected):
                 assert np.array_equal(g, e)
+            # the table row: the same generators, bit for bit, then NaN rows
+            assert np.count_nonzero(~np.isnan(table[k]).any(axis=1)) == len(expected)
+            leading = np.reshape(expected, (-1, trajectory.n))
+            assert np.array_equal(table[k, : len(expected)], leading)
+            assert np.isnan(table[k, len(expected) :]).all()

@@ -39,6 +39,20 @@ def _inactive_constraint_case():
     return problem, trajectory
 
 
+def _control_jump_case():
+    # every point is a phase point, with G_x = 1 + u: node 4 is a two-sided
+    # jump from u = 0 to u = 1 and has the two generators 1 and 2
+    problem = ProblemDef.from_strings(
+        n=1, m=1, t0=0.0, t1=1.0, f=["0"],
+        G="(x1 - 1)*(1 + u1) - u1^2*(u1 - 1)^2", J="x1_1",
+    )
+    u = np.repeat([0.0, 1.0], 4)[:, None]
+    trajectory = Trajectory(
+        grid=TimeGrid.uniform(0.0, 1.0, 8), x=np.ones((9, 1)), u_left=u, u_right=u, jumps=(4,)
+    )
+    return problem, trajectory
+
+
 def _perturbed_ex1():
     problem, trajectory, _ = builtin_example("ex1", t0=0.0, t1=1.0, ncells=40)
     shifted = Trajectory(
@@ -70,11 +84,13 @@ class TestBuildOverArrays:
 
     @pytest.mark.parametrize("case", [
         ("ex1", 20), ("ex1", 101), ("ex2", 20), ("ex2", 50), ("ex2", 150),
-        "inactive", "perturbed",
+        "inactive", "perturbed", "jump",
     ], ids=str)
     def test_matches_the_cell_by_cell_build(self, case):
         if case == "inactive":
             problem, trajectory = _inactive_constraint_case()
+        elif case == "jump":
+            problem, trajectory = _control_jump_case()
         elif case == "perturbed":
             problem, trajectory = _perturbed_ex1()
         else:
@@ -91,6 +107,8 @@ class TestBuildOverArrays:
         assert program.A_L.shape == oracle.A_L.shape
         assert _relative(program.M, oracle.M) <= 1e-12
         assert _relative(program.A_L, oracle.A_L) <= 1e-12
+        if case == "jump":
+            assert program.atom_gens[program.atom_nodes == 4].tolist() == [[1.0], [2.0]]
 
     @pytest.mark.parametrize("singular, named", [((2,), 2), ((0, 2), 2)])
     def test_singular_recursion_names_the_highest_cell(self, tmp_path, capsys, singular, named):
