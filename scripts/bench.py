@@ -16,7 +16,7 @@ records, per checkout:
 Each size is timed three times.  Sizes run in ascending order, and a size is
 skipped, with the skip recorded, when its predicted wall time per call
 exceeds 30 s or, for recover, its predicted `tracemalloc` peak exceeds
-256 MB.  The predictions extrapolate the two sizes below it, with an exponent
+512 MB.  The predictions extrapolate the two sizes below it, with an exponent
 of at least 2 (the recovery program is dense).  Once a call runs over the
 time budget, the sizes above it are skipped.
 
@@ -27,11 +27,14 @@ per family of `cones.intersection_nonempty` followed by
 `cones.approx_separate`, over three passes; each pass gives its CPU time
 divided by the number of families.
 
-Each checkout runs in its own process, with lmpkit imported from its `src/`
-and OpenBLAS at one thread; `--src` may be given more than once, so that one
-record holds a change and its parent side by side.  Without `--src` the
-checkout holding this script is measured.  The record goes to
-`BENCH_<label>.json` in the current directory.
+Each checkout is measured by its own worker process, with lmpkit imported
+from its `src/` and OpenBLAS at one thread; `--src` may be given more than
+once, so that one record holds a change and its parent side by side.  The
+checkouts take turns: each size (and each pass of the cone batch) runs on
+every checkout before the next size starts, in an order that reverses from
+one size to the next, so that drift of the host between calls falls on all
+checkouts alike.  Without `--src` the checkout holding this script is
+measured.  The record goes to `BENCH_<label>.json` in the current directory.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ REPEATS = 3
 CONE_SEED = 0
 CONE_FAMILIES = 750
 BUDGET_S = 30.0  # wall seconds per call
-MEMORY_BUDGET_MB = 256.0  # tracemalloc peak of one recover call
+MEMORY_BUDGET_MB = 512.0  # tracemalloc peak of one recover call
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -100,6 +103,18 @@ def predict(history: list[tuple[int, float]], N: int) -> float | None:
             exponent = max(exponent, math.log(v1 / v0) / math.log(n1 / n0))
     n1, v1 = history[-1]
     return v1 * (N / n1) ** exponent
+
+
+def skip_reason(walls, peaks, N, over) -> str | None:
+    if over is not None:
+        return f"N={over} took over the {BUDGET_S:g} s budget"
+    wall = predict(walls, N)
+    if wall is not None and wall > BUDGET_S:
+        return f"predicted {wall:.3g} s over the {BUDGET_S:g} s budget"
+    peak = predict(peaks, N)
+    if peak is not None and peak > MEMORY_BUDGET_MB:
+        return f"predicted peak {peak:.3g} MB over the {MEMORY_BUDGET_MB:g} MB budget"
+    return None
 
 
 class Sweep:
@@ -160,41 +175,6 @@ class Sweep:
         finally:
             tracemalloc.stop()
 
-    def run(self) -> list[dict]:
-        results = []
-        for fixture in FIXTURES:
-            for command in COMMANDS:
-                walls: list[tuple[int, float]] = []
-                peaks: list[tuple[int, float]] = []
-                over = None
-                for N in SIZES:
-                    entry = {"fixture": fixture, "command": command, "N": N}
-                    results.append(entry)
-                    reason = self.skip_reason(walls, peaks, N, over)
-                    if reason:
-                        entry["skipped"] = reason
-                        continue
-                    entry.update(self.measure(command, fixture, N))
-                    walls.append((N, max(entry["wall_s"])))
-                    if "tracemalloc_peak_mb" in entry:
-                        peaks.append((N, entry["tracemalloc_peak_mb"]))
-                    if max(entry["wall_s"]) > BUDGET_S:
-                        over = N
-                print(f"{fixture} {command} done", file=sys.stderr, flush=True)
-        return results
-
-    @staticmethod
-    def skip_reason(walls, peaks, N, over) -> str | None:
-        if over is not None:
-            return f"N={over} took over the {BUDGET_S:g} s budget"
-        wall = predict(walls, N)
-        if wall is not None and wall > BUDGET_S:
-            return f"predicted {wall:.3g} s over the {BUDGET_S:g} s budget"
-        peak = predict(peaks, N)
-        if peak is not None and peak > MEMORY_BUDGET_MB:
-            return f"predicted peak {peak:.3g} MB over the {MEMORY_BUDGET_MB:g} MB budget"
-        return None
-
     def measure(self, command: str, fixture: str, N: int) -> dict:
         argv = self.argv(command, fixture, N)
         codes, cpus, walls, phases = [], [], [], []
@@ -224,12 +204,11 @@ class Sweep:
         return out
 
 
-def cone_batch(workdir: Path) -> dict:
-    """CPU time per family of the two cone LPs over one seeded batch."""
+def cone_families(workdir: Path) -> list:
+    """The seeded cone batch, written to files and loaded from them."""
     import numpy as np
-    from workloads import SEPARATION_EPS, cone_family_doc
+    from workloads import cone_family_doc
 
-    from lmpkit import cones
     from lmpkit.io import load_cone_family
 
     rng = np.random.default_rng(CONE_SEED)
@@ -238,25 +217,25 @@ def cone_batch(workdir: Path) -> dict:
         path = workdir / f"family-{i:04d}.json"
         path.write_text(json.dumps(cone_family_doc(rng, i)))
         families.append(load_cone_family(str(path)))
-    per_family = []
-    for _ in range(REPEATS):
-        cpu = time.process_time()
-        for family in families:
-            cones.intersection_nonempty(family)
-            cones.approx_separate(family, SEPARATION_EPS)
-        per_family.append((time.process_time() - cpu) / len(families))
-    return {
-        "seed": CONE_SEED,
-        "families": CONE_FAMILIES,
-        "cpu_ms_per_family": {
-            "median": 1e3 * statistics.median(per_family),
-            "min": 1e3 * min(per_family),
-            "runs": [1e3 * t for t in per_family],
-        },
-    }
+    return families
+
+
+def cone_pass(families: list) -> float:
+    """CPU ms per family of one pass of the two cone LPs over the batch."""
+    from workloads import SEPARATION_EPS
+
+    from lmpkit import cones
+
+    cpu = time.process_time()
+    for family in families:
+        cones.intersection_nonempty(family)
+        cones.approx_separate(family, SEPARATION_EPS)
+    return 1e3 * (time.process_time() - cpu) / len(families)
 
 
 def worker(args) -> int:
+    """Answer requests from stdin, one JSON line each, with one JSON line
+    on stdout: ``["measure", command, fixture, N]`` or ``["cones"]``."""
     src = Path(args.worker).resolve() / "src"
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(src))
@@ -264,11 +243,88 @@ def worker(args) -> int:
 
     if Path(lmpkit.__file__).resolve().parent != src / "lmpkit":
         raise SystemExit(f"error: imported lmpkit from {lmpkit.__file__}, not {src}")
+    out = sys.stdout  # the calls themselves write to a redirected stdout
     with tempfile.TemporaryDirectory(prefix="lmpkit-bench-") as tmp:
-        results = Sweep(Path(tmp)).run()
-        cones = cone_batch(Path(tmp))
-    json.dump({"results": results, "cones": cones}, sys.stdout)
+        sweep = Sweep(Path(tmp))
+        families = None
+        for line in sys.stdin:
+            request = json.loads(line)
+            if request[0] == "measure":
+                reply = sweep.measure(*request[1:])
+            else:
+                families = families or cone_families(Path(tmp))
+                reply = cone_pass(families)
+            out.write(json.dumps(reply) + "\n")
+            out.flush()
     return 0
+
+
+class Worker:
+    """The worker process of one checkout."""
+
+    def __init__(self, path: str):
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker", path],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+
+    def ask(self, *request):
+        self.proc.stdin.write(json.dumps(request) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the worker exited with code {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def sweep(workers: dict[str, Worker]) -> tuple[dict, dict]:
+    """Every (fixture, command, size) and every cone pass on the checkouts in
+    turn: the results per checkout, and the cone batch per checkout."""
+    turn = list(workers)
+    results: dict[str, list[dict]] = {name: [] for name in workers}
+    for fixture in FIXTURES:
+        for command in COMMANDS:
+            # per checkout: (N, wall) and (N, peak) so far, and the size
+            # that ran over the time budget
+            walls = {name: [] for name in workers}
+            peaks = {name: [] for name in workers}
+            over: dict[str, int | None] = dict.fromkeys(workers)
+            for N in SIZES:
+                for name in turn:
+                    entry = {"fixture": fixture, "command": command, "N": N}
+                    results[name].append(entry)
+                    reason = skip_reason(walls[name], peaks[name], N, over[name])
+                    if reason:
+                        entry["skipped"] = reason
+                        continue
+                    entry.update(workers[name].ask("measure", command, fixture, N))
+                    walls[name].append((N, max(entry["wall_s"])))
+                    if "tracemalloc_peak_mb" in entry:
+                        peaks[name].append((N, entry["tracemalloc_peak_mb"]))
+                    if max(entry["wall_s"]) > BUDGET_S:
+                        over[name] = N
+                turn.reverse()
+            print(f"{fixture} {command} done", file=sys.stderr, flush=True)
+    passes: dict[str, list[float]] = {name: [] for name in workers}
+    for _ in range(REPEATS):
+        for name in turn:
+            passes[name].append(workers[name].ask("cones"))
+        turn.reverse()
+    cones = {
+        name: {
+            "seed": CONE_SEED,
+            "families": CONE_FAMILIES,
+            "cpu_ms_per_family": {"median": statistics.median(ms), "min": min(ms), "runs": ms},
+        }
+        for name, ms in passes.items()
+    }
+    return results, cones
 
 
 def describe(path: Path) -> str | None:
@@ -331,15 +387,18 @@ def main(argv=None) -> int:
         },
         "checkouts": {},
     }
+    workers = {name: Worker(path) for name, path in sources}
+    try:
+        results, cones = sweep(workers)
+    finally:
+        for w in workers.values():
+            w.close()
     for name, path in sources:
-        print(f"measuring {name}", file=sys.stderr, flush=True)
-        proc = subprocess.run(
-            [sys.executable, __file__, "--worker", path],
-            stdout=subprocess.PIPE,
-            text=True,
-            check=True,
-        )
-        record["checkouts"][name] = {"commit": describe(Path(path)), **json.loads(proc.stdout)}
+        record["checkouts"][name] = {
+            "commit": describe(Path(path)),
+            "results": results[name],
+            "cones": cones[name],
+        }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -10,6 +10,7 @@ byte-identical output.  Set LMP_LOG=debug|info for more logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -173,7 +174,9 @@ def _add_output_options(sub) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lmpkit",
         description=(

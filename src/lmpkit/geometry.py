@@ -176,17 +176,19 @@ class MinNormPoint:
     """Simplex weights ``w`` of the point ``x = P w`` of least norm in the
     convex hull of the columns of ``P``, with the Wolfe gap
     ``|x|^2 - min_j <x, P_j>`` (zero exactly at the minimum), the number of
-    major iterations, and how the loop ended: ``optimal``, ``degenerate``
-    (the entering point is numerically in the affine hull of the corral) or
-    ``iteration_cap``."""
+    major iterations, how the loop ended: ``optimal``, ``degenerate`` (the
+    entering point is numerically in the affine hull of the corral) or
+    ``iteration_cap``, and the size of the start corral the loop began from
+    (0 when none was given or it was refused)."""
 
     w: np.ndarray
     gap: float
     iterations: int
     status: str
+    start: int
 
 
-def min_norm_point(P) -> MinNormPoint:
+def min_norm_point(P, corral=None) -> MinNormPoint:
     """Wolfe's algorithm (Math. Programming 11, 1976) for the point of least
     norm in conv{P_j}, the columns of a (d, r) array; finite and exact.
 
@@ -196,6 +198,13 @@ def min_norm_point(P) -> MinNormPoint:
     enters and by a Schur-complement downdate when one leaves, and each solve
     takes one step of iterative refinement.  Ties go to the lowest index, so
     the result is deterministic.
+
+    The loop starts from the column of least norm, or from ``corral``, a
+    sequence of column indices, when those columns are affinely independent
+    (every Cholesky pivot ``L_kk^2`` of their ``G_S + 1 1^T`` exceeds
+    ``1e-14`` times its diagonal entry, the test bordering applies) and
+    their affine minimiser has all weights positive.  Either way the result
+    is optimal only by the Wolfe gap over all of ``P``.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[1] == 0:
@@ -207,19 +216,22 @@ def min_norm_point(P) -> MinNormPoint:
     # The corral lives in the leading s slots of buffers that double when
     # full, up to min(r, d + 1): no more points are affinely independent.
     limit = min(r, d + 1)
-    cap = min(limit, 32)
+    corral = None if corral is None else np.asarray(corral, dtype=np.intp).reshape(-1)
+    cap = min(limit, max(32, 0 if corral is None else corral.size))
     idx = np.empty(cap, dtype=np.intp)
     rows = np.empty((cap, d))  # the corral's points
     w = np.empty(cap)
     B = np.empty((cap, cap))  # G_S + 1 1^T
     B_inv = np.empty((cap, cap))
+    start = s = _load_corral(corral, P, idx, rows, w, B, B_inv)
+    if not start:
+        j = int(np.argmin(sq))
+        s = 1
+        idx[0], rows[0], w[0] = j, points[j], 1.0
+        B[0, 0] = sq[j] + 1.0
+        B_inv[0, 0] = 1.0 / B[0, 0]
     in_corral = np.zeros(r, dtype=bool)
-    j = int(np.argmin(sq))
-    s = 1
-    idx[0], rows[0], w[0] = j, points[j], 1.0
-    B[0, 0] = sq[j] + 1.0
-    B_inv[0, 0] = 1.0 / B[0, 0]
-    in_corral[j] = True
+    in_corral[idx[:s]] = True
     max_iterations = 50 * r + 100
     iterations = 0
     while True:
@@ -262,9 +274,7 @@ def min_norm_point(P) -> MinNormPoint:
         in_corral[j] = True
         s += 1
         while True:  # minor cycle: move toward the affine minimiser
-            v = B_inv[:s, :s].sum(axis=1)
-            v += B_inv[:s, :s] @ (1.0 - B[:s, :s] @ v)
-            v /= v.sum()
+            v = _affine_minimiser(B[:s, :s], B_inv[:s, :s])
             if np.all(v > 0.0):
                 w[:s] = v
                 break
@@ -282,7 +292,42 @@ def min_norm_point(P) -> MinNormPoint:
                 s = _remove(i, s, B, B_inv, idx, rows, w)
     weights = np.zeros(r)
     weights[idx[:s]] = w[:s]
-    return MinNormPoint(w=weights, gap=gap, iterations=iterations, status=status)
+    return MinNormPoint(
+        w=weights, gap=gap, iterations=iterations, status=status, start=start
+    )
+
+
+def _affine_minimiser(B: np.ndarray, B_inv: np.ndarray) -> np.ndarray:
+    """Weights, summing to 1, of the affine minimiser of a corral: ``B^{-1} 1``
+    with one step of iterative refinement."""
+    v = B_inv.sum(axis=1)
+    v += B_inv @ (1.0 - B @ v)
+    return v / v.sum()
+
+
+def _load_corral(corral, P, idx, rows, w, B, B_inv) -> int:
+    """Load the columns ``corral`` of ``P`` into the leading slots of the buffers,
+    with their affine minimiser as weights, and return their count; return 0
+    when there is no corral, or it does not fit the buffers, is affinely
+    dependent or has a nonpositive weight."""
+    if corral is None or not 0 < corral.size <= len(idx):
+        return 0
+    if np.any((corral < 0) | (corral >= P.shape[1])):
+        raise InputError("the start corral names a column outside the array")
+    s = corral.size
+    idx[:s] = corral
+    rows[:s] = P[:, corral].T
+    np.matmul(rows[:s], rows[:s].T, out=B[:s, :s])
+    B[:s, :s] += 1.0
+    try:
+        L = np.linalg.cholesky(B[:s, :s])
+    except np.linalg.LinAlgError:
+        return 0
+    if np.any(L.diagonal() ** 2 <= 1e-14 * B.diagonal()[:s]):
+        return 0
+    B_inv[:s, :s] = np.linalg.inv(B[:s, :s])
+    w[:s] = _affine_minimiser(B[:s, :s], B_inv[:s, :s])
+    return s if np.all(w[:s] > 0.0) else 0
 
 
 def _remove(i, s, B, B_inv, idx, rows, w) -> int:

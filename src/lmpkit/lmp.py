@@ -350,9 +350,7 @@ def check_signs_slackness(
     )
     entries.append(Entry("slackness", slack, tol))
 
-    contact = geometry.contact_set(
-        problem, trajectory, config.delta, config.eps, samples
-    )
+    contact = samples.contact_set(config.delta, config.eps)
     outside = sum(
         abs(ms.eta.scalar_atom(k)) for k in ms.eta.atoms if not contact.flags[k]
     )
@@ -729,9 +727,7 @@ def check_certificate(
     diagnostics["convention_sensitive_nodes"] = nodes[np.isin(nodes, samples.two_sided)].tolist()
     diagnostics["nu"] = ms.nu()
     try:
-        contact = geometry.contact_set(
-            problem, trajectory, config.delta, config.eps, samples
-        )
+        contact = samples.contact_set(config.delta, config.eps)
         diagnostics["contact_intervals"] = [list(iv) for iv in contact.intervals]
     except LmpkitError as err:
         diagnostics["contact_intervals"] = f"error: {err}"

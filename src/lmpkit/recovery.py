@@ -24,12 +24,18 @@ never accepted by construction alone.
 
 On contact cells the lambda column and the cell-mass column of the program
 agree to about 1e-12, so the minimum-norm point does not fix how mass splits
-between lambda and the eta density there: rounding decides it, while
-lambda + density and every checker verdict stay the same.
+between lambda and the eta density there.  When some lambda cell lies off
+the contact set, as on ex2, Wolfe's loop starts from the corral of alpha0
+and lambda, the density part of a regular certificate; taken, it keeps the
+contact mass on lambda, and rounding no longer decides the split.  When
+every lambda cell is a contact cell, as on ex1, the loop starts from one
+column, and rounding decides the split, while lambda + density and every
+checker verdict stay the same.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +63,8 @@ __all__ = [
     "recover",
 ]
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -76,6 +84,8 @@ class RecoveryProgram:
     ``atom_gens[i]``; and one mass coefficient per contact cell, column
     ``cell_cols[i]`` for cell ``eta_cells[i]`` and generator
     ``cell_gens[i]``.  Cells and nodes increase within each block.
+    ``lam_off_contact`` says whether some lambda cell lies off the contact
+    set; only then does the solve start from alpha0 and lambda.
 
     ``A_L`` is a transposed view of a node-major (N+1, n, nvars) array.
     """
@@ -92,6 +102,7 @@ class RecoveryProgram:
     normal: np.ndarray  # normalisation coefficients a > 0, a.theta = 1
     M: np.ndarray  # objective residual map, f = |M theta|^2
     A_L: np.ndarray  # (N+1, nvars, n): costate left limits, p_k = theta . A_L[k]
+    lam_off_contact: bool
     dims: dict = field(default_factory=dict)
 
     @property
@@ -164,7 +175,7 @@ def build_program(
     slack = _slack_threshold(samples, config)
     lam_cells = np.flatnonzero(np.maximum(left.G, right.G) >= -slack)
 
-    contact = geometry.contact_set(problem, trajectory, config.delta, config.eps, samples)
+    contact = samples.contact_set(config.delta, config.eps)
     nodes = np.flatnonzero(contact.flags)
     table = samples.node_gradients(config.delta, config.eps)[nodes]
     node, slot = np.nonzero(~np.isnan(table[:, :, 0]))
@@ -265,6 +276,7 @@ def build_program(
         normal=normal,
         M=rows,
         A_L=S.transpose(0, 2, 1),
+        lam_off_contact=bool(np.any(~contact.cell_flags[lam_cells])),
         dims=dims,
     )
 
@@ -287,10 +299,20 @@ def solve(program: RecoveryProgram) -> RecoveryResult:
 
     With ``P_j = M[:, j] / a_j`` and ``w = a * theta`` the program
     ``min |M theta|^2, theta >= 0, a.theta = 1`` is the minimum-norm point of
-    conv{P_j}; the KKT residual reported is its Wolfe gap."""
+    conv{P_j}; the KKT residual reported is its Wolfe gap.  When some lambda
+    cell lies off the contact set, Wolfe's loop is offered alpha0 and lambda
+    as its start corral: the density part of a regular certificate."""
     if program.nvars == 0:
         raise InputError("no nontrivial multipliers found at this discretization")
-    mnp = geometry.min_norm_point(program.M / program.normal)
+    corral = None
+    if program.lam_off_contact:
+        corral = np.concatenate(([0], program.lam_cols))
+    mnp = geometry.min_norm_point(program.M / program.normal, corral)
+    if corral is None:
+        log.debug("start corral: none (every lambda cell is a contact cell)")
+    else:
+        verdict = "taken" if mnp.start else "refused"
+        log.debug("start corral of %d columns (alpha0, lambda): %s", corral.size, verdict)
     theta = mnp.w / program.normal
     return RecoveryResult(
         multipliers=_assemble(program, theta),

@@ -10,10 +10,12 @@ point sets, each with one point per grid cell k:
 Every table of the problem (f, f_x, f_u, G, G_x, G_u) is evaluated over a
 whole point set the first time it is read, with
 :func:`lmpkit.expr.evaluate_many`.  Cached per tolerance pair (delta, eps):
-the relaxed phase test and G_x at the phase points of each point set, and
-the table of jump generators per node (laid out as :class:`Samples` says).
-G_u is evaluated only where -delta <= G <= 0 and G_x only at phase points,
-so data that are undefined off the phase set do not raise.
+the relaxed phase test and G_x at the phase points of each point set, the
+table of jump generators per node (laid out as :class:`Samples` says), and
+the contact set.  G_u is evaluated only where -delta <= G <= 0 and G_x for
+the phase rows only at phase points, so data that are undefined off the
+phase set do not raise; G_x is evaluated at most once per point, whether
+the phase rows or the whole table is read first.
 Geometry, the checker and recovery all read their data from one Samples.
 """
 
@@ -28,6 +30,7 @@ from . import expr
 from .errors import EvalError, InputError
 
 if TYPE_CHECKING:
+    from .geometry import ContactSet
     from .problem import ProblemDef, Trajectory
 
 __all__ = ["PointSet", "Samples"]
@@ -99,7 +102,15 @@ class PointSet:
 
     @cached_property
     def G_x(self) -> np.ndarray:
-        return _frozen(self.evaluate(self.problem.G_x))
+        # rows already evaluated at phase points are copied, not evaluated again
+        known = next(iter(self._gradients.values()), None)
+        if known is None:
+            return _frozen(self.evaluate(self.problem.G_x))
+        rows = known.copy()
+        rest = np.isnan(rows[:, 0])
+        if rest.any():
+            rows[rest] = self.evaluate(self.problem.G_x, rest)
+        return _frozen(rows)
 
     @cached_property
     def G_u(self) -> np.ndarray:
@@ -125,7 +136,9 @@ class PointSet:
         if key not in self._gradients:
             flags = self.phase(delta, eps)
             rows = np.full((self.size, self.problem.n), np.nan)
-            if flags.any():
+            if "G_x" in self.__dict__:
+                rows[flags] = self.G_x[flags]
+            elif flags.any():
                 rows[flags] = self.evaluate(self.problem.G_x, flags)
             self._gradients[key] = _frozen(rows)
         return self._gradients[key]
@@ -146,6 +159,7 @@ class Samples:
     def __init__(self, problem: "ProblemDef", trajectory: "Trajectory"):
         if trajectory.n != problem.n or trajectory.m != problem.m:
             raise InputError("trajectory dimensions do not match the problem")
+        self.problem, self.trajectory = problem, trajectory
         x, ul, ur = trajectory.x, trajectory.u_left, trajectory.u_right
         self.left = PointSet(problem, x[:-1], ul)
         self.right = PointSet(problem, x[1:], ur)
@@ -153,6 +167,7 @@ class Samples:
         jumps = np.asarray(trajectory.jumps, dtype=np.intp)
         self.two_sided = _frozen(jumps[np.any(ur[jumps - 1] != ul[jumps], axis=1)])
         self._node_gradients: dict[tuple[float, float], np.ndarray] = {}
+        self._contact: dict[tuple[float, float], "ContactSet"] = {}
 
     def _per_node(self, left: np.ndarray, right: np.ndarray, fill) -> np.ndarray:
         """Arrays over the left and right point sets laid out per node, in
@@ -186,3 +201,15 @@ class Samples:
             table = np.where(np.isnan(table[:, :1, :1]), table[:, ::-1], table)
             self._node_gradients[key] = _frozen(table)
         return self._node_gradients[key]
+
+    def contact_set(self, delta: float, eps: float) -> "ContactSet":
+        """The contact set of :func:`lmpkit.geometry.contact_set`, built once
+        per (delta, eps)."""
+        key = (delta, eps)
+        if key not in self._contact:
+            from . import geometry  # geometry imports this module
+
+            self._contact[key] = geometry.contact_set(
+                self.problem, self.trajectory, delta, eps, self
+            )
+        return self._contact[key]

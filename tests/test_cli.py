@@ -3,10 +3,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lmpkit import geometry
-from lmpkit.cli import main
+from lmpkit.cli import build_parser, main
+from lmpkit.samples import PointSet
 
 
 def run_cli(*argv) -> int:
@@ -130,8 +132,8 @@ class TestRecover:
     def test_early_stop_is_reported(self, fixture_dir, capsys, monkeypatch):
         exact = geometry.min_norm_point
 
-        def capped(P):
-            return dataclasses.replace(exact(P), status="iteration_cap")
+        def capped(P, corral=None):
+            return dataclasses.replace(exact(P, corral), status="iteration_cap")
 
         monkeypatch.setattr(geometry, "min_norm_point", capped)
         problem, trajectory, _ = paths(fixture_dir)
@@ -194,3 +196,34 @@ def test_module_entry_point(fixture_dir):
     )
     assert proc.returncode == 0
     assert "overall: pass" in proc.stdout
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_contact_set_and_G_x_are_built_once(fixture_dir, monkeypatch, command):
+    """One build of the contact set per command, and G_x evaluated at most
+    once at each point of each point set."""
+    contact_set, evaluate = geometry.contact_set, PointSet.evaluate
+    builds = []
+    points: dict[int, list[int]] = {}
+
+    def counted_contact_set(*args, **kwargs):
+        builds.append(args)
+        return contact_set(*args, **kwargs)
+
+    def counted_evaluate(self, table, where=None):
+        if table is self.problem.G_x:
+            count = points.setdefault(id(self), [self.size, 0])
+            count[1] += self.size if where is None else int(np.count_nonzero(where))
+        return evaluate(self, table, where)
+
+    monkeypatch.setattr(geometry, "contact_set", counted_contact_set)
+    monkeypatch.setattr(PointSet, "evaluate", counted_evaluate)
+    problem, trajectory, certificate = paths(fixture_dir)
+    files = (problem, trajectory, certificate) if command == "check" else (problem, trajectory)
+    assert run_cli(command, *files) == 0
+    assert len(builds) == 1
+    assert points and all(evaluated <= size for size, evaluated in points.values())

@@ -244,11 +244,11 @@ class TestHullDistance:
             geometry.dist_to_convex_hull(np.zeros(3), np.ones((2, 2)))
 
 
-def assert_min_norm_point(P):
+def assert_min_norm_point(P, corral=None):
     """Weights on the simplex, Wolfe gap at the optimum, and the distance of
     the face-enumeration oracle."""
     P = np.asarray(P, dtype=float)
-    res = geometry.min_norm_point(P)
+    res = geometry.min_norm_point(P, corral)
     scale = max(1.0, float(np.max(np.sum(P * P, axis=0))))
     assert res.status == "optimal"
     assert np.all(res.w >= 0.0)
@@ -313,6 +313,55 @@ class TestMinNormPoint:
             geometry.min_norm_point(np.zeros((2, 0)))
 
 
+class TestStartCorral:
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_starts_reach_the_same_point(self, d, r, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.normal(size=(d, r)) * rng.uniform(0.1, 10.0)
+        P += rng.normal(size=(d, 1)) * rng.uniform(0.0, 3.0)
+        corral = rng.permutation(r)[: rng.integers(1, r + 1)]
+        plain = geometry.min_norm_point(P)
+        res = assert_min_norm_point(P, corral)
+        assert float(np.linalg.norm(P @ res.w)) == pytest.approx(
+            float(np.linalg.norm(P @ plain.w)), abs=1e-9
+        )
+        assert res.start in (0, corral.size)
+
+    def test_a_positive_start_is_taken(self):
+        # the affine minimiser of (1, 1) and (1, -1) is (1, 0), at weights 1/2
+        P = np.array([[3.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
+        res = geometry.min_norm_point(P, [1, 2])
+        assert res.start == 2
+        assert res.iterations == 0
+        assert res.status == "optimal"
+        assert res.w.tolist() == [0.0, 0.5, 0.5]
+
+    @pytest.mark.parametrize("corral", [[0, 2], [1, 1], [0, 1, 2]], ids=str)
+    def test_an_affinely_dependent_start_is_refused(self, corral):
+        # columns 0 and 2 coincide: a start holding both, or one column
+        # twice, is affinely dependent
+        P = np.array([[1.0, 2.0, 1.0], [1.0, -1.0, 1.0]])
+        res = geometry.min_norm_point(P, corral)
+        plain = geometry.min_norm_point(P)
+        assert res.start == 0
+        assert np.array_equal(res.w, plain.w)
+        assert (res.gap, res.iterations, res.status) == (plain.gap, plain.iterations, plain.status)
+
+    def test_a_start_with_a_nonpositive_weight_is_refused(self):
+        # the line through (1, 0) and (2, 0) is nearest the origin at the
+        # weights (2, -1)
+        P = np.array([[1.0, 2.0], [0.0, 0.0]])
+        res = geometry.min_norm_point(P, [0, 1])
+        assert res.start == 0
+        assert res.w.tolist() == [1.0, 0.0]
+        assert res.status == "optimal"
+
+    def test_a_column_outside_the_array_is_an_error(self):
+        with pytest.raises(InputError, match="outside the array"):
+            geometry.min_norm_point(np.eye(2), [0, 2])
+
+
 def test_contact_set_skips_derivatives_off_the_phase_set():
     # G_u = u1/abs(u1) is undefined at u1 = 0, where G = -1 is far from the
     # band -delta <= G <= 0; the phase test must not evaluate it there
@@ -360,3 +409,24 @@ def test_node_generators_match_reference_on_random_trajectories():
             leading = np.reshape(expected, (-1, trajectory.n))
             assert np.array_equal(table[k, : len(expected)], leading)
             assert np.isnan(table[k, len(expected) :]).all()
+
+
+def test_G_x_is_the_same_whichever_is_read_first():
+    """PointSet.G_x and PointSet.phase_gradients share their rows: read in
+    either order, or alone, they agree bit for bit."""
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        trajectory = random_trajectory(rng)
+        problem = random_problem(trajectory.n, trajectory.m)
+        alone, full_first, phase_first = (Samples(problem, trajectory) for _ in range(3))
+        for name in ("left", "right", "mid"):
+            a, b, c = (getattr(s, name) for s in (alone, full_first, phase_first))
+            b.G_x
+            c.phase_gradients(RELAXED.delta, RELAXED.eps)
+            expected = a.G_x
+            for points in (b, c):
+                assert np.array_equal(points.G_x, expected)
+                rows = points.phase_gradients(RELAXED.delta, RELAXED.eps)
+                flags = a.phase(RELAXED.delta, RELAXED.eps)
+                assert np.array_equal(rows[flags], expected[flags])
+                assert np.isnan(rows[~flags]).all()

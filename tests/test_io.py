@@ -216,13 +216,16 @@ def test_boolean_size_or_version_is_refused(tmp_path, kind, key, message):
 def test_saved_files_are_read_by_columns(tmp_path, monkeypatch):
     """The files lmpkit writes, indented or compact, never need the
     record-by-record reader; recovered certificates give s as weights."""
-    from lmpkit.recovery import recover
+    from dataclasses import replace
 
-    # the program does not fix how contact-cell mass splits between lambda
-    # and the eta density, so rounding decides whether a recovered ex2
-    # certificate has density cells; at N=52 it has atoms and cells
+    from lmpkit.recovery import build_program, solve
+
+    # recover puts ex2's contact mass on lambda, from the start corral of
+    # alpha0 and lambda; solved from the least-norm column instead, the
+    # program at N=52 gives a certificate with atoms and density cells
     problem, trajectory, ms = builtin_example("ex2", ncells=52)
-    recovered = recover(problem, trajectory).result.multipliers
+    program = replace(build_program(problem, trajectory), lam_off_contact=False)
+    recovered = solve(program).multipliers
     assert len(recovered.s_atoms) > 0 and len(recovered.s_cells) > 0
     assert recovered.s_atoms.weighted.all() and recovered.s_cells.weighted.all()
     io.save_trajectory(trajectory, str(tmp_path / "trajectory.json"))

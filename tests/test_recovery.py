@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import build_program_by_cells, encode_certificate_by_cells, layout_by_cells
 
-from lmpkit import io
+from lmpkit import geometry, io
 from lmpkit.cli import main
 from lmpkit.errors import InputError, NumericalError
 from lmpkit.lmp import MultiplierSet, SupportDirection
@@ -326,3 +327,50 @@ class TestArcFixtureRecovery:
         assert outcome.result.status == "optimal"
         failing = [e.name for e in outcome.report.entries if not e.passed]
         assert failing == ["transversality"]
+
+
+def _arc_closed_form_deviation(ms: MultiplierSet, nodes: np.ndarray) -> float:
+    """How far a certificate of ex2 (T=1, m=0.5) is from its closed form:
+    lambda = alpha0 / 2 on the arcs outside [-1/2, 1/2], lambda + eta
+    density = alpha0 inside, normalised to nu = 1."""
+    left, right = nodes[:-1], nodes[1:]
+    arcs = (right <= -0.5 + 1e-12) | (left >= 0.5 - 1e-12)
+    inner = (left >= -0.5 - 1e-12) & (right <= 0.5 + 1e-12)
+    total = ms.lam + ms.eta.density[:, 0]
+    return max(
+        abs(ms.nu() - 1.0),
+        float(np.max(np.abs(ms.lam[arcs] / ms.alpha0 - 0.5))),
+        float(np.max(np.abs(total[inner] / ms.alpha0 - 1.0))),
+    )
+
+
+class TestStartCorral:
+    """The solve starts from alpha0 and lambda when some lambda cell lies
+    off the contact set."""
+
+    @pytest.mark.parametrize("ncells", [100, 200, 1600])
+    def test_arc_fixture_certifies_from_the_start(self, ncells, caplog):
+        problem, trajectory, _ = builtin_example("ex2", ncells=ncells)
+        with caplog.at_level(logging.DEBUG, logger="lmpkit.recovery"):
+            outcome = recover(problem, trajectory)
+        assert f"start corral of {ncells + 1} columns (alpha0, lambda): taken" in caplog.text
+        assert outcome.result.status == "optimal"
+        assert outcome.certified
+        ms = outcome.result.multipliers
+        assert _arc_closed_form_deviation(ms, trajectory.grid.nodes) <= 1e-6
+
+    @pytest.mark.parametrize("ncells", [20, 101, 400])
+    def test_atom_fixture_never_forms_the_corral(self, ncells, monkeypatch):
+        problem, trajectory, _ = builtin_example("ex1", ncells=ncells)
+        program = build_program(problem, trajectory)
+        assert program.lam_cells.size > 0 and not program.lam_off_contact
+        exact = geometry.min_norm_point
+        offered = []
+
+        def spy(P, corral=None):
+            offered.append(corral)
+            return exact(P, corral)
+
+        monkeypatch.setattr(geometry, "min_norm_point", spy)
+        assert solve(program).status == "optimal"
+        assert offered == [None]
