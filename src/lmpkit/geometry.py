@@ -216,8 +216,8 @@ def min_norm_point(P, corral=None) -> MinNormPoint:
     # The corral lives in the leading s slots of buffers that double when
     # full, up to min(r, d + 1): no more points are affinely independent.
     limit = min(r, d + 1)
-    corral = None if corral is None else np.asarray(corral, dtype=np.intp).reshape(-1)
-    cap = min(limit, max(32, 0 if corral is None else corral.size))
+    corral = np.asarray([] if corral is None else corral, dtype=np.intp).reshape(-1)
+    cap = min(limit, max(32, corral.size))
     idx = np.empty(cap, dtype=np.intp)
     rows = np.empty((cap, d))  # the corral's points
     w = np.empty(cap)
@@ -306,14 +306,14 @@ def _affine_minimiser(B: np.ndarray, B_inv: np.ndarray) -> np.ndarray:
 
 
 def _load_corral(corral, P, idx, rows, w, B, B_inv) -> int:
-    """Load the columns ``corral`` of ``P`` into the leading slots of the buffers,
-    with their affine minimiser as weights, and return their count; return 0
-    when there is no corral, or it does not fit the buffers, is affinely
-    dependent or has a nonpositive weight."""
-    if corral is None or not 0 < corral.size <= len(idx):
-        return 0
+    """Load the columns ``corral`` of ``P`` into the leading slots of the
+    buffers, with their affine minimiser as weights, and return their
+    count; return 0 when the corral is empty, does not fit the buffers, is
+    affinely dependent or has a nonpositive weight."""
     if np.any((corral < 0) | (corral >= P.shape[1])):
         raise InputError("the start corral names a column outside the array")
+    if not 0 < corral.size <= len(idx):
+        return 0
     s = corral.size
     idx[:s] = corral
     rows[:s] = P[:, corral].T
