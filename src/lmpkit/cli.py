@@ -135,6 +135,12 @@ def _cones_batch(args) -> int:
 
 
 def cmd_cones(args) -> int:
+    # refused here too: a file whose cones intersect never reaches the eps
+    # check of approx_separate
+    if not (np.isfinite(args.eps) and args.eps > 0):
+        raise LmpkitError(f"--eps must be positive and finite, not {args.eps!r}")
+    if args.seeds < 0:
+        raise LmpkitError(f"--seeds must be a nonnegative count, not {args.seeds}")
     if args.family is None:
         if not args.seeds:
             raise LmpkitError("give a cone file or --seeds for batch mode")

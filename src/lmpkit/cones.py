@@ -175,8 +175,8 @@ def approx_separate(cones, eps: float) -> SeparationResult:
     coefficients subject to the normalisation sum over open cones of
     <x0_i, h_i> = 1.  Separation succeeds when the optimum is below eps.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be positive and finite, not {eps!r}")
     d, _ = _check_family(cones)
     offsets = []
     total = 0

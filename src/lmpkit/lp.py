@@ -2,31 +2,29 @@
 
 Solves  min c.x  s.t.  A x = b, x >= 0.  Problem sizes here are tiny (tens
 of rows), so the solver keeps the full dense tableau T = B^-1 [A | b] of the
-current basis B.
+current basis B; each pivot is a rank-1 update of T.
 
 * Starting basis.  Rows with b < 0 are negated.  A column with a single
   nonzero entry (a slack, surplus or box column) starts basic in its row
-  when that entry is positive, or when it is negative and the row has
-  b = 0 (the row is then negated).  Only rows left without one get an
-  artificial column, and only then does a phase 1 minimise the sum of the
-  artificials.  Artificials still basic at zero afterwards are pivoted out,
-  or their rows dropped as redundant.
-* Array pivots.  Each iteration prices every column at once (c - c_B T) and
-  runs the ratio test over the whole pivot column; the pivot is a rank-1
-  update of T.  Bland's rule picks the lowest-index entering column and,
-  among the tied minimal ratios, the row whose basic variable has the
-  lowest index, so cycling is impossible.
+  when that entry is positive, or negative on a row with b = 0 (the row is
+  then negated).  Only rows left without one get an artificial column, and
+  only then does a phase 1 minimise the sum of the artificials; those still
+  basic at zero afterwards are pivoted out, or their rows dropped.
+* Pricing.  The reduced costs c - c_B T are computed when pivoting starts
+  and updated by each pivot's rank-1 step; the most negative enters
+  (Dantzig).  After ``_DEGENERATE_RUN`` degenerate pivots in a row (ratio 0)
+  the lowest-index eligible column enters (Bland) until one makes progress;
+  as ratio ties go to the lowest-index basic variable, Bland cannot cycle.
 * Fresh check.  When a phase stops, B^-1 [A | b] is solved afresh from the
-  columns of A by Gauss-Jordan elimination with partial pivoting, so
-  rounding accumulated in T does not reach the result.
-  The phase ends only when x_B = B^-1 b >= 0 and the reduced costs are
-  nonnegative, both within tolerance; otherwise the fresh tableau replaces
-  T and the phase continues, at most ``_REFRESHES`` times before
-  ``NumericalError`` is raised.  The returned x is the fresh x_B.
+  columns of A by one LU solve with partial pivoting, sharing no code with
+  the pivots.  The phase ends only when the fresh x_B (the returned x) and
+  reduced costs are nonnegative within tolerance; else the fresh tableau
+  replaces T, up to ``_REFRESHES`` times before ``NumericalError``.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +33,12 @@ from .errors import NumericalError
 
 __all__ = ["LpResult", "solve_standard_form"]
 
+log = logging.getLogger(__name__)
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-11
 _FEAS_TOL = 1e-9
 _REFRESHES = 3
+_DEGENERATE_RUN = 10
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class LpResult:
     status: str  # "optimal", "infeasible", "unbounded"
     x: np.ndarray | None
     objective: float | None
+    iterations: int  # pivots over both phases
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -56,60 +57,54 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
-    """Run simplex iterations in place; returns 'optimal' or 'unbounded'."""
-    for _ in range(50_000 + 200 * (tableau.shape[0] + cost.size)):
-        reduced = cost - cost[basis] @ tableau[:, :-1]
-        eligible = (reduced < -_COST_TOL).nonzero()[0]
-        if eligible.size == 0:
-            return "optimal"
-        col = eligible[0]
+def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
+    """Pivot in place; returns 'optimal' or 'unbounded', and the pivot count."""
+    reduced = cost - cost[basis] @ tableau[:, :-1]
+    degenerate = 0
+    for pivots in range(50_000 + 200 * (tableau.shape[0] + cost.size)):
+        col = reduced.argmin()
+        if reduced[col] >= -_COST_TOL:
+            return "optimal", pivots
+        if degenerate >= _DEGENERATE_RUN:
+            col = (reduced < -_COST_TOL).argmax()
         rows = (tableau[:, col] > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            return "unbounded"
+            return "unbounded", pivots
         ratios = tableau[rows, -1] / tableau[rows, col]
         best = ratios.min()
+        degenerate = degenerate + 1 if best <= 0.0 else 0
         tied = rows[ratios <= best + 1e-10 * (1.0 + abs(best))]
-        _pivot(tableau, basis, tied[basis[tied].argmin()], col)
+        row = tied[basis[tied].argmin()]
+        _pivot(tableau, basis, row, col)
+        reduced -= reduced[col] * tableau[row, :-1]
     raise NumericalError("simplex iteration limit exceeded")
 
 
 def _fresh_tableau(full: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """B^-1 [A | b] from ``full`` = [A | b], by Gauss-Jordan elimination with
-    partial pivoting; it shares no code with the pivots it checks."""
-    tableau = full.copy()
-    order = np.empty(basis.size, dtype=int)
-    free = np.ones(basis.size, dtype=bool)
-    for i, col in enumerate(basis):
-        column = np.where(free, np.abs(tableau[:, col]), 0.0)
-        r = order[i] = column.argmax()
-        if column[r] == 0.0:
-            raise NumericalError("simplex basis became singular")
-        free[r] = False
-        tableau[r] /= tableau[r, col]
-        factor = tableau[:, col].copy()
-        factor[r] = 0.0
-        tableau -= factor[:, None] * tableau[r]
-    return tableau[order]
+    """B^-1 [A | b] from ``full`` = [A | b], by one LU solve (LAPACK)."""
+    try:
+        return np.linalg.solve(full[:, basis], full)
+    except np.linalg.LinAlgError:
+        raise NumericalError("simplex basis became singular") from None
 
 
 def _solve_phase(tableau, basis, cost, full):
-    """Iterate to a basis that the fresh check confirms optimal, where
-    ``full`` is [A | b].  Returns the fresh tableau, or None when the
-    program is unbounded."""
+    """Iterate to a basis the fresh check confirms optimal (``full`` is
+    [A | b]); returns the fresh tableau, or None if unbounded, and the pivots."""
+    pivots = 0
     for _ in range(_REFRESHES + 1):
-        if _iterate(tableau, basis, cost) == "unbounded":
-            return None
+        status, count = _iterate(tableau, basis, cost)
+        pivots += count
+        if status == "unbounded":
+            return None, pivots
         tableau = _fresh_tableau(full, basis)
         reduced = cost - cost[basis] @ tableau[:, :-1]
         if tableau[:, -1].min(initial=0.0) >= -_FEAS_TOL and reduced.min() >= -_COST_TOL:
-            return tableau
+            return tableau, pivots
     raise NumericalError("simplex basis fails its fresh check after refreshes")
 
 
-def solve_standard_form(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray
-) -> LpResult:
+def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
     """Dense simplex on min c.x, A x = b, x >= 0."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
@@ -120,9 +115,8 @@ def solve_standard_form(
     A[b < 0] *= -1.0
     b = np.abs(b)
 
-    # Starting basis: in each row the lowest single-nonzero column with a
-    # positive entry, else with a negative entry on a row with b = 0; the
-    # division by the basic entries below negates such a row.
+    # Starting basis: in each row the lowest single-nonzero column, positive,
+    # else negative on a b = 0 row, which the division below then negates.
     single = np.ones(m) @ (A != 0) == 1.0  # nonzeros per column == 1
     basis = np.zeros(m, dtype=int)
     found = np.zeros(m, dtype=bool)
@@ -137,17 +131,23 @@ def solve_standard_form(
     full = np.column_stack([A, np.eye(m)[:, missing], b])
     tableau = full / full[np.arange(m), basis][:, None]
 
+    def result(status, pivots, x=None):
+        log.debug("simplex on %d x %d: %s after %d pivots", m, n, status, pivots)
+        return LpResult(status, x, None if x is None else float(c @ x), pivots)
+
+    phase1 = 0
     if missing.size:
         cost = np.concatenate([np.zeros(n), np.ones(missing.size)])
-        tableau = _solve_phase(tableau, basis, cost, full)
+        tableau, phase1 = _solve_phase(tableau, basis, cost, full)
         if tableau is None:  # cannot happen: the phase-1 cost is bounded
             raise NumericalError("phase-1 simplex reported unbounded")
         if cost[basis] @ tableau[:, -1] > 1e-8 * (1.0 + b.max(initial=0.0)):
-            return LpResult(status="infeasible", x=None, objective=None)
+            return result("infeasible", phase1)
         for i in np.flatnonzero(cost[basis]):
             nonzero = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
             if nonzero.size:
                 _pivot(tableau, basis, i, nonzero[0])
+                phase1 += 1
         # An artificial still basic marks its own row as redundant.
         keep = cost[basis] == 0.0
         kept_rows = np.ones(m, dtype=bool)
@@ -157,9 +157,9 @@ def solve_standard_form(
         tableau = tableau[keep][:, columns]
         basis = basis[keep]
 
-    tableau = _solve_phase(tableau, basis, c, full)
+    tableau, phase2 = _solve_phase(tableau, basis, c, full)
     if tableau is None:
-        return LpResult(status="unbounded", x=None, objective=None)
+        return result("unbounded", phase1 + phase2)
     x = np.zeros(n)
     x[basis] = tableau[:, -1]
-    return LpResult(status="optimal", x=x, objective=float(c @ x))
+    return result("optimal", phase1 + phase2, x)

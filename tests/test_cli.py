@@ -186,6 +186,28 @@ class TestCones:
     def test_missing_file_is_input_error(self, tmp_path):
         assert run_cli("cones", str(tmp_path / "nope.json")) == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_eps_that_is_not_positive_and_finite_is_input_error(self, tmp_path, capsys, eps):
+        # the cones intersect, so the separation LP is never reached
+        family = self.write_family(
+            tmp_path,
+            [
+                {"generators": [[1.0, 0.0]], "open": False},
+                {"generators": [[1.0, 0.0]], "open": True, "x0": [1.0, 0.0]},
+            ],
+        )
+        assert run_cli("cones", family, "--eps", eps) == 2
+        assert run_cli("cones", "--seeds", "3", "--eps", eps) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("--eps must be positive and finite") == 2
+
+    def test_negative_seeds_is_input_error(self, capsys):
+        assert run_cli("cones", "--seeds", "-3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seeds must be a nonnegative count, not -3" in captured.err
+
 
 def test_module_entry_point(fixture_dir):
     problem, trajectory, certificate = paths(fixture_dir)

@@ -129,6 +129,13 @@ class TestSeparation:
         assert not result.separated
         assert result.objective >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_eps_that_is_not_positive_and_finite_is_refused(self, eps):
+        closed = halfspace([1.0, 0.0], open=False)
+        open_cone = halfspace([-1.0, 0.0], x0=np.array([-1.0, 0.0]))
+        with pytest.raises(InputError, match="eps must be positive and finite"):
+            approx_separate([closed, open_cone], eps=eps)
+
     def test_missing_interior_point(self):
         closed = halfspace([1.0, 0.0], open=False)
         nameless = PolyCone(generators=np.array([[0.0, 1.0]]), open=True)

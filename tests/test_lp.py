@@ -78,8 +78,7 @@ def test_phase_one_only_for_rows_without_a_unit_column(monkeypatch):
 
 
 # min -x1 - 2 x2 with x1 - x2 <= 1 and x1 + x2 <= 3 through slacks x3 and
-# x4: the starting basis is {x3, x4}, x1 enters first, and the optimum is
-# x2 = 3.
+# x4: the starting basis is {x3, x4}, and the optimum is x2 = 3.
 BOX = (
     np.array([-1.0, -2.0, 0.0, 0.0]),
     np.array([[1.0, -1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]]),
@@ -88,22 +87,106 @@ BOX = (
 
 
 def test_fresh_check_recovers_from_a_corrupted_tableau(monkeypatch):
-    real = lp._pivot
+    real_pivot, real_fresh = lp._pivot, lp._fresh_tableau
     pivots = []
+    fresh = []
 
     def corrupt_once(tableau, basis, row, col):
-        real(tableau, basis, row, col)
+        real_pivot(tableau, basis, row, col)
         if not pivots:
-            # a false entry that hides the negative reduced cost of x2
-            tableau[row, 1] = 5.0
+            # a false entry in the pivot row, in its lowest-index nonbasic
+            # column, that makes that column look improving to the carried
+            # reduced costs, whichever column entered
+            nonbasic = np.setdiff1d(np.arange(tableau.shape[1] - 1), basis)
+            tableau[row, nonbasic[0]] = -5.0
         pivots.append(col)
 
+    def recorded(full, basis):
+        fresh.append(basis.copy())
+        return real_fresh(full, basis)
+
     monkeypatch.setattr(lp, "_pivot", corrupt_once)
+    monkeypatch.setattr(lp, "_fresh_tableau", recorded)
     result = lp.solve_standard_form(*BOX)
-    assert pivots[0] == 0 and len(pivots) > 1  # the rebuilt tableau goes on
+    # the first stop fails its fresh check, and the rebuilt tableau goes on
+    assert len(fresh) > 1 and len(pivots) > 1
     assert result.status == "optimal"
     assert result.objective == pytest.approx(-6.0, abs=1e-12)
     np.testing.assert_allclose(result.x, [0.0, 3.0, 4.0, 0.0], atol=1e-12)
+
+
+# Beale's example (Beale 1955), on which the most-negative-reduced-cost rule
+# cycles through six degenerate bases when ties leave by the lowest row.
+BEALE = (
+    np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]),
+    np.array(
+        [
+            [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+    ),
+    np.array([0.0, 0.0, 1.0]),
+)
+
+
+def test_bland_fallback_ends_the_cycle_of_beales_example(monkeypatch):
+    result = lp.solve_standard_form(*BEALE)
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(-1.25, abs=1e-12)
+    np.testing.assert_allclose(result.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    # without the fallback the same program cycles until the iteration cap
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", 10**9)
+    with pytest.raises(NumericalError, match="iteration limit"):
+        lp.solve_standard_form(*BEALE)
+
+
+@st.composite
+def degenerate_programs(draw):
+    """Programs with m <= 5 rows and n <= 10 columns, where each entry of b
+    is zero with probability about one half, so that many vertices are
+    degenerate."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 10))
+    A = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.just(0), SMALL), min_size=m, max_size=m))
+    c = draw(st.lists(SMALL, min_size=n, max_size=n))
+    return np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_programs())
+@example(BOX)
+@example(BEALE)
+def test_optimal_results_carry_an_optimality_certificate(program):
+    """Every optimal result is checked against a certificate computed here,
+    from the final basis alone: A x = b and x >= 0; y from B^T y = c_B;
+    c - A^T y >= 0; and c.x = b.y."""
+    c, A, b = program
+    bases = []
+    real = lp._fresh_tableau
+
+    def recorded(full, basis):
+        bases.append(basis.copy())
+        return real(full, basis)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_fresh_tableau", recorded)
+        result = lp.solve_standard_form(c, A, b)
+    assert result.iterations >= 0
+    if result.status != "optimal":
+        return
+    x = result.x
+    basis = bases[-1]  # the basis the last fresh check confirmed
+    assert np.all(x[np.setdiff1d(np.arange(c.size), basis)] == 0.0)
+    assert x.min() >= -1e-9
+    assert np.max(np.abs(A @ x - b), initial=0.0) <= 1e-9
+    # B may have fewer columns than A has rows when rows were redundant;
+    # every solution y of B^T y = c_B then gives the same A^T y.
+    y = np.linalg.lstsq(A[:, basis].T, c[basis], rcond=None)[0]
+    assert np.max(np.abs(A[:, basis].T @ y - c[basis]), initial=0.0) <= 1e-9
+    assert (c - A.T @ y).min() >= -1e-9
+    assert c @ x == pytest.approx(b @ y, abs=1e-9)
 
 
 def test_fresh_check_that_keeps_failing_raises(monkeypatch):
