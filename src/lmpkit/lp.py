@@ -7,9 +7,8 @@ current basis B; each pivot is a rank-1 update of T.
 * Starting basis.  Rows with b < 0 are negated.  A column with a single
   nonzero entry (a slack, surplus or box column) starts basic in its row
   when that entry is positive, or negative on a row with b = 0 (the row is
-  then negated).  Only rows left without one get an artificial column, and
-  only then does a phase 1 minimise the sum of the artificials; those still
-  basic at zero afterwards are pivoted out, or their rows dropped.
+  then negated).  Rows left without one get artificials, minimised in a
+  phase 1; those still basic at zero are pivoted out, or their rows dropped.
 * Pricing.  The reduced costs c - c_B T are computed when pivoting starts
   and updated by each pivot's rank-1 step; the most negative enters
   (Dantzig).  After ``_DEGENERATE_RUN`` degenerate pivots in a row (ratio 0)
@@ -59,7 +58,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
     """Pivot in place; returns 'optimal' or 'unbounded', and the pivot count."""
-    reduced = cost - cost[basis] @ tableau[:, :-1]
+    rhs, reduced = tableau[:, -1], cost - cost[basis] @ tableau[:, :-1]
     degenerate = 0
     for pivots in range(50_000 + 200 * (tableau.shape[0] + cost.size)):
         col = reduced.argmin()
@@ -67,10 +66,11 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
             return "optimal", pivots
         if degenerate >= _DEGENERATE_RUN:
             col = (reduced < -_COST_TOL).argmax()
-        rows = (tableau[:, col] > _PIVOT_TOL).nonzero()[0]
+        column = tableau[:, col]  # views of T, which the pivots update in place
+        rows = (column > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded", pivots
-        ratios = tableau[rows, -1] / tableau[rows, col]
+        ratios = rhs[rows] / column[rows]
         best = ratios.min()
         degenerate = degenerate + 1 if best <= 0.0 else 0
         tied = rows[ratios <= best + 1e-10 * (1.0 + abs(best))]

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -115,8 +117,9 @@ def test_fresh_check_recovers_from_a_corrupted_tableau(monkeypatch):
     np.testing.assert_allclose(result.x, [0.0, 3.0, 4.0, 0.0], atol=1e-12)
 
 
-# Beale's example (Beale 1955), on which the most-negative-reduced-cost rule
-# cycles through six degenerate bases when ties leave by the lowest row.
+# Beale's example (Beale 1955): the most-negative-reduced-cost rule, with
+# ratio ties leaving by the lowest-index basic variable, cycles through six
+# degenerate bases back to the starting one.
 BEALE = (
     np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]),
     np.array(
@@ -130,15 +133,28 @@ BEALE = (
 )
 
 
-def test_bland_fallback_ends_the_cycle_of_beales_example(monkeypatch):
-    result = lp.solve_standard_form(*BEALE)
+def test_bland_fallback_ends_the_cycle_of_beales_example(monkeypatch, caplog):
+    with caplog.at_level(logging.DEBUG, logger="lmpkit.lp"):
+        result = lp.solve_standard_form(*BEALE)
+    assert caplog.messages == [f"simplex on 3 x 7: optimal after {result.iterations} pivots"]
     assert result.status == "optimal"
     assert result.objective == pytest.approx(-1.25, abs=1e-12)
     np.testing.assert_allclose(result.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
-    # without the fallback the same program cycles until the iteration cap
+    # without the fallback the same program cycles: 12 pivots visit 6 bases
+    real = lp._pivot
+    bases = []
+
+    def recorded(tableau, basis, row, col):
+        real(tableau, basis, row, col)
+        bases.append(frozenset(basis.tolist()))
+        if len(bases) == 12:
+            raise StopIteration
+
     monkeypatch.setattr(lp, "_DEGENERATE_RUN", 10**9)
-    with pytest.raises(NumericalError, match="iteration limit"):
+    monkeypatch.setattr(lp, "_pivot", recorded)
+    with pytest.raises(StopIteration):
         lp.solve_standard_form(*BEALE)
+    assert len(set(bases)) == 6 and bases[6:] == bases[:6]
 
 
 @st.composite
@@ -161,19 +177,25 @@ def degenerate_programs(draw):
 def test_optimal_results_carry_an_optimality_certificate(program):
     """Every optimal result is checked against a certificate computed here,
     from the final basis alone: A x = b and x >= 0; y from B^T y = c_B;
-    c - A^T y >= 0; and c.x = b.y."""
+    c - A^T y >= 0; and c.x = b.y.  Every result counts its pivots."""
     c, A, b = program
     bases = []
-    real = lp._fresh_tableau
+    pivots = []
+    real_fresh, real_pivot = lp._fresh_tableau, lp._pivot
 
     def recorded(full, basis):
         bases.append(basis.copy())
-        return real(full, basis)
+        return real_fresh(full, basis)
+
+    def counted(tableau, basis, row, col):
+        pivots.append(col)
+        real_pivot(tableau, basis, row, col)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_fresh_tableau", recorded)
+        patch.setattr(lp, "_pivot", counted)
         result = lp.solve_standard_form(c, A, b)
-    assert result.iterations >= 0
+    assert result.iterations == len(pivots)  # both phases and the drive-out
     if result.status != "optimal":
         return
     x = result.x
