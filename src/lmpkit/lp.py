@@ -66,7 +66,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
             return "optimal", pivots
         if degenerate >= _DEGENERATE_RUN:
             col = (reduced < -_COST_TOL).argmax()
-        column = tableau[:, col]  # views of T, which the pivots update in place
+        column = tableau[:, col]  # rhs and column: views of T, pivoted in place
         rows = (column > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded", pivots
@@ -90,7 +90,7 @@ def _fresh_tableau(full: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _solve_phase(tableau, basis, cost, full):
     """Iterate to a basis the fresh check confirms optimal (``full`` is
-    [A | b]); returns the fresh tableau, or None if unbounded, and the pivots."""
+    [A | b]); returns the fresh tableau, or None if unbounded, and the pivot count."""
     pivots = 0
     for _ in range(_REFRESHES + 1):
         status, count = _iterate(tableau, basis, cost)
