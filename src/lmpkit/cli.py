@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -39,7 +38,7 @@ def _check_config(args) -> CheckConfig:
 
 def _emit_report(report, args) -> None:
     if args.format == "json":
-        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        text = io.json_text(report.to_json_dict()) + "\n"
     else:
         text = report.to_text() + "\n"
     if args.out:

@@ -18,7 +18,8 @@ Fractional powers are written via exp/log.
 Evaluation never returns NaN or infinity: any excursion outside the reals
 raises :class:`~lmpkit.errors.EvalError`.  :func:`evaluate_many` evaluates
 one expression over arrays of sample points with the same checks, and names
-the first bad sample.  Expressions are immutable after parsing, so evaluation
+the first bad sample; :func:`evaluate_table` does the same for a sequence of
+expressions in one pass.  Expressions are immutable after parsing, so evaluation
 is reentrant and thread-safe.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_many",
+    "evaluate_table",
     "differentiate",
     "free_variables",
     "node_count",
@@ -390,16 +392,29 @@ class _Faults:
     """The first failure of every sample, in evaluation order."""
 
     def __init__(self, size: int):
-        self.code = np.zeros(size, dtype=np.intp)
+        self.size = size
+        self.code: np.ndarray | None = None  # made at the first failure
         self.reasons = [""]
 
     def flag(self, bad: np.ndarray, reason: str) -> None:
-        if not bad.any():
+        # np.count_nonzero, not .any(): this runs once per operation node
+        if not np.count_nonzero(bad):
             return
+        if self.code is None:
+            self.code = np.zeros(self.size, dtype=np.intp)
         fresh = bad & (self.code == 0)
-        if fresh.any():
+        if np.count_nonzero(fresh):
             self.reasons.append(reason)
             self.code[fresh] = len(self.reasons) - 1
+
+    def raise_first(self) -> None:
+        """Raise the failure of the lowest failing sample, if any."""
+        if self.code is not None:
+            first = int(np.argmax(self.code != 0))
+            raise EvalError(self.reasons[self.code[first]], sample=first)
+
+
+_NON_FINITE = "expression evaluated to a non-finite value"
 
 
 def evaluate_many(e: Expression, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -415,11 +430,38 @@ def evaluate_many(e: Expression, columns: Mapping[str, np.ndarray]) -> np.ndarra
     faults = _Faults(size)
     with np.errstate(all="ignore"):
         value = _eval_many(e, columns, size, faults)
-        faults.flag(~np.isfinite(value), "expression evaluated to a non-finite value")
-    if faults.code.any():
-        first = int(np.argmax(faults.code != 0))
-        raise EvalError(faults.reasons[faults.code[first]], sample=first)
+        faults.flag(~np.isfinite(value), _NON_FINITE)
+    faults.raise_first()
     return value
+
+
+def evaluate_table(
+    table: Sequence[Expression], columns: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Evaluate several expressions at every sample in one pass: column j of
+    the (samples, len(table)) result is ``evaluate_many(table[j], columns)``.
+
+    Raises the EvalError of the lowest failing sample; of the expressions
+    failing there, the first in table order gives the reason, as
+    :func:`evaluate_many` would.  An unbound variable raises at once.  A
+    constant is filled in and a bare variable copied from its column after
+    one finiteness test; only compound expressions run the interpreter.
+    """
+    size = len(next(iter(columns.values()))) if columns else 0
+    out = np.empty((size, len(table)))
+    faults = _Faults(size)
+    with np.errstate(all="ignore"):
+        for j, e in enumerate(table):
+            if isinstance(e, Const):
+                out[:, j] = e.value
+                if not math.isfinite(e.value):
+                    faults.flag(np.ones(size, dtype=bool), _NON_FINITE)
+                continue
+            value = _eval_many(e, columns, size, faults)
+            faults.flag(~np.isfinite(value), _NON_FINITE)
+            out[:, j] = value
+    faults.raise_first()
+    return out
 
 
 def _eval_many(e: Expression, columns, size: int, faults: _Faults) -> np.ndarray:

@@ -6,6 +6,14 @@ refused.  Loaders validate shapes and report failures with the offending
 field path.  Writers emit a fixed key order, so identical inputs produce
 byte-identical files.
 
+All JSON text, files and ``--format json`` reports alike, comes from
+:func:`json_text`, which returns exactly ``json.dumps(doc, indent=2)``
+built by string joins: a list of floats is one join of their reprs, rows
+of equal length of floats take one ``%``-template per row, dicts and other
+lists recurse, and the remaining scalars (strings, bools, None, non-finite
+floats) go through the json module's own encoders.  A file is written by
+one ``write`` call.
+
 Every number must be finite: ``NaN``, ``Infinity`` and numbers too large
 for a double are refused with the path of the first bad entry (e.g.
 ``cert.json.lambda[3]: not a finite number``).  Where an integer is
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -50,15 +59,84 @@ __all__ = [
     "save_certificate",
     "load_cone_family",
     "dump_json",
+    "json_text",
 ]
 
 FORMAT_VERSION = 1
 
 
 def dump_json(obj: dict, path: str) -> None:
+    text = json_text(obj) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+# json's own encoders: of a str, and of any other scalar (bool, None, an
+# int subclass, a non-finite float); json writes ints and finite floats
+# by int.__repr__ and float.__repr__
+_string_text = json.encoder.encode_basestring_ascii
+_scalar_text = json.JSONEncoder().encode
+
+
+def json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)``, built by string joins; every
+    dict key of ``doc`` must be a str."""
+    return _text(doc, "\n")
+
+
+def _text(obj, newline: str) -> str:
+    """The text of ``obj`` whose closing bracket starts at ``newline``."""
+    if isinstance(obj, (list, tuple)):
+        return _list_text(obj, newline) if obj else "[]"
+    if isinstance(obj, dict):
+        return _dict_text(obj, newline) if obj else "{}"
+    if isinstance(obj, str):
+        return _string_text(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    return _scalar_text(obj)
+
+
+def _list_text(items, newline: str) -> str:
+    inner = newline + "  "
+    first = items[0]
+    body = None
+    if isinstance(first, float):
+        try:
+            body = ("," + inner).join(map(float.__repr__, items))
+        except TypeError:  # an entry that is not a float
+            pass
+    elif type(first) is list and first:
+        body = _rows_text(items, inner)
+    # json writes inf and nan as Infinity and NaN; no finite repr has an i or a
+    if body is None or "i" in body or "a" in body:
+        body = ("," + inner).join([_text(v, inner) for v in items])
+    return "[" + inner + body + newline + "]"
+
+
+def _rows_text(rows, newline: str) -> str | None:
+    """Rows that are lists of equal length of floats, one %-template per
+    row; None for any other list."""
+    width = len(rows[0])
+    if (
+        set(map(type, rows)) != {list}
+        or set(map(len, rows)) != {width}
+        or set(map(type, chain.from_iterable(rows))) != {float}
+    ):
+        return None
+    inner = newline + "  "
+    template = "[" + inner + ("," + inner).join(["%r"] * width) + newline + "]"
+    return ("," + newline).join(map(template.__mod__, map(tuple, rows)))
+
+
+def _dict_text(obj: dict, newline: str) -> str:
+    inner = newline + "  "
+    body = ("," + inner).join(
+        [_string_text(k) + ": " + _text(v, inner) for k, v in obj.items()]
+    )
+    return "{" + inner + body + newline + "}"
 
 
 def _load_json(path: str) -> Any:

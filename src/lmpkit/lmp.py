@@ -23,6 +23,7 @@ a single aggregator that never aborts on a failing sub-check.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -229,8 +230,16 @@ class CheckConfig:
     stationarity_tol: float | None = None
 
     def __post_init__(self):
-        if self.delta < 0 or self.eps < 0:
-            raise InputError("tolerances must be nonnegative")
+        refuse_bad_tolerances(self)
+
+
+def refuse_bad_tolerances(config) -> None:
+    """Raise InputError, naming the field, for a tolerance of a config
+    dataclass that is NaN, infinite or negative; None stands for unset."""
+    for name in config.__dataclass_fields__:
+        value = getattr(config, name)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise InputError(f"{name} must be finite and nonnegative, not {value!r}")
 
 
 @dataclass(frozen=True)

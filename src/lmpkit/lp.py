@@ -16,9 +16,11 @@ current basis B; each pivot is a rank-1 update of T.
   as ratio ties go to the lowest-index basic variable, Bland cannot cycle.
 * Fresh check.  When a phase stops, B^-1 [A | b] is solved afresh from the
   columns of A by one LU solve with partial pivoting, sharing no code with
-  the pivots.  The phase ends only when the fresh x_B (the returned x) and
-  reduced costs are nonnegative within tolerance; else the fresh tableau
-  replaces T, up to ``_REFRESHES`` times before ``NumericalError``.
+  the pivots.  The phase ends only when the fresh x_B (the returned x) is
+  nonnegative within tolerance and the fresh tableau confirms the stop: no
+  negative reduced cost (optimal), or one whose column has no positive
+  entry (unbounded).  Else the fresh tableau replaces T, up to
+  ``_REFRESHES`` times before ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -89,18 +91,23 @@ def _fresh_tableau(full: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _solve_phase(tableau, basis, cost, full):
-    """Iterate to a basis the fresh check confirms optimal (``full`` is
-    [A | b]); returns the fresh tableau, or None if unbounded, and the pivot count."""
+    """Iterate to a basis the fresh check confirms optimal or unbounded
+    (``full`` is [A | b]); returns the fresh tableau, or None if unbounded,
+    and the pivot count."""
     pivots = 0
     for _ in range(_REFRESHES + 1):
         status, count = _iterate(tableau, basis, cost)
         pivots += count
-        if status == "unbounded":
-            return None, pivots
         tableau = _fresh_tableau(full, basis)
         reduced = cost - cost[basis] @ tableau[:, :-1]
-        if tableau[:, -1].min(initial=0.0) >= -_FEAS_TOL and reduced.min() >= -_COST_TOL:
+        if tableau[:, -1].min(initial=0.0) < -_FEAS_TOL:
+            continue
+        improving = reduced < -_COST_TOL
+        if status == "optimal" and not improving.any():
             return tableau, pivots
+        ray = improving & (tableau[:, :-1] <= _PIVOT_TOL).all(axis=0)
+        if status == "unbounded" and ray.any():
+            return None, pivots
     raise NumericalError("simplex basis fails its fresh check after refreshes")
 
 

@@ -48,6 +48,7 @@ from .lmp import (
     MultiplierSet,
     Report,
     check_certificate,
+    refuse_bad_tolerances,
 )
 from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, Trajectory
@@ -71,6 +72,9 @@ class RecoveryConfig:
     delta: float = 1e-8
     eps: float = 1e-8
     delta_slack: float | None = None  # None: 1e-6 * max(1, sup |G|)
+
+    def __post_init__(self):
+        refuse_bad_tolerances(self)
 
 
 @dataclass

@@ -8,8 +8,12 @@ point sets, each with one point per grid cell k:
 * ``mid``: the midpoints of both, the cell's midpoint.
 
 Every table of the problem (f, f_x, f_u, G, G_x, G_u) is evaluated over a
-whole point set the first time it is read, with
-:func:`lmpkit.expr.evaluate_many`.  Cached per tolerance pair (delta, eps):
+whole point set the first time it is read, in one pass with
+:func:`lmpkit.expr.evaluate_table`: a constant entry is filled in, a bare
+variable is its column after one finiteness test (a mid column can
+overflow to inf), and only compound entries run the interpreter.  An
+error names the lowest failing point; of the entries failing there, the
+first in table order gives the reason.  Cached per tolerance pair (delta, eps):
 the relaxed phase test and G_x at the phase points of each point set, the
 table of jump generators per node (laid out as :class:`Samples` says), and
 the contact set.  G_u is evaluated only where -delta <= G <= 0 and G_x for
@@ -63,26 +67,20 @@ class PointSet:
         An EvalError names the first failing point, as evaluating point by
         point in order would: its ``sample`` is the point's cell index.
         """
-        index = np.arange(self.size) if where is None else np.flatnonzero(where)
         columns = self.columns
         if where is not None:
+            index = where.nonzero()[0]
             columns = {name: col[index] for name, col in columns.items()}
         nested = isinstance(table[0], tuple)
-        flat = [e for row in table for e in row] if nested else list(table)
-        values = []
-        first: EvalError | None = None
-        for e in flat:
-            try:
-                values.append(expr.evaluate_many(e, columns))
-            except EvalError as err:
-                if err.sample is None:
-                    raise
-                if first is None or err.sample < first.sample:
-                    first = err
-        if first is not None:
-            raise EvalError(first.reason, sample=int(index[first.sample])) from first
+        flat = [e for row in table for e in row] if nested else table
+        try:
+            values = expr.evaluate_table(flat, columns)
+        except EvalError as err:
+            if where is None or err.sample is None:
+                raise
+            raise EvalError(err.reason, sample=int(index[err.sample])) from err
         shape = (len(table), len(table[0])) if nested else (len(table),)
-        return np.stack(values, axis=-1).reshape(index.size, *shape)
+        return values.reshape(values.shape[0], *shape)
 
     @cached_property
     def f(self) -> np.ndarray:

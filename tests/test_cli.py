@@ -90,6 +90,16 @@ class TestCheck:
                        "--format", "json", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [("--eps", "nan", "eps"), ("--structural-tol", "inf", "structural_tol")],
+    )
+    def test_non_finite_tolerance_is_input_error(self, fixture_dir, capsys, option, value, field):
+        assert run_cli("check", *paths(fixture_dir), option, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be finite and nonnegative, not {value}" in captured.err
+
     def test_json_report_shape(self, fixture_dir, tmp_path):
         problem, trajectory, certificate = paths(fixture_dir)
         out = tmp_path / "report.json"
@@ -110,6 +120,13 @@ class TestRecover:
         )
         assert code == 0
         assert run_cli("check", problem, trajectory, str(cert)) == 0
+
+    def test_non_finite_delta_slack_is_input_error(self, fixture_dir, capsys):
+        problem, trajectory, _ = paths(fixture_dir)
+        assert run_cli("recover", problem, trajectory, "--delta-slack", "nan") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta_slack must be finite and nonnegative, not nan" in captured.err
 
     def test_pathological_grid_guard(self, tmp_path, capsys):
         out = tmp_path / "tiny"

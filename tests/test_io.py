@@ -418,3 +418,61 @@ def test_check_refuses_a_wrong_container(ex2_files, capsys, file, path, value, m
     assert code == 2
     err = capsys.readouterr().err
     assert re.search(message, err), err
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 1e-300, 1e16, float("inf"), -float("inf"), float("nan")]),
+    st.floats().map(np.float64),
+)
+SCALARS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), FLOATS)
+# besides scalars, the lists and rows the writer joins in one go
+DOCUMENTS = st.recursive(
+    SCALARS
+    | st.lists(FLOATS, min_size=1, max_size=6)
+    | st.integers(1, 3).flatmap(
+        lambda width: st.lists(
+            st.lists(FLOATS, min_size=width, max_size=width), min_size=1, max_size=4
+        )
+    ),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_json_text_equals_json_dumps(doc):
+    assert io.json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_every_written_file_is_json_dumps_text(tmp_path):
+    """Files of example, recover and check (a report with Infinity entries
+    among them) hold the text json.dumps gives for their own contents."""
+    from lmpkit.cli import main
+
+    written = []
+    for name, N in (("ex1", 40), ("ex2", 20), ("ex2", 50)):
+        d = tmp_path / f"{name}-{N}"
+        assert main(["example", name, "--N", str(N), "--out-dir", str(d)]) == 0
+        problem, trajectory = str(d / "problem.json"), str(d / "trajectory.json")
+        main([
+            "recover", problem, trajectory, "--out-certificate", str(d / "recovered.json"),
+            "--format", "json", "--out", str(d / "report.json"),
+        ])
+        written += [d / f for f in ("problem.json", "trajectory.json", "certificate.json",
+                                    "recovered.json", "report.json")]
+    d = tmp_path / "ex1-40"
+    failing = d / "failing-problem.json"
+    failing.write_text((d / "problem.json").read_text())
+    rewrite(failing, lambda doc: doc.update(G=doc["G"] + " + 0*log(x1 - 100)"))
+    out = d / "failing-report.json"
+    main(["check", str(failing), str(d / "trajectory.json"), str(d / "certificate.json"),
+          "--format", "json", "--out", str(out)])
+    assert "Infinity" in out.read_text()
+    for path in written + [out]:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name

@@ -21,6 +21,7 @@ from lmpkit.lmp import (
 )
 from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
+from lmpkit.recovery import RecoveryConfig
 from oracles import (
     RELAXED,
     random_certificate,
@@ -610,3 +611,14 @@ def test_convention_sensitive_nodes_are_atoms_at_two_sided_jumps(ex1):
     )
     report = check_certificate(problem, jumpy, certificate)
     assert report.diagnostics["convention_sensitive_nodes"] == [3]
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [(CheckConfig, name) for name in CheckConfig.__dataclass_fields__]
+    + [(RecoveryConfig, name) for name in RecoveryConfig.__dataclass_fields__],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-300])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(config, field, value):
+    with pytest.raises(InputError, match=f"^{field} must be finite and nonnegative"):
+        config(**{field: value})

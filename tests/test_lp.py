@@ -117,6 +117,30 @@ def test_fresh_check_recovers_from_a_corrupted_tableau(monkeypatch):
     np.testing.assert_allclose(result.x, [0.0, 3.0, 4.0, 0.0], atol=1e-12)
 
 
+def test_unbounded_stop_is_confirmed_afresh(monkeypatch):
+    real_pivot = lp._pivot
+    pivots = []
+
+    def corrupt_once(tableau, basis, row, col):
+        real_pivot(tableau, basis, row, col)
+        if not pivots:
+            # x1 enters first on row 0 (Bland), leaving the basis {x1, x4};
+            # false entries in that row make x2 look non-improving and x3
+            # improving, and x3's column then has no positive entry
+            tableau[row, 1:3] = [5.0, -5.0]
+        pivots.append(col)
+
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", 0)
+    monkeypatch.setattr(lp, "_pivot", corrupt_once)
+    result = lp.solve_standard_form(*BOX)
+    # the carried tableau stops unbounded after one pivot; the fresh
+    # tableau of that basis shows x2 improving with a positive entry
+    assert pivots[0] == 0 and len(pivots) > 1
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(-6.0, abs=1e-12)
+    np.testing.assert_allclose(result.x, [0.0, 3.0, 4.0, 0.0], atol=1e-12)
+
+
 # Beale's example (Beale 1955): the most-negative-reduced-cost rule, with
 # ratio ties leaving by the lowest-index basic variable, cycles through six
 # degenerate bases back to the starting one.
