@@ -25,7 +25,9 @@ The cone batch is the 750 families that `perfbench/workloads.py`'s
 cones-batch workload loads them.  It records the median and minimum CPU time
 per family of `cones.intersection_nonempty` followed by
 `cones.approx_separate`, over three passes; each pass gives its CPU time
-divided by the number of families.
+divided by the number of families.  One more, untimed pass counts the
+simplex pivots per family of each of the two LPs (`LpResult.iterations` of
+every `solve_standard_form` call that `lmpkit.cones` makes).
 
 Each checkout is measured by its own worker process, with lmpkit imported
 from its `src/` and OpenBLAS at one thread; `--src` may be given more than
@@ -233,9 +235,40 @@ def cone_pass(families: list) -> float:
     return 1e3 * (time.process_time() - cpu) / len(families)
 
 
+def cone_pivots(families: list) -> dict:
+    """Mean simplex pivots per family of each cone LP, over one pass."""
+    from workloads import SEPARATION_EPS
+
+    from lmpkit import cones
+
+    real = cones.solve_standard_form
+    counts = []
+
+    def counted(c, A, b):
+        result = real(c, A, b)
+        counts[-1] += result.iterations
+        return result
+
+    cones.solve_standard_form = counted
+    try:
+        totals = {}
+        for name, call in (
+            ("intersection_nonempty", cones.intersection_nonempty),
+            ("approx_separate", lambda family: cones.approx_separate(family, SEPARATION_EPS)),
+        ):
+            counts.append(0)
+            for family in families:
+                call(family)
+            totals[name] = counts[-1] / len(families)
+    finally:
+        cones.solve_standard_form = real
+    return totals
+
+
 def worker(args) -> int:
     """Answer requests from stdin, one JSON line each, with one JSON line
-    on stdout: ``["measure", command, fixture, N]`` or ``["cones"]``."""
+    on stdout: ``["measure", command, fixture, N]``, ``["cones"]`` or
+    ``["pivots"]``."""
     src = Path(args.worker).resolve() / "src"
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(src))
@@ -253,7 +286,7 @@ def worker(args) -> int:
                 reply = sweep.measure(*request[1:])
             else:
                 families = families or cone_families(Path(tmp))
-                reply = cone_pass(families)
+                reply = (cone_pass if request[0] == "cones" else cone_pivots)(families)
             out.write(json.dumps(reply) + "\n")
             out.flush()
     return 0
@@ -321,6 +354,7 @@ def sweep(workers: dict[str, Worker]) -> tuple[dict, dict]:
             "seed": CONE_SEED,
             "families": CONE_FAMILIES,
             "cpu_ms_per_family": {"median": statistics.median(ms), "min": min(ms), "runs": ms},
+            "pivots_per_family": workers[name].ask("pivots"),
         }
         for name, ms in passes.items()
     }
@@ -384,6 +418,7 @@ def main(argv=None) -> int:
             "tracemalloc_peak_mb": "tracemalloc peak of one more recover call",
             "cpu_ms_per_family": "CPU ms per cone family of intersection_nonempty "
             "and approx_separate, one value per pass over the batch",
+            "pivots_per_family": "mean simplex pivots per cone family of each LP",
         },
         "checkouts": {},
     }

@@ -3,7 +3,11 @@
 
 For each seeded instance the two verdicts are computed independently (the
 margin LP and the approximate-separation LP) and tabulated; away from the
-degenerate margin band they must be exact complements of each other.
+degenerate margin band they must be exact complements of each other.  The
+read-outs are checked too, within 1e-12: a witness must meet <g, x> >= margin
+on the open-cone generators, >= 0 on the closed cone's and |x|_inf <= 1, and
+a separating family's objective must equal |sum h_i|_1.  Any failure is a
+violation, and the script then exits with code 1.
 """
 
 import argparse
@@ -12,6 +16,18 @@ from collections import Counter
 import numpy as np
 
 from lmpkit.cones import approx_separate, intersection_nonempty, random_family
+
+TOL = 1e-12
+
+
+def witness_fails(family, inter) -> bool:
+    x = inter.witness
+    low = [(c.generators @ x).min() - (inter.margin if c.open else 0.0) for c in family]
+    return min(low) < -TOL or np.abs(x).max() > 1.0 + TOL
+
+
+def objective_fails(sep) -> bool:
+    return abs(sep.objective - np.abs(np.sum(sep.h, axis=0)).sum()) > TOL
 
 
 def main() -> None:
@@ -38,7 +54,11 @@ def main() -> None:
             tally["intersecting"] += 1
         else:
             tally["separated"] += 1
-        if sep.separated == inter.nonempty:
+        if (
+            sep.separated == inter.nonempty
+            or (inter.nonempty and witness_fails(family, inter))
+            or (sep.separated and objective_fails(sep))
+        ):
             violations.append(args.seed_base + i)
 
     margins = np.asarray(margins)
@@ -52,10 +72,11 @@ def main() -> None:
             f"margin stats over intersecting: min {positive.min():.3e}, "
             f"median {np.median(positive):.3e}, max {positive.max():.3e}"
         )
+    print(f"violations:    {len(violations)}")
     if violations:
-        print(f"EQUIVALENCE VIOLATIONS at seeds: {violations}")
+        print(f"violating seeds: {violations}")
         raise SystemExit(1)
-    print("equivalence held on every non-degenerate instance")
+    print("equivalence, witnesses and objectives held on every non-degenerate instance")
 
 
 if __name__ == "__main__":

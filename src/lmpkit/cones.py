@@ -1,19 +1,39 @@
 """Finite-dimensional approximate separation of polyhedral convex cones.
 
 Cones are given from the predual side: H = cone{g_1..g_r} induces the closed
-cone {x : <g_j, x> >= 0 for all j} whose interior is the open variant.  Two
-linear programs realise the two faces of the separation equivalence:
+cone {x : <g_j, x> >= 0 for all j} whose interior is the open variant.  The
+open cones and the closed one fail to meet exactly when nonnegative
+combinations h_i of their generators, not all zero, sum to zero (the
+Dubovitskii-Milyutin alternative).  For polyhedral cones both sides of that
+alternative are one primal-dual pair of linear programs.  With weights w >= 0
+on the generators (all stacked as g_1..g_k), let
 
-* ``intersection_nonempty`` maximises the margin t with <g, x> >= t over the
-  open-cone generators (>= 0 for the closed cone) inside the unit box; the
-  intersection of the open cones with the closed one is nonempty iff the
-  optimal margin is positive.
+    LP(w):  minimise |sum_j c_j g_j|_1  over c >= 0  subject to  w.c = 1,
 
-* ``approx_separate`` searches nonnegative generator coefficients giving
-  h_i in H_i with the normalisation sum_i <x0_i, h_i> = 1 over the open
-  cones and a 1-norm of h_0 + sum h_i below a user epsilon (an approximate
+in standard form with z+ - z- = sum_j c_j g_j (d rows) and cost sum(z+ + z-).
+Its LP dual is: maximise t over x with <g_j, x> >= w_j t and |x|_inf <= 1.
+
+* ``intersection_nonempty`` solves LP(w) with w = 1 on the open-cone
+  generators and 0 on the closed ones.  Its dual is the margin LP: maximise
+  t with <g, x> >= t (open) and >= 0 (closed) in the unit box, so the
+  optimum is the margin t*, and the multipliers y of the d generator rows
+  are a witness x: at an optimal basis the reduced costs <g_j, y> - w_j t*
+  of c_j and 1 -+ y_i of z+-_i are nonnegative.  The intersection is
+  nonempty iff t* is positive.
+
+* ``approx_separate`` solves LP(w) with w_j = <x0_i, g_j> for a generator of
+  an open cone i (0 for the closed cone): nonnegative generator
+  coefficients giving h_i in H_i with sum_i <x0_i, h_i> = 1 over the open
+  cones and |h_0 + sum h_i|_1 below a user epsilon (an approximate
   Euler-Lagrange condition).  For polyhedral data the optimum is exactly
   zero in the separable case, so any epsilon above solver tolerance works.
+
+The builder eliminates the coefficient c_j* of largest weight a = w_j* from
+the generator rows by c_j* = (1 - sum_{j != j*} w_j c_j) / a.  The column of
+c_j* is then nonzero only in the normalisation row, which makes c_j* that
+row's slack; the generator rows keep their unit columns z+ and z-.  So the
+simplex starts from a feasible basis, with no phase 1, and c_j* is read off
+like any other coefficient.
 
 Both verdicts are invariant under positive scaling of the generators.
 """
@@ -82,12 +102,12 @@ _MARGIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class IntersectionResult:
-    """``margin`` is the optimal LP value t*.  Because x = 0 is always
-    feasible, t* is never negative: robustly empty families report exactly
-    0.  The margin comes from a fresh solve of the optimal basis and is
-    accurate to about 1e-14 on unit-scale data, so a value in (0, 1e-9] is
-    an intersection too thin to count as nonempty, not rounding noise: the
-    degenerate band callers may want to log."""
+    """``margin`` is the optimal value t* of the margin LP, the optimum of
+    LP(w) (a 1-norm), so it is never negative: robustly empty families
+    report exactly 0.  The margin comes from a fresh solve of the optimal
+    basis and is accurate to about 1e-14 on unit-scale data, so a value in
+    (0, 1e-9] is an intersection too thin to count as nonempty, not
+    rounding noise: the degenerate band callers may want to log."""
 
     nonempty: bool
     witness: np.ndarray | None
@@ -98,138 +118,94 @@ class IntersectionResult:
 class SeparationResult:
     separated: bool
     objective: float | None
-    h: tuple[np.ndarray, ...] | None
-    coefficients: tuple[np.ndarray, ...] | None
+    h: tuple[np.ndarray, ...] | None = None
+    coefficients: tuple[np.ndarray, ...] | None = None
 
 
-def _check_family(cones) -> tuple[int, int]:
+def _check_family(cones) -> int:
+    """The ambient dimension of a valid family."""
     if not cones:
         raise InputError("at least one cone is required")
     dims = {c.generators.shape[1] for c in cones if c.generators.size}
     if len(dims) != 1:
         raise InputError("all cones must share one ambient dimension")
-    d = dims.pop()
-    closed = [i for i, c in enumerate(cones) if not c.open]
-    if len(closed) > 1:
+    if sum(not c.open for c in cones) > 1:
         raise InputError("at most one cone may be closed")
-    return d, closed[0] if closed else -1
+    return dims.pop()
+
+
+def _solve_dual(G: np.ndarray, w: np.ndarray):
+    """LP(w) of the module docstring for generators G (k, d), with the
+    coefficient of largest weight eliminated; columns c (k), z+ (d), z- (d)."""
+    k, d = G.shape
+    j = w.argmax()
+    rows = np.zeros((d + 1, k + 2 * d))
+    rows[:d, :k] = np.outer(G[j] / w[j], w) - G.T
+    rows[:d, j] = 0.0  # exactly, so that c_j* is the normalisation's slack
+    rows[:d, k : k + d] = np.eye(d)
+    rows[:d, k + d :] = -np.eye(d)
+    rows[d, :k] = w
+    rhs = np.append(G[j] / w[j], 1.0)
+    cost = np.zeros(k + 2 * d)
+    cost[k:] = 1.0
+    return solve_standard_form(cost, rows, rhs)
 
 
 def intersection_nonempty(cones) -> IntersectionResult:
     """LP test whether the open cones and the (optional) closed cone meet.
 
-    Maximises t subject to <g, x> >= 0 over closed-cone generators,
-    <g, x> >= t over open-cone generators, and |x|_inf <= 1; a positive
-    optimal margin yields a witness.
+    The margin t* (maximise t subject to <g, x> >= 0 over closed-cone
+    generators, <g, x> >= t over open-cone generators, and |x|_inf <= 1) is
+    the optimum of its dual LP(w), w = 1 on the open generators; a positive
+    margin yields the witness x, the multipliers of LP(w)'s generator rows.
     """
-    d, _ = _check_family(cones)
-    for c in cones:
-        if c.ngens == 0:
-            raise InputError("degenerate input: a cone has no generators")
-    closed = [c.generators for c in cones if not c.open]
-    opened = [c.generators for c in cones if c.open]
-    if not opened:
+    d = _check_family(cones)
+    if any(c.ngens == 0 for c in cones):
+        raise InputError("degenerate input: a cone has no generators")
+    if not any(c.open for c in cones):
         raise InputError("at least one open cone is required")
-    G = np.vstack(closed + opened)
-    k = G.shape[0]
-    n_closed = k - sum(g.shape[0] for g in opened)
-
-    # Standard-form layout: x = xp - xm (2d), t = tp - tm (2), one surplus s
-    # per generator row (g.x - s = 0 closed, g.x - t - s = 0 open), then one
-    # slack per box face (x_j + slack = 1 and -x_j + slack = 1, row by row).
-    nvar = 2 * d + 2 + k + 2 * d
-    eye = np.eye(d)
-    rows = np.zeros((k + 2 * d, nvar))
-    rows[:k, :d] = G
-    rows[:k, d : 2 * d] = -G
-    rows[n_closed:k, 2 * d : 2 * d + 2] = [-1.0, 1.0]
-    rows[:k, 2 * d + 2 : 2 * d + 2 + k] = -np.eye(k)
-    rows[k::2, : 2 * d] = np.hstack([eye, -eye])
-    rows[k + 1 :: 2, : 2 * d] = np.hstack([-eye, eye])
-    rows[k::2, 2 * d + 2 + k : 2 * d + 2 + k + d] = eye
-    rows[k + 1 :: 2, 2 * d + 2 + k + d :] = eye
-    rhs = np.zeros(k + 2 * d)
-    rhs[k:] = 1.0
-
-    cost = np.zeros(nvar)
-    cost[2 * d] = -1.0  # maximise t
-    cost[2 * d + 1] = 1.0
-    result = solve_standard_form(cost, rows, rhs)
+    G = np.vstack([c.generators for c in cones])
+    w = np.concatenate([np.full(c.ngens, float(c.open)) for c in cones])
+    result = _solve_dual(G, w)
     if result.status != "optimal":
-        # The box keeps the LP bounded and x = 0, t <= 0 is always feasible.
+        # c_j* = 1 / a is feasible, and the cost is a norm, bounded below
         raise InputError(f"intersection LP ended with status {result.status}")
-    x = result.x[:d] - result.x[d : 2 * d]
-    margin = float(result.x[2 * d] - result.x[2 * d + 1])
+    margin = result.objective
     if abs(margin) <= 1e-12:
         # pivot roundoff on a structurally zero optimum (data are O(1))
         margin = 0.0
     if margin > _MARGIN_TOL:
-        return IntersectionResult(nonempty=True, witness=x, margin=margin)
+        return IntersectionResult(nonempty=True, witness=result.y[:d], margin=margin)
     return IntersectionResult(nonempty=False, witness=None, margin=margin)
 
 
 def approx_separate(cones, eps: float) -> SeparationResult:
     """Search an approximate separating family {h_i in H_i}.
 
-    One LP: minimise |h_0 + sum h_i|_1 over nonnegative generator
-    coefficients subject to the normalisation sum over open cones of
-    <x0_i, h_i> = 1.  Separation succeeds when the optimum is below eps.
+    One LP, LP(w) with w_j = <x0_i, g_j> on open cone i's generators and 0
+    on the closed cone's: minimise |h_0 + sum h_i|_1 over nonnegative
+    generator coefficients subject to sum over open cones of <x0_i, h_i> = 1.
+    Separation succeeds when the optimum is below eps; with no open-cone
+    generator the normalisation cannot hold and no LP is solved.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise InputError(f"eps must be positive and finite, not {eps!r}")
-    d, _ = _check_family(cones)
-    offsets = []
-    total = 0
-    pairing = []
-    for c in cones:
-        offsets.append(total)
-        total += c.ngens
-        if c.open:
-            if c.ngens and c.x0 is None:
-                raise InputError("every open cone needs an interior point x0")
-            pairing.extend(
-                np.asarray(c.generators) @ c.x0 if c.ngens else np.zeros(0)
-            )
-        else:
-            pairing.extend([0.0] * c.ngens)
-    pairing = np.asarray(pairing, dtype=float)
-
-    # Variables: coefficients (total), then z+ and z- (d each) with
-    # z+ - z- = sum of coefficient-weighted generators.
-    nvar = total + 2 * d
-    rows = np.zeros((d + 1, nvar))
-    rhs = np.zeros(d + 1)
-    if total:
-        rows[:d, :total] = -np.vstack([c.generators for c in cones if c.ngens]).T
-    rows[:d, total : total + d] = np.eye(d)
-    rows[:d, total + d :] = -np.eye(d)
-    rows[d, :total] = pairing
-    rhs[d] = 1.0
-    cost = np.zeros(nvar)
-    cost[total:] = 1.0
-
-    result = solve_standard_form(cost, rows, rhs)
-    if result.status == "infeasible":
-        return SeparationResult(separated=False, objective=None, h=None, coefficients=None)
+    d = _check_family(cones)
+    if any(c.open and c.ngens and c.x0 is None for c in cones):
+        raise InputError("every open cone needs an interior point x0")
+    pairing = np.concatenate(
+        [c.generators @ c.x0 if c.open and c.ngens else np.zeros(c.ngens) for c in cones]
+    )
+    if pairing.max() <= 0.0:
+        return SeparationResult(separated=False, objective=None)
+    result = _solve_dual(np.vstack([c.generators for c in cones if c.ngens]), pairing)
     if result.status != "optimal":
         raise InputError(f"separation LP ended with status {result.status}")
-    objective = float(result.objective)
-    if objective >= eps:
-        return SeparationResult(
-            separated=False, objective=objective, h=None, coefficients=None
-        )
-    coeffs = []
-    hs = []
-    for c, off in zip(cones, offsets):
-        ci = result.x[off : off + c.ngens]
-        coeffs.append(ci)
-        hs.append(ci @ np.asarray(c.generators) if c.ngens else np.zeros(d))
-    return SeparationResult(
-        separated=True,
-        objective=objective,
-        h=tuple(hs),
-        coefficients=tuple(coeffs),
-    )
+    if result.objective >= eps:
+        return SeparationResult(separated=False, objective=result.objective)
+    coeffs = np.split(result.x[: pairing.size], np.cumsum([c.ngens for c in cones])[:-1])
+    hs = [ci @ c.generators if c.ngens else np.zeros(d) for ci, c in zip(coeffs, cones)]
+    return SeparationResult(True, result.objective, tuple(hs), tuple(coeffs))
 
 
 def random_family(rng: np.random.Generator, dim: int | None = None) -> list[PolyCone]:

@@ -9,11 +9,14 @@ current basis B; each pivot is a rank-1 update of T.
   when that entry is positive, or negative on a row with b = 0 (the row is
   then negated).  Rows left without one get artificials, minimised in a
   phase 1; those still basic at zero are pivoted out, or their rows dropped.
+  The cone LPs give every row such a column, so they run no phase 1.
 * Pricing.  The reduced costs c - c_B T are computed when pivoting starts
   and updated by each pivot's rank-1 step; the most negative enters
-  (Dantzig).  After ``_DEGENERATE_RUN`` degenerate pivots in a row (ratio 0)
-  the lowest-index eligible column enters (Bland) until one makes progress;
-  as ratio ties go to the lowest-index basic variable, Bland cannot cycle.
+  (Dantzig).  After ``_DEGENERATE_RUN`` degenerate pivots in a row (ratio
+  at most 1e-12 (1 + largest rhs when pivoting starts), so that rounding
+  residue such as 1e-18 counts as zero) the lowest-index eligible column
+  enters (Bland) until one makes progress; as ratio ties go to the
+  lowest-index basic variable, Bland cannot cycle.
 * Fresh check.  When a phase stops, B^-1 [A | b] is solved afresh from the
   columns of A by one LU solve with partial pivoting, sharing no code with
   the pivots.  The phase ends only when the fresh x_B (the returned x) is
@@ -21,6 +24,11 @@ current basis B; each pivot is a rank-1 update of T.
   negative reduced cost (optimal), or one whose column has no positive
   entry (unbounded).  Else the fresh tableau replaces T, up to
   ``_REFRESHES`` times before ``NumericalError``.
+* Multipliers.  An optimal result carries y with B^T y = c_B for its final
+  basis B (one more LU solve), in the rows as the caller gave them: y of a
+  row negated for b < 0 is negated back, and a row dropped as redundant
+  gets 0.  Then c - A^T y is the reduced cost, >= 0 at the optimum, and
+  b.y the objective.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ class LpResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int  # pivots over both phases
+    y: np.ndarray | None = None  # row multipliers of an optimal result
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -61,6 +70,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
     """Pivot in place; returns 'optimal' or 'unbounded', and the pivot count."""
     rhs, reduced = tableau[:, -1], cost - cost[basis] @ tableau[:, :-1]
+    flat = 1e-12 * (1.0 + rhs.max(initial=0.0))
     degenerate = 0
     for pivots in range(50_000 + 200 * (tableau.shape[0] + cost.size)):
         col = reduced.argmin()
@@ -74,7 +84,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
             return "unbounded", pivots
         ratios = rhs[rows] / column[rows]
         best = ratios.min()
-        degenerate = degenerate + 1 if best <= 0.0 else 0
+        degenerate = degenerate + 1 if best <= flat else 0
         tied = rows[ratios <= best + 1e-10 * (1.0 + abs(best))]
         row = tied[basis[tied].argmin()]
         _pivot(tableau, basis, row, col)
@@ -119,7 +129,8 @@ def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult
     if A.ndim != 2 or A.shape != (b.size, c.size):
         raise NumericalError("inconsistent LP dimensions")
     m, n = A.shape
-    A[b < 0] *= -1.0
+    negated = b < 0
+    A[negated] *= -1.0
     b = np.abs(b)
 
     # Starting basis: in each row the lowest single-nonzero column, positive,
@@ -138,11 +149,12 @@ def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult
     full = np.column_stack([A, np.eye(m)[:, missing], b])
     tableau = full / full[np.arange(m), basis][:, None]
 
-    def result(status, pivots, x=None):
+    def result(status, pivots, x=None, y=None):
         log.debug("simplex on %d x %d: %s after %d pivots", m, n, status, pivots)
-        return LpResult(status, x, None if x is None else float(c @ x), pivots)
+        return LpResult(status, x, None if x is None else float(c @ x), pivots, y)
 
     phase1 = 0
+    kept_rows = np.ones(m, dtype=bool)
     if missing.size:
         cost = np.concatenate([np.zeros(n), np.ones(missing.size)])
         tableau, phase1 = _solve_phase(tableau, basis, cost, full)
@@ -157,7 +169,6 @@ def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult
                 phase1 += 1
         # An artificial still basic marks its own row as redundant.
         keep = cost[basis] == 0.0
-        kept_rows = np.ones(m, dtype=bool)
         kept_rows[missing[basis[~keep] - n]] = False
         columns = np.r_[:n, -1]
         full = full[kept_rows][:, columns]
@@ -169,4 +180,7 @@ def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult
         return result("unbounded", phase1 + phase2)
     x = np.zeros(n)
     x[basis] = tableau[:, -1]
-    return result("optimal", phase1 + phase2, x)
+    y = np.zeros(m)
+    y[kept_rows] = np.linalg.solve(full[:, basis].T, c[basis])
+    y[negated] *= -1.0
+    return result("optimal", phase1 + phase2, x, y)

@@ -10,10 +10,9 @@ point sets, each with one point per grid cell k:
 Every table of the problem (f, f_x, f_u, G, G_x, G_u) is evaluated over a
 whole point set the first time it is read, in one pass with
 :func:`lmpkit.expr.evaluate_table`: a constant entry is filled in, a bare
-variable is its column after one finiteness test (a mid column can
-overflow to inf), and only compound entries run the interpreter.  An
-error names the lowest failing point; of the entries failing there, the
-first in table order gives the reason.  Cached per tolerance pair (delta, eps):
+variable is its column after one finiteness test, and only compound entries
+run the interpreter.  An error names the lowest failing point; of the
+entries failing there, the first in table order gives the reason.  Cached per tolerance pair (delta, eps):
 the relaxed phase test and G_x at the phase points of each point set, the
 table of jump generators per node (laid out as :class:`Samples` says), and
 the contact set.  G_u is evaluated only where -delta <= G <= 0 and G_x for
@@ -161,7 +160,8 @@ class Samples:
         x, ul, ur = trajectory.x, trajectory.u_left, trajectory.u_right
         self.left = PointSet(problem, x[:-1], ul)
         self.right = PointSet(problem, x[1:], ur)
-        self.mid = PointSet(problem, 0.5 * (x[:-1] + x[1:]), 0.5 * (ul + ur))
+        # halves summed, not a halved sum, which overflows above about 9e307
+        self.mid = PointSet(problem, 0.5 * x[:-1] + 0.5 * x[1:], 0.5 * ul + 0.5 * ur)
         jumps = np.asarray(trajectory.jumps, dtype=np.intp)
         self.two_sided = _frozen(jumps[np.any(ur[jumps - 1] != ul[jumps], axis=1)])
         self._node_gradients: dict[tuple[float, float], np.ndarray] = {}

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the code paths under test: derivatives
 are checked by central differences of the evaluator, hull distances by
 exhaustive simplex-grid and face enumeration, cone intersections by rejection
-sampling, small linear programs by enumerating their bases, cumulative
+sampling and by the primal margin LP in the unit box, small linear programs by enumerating their bases, cumulative
 functions of measures by a loop over the nodes, the recovery program by a
 loop over the cells, and expected fixture values by closed forms written out
 by hand.
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lmpkit import expr, geometry
+from lmpkit import expr, geometry, lp
 from lmpkit.errors import InputError, LmpkitError, NumericalError
 from lmpkit.lmp import CheckConfig, MultiplierSet, SupportDirection
 from lmpkit.measures import BVFunction, SignedMeasure
@@ -234,6 +234,39 @@ def intersection_by_sampling(
         if ok.any():
             return True
     return False
+
+
+def margin_by_box_lp(family) -> tuple[float, np.ndarray]:
+    """The margin t* and a witness x of the primal margin LP: maximise t
+    subject to <g, x> >= 0 (closed cone), <g, x> >= t (open cones) and
+    |x|_inf <= 1, laid out in standard form as (k + 2d) rows."""
+    closed = [c.generators for c in family if not c.open]
+    opened = [c.generators for c in family if c.open]
+    G = np.vstack(closed + opened)
+    k, d = G.shape
+    n_closed = k - sum(g.shape[0] for g in opened)
+    # x = xp - xm (2d), t = tp - tm (2), one surplus s per generator row
+    # (g.x - s = 0 closed, g.x - t - s = 0 open), then one slack per box face
+    # (x_j + slack = 1 and -x_j + slack = 1, row by row)
+    nvar = 2 * d + 2 + k + 2 * d
+    eye = np.eye(d)
+    rows = np.zeros((k + 2 * d, nvar))
+    rows[:k, :d] = G
+    rows[:k, d : 2 * d] = -G
+    rows[n_closed:k, 2 * d : 2 * d + 2] = [-1.0, 1.0]
+    rows[:k, 2 * d + 2 : 2 * d + 2 + k] = -np.eye(k)
+    rows[k::2, : 2 * d] = np.hstack([eye, -eye])
+    rows[k + 1 :: 2, : 2 * d] = np.hstack([-eye, eye])
+    rows[k::2, 2 * d + 2 + k : 2 * d + 2 + k + d] = eye
+    rows[k + 1 :: 2, 2 * d + 2 + k + d :] = eye
+    rhs = np.zeros(k + 2 * d)
+    rhs[k:] = 1.0
+    cost = np.zeros(nvar)
+    cost[2 * d : 2 * d + 2] = [-1.0, 1.0]  # maximise t
+    result = lp.solve_standard_form(cost, rows, rhs)
+    if result.status != "optimal":
+        raise NumericalError(f"margin LP ended with status {result.status}")
+    return -result.objective, result.x[:d] - result.x[d : 2 * d]
 
 
 # -- linear programs by basis enumeration ---------------------------------------

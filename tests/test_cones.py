@@ -13,7 +13,10 @@ from lmpkit.cones import (
 from lmpkit.errors import InputError
 from lmpkit.io import load_cone_family
 from lmpkit.lp import solve_standard_form
-from oracles import intersection_by_sampling
+from oracles import intersection_by_sampling, margin_by_box_lp
+
+
+FAMILY_449 = Path(__file__).parent / "data" / "cone_family_449.json"
 
 
 def halfspace(direction, open=True, x0=None):
@@ -94,7 +97,7 @@ def test_family_449_reaches_the_true_margin(monkeypatch):
     off its running tableau, not a fresh solve of the basis, stops there at
     margin 0.060280, slightly infeasible.  The reference value is HiGHS's
     optimum of the same LP."""
-    family = load_cone_family(str(Path(__file__).parent / "data" / "cone_family_449.json"))
+    family = load_cone_family(str(FAMILY_449))
     solved = []
 
     def spy(c, A, b):
@@ -109,6 +112,34 @@ def test_family_449_reaches_the_true_margin(monkeypatch):
     assert pairings.min() >= result.margin - 1e-12
     (A, b, lp_result), = solved
     assert np.max(np.abs(A @ lp_result.x - b)) <= 1e-12
+
+
+def assert_witness_feasible(family, result):
+    """<g, x> >= margin on open generators, >= 0 on closed ones, and
+    |x|_inf <= 1, each within 1e-12."""
+    x = result.witness
+    for c in family:
+        assert (c.generators @ x).min() >= (result.margin if c.open else 0.0) - 1e-12
+    assert np.abs(x).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 25))
+def test_dual_margin_matches_the_primal_box_lp(seed):
+    """The margin, read as the optimum of LP(w), against the primal margin
+    LP in the unit box; the witness, read from LP(w)'s multipliers, is
+    feasible there; and a separating family's objective is |sum h_i|_1."""
+    families = [random_family(np.random.default_rng(s)) for s in range(seed, seed + 25)]
+    if seed == 0:
+        families.append(load_cone_family(str(FAMILY_449)))
+    for family in families:
+        result = intersection_nonempty(family)
+        margin, _ = margin_by_box_lp(family)
+        assert abs(result.margin - margin) <= 1e-12
+        if result.nonempty:
+            assert_witness_feasible(family, result)
+        sep = approx_separate(family, eps=1e-6)
+        if sep.separated:
+            assert abs(sep.objective - np.abs(np.sum(sep.h, axis=0)).sum()) <= 1e-12
 
 
 class TestSeparation:

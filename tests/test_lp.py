@@ -58,25 +58,24 @@ def test_simplex_agrees_with_basis_enumeration(program):
         assert np.max(np.abs(A @ result.x - b)) <= 1e-9
 
 
-def test_phase_one_only_for_rows_without_a_unit_column(monkeypatch):
-    """The margin LP starts from its surplus and box columns and skips
-    phase 1; the separation LP needs one artificial, for its normalisation
-    row, and so runs both phases."""
+def test_neither_cone_lp_runs_phase_one(monkeypatch):
+    """Both cone LPs start from a feasible basis of unit columns (z+ or z-
+    in each generator row, the eliminated coefficient in the normalisation
+    row), so each solve runs one phase and adds no artificial column."""
     phases = []
     real = lp._solve_phase
 
     def counted(tableau, basis, cost, full):
-        phases.append(full.shape[1] - 1)
+        phases.append(cost.size)
         return real(tableau, basis, cost, full)
 
     monkeypatch.setattr(lp, "_solve_phase", counted)
-    family = cones.random_family(np.random.default_rng(3), dim=3)
-    cones.intersection_nonempty(family)
-    assert len(phases) == 1
-    phases.clear()
-    cones.approx_separate(family, eps=1e-6)
-    assert len(phases) == 2
-    assert phases[0] == phases[1] + 1  # phase 1 has one artificial column
+    for seed in range(20):
+        family = cones.random_family(np.random.default_rng(seed))
+        cones.intersection_nonempty(family)
+        cones.approx_separate(family, eps=1e-6)
+        assert len(phases) == 2, f"seed {seed}"
+        phases.clear()
 
 
 # min -x1 - 2 x2 with x1 - x2 <= 1 and x1 + x2 <= 3 through slacks x3 and
@@ -181,6 +180,18 @@ def test_bland_fallback_ends_the_cycle_of_beales_example(monkeypatch, caplog):
     assert len(set(bases)) == 6 and bases[6:] == bases[:6]
 
 
+@pytest.mark.parametrize("b", [(1e-18, 0.0, 1.0), (1e-17, 1e-17, 1.0)])
+def test_rounding_residue_counts_as_a_degenerate_ratio(b):
+    """Beale's cycle with right-hand sides that are zero but for rounding
+    residue: ratios such as 1e-18 must still count as degenerate pivots, or
+    the Bland fallback never starts and Dantzig cycles to the pivot cap."""
+    c, A, _ = BEALE
+    result = lp.solve_standard_form(c, A, np.array(b))
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(-1.25, abs=1e-12)
+    assert result.iterations == 18
+
+
 @st.composite
 def degenerate_programs(draw):
     """Programs with m <= 5 rows and n <= 10 columns, where each entry of b
@@ -233,6 +244,10 @@ def test_optimal_results_carry_an_optimality_certificate(program):
     assert np.max(np.abs(A[:, basis].T @ y - c[basis]), initial=0.0) <= 1e-9
     assert (c - A.T @ y).min() >= -1e-9
     assert c @ x == pytest.approx(b @ y, abs=1e-9)
+    # the result's own multipliers, in the rows as given (some have b < 0)
+    assert np.max(np.abs(A[:, basis].T @ result.y - c[basis]), initial=0.0) <= 1e-9
+    assert (c - A.T @ result.y).min() >= -1e-9
+    assert result.objective == pytest.approx(b @ result.y, abs=1e-9)
 
 
 def test_fresh_check_that_keeps_failing_raises(monkeypatch):

@@ -103,21 +103,28 @@ def test_entries_failing_at_different_samples_and_at_one():
         assert_same(points, table, where)
 
 
-def test_bare_variable_on_an_overflowing_mid_column_is_an_error():
+def test_mid_points_of_huge_finite_nodes_are_finite():
     grid = TimeGrid.uniform(0.0, 1.0, 4)
     x = np.array([[0.0, 1.0], [1.5e308, 1.0], [1.5e308, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    trajectory = Trajectory(grid=grid, x=x, u_left=np.zeros((4, 1)), u_right=np.zeros((4, 1)))
-    with np.errstate(over="ignore"):
-        mid = Samples(PROBLEM, trajectory).mid
-    assert np.isinf(mid.columns["x1"][1])
+    u = np.array([[1.7e308], [1.7e308], [-1.7e308], [0.0], [0.0]])
+    trajectory = Trajectory(grid=grid, x=x, u_left=u[:-1], u_right=u[1:])
+    mid = Samples(PROBLEM, trajectory).mid
+    np.testing.assert_array_equal(mid.columns["x1"], [0.75e308, 1.5e308, 0.75e308, 0.0])
+    np.testing.assert_array_equal(mid.columns["u1"], [1.7e308, 0.0, -0.85e308, 0.0])
+    assert_same(mid, (expr.Var("x2"), expr.Var("x1")))
+
+
+def test_bare_variable_on_an_infinite_column_is_an_error():
+    x = np.array([[0.0, 1.0], [np.inf, 1.0], [np.inf, 1.0], [0.0, 1.0]])
+    points = PointSet(PROBLEM, x, np.zeros((4, 1)))
     x1, x2 = expr.Var("x1"), expr.Var("x2")
     with pytest.raises(EvalError) as err:
-        mid.evaluate((x2, x1))
+        points.evaluate((x2, x1))
     assert (err.value.sample, err.value.reason) == (
         1, "expression evaluated to a non-finite value"
     )
-    assert_same(mid, (x2, x1))
-    assert_same(mid, (x1,), np.array([False, True, True, False]))
+    assert_same(points, (x2, x1))
+    assert_same(points, (x1,), np.array([False, True, True, False]))
     np.testing.assert_array_equal(
-        mid.evaluate((x1, x2), np.array([True, False, False, True]))[:, 0], [0.75e308, 0.0]
+        points.evaluate((x1, x2), np.array([True, False, False, True]))[:, 0], [0.0, 0.0]
     )
