@@ -96,7 +96,7 @@ def test_family_449_reaches_the_true_margin(monkeypatch):
     """Family 449 of the benchmark's seed-0 batch: a simplex that reads x
     off its running tableau, not a fresh solve of the basis, stops there at
     margin 0.060280, slightly infeasible.  The reference value is HiGHS's
-    optimum of the same LP."""
+    optimum of the primal margin LP; the margin here comes from its dual."""
     family = load_cone_family(str(FAMILY_449))
     solved = []
 
