@@ -25,9 +25,13 @@ The cone batch is the 750 families that `perfbench/workloads.py`'s
 cones-batch workload loads them.  It records the median and minimum CPU time
 per family of `cones.intersection_nonempty` followed by
 `cones.approx_separate`, over three passes; each pass gives its CPU time
-divided by the number of families.  One more, untimed pass counts the
-simplex pivots per family of each of the two LPs (`LpResult.iterations` of
-every `solve_standard_form` call that `lmpkit.cones` makes).
+divided by the number of families.  After each timed pass, one more pass
+splits the CPU time per family of the two LPs three ways: building LP(w) in
+`cones._solve_dual`, `lp.solve_standard_form` outside `lp._solve_phase`, and
+the time inside `lp._solve_phase`, each from wrappers around those names.
+One more, untimed pass counts the simplex pivots per family of each of the
+two LPs (`LpResult.iterations` of every `solve_standard_form` call that
+`lmpkit.cones` makes).
 
 Each checkout is measured by its own worker process, with lmpkit imported
 from its `src/` and OpenBLAS at one thread; `--src` may be given more than
@@ -265,10 +269,52 @@ def cone_pivots(families: list) -> dict:
     return totals
 
 
+def cone_split(families: list) -> dict:
+    """CPU us per family of three parts of the two cone LPs, over one pass:
+    building LP(w) (``cones._solve_dual`` outside ``solve_standard_form``),
+    ``solve_standard_form`` outside ``lp._solve_phase``, and the time inside
+    ``lp._solve_phase``.  Each part is timed by a wrapper around its function
+    with ``time.process_time``; the clock reads of the inner wrappers fall
+    on the outer parts."""
+    from workloads import SEPARATION_EPS
+
+    from lmpkit import cones, lp
+
+    spent = {"_solve_dual": 0.0, "solve_standard_form": 0.0, "_solve_phase": 0.0}
+    targets = [(cones, "_solve_dual"), (cones, "solve_standard_form"), (lp, "_solve_phase")]
+    reals = [getattr(module, name) for module, name in targets]
+
+    def timed(real, name):
+        def wrapper(*args):
+            start = time.process_time()
+            try:
+                return real(*args)
+            finally:
+                spent[name] += time.process_time() - start
+
+        return wrapper
+
+    for (module, name), real in zip(targets, reals):
+        setattr(module, name, timed(real, name))
+    try:
+        for family in families:
+            cones.intersection_nonempty(family)
+            cones.approx_separate(family, SEPARATION_EPS)
+    finally:
+        for (module, name), real in zip(targets, reals):
+            setattr(module, name, real)
+    us = {name: 1e6 * t / len(families) for name, t in spent.items()}
+    return {
+        "build": us["_solve_dual"] - us["solve_standard_form"],
+        "solve_outside_phases": us["solve_standard_form"] - us["_solve_phase"],
+        "in_phases": us["_solve_phase"],
+    }
+
+
 def worker(args) -> int:
     """Answer requests from stdin, one JSON line each, with one JSON line
-    on stdout: ``["measure", command, fixture, N]``, ``["cones"]`` or
-    ``["pivots"]``."""
+    on stdout: ``["measure", command, fixture, N]``, ``["cones"]``,
+    ``["split"]`` or ``["pivots"]``."""
     src = Path(args.worker).resolve() / "src"
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(src))
@@ -286,7 +332,8 @@ def worker(args) -> int:
                 reply = sweep.measure(*request[1:])
             else:
                 families = families or cone_families(Path(tmp))
-                reply = (cone_pass if request[0] == "cones" else cone_pivots)(families)
+                cone_requests = {"cones": cone_pass, "split": cone_split, "pivots": cone_pivots}
+                reply = cone_requests[request[0]](families)
             out.write(json.dumps(reply) + "\n")
             out.flush()
     return 0
@@ -345,15 +392,24 @@ def sweep(workers: dict[str, Worker]) -> tuple[dict, dict]:
                 turn.reverse()
             print(f"{fixture} {command} done", file=sys.stderr, flush=True)
     passes: dict[str, list[float]] = {name: [] for name in workers}
+    splits: dict[str, list[dict]] = {name: [] for name in workers}
     for _ in range(REPEATS):
         for name in turn:
             passes[name].append(workers[name].ask("cones"))
+            splits[name].append(workers[name].ask("split"))
         turn.reverse()
     cones = {
         name: {
             "seed": CONE_SEED,
             "families": CONE_FAMILIES,
             "cpu_ms_per_family": {"median": statistics.median(ms), "min": min(ms), "runs": ms},
+            "cpu_us_split_per_family": {
+                part: {
+                    "median": statistics.median(s[part] for s in splits[name]),
+                    "min": min(s[part] for s in splits[name]),
+                }
+                for part in splits[name][0]
+            },
             "pivots_per_family": workers[name].ask("pivots"),
         }
         for name, ms in passes.items()
@@ -418,6 +474,9 @@ def main(argv=None) -> int:
             "tracemalloc_peak_mb": "tracemalloc peak of one more recover call",
             "cpu_ms_per_family": "CPU ms per cone family of intersection_nonempty "
             "and approx_separate, one value per pass over the batch",
+            "cpu_us_split_per_family": "CPU us per cone family of building LP(w), of "
+            "solve_standard_form outside _solve_phase and of _solve_phase, from wrappers "
+            "timed with process_time, one pass per checkout after each timed pass",
             "pivots_per_family": "mean simplex pivots per cone family of each LP",
         },
         "checkouts": {},

@@ -28,12 +28,13 @@ Its LP dual is: maximise t over x with <g_j, x> >= w_j t and |x|_inf <= 1.
   Euler-Lagrange condition).  For polyhedral data the optimum is exactly
   zero in the separable case, so any epsilon above solver tolerance works.
 
-The builder eliminates the coefficient c_j* of largest weight a = w_j* from
-the generator rows by c_j* = (1 - sum_{j != j*} w_j c_j) / a.  The column of
-c_j* is then nonzero only in the normalisation row, which makes c_j* that
-row's slack; the generator rows keep their unit columns z+ and z-.  So the
-simplex starts from a feasible basis, with no phase 1, and c_j* is read off
-like any other coefficient.
+The builder writes LP(w) by index into one zeroed array, [A | b] over the
+cost row.  It eliminates the coefficient c_j* of largest weight a = w_j*
+from the generator rows by c_j* = (1 - sum_{j != j*} w_j c_j) / a, so c_j*
+is the normalisation row's slack and z+, z- are unit columns of the
+generator rows.  Each test is then one simplex solve from a feasible basis,
+with no phase 1 and about four pivots, and c_j* is read off like any other
+coefficient.
 
 Both verdicts are invariant under positive scaling of the generators.
 """
@@ -74,19 +75,21 @@ class PolyCone:
         if gens.ndim == 1:
             gens = gens.reshape(1, -1) if gens.size else gens.reshape(0, 0)
         object.__setattr__(self, "generators", gens)
+        if not np.isfinite(gens).all():
+            raise InputError("generators must be finite")
         if gens.shape[0] and np.any(np.linalg.norm(gens, axis=1) == 0.0):
             raise InputError("zero generator vectors are not allowed")
         if self.x0 is not None:
             x0 = np.asarray(self.x0, dtype=float).reshape(-1)
             object.__setattr__(self, "x0", x0)
+            if not np.isfinite(x0).all():
+                raise InputError("x0 must be finite")
             if gens.shape[0] == 0:
                 return
             if x0.size != gens.shape[1]:
                 raise InputError("x0 dimension does not match the generators")
-            if np.min(gens @ x0) <= 0.0:
-                raise InputError(
-                    "x0 is not strictly interior: some generator pairing is <= 0"
-                )
+            if not np.min(gens @ x0) > 0.0:  # so that a NaN pairing fails too
+                raise InputError("x0 is not strictly interior: some generator pairing is <= 0")
 
     @property
     def dim(self) -> int:
@@ -138,17 +141,18 @@ def _solve_dual(G: np.ndarray, w: np.ndarray):
     """LP(w) of the module docstring for generators G (k, d), with the
     coefficient of largest weight eliminated; columns c (k), z+ (d), z- (d)."""
     k, d = G.shape
-    j = w.argmax()
-    rows = np.zeros((d + 1, k + 2 * d))
-    rows[:d, :k] = np.outer(G[j] / w[j], w) - G.T
-    rows[:d, j] = 0.0  # exactly, so that c_j* is the normalisation's slack
-    rows[:d, k : k + d] = np.eye(d)
-    rows[:d, k + d :] = -np.eye(d)
-    rows[d, :k] = w
-    rhs = np.append(G[j] / w[j], 1.0)
-    cost = np.zeros(k + 2 * d)
-    cost[k:] = 1.0
-    return solve_standard_form(cost, rows, rhs)
+    j, width = w.argmax(), k + 2 * d + 1
+    lp = np.zeros((d + 2, width))  # [A | b] over the cost row
+    A, b = lp[: d + 1, :-1], lp[: d + 1, -1]
+    np.divide(G[j], w[j], out=b[:d])
+    np.multiply(b[:d, None], w, out=A[:d, :k])
+    A[:d, :k] -= G.T
+    A[:d, j] = 0.0  # exactly, so that c_j* is the normalisation's slack
+    flat = lp.ravel()  # z+ and z-: +1 and -1 on the generator rows
+    flat[k : k + d * (width + 1) : width + 1] = 1.0
+    flat[k + d : k + d + d * (width + 1) : width + 1] = -1.0
+    A[d, :k], b[d], lp[-1, k:-1] = w, 1.0, 1.0  # w.c = 1, and the cost
+    return solve_standard_form(lp[-1, :-1], A, b)
 
 
 def intersection_nonempty(cones) -> IntersectionResult:
@@ -164,8 +168,8 @@ def intersection_nonempty(cones) -> IntersectionResult:
         raise InputError("degenerate input: a cone has no generators")
     if not any(c.open for c in cones):
         raise InputError("at least one open cone is required")
-    G = np.vstack([c.generators for c in cones])
-    w = np.concatenate([np.full(c.ngens, float(c.open)) for c in cones])
+    G = np.concatenate([c.generators for c in cones])
+    w = np.repeat([float(c.open) for c in cones], [c.ngens for c in cones])
     result = _solve_dual(G, w)
     if result.status != "optimal":
         # c_j* = 1 / a is feasible, and the cost is a norm, bounded below
@@ -198,7 +202,7 @@ def approx_separate(cones, eps: float) -> SeparationResult:
     )
     if pairing.max() <= 0.0:
         return SeparationResult(separated=False, objective=None)
-    result = _solve_dual(np.vstack([c.generators for c in cones if c.ngens]), pairing)
+    result = _solve_dual(np.concatenate([c.generators for c in cones if c.ngens]), pairing)
     if result.status != "optimal":
         raise InputError(f"separation LP ended with status {result.status}")
     if result.objective >= eps:
@@ -223,10 +227,7 @@ def random_family(rng: np.random.Generator, dim: int | None = None) -> list[Poly
         count = int(rng.integers(1, 6))
         while len(gens) < count:
             g = rng.normal(size=d)
-            norm = np.linalg.norm(g)
-            if norm == 0.0:
-                continue
-            if g @ x0 > 0.1 * norm:
+            if g @ x0 > 0.1 * np.linalg.norm(g):  # never true for g = 0
                 gens.append(g)
         return PolyCone(generators=np.array(gens), open=True, x0=x0)
 

@@ -1,15 +1,16 @@
 """Dense simplex for small standard-form linear programs.
 
-Solves  min c.x  s.t.  A x = b, x >= 0.  Problem sizes here are tiny (tens
-of rows), so the solver keeps the full dense tableau T = B^-1 [A | b] of the
+Solves  min c.x  s.t.  A x = b, x >= 0, for finite data (else
+``NumericalError`` before any pivot).  Problem sizes here are tiny (tens of
+rows), so the solver keeps the full dense tableau T = B^-1 [A | b] of the
 current basis B; each pivot is a rank-1 update of T.
 
-* Starting basis.  Rows with b < 0 are negated.  A column with a single
-  nonzero entry (a slack, surplus or box column) starts basic in its row
-  when that entry is positive, or negative on a row with b = 0 (the row is
-  then negated).  Rows left without one get artificials, minimised in a
-  phase 1; those still basic at zero are pivoted out, or their rows dropped.
-  The cone LPs give every row such a column, so they run no phase 1.
+* Starting basis.  Rows with b < 0 are negated.  One vectorised pass gives
+  each row its lowest column with a single nonzero entry (a slack, surplus
+  or box column) where that entry is positive, else where it is negative on
+  a row with b = 0 (the row is then negated).  Rows left without one get
+  artificials, minimised in a phase 1; those still basic at zero are
+  pivoted out, or their rows dropped.  The cone LPs need no artificials.
 * Pricing.  The reduced costs c - c_B T are computed when pivoting starts
   and updated by each pivot's rank-1 step; the most negative enters
   (Dantzig).  After ``_DEGENERATE_RUN`` degenerate pivots in a row (ratio
@@ -17,18 +18,18 @@ current basis B; each pivot is a rank-1 update of T.
   residue such as 1e-18 counts as zero) the lowest-index eligible column
   enters (Bland) until one makes progress; as ratio ties go to the
   lowest-index basic variable, Bland cannot cycle.
-* Fresh check.  When a phase stops, B^-1 [A | b] is solved afresh from the
-  columns of A by one LU solve with partial pivoting, sharing no code with
-  the pivots.  The phase ends only when the fresh x_B (the returned x) is
-  nonnegative within tolerance and the fresh tableau confirms the stop: no
-  negative reduced cost (optimal), or one whose column has no positive
-  entry (unbounded).  Else the fresh tableau replaces T, up to
-  ``_REFRESHES`` times before ``NumericalError``.
-* Multipliers.  An optimal result carries y with B^T y = c_B for its final
-  basis B (one more LU solve), in the rows as the caller gave them: y of a
-  row negated for b < 0 is negated back, and a row dropped as redundant
-  gets 0.  Then c - A^T y is the reduced cost, >= 0 at the optimum, and
-  b.y the objective.
+* Fresh check.  When a phase stops, B X = [A | b | I] is solved afresh
+  from the columns of A by one LU solve with partial pivoting (one LAPACK
+  call), sharing no code with the pivots.  The phase ends only when the
+  fresh x_B (the returned x) is nonnegative within tolerance and the fresh
+  tableau confirms the stop: no negative reduced cost (optimal), or one
+  whose column has no positive entry (unbounded).  Else the fresh tableau
+  replaces T, up to ``_REFRESHES`` times before ``NumericalError``.
+* Multipliers.  An optimal result carries y = B^-T c_B for its final basis
+  B, from the B^-1 of the check that confirmed it, in the rows as the
+  caller gave them: y of a row negated for b < 0 is negated back, and a row
+  dropped as redundant gets 0.  Then c - A^T y is the reduced cost, >= 0 at
+  the optimum, and b.y the objective.
 """
 
 from __future__ import annotations
@@ -60,10 +61,9 @@ class LpResult:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factor = tableau[:, col].copy()
-    factor[row] = 0.0
-    tableau -= factor[:, None] * tableau[row]
+    pivot_row = tableau[row] / tableau[row, col]
+    tableau -= tableau[:, col, None] * pivot_row
+    tableau[row] = pivot_row
     basis[row] = col
 
 
@@ -71,6 +71,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
     """Pivot in place; returns 'optimal' or 'unbounded', and the pivot count."""
     rhs, reduced = tableau[:, -1], cost - cost[basis] @ tableau[:, :-1]
     flat = 1e-12 * (1.0 + rhs.max(initial=0.0))
+    ratios = np.empty(rhs.size)
     degenerate = 0
     for pivots in range(50_000 + 200 * (tableau.shape[0] + cost.size)):
         col = reduced.argmin()
@@ -79,21 +80,25 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
         if degenerate >= _DEGENERATE_RUN:
             col = (reduced < -_COST_TOL).argmax()
         column = tableau[:, col]  # rhs and column: views of T, pivoted in place
-        rows = (column > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        eligible = column > _PIVOT_TOL
+        if not np.count_nonzero(eligible):
             return "unbounded", pivots
-        ratios = rhs[rows] / column[rows]
-        best = ratios.min()
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=eligible)
+        row = ratios.argmin()
+        best = float(ratios[row])
         degenerate = degenerate + 1 if best <= flat else 0
-        tied = rows[ratios <= best + 1e-10 * (1.0 + abs(best))]
-        row = tied[basis[tied].argmin()]
+        tied = ratios <= best + 1e-10 * (1.0 + abs(best))
+        if np.count_nonzero(tied) > 1:  # the lowest-index basic variable leaves
+            tied = tied.nonzero()[0]
+            row = tied[basis[tied].argmin()]
         _pivot(tableau, basis, row, col)
         reduced -= reduced[col] * tableau[row, :-1]
     raise NumericalError("simplex iteration limit exceeded")
 
 
 def _fresh_tableau(full: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """B^-1 [A | b] from ``full`` = [A | b], by one LU solve (LAPACK)."""
+    """B^-1 [A | b | I] from ``full`` = [A | b | I], by one LU solve (LAPACK)."""
     try:
         return np.linalg.solve(full[:, basis], full)
     except np.linalg.LinAlgError:
@@ -102,19 +107,21 @@ def _fresh_tableau(full: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _solve_phase(tableau, basis, cost, full):
     """Iterate to a basis the fresh check confirms optimal or unbounded
-    (``full`` is [A | b]); returns the fresh tableau, or None if unbounded,
-    and the pivot count."""
+    (``full`` is [A | b | I]); returns the fresh B^-1 full, or None if
+    unbounded, and the pivot count."""
+    width = tableau.shape[1]
     pivots = 0
     for _ in range(_REFRESHES + 1):
         status, count = _iterate(tableau, basis, cost)
         pivots += count
-        tableau = _fresh_tableau(full, basis)
+        fresh = _fresh_tableau(full, basis)
+        tableau = fresh[:, :width]  # B^-1 [A | b]; pivots go on in this view
         reduced = cost - cost[basis] @ tableau[:, :-1]
         if tableau[:, -1].min(initial=0.0) < -_FEAS_TOL:
             continue
         improving = reduced < -_COST_TOL
         if status == "optimal" and not improving.any():
-            return tableau, pivots
+            return fresh, pivots
         ray = improving & (tableau[:, :-1] <= _PIVOT_TOL).all(axis=0)
         if status == "unbounded" and ray.any():
             return None, pivots
@@ -123,43 +130,46 @@ def _solve_phase(tableau, basis, cost, full):
 
 def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
     """Dense simplex on min c.x, A x = b, x >= 0."""
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float).reshape(-1)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
     if A.ndim != 2 or A.shape != (b.size, c.size):
         raise NumericalError("inconsistent LP dimensions")
     m, n = A.shape
-    negated = b < 0
-    A[negated] *= -1.0
-    b = np.abs(b)
+    sign = np.where(b < 0, -1.0, 1.0)  # rows with b < 0 are negated
+    A, b = A * sign[:, None], np.abs(b)
 
-    # Starting basis: in each row the lowest single-nonzero column, positive,
-    # else negative on a b = 0 row, which the division below then negates.
-    single = np.ones(m) @ (A != 0) == 1.0  # nonzeros per column == 1
-    basis = np.zeros(m, dtype=int)
-    found = np.zeros(m, dtype=bool)
-    for candidate in (A > 0, (A < 0) & (b == 0)[:, None]):
-        candidate &= single
-        pick = ~found & candidate.any(axis=1)
-        if pick.any():
-            basis[pick] = candidate[pick].argmax(axis=1)
-        found |= pick
-    missing = np.flatnonzero(~found)
-    basis[missing] = n + np.arange(missing.size)
-    full = np.column_stack([A, np.eye(m)[:, missing], b])
-    tableau = full / full[np.arange(m), basis][:, None]
+    # Starting basis: per row the lowest single-nonzero column that is positive
+    # (priority 2), else negative on a b = 0 row (1; the division negates it).
+    priority = np.where(A > 0, 2, (A < 0) & (b == 0)[:, None])
+    priority *= (A != 0).sum(axis=0) == 1
+    basis = priority.argmax(axis=1) if n else np.zeros(m, dtype=int)
+    rows = np.arange(m)
+    missing = (priority[rows, basis] == 0).nonzero()[0] if n else rows
+    width = n + missing.size + 1
+    data = np.zeros((m + 1, width + m))  # [A | artificials | b | I] over c
+    full = data[:m]
+    full[:, :n], full[:, width - 1], data[m, :n] = A, b, c
+    if not np.isfinite(data).all():
+        raise NumericalError("LP data must be finite")
+    full.ravel()[width :: width + m + 1] = 1.0  # the diagonal of I
+    if missing.size:
+        basis[missing] = n + np.arange(missing.size)
+        full[missing, basis[missing]] = 1.0
+    tableau = full[:, :width] / full[rows, basis][:, None]
 
     def result(status, pivots, x=None, y=None):
         log.debug("simplex on %d x %d: %s after %d pivots", m, n, status, pivots)
         return LpResult(status, x, None if x is None else float(c @ x), pivots, y)
 
     phase1 = 0
-    kept_rows = np.ones(m, dtype=bool)
+    kept_rows = slice(None)  # all rows, unless phase 1 finds some redundant
     if missing.size:
         cost = np.concatenate([np.zeros(n), np.ones(missing.size)])
-        tableau, phase1 = _solve_phase(tableau, basis, cost, full)
-        if tableau is None:  # cannot happen: the phase-1 cost is bounded
+        fresh, phase1 = _solve_phase(tableau, basis, cost, full)
+        if fresh is None:  # cannot happen: the phase-1 cost is bounded
             raise NumericalError("phase-1 simplex reported unbounded")
+        tableau = fresh[:, :width]
         if cost[basis] @ tableau[:, -1] > 1e-8 * (1.0 + b.max(initial=0.0)):
             return result("infeasible", phase1)
         for i in np.flatnonzero(cost[basis]):
@@ -169,18 +179,17 @@ def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult
                 phase1 += 1
         # An artificial still basic marks its own row as redundant.
         keep = cost[basis] == 0.0
+        kept_rows = np.ones(m, dtype=bool)
         kept_rows[missing[basis[~keep] - n]] = False
-        columns = np.r_[:n, -1]
-        full = full[kept_rows][:, columns]
-        tableau = tableau[keep][:, columns]
+        full = full[kept_rows][:, np.r_[:n, width - 1, width + rows[kept_rows]]]
+        tableau = tableau[keep][:, np.r_[:n, -1]]
         basis = basis[keep]
 
-    tableau, phase2 = _solve_phase(tableau, basis, c, full)
-    if tableau is None:
+    fresh, phase2 = _solve_phase(tableau, basis, c, full)
+    if fresh is None:
         return result("unbounded", phase1 + phase2)
     x = np.zeros(n)
-    x[basis] = tableau[:, -1]
+    x[basis] = fresh[:, n]  # fresh is B^-1 [A | b | I]
     y = np.zeros(m)
-    y[kept_rows] = np.linalg.solve(full[:, basis].T, c[basis])
-    y[negated] *= -1.0
-    return result("optimal", phase1 + phase2, x, y)
+    y[kept_rows] = c[basis] @ fresh[:, n + 1 :]  # B^-T c_B
+    return result("optimal", phase1 + phase2, x, y * sign)

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the code paths under test: derivatives
 are checked by central differences of the evaluator, hull distances by
 exhaustive simplex-grid and face enumeration, cone intersections by rejection
-sampling and by the primal margin LP in the unit box, small linear programs by enumerating their bases, cumulative
-functions of measures by a loop over the nodes, the recovery program by a
-loop over the cells, and expected fixture values by closed forms written out
-by hand.
+sampling and by the primal margin LP in the unit box, small linear programs by
+enumerating their bases, the simplex start basis by a search in two passes,
+cumulative functions of measures by a loop over the nodes, the recovery
+program by a loop over the cells, and expected fixture values by closed forms
+written out by hand.
 """
 
 from __future__ import annotations
@@ -316,6 +317,31 @@ def lp_by_basis_enumeration(c, A, b) -> tuple[str, float | None]:
     if any(c @ d < -1e-9 for d in rays):
         return "unbounded", None
     return "optimal", min(float(c @ x) for x in vertices)
+
+
+def start_basis_by_two_passes(A, b) -> np.ndarray:
+    """The starting basis of ``lp.solve_standard_form``, searched in two
+    passes over the rows: after rows with b < 0 are negated, each row takes
+    its lowest single-nonzero column with a positive entry, and a row still
+    without one its lowest such column with a negative entry if b = 0.  Rows
+    left without a column get the artificials n, n + 1, ... in row order."""
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float).reshape(-1)
+    m, n = A.shape
+    A[b < 0] *= -1.0
+    b = np.abs(b)
+    single = np.ones(m) @ (A != 0) == 1.0  # nonzeros per column == 1
+    basis = np.zeros(m, dtype=int)
+    found = np.zeros(m, dtype=bool)
+    for candidate in (A > 0, (A < 0) & (b == 0)[:, None]):
+        candidate &= single
+        pick = ~found & candidate.any(axis=1)
+        if pick.any():
+            basis[pick] = candidate[pick].argmax(axis=1)
+        found |= pick
+    missing = np.flatnonzero(~found)
+    basis[missing] = n + np.arange(missing.size)
+    return basis
 
 
 # -- cumulative function of a measure ------------------------------------------

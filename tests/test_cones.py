@@ -222,6 +222,20 @@ class TestConstructionInvariants:
         with pytest.raises(InputError):
             PolyCone(generators=np.array([[0.0, 0.0]]), open=True)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_generator_rejected(self, value):
+        # a NaN generator used to reach the simplex, which then failed its
+        # fresh check after refreshes
+        with pytest.raises(InputError, match="generators must be finite"):
+            PolyCone(generators=np.array([[1.0, 0.0], [value, 1.0]]), open=True)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_x0_rejected(self, value):
+        # a NaN x0 used to pass the interior test, so the family read as
+        # nonempty and approx_separate raised NumericalError
+        with pytest.raises(InputError, match="x0 must be finite"):
+            PolyCone(generators=np.array([[1.0, 0.0]]), open=True, x0=np.array([1.0, value]))
+
 
 def test_separation_iff_empty_intersection():
     # the two LPs are exact complements away from the degenerate band, which

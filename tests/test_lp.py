@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lmpkit import cones, lp
 from lmpkit.errors import NumericalError
-from oracles import lp_by_basis_enumeration
+from oracles import lp_by_basis_enumeration, start_basis_by_two_passes
 
 SMALL = st.integers(-3, 3)
 
@@ -47,6 +47,8 @@ def small_programs(draw):
 @example((np.array([0.0, 0]), np.array([[1.0, 1]]), np.array([-1.0])))
 # unbounded
 @example((np.array([-1.0, 0]), np.array([[1.0, -1]]), np.array([0.0])))
+# unbounded, with every row redundant
+@example((np.array([-1.0, 1]), np.zeros((2, 2)), np.zeros(2)))
 def test_simplex_agrees_with_basis_enumeration(program):
     c, A, b = program
     result = lp.solve_standard_form(c, A, b)
@@ -264,3 +266,67 @@ def test_fresh_check_that_keeps_failing_raises(monkeypatch):
     A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     with pytest.raises(NumericalError, match="fresh check"):
         lp.solve_standard_form(c, A, np.array([1.0, 2.0]))
+
+
+class _Started(Exception):
+    pass
+
+
+def start_basis(c, A, b) -> np.ndarray:
+    """The basis the first phase of ``solve_standard_form`` starts from;
+    artificials are the columns from n on."""
+
+    def stop(tableau, basis, cost, full):
+        raise _Started(basis.copy())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_solve_phase", stop)
+        with pytest.raises(_Started) as started:
+            lp.solve_standard_form(c, A, b)
+    return started.value.args[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_programs())
+@example(BOX)
+@example(BEALE)
+# a row whose only unit column is negative, with b = 0
+@example((np.zeros(4), np.array([[1.0, -1, -1, 0], [1, 1, 0, 1]]), np.array([0.0, 2])))
+def test_start_basis_matches_the_two_pass_search(program):
+    """The same columns start basic, and the same rows get artificials."""
+    c, A, b = program
+    np.testing.assert_array_equal(start_basis(c, A, b), start_basis_by_two_passes(A, b))
+
+
+def test_cone_lps_start_from_the_two_pass_basis(monkeypatch):
+    programs = []
+    real = cones.solve_standard_form
+
+    def recorded(c, A, b):
+        programs.append((c.copy(), A.copy(), b.copy()))
+        return real(c, A, b)
+
+    monkeypatch.setattr(cones, "solve_standard_form", recorded)
+    for seed in range(50):
+        family = cones.random_family(np.random.default_rng(seed))
+        cones.intersection_nonempty(family)
+        cones.approx_separate(family, eps=1e-6)
+    assert len(programs) == 100
+    for c, A, b in programs:
+        np.testing.assert_array_equal(start_basis(c, A, b), start_basis_by_two_passes(A, b))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+def test_non_finite_data_is_refused_before_any_pivot(monkeypatch, where, value):
+    """Without the check, this LP ends 'optimal' with NaN or inf in b, and
+    pivots up to the iteration limit with NaN in A or c."""
+    c, A, b = (v.copy() for v in BOX)
+    {"c": c, "A": A, "b": b}[where][0] = value
+
+    def no_pivot(tableau, basis, row, col):
+        raise AssertionError("pivoted on non-finite data")
+
+    monkeypatch.setattr(lp, "_pivot", no_pivot)
+    with pytest.raises(NumericalError, match="finite"):
+        lp.solve_standard_form(c, A, b)
