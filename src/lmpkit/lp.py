@@ -90,8 +90,8 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
         degenerate = degenerate + 1 if best <= flat else 0
         tied = ratios <= best + 1e-10 * (1.0 + abs(best))
         if np.count_nonzero(tied) > 1:  # the lowest-index basic variable leaves
-            tied = tied.nonzero()[0]
-            row = tied[basis[tied].argmin()]
+            rows = tied.nonzero()[0]
+            row = rows[basis[rows].argmin()]
         _pivot(tableau, basis, row, col)
         reduced -= reduced[col] * tableau[row, :-1]
     raise NumericalError("simplex iteration limit exceeded")
