@@ -11,7 +11,11 @@ records, per checkout:
 - for recover, the wall time of its three phases (build, solve, re-check),
   taken from the spans of `perfbench/spans.py`;
 - the `tracemalloc` peak of one more recover call, and whether recovery
-  certified (exit code 0).
+  certified (exit code 0);
+- for check, one more pass of ten calls with wrappers around the three
+  loaders (`io.load_problem`, `io.load_trajectory`, `io.load_certificate`):
+  the CPU time per call inside each loader, and the garbage collector's
+  passes per call by generation, counted by a `gc.callbacks` hook.
 
 Each size is timed three times.  Sizes run in ascending order, and a size is
 skipped, with the skip recorded, when its predicted wall time per call
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -70,6 +75,8 @@ PHASES = {
     "recheck": "recovery.cross_validate",
 }
 REPEATS = 3
+LOAD_CALLS = 10  # calls of the pass that splits out the loaders of check
+LOADERS = ("load_problem", "load_trajectory", "load_certificate")
 CONE_SEED = 0
 CONE_FAMILIES = 750
 BUDGET_S = 30.0  # wall seconds per call
@@ -181,6 +188,52 @@ class Sweep:
         finally:
             tracemalloc.stop()
 
+    def load_split(self, argv: list[str]) -> dict:
+        """Over LOAD_CALLS more calls: the CPU ms per call inside each loader
+        (median and min), timed by wrappers with ``time.process_time``, and
+        the mean collector passes per call of each generation."""
+        from lmpkit import io as lmpkit_io
+
+        spent = {name: [] for name in LOADERS}
+        passes = [0, 0, 0]
+
+        def count(phase, info):
+            if phase == "start":
+                passes[info["generation"]] += 1
+
+        def timed(real, name):
+            def wrapper(*args):
+                start = time.process_time()
+                try:
+                    return real(*args)
+                finally:
+                    spent[name][-1] += 1e3 * (time.process_time() - start)
+
+            return wrapper
+
+        reals = {name: getattr(lmpkit_io, name) for name in LOADERS}
+        for name, real in reals.items():
+            setattr(lmpkit_io, name, timed(real, name))
+        gc.callbacks.append(count)
+        try:
+            for _ in range(LOAD_CALLS):
+                for calls in spent.values():
+                    calls.append(0.0)
+                self.call(argv)
+        finally:
+            gc.callbacks.remove(count)
+            for name, real in reals.items():
+                setattr(lmpkit_io, name, real)
+        return {
+            "load_cpu_ms": {
+                name: {"median": statistics.median(ms), "min": min(ms)}
+                for name, ms in spent.items()
+            },
+            "gc_passes_per_call": {
+                f"gen{g}": n / LOAD_CALLS for g, n in enumerate(passes)
+            },
+        }
+
     def measure(self, command: str, fixture: str, N: int) -> dict:
         argv = self.argv(command, fixture, N)
         codes, cpus, walls, phases = [], [], [], []
@@ -197,6 +250,8 @@ class Sweep:
             "cpu_s": {"median": statistics.median(cpus), "min": min(cpus), "runs": cpus},
             "wall_s": walls,
         }
+        if command == "check":
+            out.update(self.load_split(argv))
         if command == "recover":
             out["phases_wall_ms"] = {
                 key: {
@@ -472,6 +527,10 @@ def main(argv=None) -> int:
             "wall_s": "wall seconds of the same calls",
             "phases_wall_ms": "wall ms of each recover phase, from perfbench/spans.py",
             "tracemalloc_peak_mb": "tracemalloc peak of one more recover call",
+            "load_cpu_ms": "CPU ms per check call inside each of the three loaders, "
+            f"from wrappers timed with process_time, over {LOAD_CALLS} more calls",
+            "gc_passes_per_call": "garbage-collector passes per check call by generation, "
+            f"from a gc.callbacks hook, over the same {LOAD_CALLS} calls",
             "cpu_ms_per_family": "CPU ms per cone family of intersection_nonempty "
             "and approx_separate, one value per pass over the batch",
             "cpu_us_split_per_family": "CPU us per cone family of building LP(w), of "

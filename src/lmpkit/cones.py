@@ -77,7 +77,7 @@ class PolyCone:
         object.__setattr__(self, "generators", gens)
         if not np.isfinite(gens).all():
             raise InputError("generators must be finite")
-        if gens.shape[0] and np.any(np.linalg.norm(gens, axis=1) == 0.0):
+        if not gens.any(axis=1).all():
             raise InputError("zero generator vectors are not allowed")
         if self.x0 is not None:
             x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -88,7 +88,9 @@ class PolyCone:
                 return
             if x0.size != gens.shape[1]:
                 raise InputError("x0 dimension does not match the generators")
-            if not np.min(gens @ x0) > 0.0:  # so that a NaN pairing fails too
+            # the signs of the pairings, from rows scaled to a largest entry
+            # of 1 so that the products cannot overflow
+            if not np.min(_unit_rows(gens) @ _unit_rows(x0)) > 0.0:
                 raise InputError("x0 is not strictly interior: some generator pairing is <= 0")
 
     @property
@@ -98,6 +100,13 @@ class PolyCone:
     @property
     def ngens(self) -> int:
         return self.generators.shape[0]
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with each row (the last axis) divided by its largest absolute
+    entry; zero rows stay zero."""
+    scale = np.abs(a).max(axis=-1, keepdims=True)
+    return a / np.where(scale > 0.0, scale, 1.0)
 
 
 _MARGIN_TOL = 1e-9

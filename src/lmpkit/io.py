@@ -3,7 +3,8 @@ cone families, and reports.
 
 Every document carries ``format_version``; unknown major versions are
 refused.  Loaders validate shapes and report failures with the offending
-field path.  Writers emit a fixed key order, so identical inputs produce
+field path; text nested too deeply for the parser is refused as invalid
+JSON.  Writers emit a fixed key order, so identical inputs produce
 byte-identical files.
 
 All JSON text, files and ``--format json`` reports alike, comes from
@@ -23,19 +24,32 @@ refused too.  An optional field (``jumps``, ``s``, and the lists
 but where given it must be the container the format names.
 
 The long lists are read by columns: the state and costate rows, the
-control cells and the direction records of s are each turned into arrays
-by a few ``np.array`` calls over whole columns, with one finiteness test
-per column.  Input the column read does not take as it stands (a record
+control cells and the direction records of s are each gathered into
+columns by one Python loop over the records, then turned into arrays by a
+few ``np.array`` calls over whole columns, with one finiteness test per
+column.  Input the column read does not take as it stands (a record
 that is not an object, a missing or extra key, an index that is not an
 int, a non-number, ragged rows, an index outside the grid or taken
 twice, a non-finite number) is read again record by record.  That reader
 returns the same arrays where the input is valid, and otherwise raises
 the error of the first bad record in file order, so which reader ran
 never shows in the result.
+
+Each loader runs with the cyclic garbage collector paused.  ``json.load``
+allocates a list or dict per JSON container, about 15 000 for a
+certificate and trajectory at N = 2000, enough to start a dozen young
+collections and now and then a full one, each of which walks the tree
+just parsed.  That tree holds lists, dicts, strings and numbers only, so it
+cannot form a cycle and reference counting frees all of it; the loader
+drops it before it returns.  On return or raise the collector is left as
+the caller had it: on again if it was on, off if the caller had turned it
+off.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from itertools import chain
@@ -139,12 +153,32 @@ def _dict_text(obj: dict, newline: str) -> str:
     return "{" + inner + body + newline + "}"
 
 
+def _collector_paused(load):
+    """``load`` with the cyclic garbage collector paused over the call, and
+    restored as the caller had it on return or raise (see the module
+    docstring)."""
+
+    @functools.wraps(load)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return load(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as err:
         raise InputError(f"{path}: not valid JSON ({err})") from err
+    except RecursionError:
+        raise InputError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
 def _check_version(doc: Any, path: str) -> None:
@@ -244,6 +278,7 @@ def _vector(value, size: int | None, path: str) -> np.ndarray:
 # -- problem -------------------------------------------------------------------
 
 
+@_collector_paused
 def load_problem(path: str) -> ProblemDef:
     doc = _load_json(path)
     _check_version(doc, path)
@@ -280,11 +315,15 @@ def save_problem(problem: ProblemDef, path: str) -> None:
 # -- trajectory ----------------------------------------------------------------
 
 
+@_collector_paused
 def load_trajectory(path: str) -> Trajectory:
     doc = _load_json(path)
     _check_version(doc, path)
     nodes = _vector(_field(doc, "grid", list, path), None, f"{path}.grid")
-    grid = TimeGrid(nodes)
+    try:
+        grid = TimeGrid(nodes)
+    except InputError as err:
+        raise InputError(f"{path}.grid: {err}") from None
     N = grid.ncells
     x_rows = _field(doc, "x", list, path)
     if len(x_rows) != N + 1:
@@ -303,6 +342,8 @@ def load_trajectory(path: str) -> Trajectory:
         node = _field(rec, "node", int, where)
         if not 0 < node < N:
             raise InputError(f"{where}.node: {node} is not an interior node")
+        if node in jumps:
+            raise InputError(f"{where}.node: duplicate node {node}")
         left = _vector(rec.get("left"), m, f"{where}.left")
         right = _vector(rec.get("right"), m, f"{where}.right")
         if not np.allclose(left, u_right[node - 1], atol=1e-9) or not np.allclose(
@@ -312,7 +353,10 @@ def load_trajectory(path: str) -> Trajectory:
                 f"{where}: jump values disagree with the adjacent cell descriptors"
             )
         jumps.append(node)
-    return Trajectory(grid=grid, x=x, u_left=u_left, u_right=u_right, jumps=tuple(jumps))
+    try:
+        return Trajectory(grid=grid, x=x, u_left=u_left, u_right=u_right, jumps=tuple(jumps))
+    except InputError as err:  # a control gap at a node with no jump record
+        raise InputError(f"{path}.u_cells: {err}") from None
 
 
 def _u_cells(cells: list, path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -324,15 +368,21 @@ def _u_cells(cells: list, path: str) -> tuple[np.ndarray, np.ndarray]:
 def _u_columns(cells: list) -> tuple[np.ndarray, np.ndarray] | None:
     """The cell records read as a left and a right column, each taking
     ``value`` where a record has it; None if they are not that regular."""
-    if set(map(type, cells)) != {dict}:
-        return None
-    constant = ["value" in cell for cell in cells]
-    # a constant cell holds just "value", any other just "left" and "right"
-    if list(map(len, cells)) != [1 if c else 2 for c in constant]:
-        return None
+    left, right = [], []
     try:
-        left = [cell["value" if c else "left"] for cell, c in zip(cells, constant)]
-        right = [cell["value" if c else "right"] for cell, c in zip(cells, constant)]
+        # a constant cell holds just "value", any other just "left" and "right"
+        for cell in cells:
+            if type(cell) is not dict:
+                return None
+            if len(cell) == 1:
+                value = cell["value"]
+                left.append(value)
+                right.append(value)
+            elif len(cell) == 2:
+                left.append(cell["left"])
+                right.append(cell["right"])
+            else:
+                return None
     except KeyError:
         return None
     u_left, u_right = _columns(left, 2), _columns(right, 2)
@@ -403,14 +453,19 @@ def _direction_columns(records: list, key: str, size: int) -> Directions | None:
     they are not that regular or an index is out of range or taken twice."""
     if not records:
         return Directions.of({})
+    index, weighted, numbers = [], [], []
     try:
-        index = [rec[key] for rec in records]
-        weighted = ["weights" in rec for rec in records]
-        numbers = [rec["weights" if w else "vector"] for rec, w in zip(records, weighted)]
+        # an index and one of vector or weights, no other key
+        for rec in records:
+            if len(rec) != 2:
+                return None
+            weights = "weights" in rec
+            index.append(rec[key])
+            weighted.append(weights)
+            numbers.append(rec["weights" if weights else "vector"])
     except (TypeError, KeyError):
         return None
-    # an index and one of vector or weights, no other key; ints, not bools
-    if set(map(len, records)) != {2} or set(map(type, index)) != {int}:
+    if set(map(type, index)) != {int}:  # ints, not bools
         return None
     index = np.array(index)
     values = _columns(numbers, 2)
@@ -458,6 +513,7 @@ def _index(rec: dict, key: str, size: int, taken: dict, where: str) -> int:
     return k
 
 
+@_collector_paused
 def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     doc = _load_json(path)
     _check_version(doc, path)
@@ -546,6 +602,7 @@ def save_certificate(ms: MultiplierSet, path: str) -> None:
 # -- cone families -------------------------------------------------------------
 
 
+@_collector_paused
 def load_cone_family(path: str) -> list[cones_mod.PolyCone]:
     doc = _load_json(path)
     _check_version(doc, path)

@@ -69,6 +69,8 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
     """Pivot in place; returns 'optimal' or 'unbounded', and the pivot count."""
+    if not cost.size:  # no columns: the empty x is the only point
+        return "optimal", 0
     rhs, reduced = tableau[:, -1], cost - cost[basis] @ tableau[:, :-1]
     flat = 1e-12 * (1.0 + rhs.max(initial=0.0))
     ratios = np.empty(rhs.size)

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,16 @@ class TestConstructionInvariants:
         # nonempty and approx_separate raised NumericalError
         with pytest.raises(InputError, match="x0 must be finite"):
             PolyCone(generators=np.array([[1.0, 0.0]]), open=True, x0=np.array([1.0, value]))
+
+    def test_pairing_that_overflows_is_not_taken_as_interior(self):
+        # the products 1e308 * 1e308 overflow; the exact pairing is 0, so x0
+        # lies on the boundary of the induced cone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="not strictly interior"):
+                PolyCone(generators=[[1e308, -1e308]], open=True, x0=[1e308, 1e308])
+            cone = PolyCone(generators=[[1e308, -1e307]], open=True, x0=[1e308, 1e307])
+        assert cone.ngens == 1
 
 
 def test_separation_iff_empty_intersection():

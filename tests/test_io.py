@@ -1,3 +1,7 @@
+import contextlib
+import copy
+import gc
+import io as text_io
 import json
 import re
 
@@ -418,6 +422,146 @@ def test_check_refuses_a_wrong_container(ex2_files, capsys, file, path, value, m
     assert code == 2
     err = capsys.readouterr().err
     assert re.search(message, err), err
+
+
+# -- the collector pause ---------------------------------------------------------
+
+
+@pytest.fixture()
+def loader_files(tmp_path):
+    problem, trajectory, ms = builtin_example("ex2", ncells=20)
+    io.save_problem(problem, str(tmp_path / "problem.json"))
+    io.save_trajectory(trajectory, str(tmp_path / "trajectory.json"))
+    io.save_certificate(ms, str(tmp_path / "certificate.json"))
+    (tmp_path / "cones.json").write_text(json.dumps(
+        {"format_version": 1, "dim": 2, "cones": [{"generators": [[1.0, 0.0]], "x0": [1.0, 0.0]}]}
+    ))
+    return tmp_path, trajectory.grid
+
+
+# per loader: a call, and an entry that makes a bad record
+LOADERS = {
+    "problem": (lambda path, grid: io.load_problem(path), ("n",)),
+    "trajectory": (lambda path, grid: io.load_trajectory(path), ("x", 7, 1)),
+    "certificate": (io.load_certificate, ("lambda", 3)),
+    "cones": (lambda path, grid: io.load_cone_family(path), ("cones", 0, "generators", 0, 1)),
+}
+
+
+@pytest.fixture()
+def collector():
+    """Restores the collector's state when the test ends."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fault", [None, "json", "record"])
+@pytest.mark.parametrize("name", LOADERS)
+def test_loaders_leave_the_collector_as_they_found_it(
+    loader_files, collector, monkeypatch, name, fault, enabled
+):
+    """Each loader parses with the collector off, and leaves it on or off as
+    the caller had it, whether it returns or raises."""
+    tmp_path, grid = loader_files
+    load, entry = LOADERS[name]
+    path = tmp_path / f"{name}.json"
+    if fault == "json":
+        path.write_text(path.read_text()[:-3])
+    elif fault == "record":
+        rewrite(path, _set(entry)("1.0" if name != "problem" else True))
+    parsed_with = []
+    parse = io._load_json
+
+    def watched(source):
+        parsed_with.append(gc.isenabled())
+        return parse(source)
+
+    monkeypatch.setattr(io, "_load_json", watched)
+    (gc.enable if enabled else gc.disable)()
+    if fault is None:
+        load(str(path), grid)
+    else:
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            load(str(path), grid)
+    assert gc.isenabled() == enabled
+    assert parsed_with == [False]
+
+
+# -- malformed files through `lmpkit check` -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def check_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("malformed")
+    problem, trajectory, ms = builtin_example("ex2", ncells=20)
+    io.save_problem(problem, str(d / "problem.json"))
+    io.save_trajectory(trajectory, str(d / "trajectory.json"))
+    io.save_certificate(ms, str(d / "certificate.json"))
+    docs = {name: json.loads((d / f"{name}.json").read_text())
+            for name in ("trajectory", "certificate")}
+    return d, docs
+
+
+def _entries(doc, where=()):
+    """The key paths of every entry below the top level of a document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield where + (key,)
+        yield from _entries(value, where + (key,))
+
+
+DEEP = "<nested>"  # replaced in the written text by lists this deep
+MUTATIONS = {
+    "drop": st.none(),
+    "scalar": st.sampled_from([0, -3, 1.5, 10**400, None]),
+    "list": st.sampled_from([[], [1.0], [[1.0, 2.0]], [None]]),
+    "dict": st.sampled_from([{}, {"node": 1}, {"value": [0.0]}]),
+    "nan": st.sampled_from([float("nan"), float("inf")]),
+    "bool": st.booleans(),
+    "string": st.sampled_from(["", "x", "1.0"]),
+    "deep": st.sampled_from([3, 60, 2000]),
+}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_malformed_files_never_end_in_a_traceback(check_inputs, data):
+    """One entry of a valid trajectory or certificate is dropped or replaced;
+    `lmpkit check` then exits 0, 1 or 2, and an exit 2 names a JSON path of
+    the file."""
+    from lmpkit.cli import main
+
+    d, docs = check_inputs
+    name = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[name])
+    where = data.draw(st.sampled_from(list(_entries(doc))))
+    kind = data.draw(st.sampled_from(sorted(MUTATIONS)))
+    value = data.draw(MUTATIONS[kind])
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = DEEP if kind == "deep" else value
+    nested = "[" * value + "1.0" + "]" * value if kind == "deep" else ""
+    target = d / f"mutated-{name}.json"
+    target.write_text(json.dumps(doc).replace(json.dumps(DEEP), nested))
+    files = {f: str(d / f"{f}.json") for f in ("problem", "trajectory", "certificate")}
+    files[name] = str(target)
+    err = text_io.StringIO()
+    with contextlib.redirect_stdout(text_io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", files["problem"], files["trajectory"], files["certificate"]])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert re.match(rf"error: {re.escape(str(target))}[.\[:]", err.getvalue()), err.getvalue()
 
 
 # -- the JSON writer -----------------------------------------------------------

@@ -330,3 +330,14 @@ def test_non_finite_data_is_refused_before_any_pivot(monkeypatch, where, value):
     monkeypatch.setattr(lp, "_pivot", no_pivot)
     with pytest.raises(NumericalError, match="finite"):
         lp.solve_standard_form(c, A, b)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_lp_without_columns(m):
+    """The empty x is optimal where b = 0, and no x exists where it is not."""
+    result = lp.solve_standard_form(np.zeros(0), np.zeros((m, 0)), np.zeros(m))
+    assert (result.status, result.objective, result.iterations) == ("optimal", 0.0, 0)
+    assert result.x.shape == (0,) and np.array_equal(result.y, np.zeros(m))
+    if m:
+        b = np.array([0.0, -1.0])
+        assert lp.solve_standard_form(np.zeros(0), np.zeros((m, 0)), b).status == "infeasible"
