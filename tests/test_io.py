@@ -67,7 +67,7 @@ def test_undeclared_control_jump_names_its_node(ex2_files):
         doc["u_cells"][9] = {"value": [0.25]}
 
     path = rewrite(tmp_path / "trajectory.json", edit)
-    with pytest.raises(InputError, match="discontinuous at node 9 but no jump"):
+    with pytest.raises(InputError, match=r"\.u_cells: control is discontinuous at node 9 but no jump"):
         io.load_trajectory(path)
 
 
@@ -181,6 +181,35 @@ def test_boolean_index_is_refused(ex2_files, field, key, record):
     path = rewrite(tmp_path / "certificate.json", edit)
     with pytest.raises(InputError, match=rf"\.{outer}\.{inner}\[\d+\]\.{key}: expected int$"):
         io.load_certificate(path, trajectory.grid)
+
+
+def _jump_at_node_9(doc, copies=1):
+    """Cells 9 on hold 0.25, and a record of the jump this makes at node 9."""
+    before = doc["u_cells"][8]
+    left = before.get("right", before.get("value"))
+    doc["u_cells"][9:] = [{"value": [0.25]} for _ in doc["u_cells"][9:]]
+    doc["jumps"] = [{"node": 9, "left": left, "right": [0.25]} for _ in range(copies)]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["grid"].__setitem__(3, 0.0), r"\.grid: grid nodes must be strictly increasing$"),
+    (lambda doc: doc.update(grid=[0.0, 1.0], x=doc["x"][:2], u_cells=doc["u_cells"][:1]),
+     r"\.grid: grid needs at least 3 nodes \(2 cells\)$"),
+    (lambda doc: _jump_at_node_9(doc, copies=2), r"\.jumps\[1\]\.node: duplicate node 9$"),
+])
+def test_trajectory_errors_name_their_path(ex2_files, edit, message):
+    tmp_path, _, _ = ex2_files
+    path = rewrite(tmp_path / "trajectory.json", edit)
+    with pytest.raises(InputError, match=re.escape(path) + message):
+        io.load_trajectory(path)
+
+
+def test_deep_nesting_is_invalid_json(ex2_files):
+    tmp_path, _, _ = ex2_files
+    path = tmp_path / "trajectory.json"
+    path.write_text(path.read_text().replace('"jumps": []', '"jumps": ' + "[" * 10_000 + "]" * 10_000))
+    with pytest.raises(InputError, match=re.escape(str(path)) + r": not valid JSON \(nested too deeply\)$"):
+        io.load_trajectory(str(path))
 
 
 def test_boolean_jump_node_is_refused(ex2_files):
