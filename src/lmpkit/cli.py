@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cones as cones_mod
 from . import io, recovery
-from .errors import LmpkitError
+from .errors import InputError, LmpkitError
 from .lmp import CheckConfig, check_certificate
 from .problem import builtin_example
 
@@ -48,9 +48,20 @@ def _emit_report(report, args) -> None:
         sys.stdout.write(text)
 
 
-def cmd_check(args) -> int:
+def _load_inputs(args):
+    """The problem and the trajectory; a dimension of the problem that the
+    trajectory does not have is refused by the path of its field."""
     problem = io.load_problem(args.problem)
     trajectory = io.load_trajectory(args.trajectory)
+    for key in ("n", "m"):
+        declared, given = getattr(problem, key), getattr(trajectory, key)
+        if declared != given:
+            raise InputError(f"{args.problem}.{key}: {declared}, but the trajectory has {given}")
+    return problem, trajectory
+
+
+def cmd_check(args) -> int:
+    problem, trajectory = _load_inputs(args)
     certificate = io.load_certificate(args.certificate, trajectory.grid)
     report = check_certificate(problem, trajectory, certificate, _check_config(args))
     _emit_report(report, args)
@@ -58,8 +69,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    problem = io.load_problem(args.problem)
-    trajectory = io.load_trajectory(args.trajectory)
+    problem, trajectory = _load_inputs(args)
     if trajectory.grid.ncells < 4:
         raise LmpkitError("grid too coarse: contact set unresolvable")
     config = recovery.RecoveryConfig(

@@ -58,7 +58,8 @@ from typing import Any
 import numpy as np
 
 from . import cones as cones_mod
-from .errors import InputError
+from . import expr
+from .errors import InputError, ParseError
 from .lmp import Directions, MultiplierSet, SupportDirection
 from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, TimeGrid, Trajectory
@@ -284,19 +285,36 @@ def load_problem(path: str) -> ProblemDef:
     _check_version(doc, path)
     n = _field(doc, "n", int, path)
     m = _field(doc, "m", int, path)
+    for key, value in (("n", n), ("m", m)):
+        if value < 1:
+            raise InputError(f"{path}.{key}: must be >= 1")
     t0 = _field(doc, "t0", float, path)
     t1 = _field(doc, "t1", float, path)
+    if not t0 < t1:
+        raise InputError(f"{path}.t1: t0 < t1 is required")
     f = _field(doc, "f", list, path)
     if len(f) != n or not all(isinstance(s, str) for s in f):
         raise InputError(f"{path}.f: expected {n} expression strings")
-    G = _field(doc, "G", str, path)
-    J = _field(doc, "J", str, path)
-    return ProblemDef.from_strings(n=n, m=m, t0=t0, t1=t1, f=f, G=G, J=J)
+    scope = expr.Scope(n, m)
+    return ProblemDef(
+        n=n,
+        m=m,
+        t0=t0,
+        t1=t1,
+        f=tuple(_parse(s, scope, f"{path}.f[{i}]") for i, s in enumerate(f)),
+        G=_parse(_field(doc, "G", str, path), scope, f"{path}.G"),
+        J=_parse(_field(doc, "J", str, path), expr.Scope(n, 0, endpoint=True), f"{path}.J"),
+    )
+
+
+def _parse(source: str, scope: expr.Scope, where: str) -> expr.Expression:
+    try:
+        return expr.parse(source, scope)
+    except ParseError as err:
+        raise InputError(f"{where}: {err}") from None
 
 
 def save_problem(problem: ProblemDef, path: str) -> None:
-    from . import expr
-
     dump_json(
         {
             "format_version": FORMAT_VERSION,

@@ -2,35 +2,34 @@
 optimality conditions and solve it with a self-contained method.
 
 Given only a problem and a candidate trajectory, the program searches a
-normalised multiplier family.  Unknowns: the cost weight, the density
-multiplier on cells left active by a complementary-slackness pre-pass, and
-generator coefficients of the singular measure on the contact set.  The
-bilinear product of the direction s with the measure is eliminated by
-parametrising each support element with nonnegative coefficients over its
-jump-direction generators (a Caratheodory-style convexification), so the
-costate becomes affine in the unknowns through a terminal-anchored backward
-recursion, and the objective (squared stationarity residual plus squared
-initial transversality defect) is convex quadratic.  The one equality
-constraint is the normalisation: cost weight + density mass + measure mass
-equals 1.
+normalised multiplier family.  Its unknowns are masses: the cost weight, the
+lambda mass lambda_k h_k on each cell left active by a
+complementary-slackness pre-pass, and generator coefficients of the singular
+measure at the contact nodes.  The bilinear product of the direction s with
+the measure is eliminated by parametrising each atom with nonnegative
+coefficients over its jump-direction generators (a Caratheodory-style
+convexification), so the costate becomes affine in the masses through a
+terminal-anchored backward recursion, and the objective (squared
+stationarity residual plus squared initial transversality defect) is convex
+quadratic.  The one equality constraint is the normalisation: the masses sum
+to 1.
 
-Scaling each unknown by its normalisation coefficient turns the program into
-the minimum-norm point of a polytope, which Wolfe's algorithm
+A contact cell has one unknown, lambda.  There the phase test holds, G_u
+vanishes, and lambda and the density of eta enter the costate through the
+same G_x, so only their sum is determined.  Recovery therefore emits no eta
+density: the contact-cell mass stays on lambda, and the atoms stay at the
+contact nodes.  ``encode_certificate`` reads a certificate's density as
+lambda.
+
+With masses summing to 1 the program is the minimum-norm point of the
+columns of its residual map, which Wolfe's algorithm
 (``geometry.min_norm_point``) solves exactly in finitely many steps.  The
 solve ends with a named status: ``optimal``, ``degenerate`` (the corral lost
 affine independence in floating point) or ``iteration_cap``.  Recovered
 certificates are always routed through the independent checker; recovery is
-never accepted by construction alone.
-
-On contact cells the lambda column and the cell-mass column of the program
-agree to about 1e-12, so the minimum-norm point does not fix how mass splits
-between lambda and the eta density there.  When some lambda cell lies off
-the contact set, as on ex2, Wolfe's loop starts from the corral of alpha0
-and lambda, the density part of a regular certificate; taken, it keeps the
-contact mass on lambda, and rounding no longer decides the split.  When
-every lambda cell is a contact cell, as on ex1, the loop starts from one
-column, and rounding decides the split, while lambda + density and every
-checker verdict stay the same.
+never accepted by construction alone.  When some lambda cell lies off the
+contact set, as on ex2, Wolfe's loop starts from the corral of alpha0 and
+lambda, the density part of a regular certificate.
 """
 
 from __future__ import annotations
@@ -81,13 +80,12 @@ class RecoveryConfig:
 class RecoveryProgram:
     """The assembled convex program; everything downstream is read-only.
 
-    The unknowns theta are, in column order: the cost weight alpha0 (column
-    0); lambda on the cells ``lam_cells`` (columns ``lam_cols``); one
-    coefficient per jump generator at the contact nodes, column
-    ``atom_cols[i]`` for node ``atom_nodes[i]`` and generator
-    ``atom_gens[i]``; and one mass coefficient per contact cell, column
-    ``cell_cols[i]`` for cell ``eta_cells[i]`` and generator
-    ``cell_gens[i]``.  Cells and nodes increase within each block.
+    The unknowns theta are masses that sum to 1, in column order: the cost
+    weight alpha0 (column 0); the lambda mass lambda_k h_k on the cells
+    ``lam_cells`` (columns ``lam_cols``); and one coefficient per jump
+    generator at the contact nodes, column ``atom_cols[i]`` for node
+    ``atom_nodes[i]`` and generator ``atom_gens[i]``.  Cells increase, and
+    nodes do not decrease.  A contact cell has no unknown besides lambda.
     ``lam_off_contact`` says whether some lambda cell lies off the contact
     set; only then does the solve start from alpha0 and lambda.
 
@@ -101,9 +99,6 @@ class RecoveryProgram:
     lam_cells: np.ndarray  # (L,) cells that carry a lambda unknown
     atom_nodes: np.ndarray  # (A,) node of each atom coefficient, nondecreasing
     atom_gens: np.ndarray  # (A, n) its jump generator
-    eta_cells: np.ndarray  # (C,) cell of each cell-mass coefficient, increasing
-    cell_gens: np.ndarray  # (C, n) its generator
-    normal: np.ndarray  # normalisation coefficients a > 0, a.theta = 1
     M: np.ndarray  # objective residual map, f = |M theta|^2
     A_L: np.ndarray  # (N+1, nvars, n): costate left limits, p_k = theta . A_L[k]
     lam_off_contact: bool
@@ -118,10 +113,6 @@ class RecoveryProgram:
         start = 1 + self.lam_cells.size
         return np.arange(start, start + self.atom_nodes.size)
 
-    @property
-    def cell_cols(self) -> np.ndarray:
-        return np.arange(self.nvars - self.eta_cells.size, self.nvars)
-
     def costate_left_limits(self, theta: np.ndarray) -> np.ndarray:
         return self.A_L.transpose(0, 2, 1) @ theta
 
@@ -135,7 +126,7 @@ class RecoveryResult:
     multipliers: MultiplierSet
     objective: float
     kkt_residual: float  # Wolfe gap of the min-norm-point solve
-    theta: np.ndarray
+    theta: np.ndarray  # the program's masses
     status: str  # geometry.MinNormPoint.status
     iterations: int
 
@@ -164,10 +155,6 @@ def build_program(
     inverse of the N recursion matrices, one small product per cell in the
     backward sweep, and one batched product per sample side for the
     stationarity rows.
-
-    Density cells of the contact region must expose jump directions at their
-    midpoints; an empty generator set there means the working tolerances do
-    not resolve the contact geometry and is reported as an input error.
     """
     samples = samples or Samples(problem, trajectory)
     left, mid, right = samples.left, samples.mid, samples.right
@@ -184,20 +171,10 @@ def build_program(
     table = samples.node_gradients(config.delta, config.eps)[nodes]
     node, slot = np.nonzero(~np.isnan(table[:, :, 0]))
     atom_nodes, atom_gens = nodes[node], table[node, slot]
-    eta_cells = np.flatnonzero(contact.cell_flags)
-    bare = np.flatnonzero(contact.cell_flags & ~mid.phase(config.delta, config.eps))
-    if bare.size:
-        raise InputError(
-            f"no jump directions at the midpoint of contact cell {bare[0]}: "
-            "tolerance mismatch between the contact set and the phase test"
-        )
-    cell_gens = mid.phase_gradients(config.delta, config.eps)[eta_cells]
 
-    # unknown layout: alpha0, lambda on active cells, atom coefficients,
-    # cell-mass coefficients
-    nvars = 1 + lam_cells.size + atom_nodes.size + eta_cells.size
-    normal = np.ones(nvars)
-    normal[1 : 1 + lam_cells.size] = h[lam_cells]
+    # unknown layout: alpha0, the lambda mass lambda_k h_k on active cells,
+    # atom coefficients
+    nvars = 1 + lam_cells.size + atom_nodes.size
 
     # terminal-anchored trapezoid recursion for the costate left limits:
     # p_k (I - h/2 F_left) = p_{k+1} (I + h/2 F_right) + the local terms of
@@ -218,12 +195,11 @@ def build_program(
     # into a node-major store S[k] = A_L[k].T, then sweep backwards
     x0, x1 = trajectory.endpoints
     jx0, jx1 = problem.endpoint_gradients(x0, x1)
-    origin = np.concatenate(([N], lam_cells, atom_nodes, eta_cells))
+    origin = np.concatenate(([N], lam_cells, atom_nodes))
     local = np.concatenate((
         jx1[None],
-        (0.5 * h[lam_cells])[:, None] * (left.G_x[lam_cells] + right.G_x[lam_cells]),
+        0.5 * (left.G_x[lam_cells] + right.G_x[lam_cells]),
         atom_gens,
-        cell_gens,
     ))
     S = np.zeros((N + 1, n, nvars))
     S[origin, :, np.arange(nvars)] = np.matmul(
@@ -254,7 +230,7 @@ def build_program(
     R[k, 1, :, cols] -= np.matmul(F_mid[k], gens)[..., 0]
     lam_cols = np.arange(1, 1 + lam_cells.size)
     for side, points in enumerate((left, mid, right)):
-        R[lam_cells, side, :, lam_cols] += weight[lam_cells, None] * points.G_u[lam_cells]
+        R[lam_cells, side, :, lam_cols] += (weight / h)[lam_cells, None] * points.G_u[lam_cells]
     rows[3 * N * m :] = S[0]
     rows[3 * N * m :, 0] += jx0
 
@@ -262,7 +238,6 @@ def build_program(
         "unknowns": nvars,
         "lambda_cells": lam_cells.size,
         "eta_atoms": nodes.size,
-        "eta_cells": eta_cells.size,
         "objective_rows": rows.shape[0],
         "constraints": 1 + nvars,
         "slack_threshold": slack,
@@ -275,9 +250,6 @@ def build_program(
         lam_cells=lam_cells,
         atom_nodes=atom_nodes,
         atom_gens=atom_gens,
-        eta_cells=eta_cells,
-        cell_gens=cell_gens,
-        normal=normal,
         M=rows,
         A_L=S.transpose(0, 2, 1),
         lam_off_contact=bool(np.any(~contact.cell_flags[lam_cells])),
@@ -301,23 +273,21 @@ def _last_singular(M_left: np.ndarray) -> int:
 def solve(program: RecoveryProgram) -> RecoveryResult:
     """Minimise the program objective exactly.
 
-    With ``P_j = M[:, j] / a_j`` and ``w = a * theta`` the program
-    ``min |M theta|^2, theta >= 0, a.theta = 1`` is the minimum-norm point of
-    conv{P_j}; the KKT residual reported is its Wolfe gap.  When some lambda
-    cell lies off the contact set, Wolfe's loop is offered alpha0 and lambda
-    as its start corral: the density part of a regular certificate."""
-    if program.nvars == 0:
-        raise InputError("no nontrivial multipliers found at this discretization")
+    The masses sum to 1, so ``min |M theta|^2, theta >= 0, sum theta = 1`` is
+    the minimum-norm point of the columns of ``M``; the KKT residual reported
+    is its Wolfe gap.  When some lambda cell lies off the contact set,
+    Wolfe's loop is offered alpha0 and lambda as its start corral: the
+    density part of a regular certificate."""
     corral = None
     if program.lam_off_contact:
         corral = np.concatenate(([0], program.lam_cols))
-    mnp = geometry.min_norm_point(program.M / program.normal, corral)
+    mnp = geometry.min_norm_point(program.M, corral)
     if corral is None:
         log.debug("start corral: none (every lambda cell is a contact cell)")
     else:
         verdict = "taken" if mnp.start else "refused"
         log.debug("start corral of %d columns (alpha0, lambda): %s", corral.size, verdict)
-    theta = mnp.w / program.normal
+    theta = mnp.w
     return RecoveryResult(
         multipliers=_assemble(program, theta),
         objective=program.objective(theta),
@@ -340,8 +310,8 @@ def _groups(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _weights(
     theta: np.ndarray, elements: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, Directions]:
-    """The elements (node or cell of each coefficient column ``cols``) that
-    carry positive eta mass: their masses, and s on them as the weights
+    """The elements (node of each coefficient column ``cols``) that carry
+    positive eta mass: their masses, and s on them as the weights
     coeff / mass."""
     starts, size = _groups(elements)
     group = np.repeat(np.arange(starts.size), size)
@@ -361,17 +331,12 @@ def _weights(
 
 def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
     grid = program.trajectory.grid
-    N = grid.ncells
-    lam = np.zeros(N)
-    lam[program.lam_cells] = theta[program.lam_cols]
+    lam = np.zeros(grid.ncells)
+    lam[program.lam_cells] = theta[program.lam_cols] / grid.widths[program.lam_cells]
     atom_mass, s_atoms = _weights(theta, program.atom_nodes, program.atom_cols)
-    cell_mass, s_cells = _weights(theta, program.eta_cells, program.cell_cols)
-    density = np.zeros(N)
-    density[s_cells.index] = cell_mass / grid.widths[s_cells.index]
     eta = SignedMeasure.scalar(
         grid,
         atoms=dict(zip(s_atoms.index.tolist(), atom_mass.tolist())),
-        density=density,
         nonnegative=True,
     )
     values = program.costate_left_limits(theta)
@@ -389,17 +354,19 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
         lam=lam,
         eta=eta,
         s_atoms=s_atoms,
-        s_cells=s_cells,
         p=p,
     )
 
 
 def encode_certificate(program: RecoveryProgram, ms: MultiplierSet) -> np.ndarray:
-    """Map a certificate onto the program unknowns, to evaluate it there.
+    """Map a certificate onto the program's masses, to evaluate it there.
 
-    Lambda is checked first, then the atoms in the certificate's order, then
-    the density cells; the first element that cannot be encoded raises."""
+    The density on a contact cell goes onto lambda there, split along its
+    one direction, the cell's midpoint generator.  Lambda is checked first,
+    then the atoms in the certificate's order, then the density cells; the
+    first element that cannot be encoded raises."""
     grid = program.trajectory.grid
+    h = grid.widths
     theta = np.zeros(program.nvars)
     theta[0] = ms.alpha0
     lam_col = np.zeros(grid.ncells, dtype=np.intp)
@@ -408,7 +375,7 @@ def encode_certificate(program: RecoveryProgram, ms: MultiplierSet) -> np.ndarra
     inactive = carried[lam_col[carried] == 0]
     if inactive.size:
         raise InputError(f"certificate carries lambda mass on inactive cell {inactive[0]}")
-    theta[lam_col[carried]] = ms.lam[carried]
+    theta[lam_col[carried]] = ms.lam[carried] * h[carried]
 
     nodes = np.fromiter(ms.eta.atoms, dtype=np.intp, count=len(ms.eta.atoms))
     mass = np.array([w[0] for w in ms.eta.atoms.values()], dtype=float)
@@ -417,20 +384,23 @@ def encode_certificate(program: RecoveryProgram, ms: MultiplierSet) -> np.ndarra
         program.atom_nodes, program.atom_cols, program.atom_gens,
         "an atom outside the contact set: node",
     )
+    delta, eps = program.config.delta, program.config.eps
+    samples = Samples(program.problem, program.trajectory)
+    mid, contact = samples.mid, samples.contact_set(delta, eps)
+    eta_cells = np.flatnonzero(contact.cell_flags & mid.phase(delta, eps) & (lam_col > 0))
     cells = np.flatnonzero(ms.eta.density[:, 0] != 0.0)
     _encode_mass(
-        theta, cells, ms.eta.density[cells, 0] * grid.widths[cells], ms.s_cells,
-        program.eta_cells, program.cell_cols, program.cell_gens,
+        theta, cells, ms.eta.density[cells, 0] * h[cells], ms.s_cells,
+        eta_cells, lam_col[eta_cells], mid.phase_gradients(delta, eps)[eta_cells],
         "density outside the contact set: cell",
     )
     return theta
 
 
 def _encode_mass(theta, elements, mass, s, of, cols, gens, outside: str) -> None:
-    """Write the eta ``mass`` on ``elements`` (nodes or cells, in the order
-    given), split along the directions ``s``, into the coefficient columns
-    ``cols``, whose elements are ``of`` (nondecreasing) and generators
-    ``gens``."""
+    """Add the eta ``mass`` on ``elements`` (nodes or cells, in the order
+    given), split along the directions ``s``, to the columns ``cols``, whose
+    elements are ``of`` (nondecreasing) and generators ``gens``."""
     first = np.searchsorted(of, elements)
     count = np.searchsorted(of, elements, side="right") - first
     at = np.searchsorted(s.index, elements)
@@ -465,7 +435,7 @@ def _encode_mass(theta, elements, mass, s, of, cols, gens, outside: str) -> None
         raise InputError("weight count does not match the generators")
     by_weights = weighted[element]
     weights[by_weights] = s.values[row[element[by_weights]], place[by_weights]]
-    theta[cols[first[element] + place]] = mass[element] * weights
+    theta[cols[first[element] + place]] += mass[element] * weights
 
 
 def cross_validate(

@@ -370,11 +370,12 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
     one row block per sample.  It shares the sampled data and the contact
     set with ``recovery.build_program`` and nothing of its assembly; its jump
     generators come from the scalar oracle ``reference_node_generators``.
+    The unknowns are masses: alpha0, lambda_k h_k on the active cells, and
+    the atom coefficients.
 
-    Returns ``nvars``, the column dicts ``idx_lam`` (cell -> column),
-    ``idx_atom`` (node -> columns) and ``idx_cell`` (cell -> columns), the
-    generators ``atom_gens``/``cell_gens`` keyed like them, ``normal``,
-    ``M``, ``A_L`` and ``W``."""
+    Returns its inputs, ``nvars``, the column dicts ``idx_lam`` (cell ->
+    column) and ``idx_atom`` (node -> columns), the generators ``atom_gens``
+    keyed like ``idx_atom``, ``M``, ``A_L`` and ``W``."""
     samples = Samples(problem, trajectory)
     left, mid, right = samples.left, samples.mid, samples.right
     grid = trajectory.grid
@@ -390,21 +391,14 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
         )
         for k in np.flatnonzero(contact.flags).tolist()
     }
-    mid_gens = mid.phase_gradients(config.delta, config.eps)
-    cell_gens = {k: mid_gens[k : k + 1] for k in np.flatnonzero(contact.cell_flags).tolist()}
 
     idx_lam = {k: 1 + i for i, k in enumerate(active)}
     pos = 1 + len(active)
-    idx_atom, idx_cell = {}, {}
-    for idx, gens_of in ((idx_atom, atom_gens), (idx_cell, cell_gens)):
-        for k, gens in gens_of.items():
-            idx[k] = list(range(pos, pos + gens.shape[0]))
-            pos += gens.shape[0]
+    idx_atom = {}
+    for k, gens in atom_gens.items():
+        idx_atom[k] = list(range(pos, pos + gens.shape[0]))
+        pos += gens.shape[0]
     nvars = pos
-
-    normal = np.ones(nvars)
-    for k, i in idx_lam.items():
-        normal[i] = grid.widths[k]
 
     W = {}
     for k, gens in atom_gens.items():
@@ -424,9 +418,7 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
         if k in W:
             rhs = rhs + W[k]
         if k in idx_lam:
-            rhs[idx_lam[k]] += 0.5 * h * (left.G_x[k] + right.G_x[k])
-        for col, g in zip(idx_cell.get(k, ()), cell_gens.get(k, ())):
-            rhs[col] += g
+            rhs[idx_lam[k]] += 0.5 * (left.G_x[k] + right.G_x[k])
         try:
             A_L[k] = np.linalg.solve((eye - 0.5 * h * left.f_x[k]).T, rhs.T).T
         except np.linalg.LinAlgError as err:
@@ -442,19 +434,19 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
         for points, A_p in ((left, A_pl), (mid, 0.5 * (A_pl + A_pr)), (right, A_pr)):
             block = (A_p @ points.f_u[k]).T
             if k in idx_lam:
-                block[:, idx_lam[k]] += points.G_u[k]
+                block[:, idx_lam[k]] += points.G_u[k] / grid.widths[k]
             rows[row : row + m] = weight * block
             row += m
     rows[row:] = A_L[0].T
     rows[row:, 0] += jx0
     return SimpleNamespace(
+        problem=problem,
+        trajectory=trajectory,
+        config=config,
         nvars=nvars,
         idx_lam=idx_lam,
         idx_atom=idx_atom,
-        idx_cell=idx_cell,
         atom_gens=atom_gens,
-        cell_gens=cell_gens,
-        normal=normal,
         M=rows,
         A_L=A_L,
         W=W,
@@ -468,7 +460,6 @@ def layout_by_cells(program) -> list[tuple[str, int | None]]:
     for kind, idx in (
         ("lambda", {k: [i] for k, i in program.idx_lam.items()}),
         ("atom", program.idx_atom),
-        ("cell", program.idx_cell),
     ):
         for k, cols in idx.items():
             for col in cols:
@@ -477,18 +468,22 @@ def layout_by_cells(program) -> list[tuple[str, int | None]]:
 
 
 def encode_certificate_by_cells(program, ms) -> np.ndarray:
-    """A certificate mapped onto the unknowns of :func:`build_program_by_cells`,
-    one cell and one atom at a time."""
+    """A certificate mapped onto the masses of :func:`build_program_by_cells`,
+    one cell and one atom at a time; the density of a cell goes onto its
+    lambda, split along the cell's midpoint generator."""
     grid = ms.grid
     theta = np.zeros(program.nvars)
     theta[0] = ms.alpha0
+    mid_gens = Samples(program.problem, program.trajectory).mid.phase_gradients(
+        program.config.delta, program.config.eps
+    )
     for k in range(grid.ncells):
         if ms.lam[k] != 0.0:
-            theta[program.idx_lam[k]] = ms.lam[k]
+            theta[program.idx_lam[k]] = ms.lam[k] * grid.widths[k]
         e = float(ms.eta.density[k, 0])
         if e != 0.0:
-            weights = _weights_by_hull(ms.s_cells[k], program.cell_gens[k])
-            theta[program.idx_cell[k]] = e * grid.widths[k] * weights
+            weights = _weights_by_hull(ms.s_cells[k], mid_gens[k : k + 1])
+            theta[program.idx_lam[k]] += (e * grid.widths[k] * weights).item()
     for k in ms.eta.atoms:
         mass = ms.eta.scalar_atom(k)
         if mass != 0.0:

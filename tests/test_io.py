@@ -248,21 +248,24 @@ def test_boolean_size_or_version_is_refused(tmp_path, kind, key, message):
 
 def test_saved_files_are_read_by_columns(tmp_path, monkeypatch):
     """The files lmpkit writes, indented or compact, never need the
-    record-by-record reader; recovered certificates give s as weights."""
+    record-by-record reader, whether they give s as vectors or as weights."""
     from dataclasses import replace
 
-    from lmpkit.recovery import build_program, solve
+    from lmpkit.lmp import SupportDirection
+    from lmpkit.recovery import recover
 
-    # recover puts ex2's contact mass on lambda, from the start corral of
-    # alpha0 and lambda; solved from the least-norm column instead, the
-    # program at N=52 gives a certificate with atoms and density cells
-    problem, trajectory, ms = builtin_example("ex2", ncells=52)
-    program = replace(build_program(problem, trajectory), lam_off_contact=False)
-    recovered = solve(program).multipliers
-    assert len(recovered.s_atoms) > 0 and len(recovered.s_cells) > 0
-    assert recovered.s_atoms.weighted.all() and recovered.s_cells.weighted.all()
-    io.save_trajectory(trajectory, str(tmp_path / "trajectory.json"))
-    for name, certificate in (("closed", ms), ("recovered", recovered)):
+    # ex2's closed form gives s on its density cells as vectors, or as
+    # weights over each cell's one generator; recovery gives s on ex1's
+    # atoms as weights
+    _, arc, ms = builtin_example("ex2", ncells=52)
+    weighted = replace(ms, s_cells={k: SupportDirection(weights=[1.0]) for k in ms.s_cells})
+    problem, atom, _ = builtin_example("ex1", ncells=40)
+    recovered = recover(problem, atom).result.multipliers
+    assert len(recovered.s_atoms) > 0 and recovered.s_atoms.weighted.all()
+    assert len(weighted.s_cells) > 0 and weighted.s_cells.weighted.all()
+    cases = {"closed": (arc, ms), "weighted": (arc, weighted), "recovered": (atom, recovered)}
+    for name, (trajectory, certificate) in cases.items():
+        io.save_trajectory(trajectory, str(tmp_path / f"{name}-trajectory.json"))
         io.save_certificate(certificate, str(tmp_path / f"{name}.json"))
 
     def refuse(*args):
@@ -272,12 +275,12 @@ def test_saved_files_are_read_by_columns(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_directions_by_record", refuse)
     for compact in (False, True):
         if compact:  # as json.dump writes without indent
-            for name in ("trajectory", "closed", "recovered"):
-                rewrite(tmp_path / f"{name}.json", lambda doc: None)
-        loaded = io.load_trajectory(str(tmp_path / "trajectory.json"))
-        assert np.array_equal(loaded.u_left, trajectory.u_left)
-        assert np.array_equal(loaded.u_right, trajectory.u_right)
-        for name, certificate in (("closed", ms), ("recovered", recovered)):
+            for path in tmp_path.glob("*.json"):
+                rewrite(path, lambda doc: None)
+        for name, (trajectory, certificate) in cases.items():
+            loaded = io.load_trajectory(str(tmp_path / f"{name}-trajectory.json"))
+            assert np.array_equal(loaded.u_left, trajectory.u_left)
+            assert np.array_equal(loaded.u_right, trajectory.u_right)
             cert = io.load_certificate(str(tmp_path / f"{name}.json"), loaded.grid)
             for got, want in ((cert.s_atoms, certificate.s_atoms),
                               (cert.s_cells, certificate.s_cells)):
@@ -529,7 +532,7 @@ def check_inputs(tmp_path_factory):
     io.save_trajectory(trajectory, str(d / "trajectory.json"))
     io.save_certificate(ms, str(d / "certificate.json"))
     docs = {name: json.loads((d / f"{name}.json").read_text())
-            for name in ("trajectory", "certificate")}
+            for name in ("problem", "trajectory", "certificate")}
     return d, docs
 
 
@@ -562,9 +565,9 @@ MUTATIONS = {
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_malformed_files_never_end_in_a_traceback(check_inputs, data):
-    """One entry of a valid trajectory or certificate is dropped or replaced;
-    `lmpkit check` then exits 0, 1 or 2, and an exit 2 names a JSON path of
-    the file."""
+    """One entry of a valid problem, trajectory or certificate is dropped or
+    replaced; `lmpkit check` then exits 0, 1 or 2, and an exit 2 names a JSON
+    path of the file."""
     from lmpkit.cli import main
 
     d, docs = check_inputs
@@ -591,6 +594,28 @@ def test_malformed_files_never_end_in_a_traceback(check_inputs, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert re.match(rf"error: {re.escape(str(target))}[.\[:]", err.getvalue()), err.getvalue()
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("G", "x", "G: unknown identifier 'x'"),
+    ("J", "x0_9", "J: variable index out of declared range"),
+    ("f", ["x2", "u2"], "f[1]: variable index out of declared range"),
+    ("t0", 5.0, "t1: t0 < t1 is required"),
+    ("m", -3, "m: must be >= 1"),
+    ("m", 5, "m: 5, but the trajectory has 1"),
+])
+def test_problem_errors_name_the_field(check_inputs, capsys, key, value, field):
+    from lmpkit.cli import main
+
+    d, docs = check_inputs
+    doc = copy.deepcopy(docs["problem"])
+    doc[key] = value
+    target = d / "edited-problem.json"
+    target.write_text(json.dumps(doc))
+    files = [str(target), str(d / "trajectory.json"), str(d / "certificate.json")]
+    for command in (["check", *files], ["recover", *files[:2]]):
+        assert main(command) == 2
+        assert capsys.readouterr().err.startswith(f"error: {target}.{field}")
 
 
 # -- the JSON writer -----------------------------------------------------------
