@@ -310,8 +310,8 @@ def _groups(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _weights(
     theta: np.ndarray, elements: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, Directions]:
-    """The elements (node of each coefficient column ``cols``) that carry
-    positive eta mass: their masses, and s on them as the weights
+    """The nodes (``elements``, one per coefficient column ``cols``) that
+    carry positive eta mass: their masses, and s on them as the weights
     coeff / mass."""
     starts, size = _groups(elements)
     group = np.repeat(np.arange(starts.size), size)
@@ -362,9 +362,10 @@ def encode_certificate(program: RecoveryProgram, ms: MultiplierSet) -> np.ndarra
     """Map a certificate onto the program's masses, to evaluate it there.
 
     The density on a contact cell goes onto lambda there, split along its
-    one direction, the cell's midpoint generator.  Lambda is checked first,
-    then the atoms in the certificate's order, then the density cells; the
-    first element that cannot be encoded raises."""
+    one direction, the cell's midpoint generator; a cell without a lambda
+    unknown or without that generator counts as outside the contact set.
+    Lambda is checked first, then the atoms in the certificate's order, then
+    the density cells; the first element that cannot be encoded raises."""
     grid = program.trajectory.grid
     h = grid.widths
     theta = np.zeros(program.nvars)
