@@ -21,7 +21,7 @@ from . import cones as cones_mod
 from . import io, recovery
 from .errors import InputError, LmpkitError
 from .lmp import CheckConfig, check_certificate
-from .problem import builtin_example
+from .problem import _NODE_MATCH_RTOL, builtin_example
 
 log = logging.getLogger("lmpkit")
 
@@ -50,13 +50,22 @@ def _emit_report(report, args) -> None:
 
 def _load_inputs(args):
     """The problem and the trajectory; a dimension of the problem that the
-    trajectory does not have is refused by the path of its field."""
+    trajectory does not have, or a horizon end that is not the end of its
+    grid (within the tolerance of TimeGrid.node_index), is refused by the
+    path of its field."""
     problem = io.load_problem(args.problem)
     trajectory = io.load_trajectory(args.trajectory)
     for key in ("n", "m"):
         declared, given = getattr(problem, key), getattr(trajectory, key)
         if declared != given:
             raise InputError(f"{args.problem}.{key}: {declared}, but the trajectory has {given}")
+    grid = trajectory.grid
+    for key in ("t0", "t1"):
+        declared, given = getattr(problem, key), getattr(grid, key)
+        if abs(declared - given) > _NODE_MATCH_RTOL * (grid.t1 - grid.t0):
+            raise InputError(
+                f"{args.problem}.{key}: {declared!r}, but the trajectory's grid has {given!r}"
+            )
     return problem, trajectory
 
 

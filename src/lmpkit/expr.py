@@ -16,11 +16,11 @@ values ``x0_1..x0_n`` / ``x1_1..x1_n`` used by terminal cost expressions.
 Fractional powers are written via exp/log.
 
 Evaluation never returns NaN or infinity: any excursion outside the reals
-raises :class:`~lmpkit.errors.EvalError`.  :func:`evaluate_many` evaluates
-one expression over arrays of sample points with the same checks, and names
-the first bad sample; :func:`evaluate_table` does the same for a sequence of
-expressions in one pass.  Expressions are immutable after parsing, so evaluation
-is reentrant and thread-safe.
+raises :class:`~lmpkit.errors.EvalError`.  The library evaluates only with
+:func:`evaluate_table`, which takes a sequence of expressions over arrays of
+sample points in one pass and names the first bad sample; the scalar
+:func:`evaluate` is the reference the tests compare it against.  Expressions
+are immutable after parsing, so evaluation is reentrant and thread-safe.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "Scope",
     "parse",
     "evaluate",
-    "evaluate_many",
     "evaluate_table",
     "differentiate",
     "free_variables",
@@ -314,7 +313,8 @@ def free_variables(e: Expression) -> frozenset[str]:
 
 
 def evaluate(e: Expression, binding: Mapping[str, float]) -> float:
-    """Evaluate at a binding.  NaN or infinity is an error, not a value."""
+    """Evaluate at a binding.  NaN or infinity is an error, not a value.
+    The tests' reference for :func:`evaluate_table`; the library calls it nowhere."""
     value = _eval(e, binding)
     if not math.isfinite(value):
         raise EvalError("expression evaluated to a non-finite value")
@@ -417,35 +417,18 @@ class _Faults:
 _NON_FINITE = "expression evaluated to a non-finite value"
 
 
-def evaluate_many(e: Expression, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate at every sample of equal-length columns, one per variable.
-
-    Applies the checks of :func:`evaluate` to each sample, and raises
-    EvalError for the first sample (lowest index) at which evaluate would
-    raise, with the reason evaluate would give.  + - * / and negation give
-    the same floats as evaluate; powers and functions use numpy's kernels
-    and may differ from the math module in the last bit.
-    """
-    size = len(next(iter(columns.values()))) if columns else 0
-    faults = _Faults(size)
-    with np.errstate(all="ignore"):
-        value = _eval_many(e, columns, size, faults)
-        faults.flag(~np.isfinite(value), _NON_FINITE)
-    faults.raise_first()
-    return value
-
-
 def evaluate_table(
     table: Sequence[Expression], columns: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Evaluate several expressions at every sample in one pass: column j of
-    the (samples, len(table)) result is ``evaluate_many(table[j], columns)``.
+    """Evaluate several expressions in one pass at every sample of
+    equal-length columns, one per variable, into a (samples, len(table)) array.
 
-    Raises the EvalError of the lowest failing sample; of the expressions
-    failing there, the first in table order gives the reason, as
-    :func:`evaluate_many` would.  An unbound variable raises at once.  A
-    constant is filled in and a bare variable copied from its column after
-    one finiteness test; only compound expressions run the interpreter.
+    Raises the EvalError of the lowest failing sample, with the reason
+    :func:`evaluate` gives there; of the expressions failing there, the first
+    in table order gives it.  An unbound variable raises at once.  + - * /
+    and negation give evaluate's floats; powers and functions use numpy's
+    kernels and may differ from the math module in the last bit.  Only
+    compound expressions run the interpreter.
     """
     size = len(next(iter(columns.values()))) if columns else 0
     out = np.empty((size, len(table)))

@@ -1,10 +1,12 @@
-"""Contact geometry: closure in measure of the control, phase-point sets,
-the contact set, and jump-direction sets with convex-hull distances.
+"""Contact geometry: the contact set, jump-direction sets, and convex-hull
+distances.
 
 For the representable class of controls (piecewise smooth with declared
-jumps) the closure in measure at time t is a finite set: the single control
-value at continuity times, the two one-sided values at a declared jump, and
-the one-sided value at the horizon ends.  A phase point is a pair (x, u)
+jumps) the closure in measure at a node is a finite set: the single control
+value at continuity nodes, the two one-sided values at a declared jump, and
+the one-sided value at the horizon ends.  :class:`~lmpkit.samples.Samples`
+lays these points out per node, with the problem data evaluated at them;
+everything here reads that layout.  A phase point is a pair (x, u)
 with G = 0 and G_u = 0; membership is always tested through the relaxed set
 {-delta <= G <= 0, |G_u| <= eps} because exact equalities are measure-zero
 in floating point.
@@ -16,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .problem import ProblemDef, Trajectory
 from .samples import Samples
 
 __all__ = [
-    "ClmValue",
     "ContactSet",
     "JumpDirectionSet",
-    "clm_at",
     "contact_set",
     "jump_directions_at_node",
     "jump_directions_at_cell_mid",
@@ -32,19 +32,6 @@ __all__ = [
     "MinNormPoint",
     "min_norm_point",
 ]
-
-
-@dataclass(frozen=True)
-class ClmValue:
-    """The finite set of control values reachable through the closure in
-    measure at one time; nonempty for every t in the horizon."""
-
-    t: float
-    points: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise NumericalError("closure in measure produced an empty value set")
 
 
 @dataclass(frozen=True)
@@ -76,19 +63,6 @@ class JumpDirectionSet:
     @property
     def is_empty(self) -> bool:
         return not self.generators
-
-
-def clm_at(trajectory: Trajectory, t: float) -> ClmValue:
-    """Closure-in-measure value of the control at time t."""
-    grid = trajectory.grid
-    if t < grid.t0 or t > grid.t1:
-        raise InputError(f"time {t!r} outside the horizon")
-    try:
-        k = grid.node_index(t)
-    except InputError:
-        cell = grid.cell_of(t)
-        return ClmValue(t=t, points=(trajectory.u_in_cell(cell, t),))
-    return ClmValue(t=t, points=trajectory.control_points(k))
 
 
 def contact_set(

@@ -17,9 +17,10 @@ one ``write`` call.
 
 Every number must be finite: ``NaN``, ``Infinity`` and numbers too large
 for a double are refused with the path of the first bad entry (e.g.
-``cert.json.lambda[3]: not a finite number``).  Where an integer is
-expected (indices, sizes, ``format_version``), ``true`` and ``false`` are
-refused too.  An optional field (``jumps``, ``s``, and the lists
+``cert.json.lambda[3]: not a finite number``).  Where a single number is
+expected (indices, sizes, ``format_version``, ``t0``, ``t1``, ``alpha0``,
+atom weights), ``true`` and ``false`` are refused too; in a list of numbers
+they read as 1 and 0.  An optional field (``jumps``, ``s``, and the lists
 ``eta.atoms``, ``s.atoms``, ``s.cells`` and ``p.atoms``) may be left out,
 but where given it must be the container the format names.
 
@@ -199,8 +200,8 @@ def _field(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise InputError(f"{path}.{key}: missing required field")
     value = doc[key]
-    if kind is int and isinstance(value, bool):
-        raise InputError(f"{path}.{key}: expected int")
+    if kind in (int, float) and isinstance(value, bool):
+        raise InputError(f"{path}.{key}: expected {kind.__name__}")
     if kind is float and isinstance(value, int):
         value = _float(value)
     if not isinstance(value, kind):

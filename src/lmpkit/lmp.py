@@ -205,12 +205,6 @@ class MultiplierSet:
         return replace(self, alpha0=c * self.alpha0, lam=c * self.lam,
                        eta=self.eta.scaled(c), p=p)
 
-    def normalized(self) -> "MultiplierSet":
-        nu = self.nu()
-        if nu <= 0:
-            raise InputError("cannot normalise a trivial certificate")
-        return self.scaled(1.0 / nu)
-
 
 @dataclass(frozen=True)
 class CheckConfig:

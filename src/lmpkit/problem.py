@@ -6,14 +6,14 @@ processes live on a time grid: the state is a continuous piecewise-linear
 interpolant of node samples, the control is piecewise smooth with finitely
 many declared jump nodes carrying explicit left/right values.  All types are
 immutable after construction; :class:`~lmpkit.samples.Samples` evaluates the
-data over all grid cells at once.
+data over all grid cells at once and lays out the closure in measure of the
+control per node, and the endpoint gradients of J are a table of one sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "dynamics_defect",
-    "endpoint_cost",
     "builtin_example",
 ]
 
@@ -81,13 +80,6 @@ class TimeGrid:
         if abs(self.nodes[k] - t) > _NODE_MATCH_RTOL * span:
             raise InputError(f"time {t!r} is not aligned with a grid node")
         return k
-
-    def cell_of(self, t: float) -> int:
-        """Cell index k with tau_k <= t <= tau_{k+1} (clamped at the ends)."""
-        if t < self.t0 or t > self.t1:
-            raise InputError(f"time {t!r} outside the horizon")
-        k = int(np.searchsorted(self.nodes, t, side="right") - 1)
-        return min(max(k, 0), self.ncells - 1)
 
 
 def _parse_or_keep(source, scope: expr.Scope) -> expr.Expression:
@@ -173,52 +165,18 @@ class ProblemDef:
     def J_x1(self) -> tuple[expr.Expression, ...]:
         return tuple(expr.differentiate(self.J, f"x1_{j + 1}") for j in range(self.n))
 
-    def xu_binding(self, x: np.ndarray, u: np.ndarray) -> dict[str, float]:
-        b = {f"x{i + 1}": float(x[i]) for i in range(self.n)}
-        b.update({f"u{i + 1}": float(u[i]) for i in range(self.m)})
-        return b
-
-    def endpoint_binding(self, x0: np.ndarray, x1: np.ndarray) -> dict[str, float]:
-        b = {f"x0_{i + 1}": float(x0[i]) for i in range(self.n)}
-        b.update({f"x1_{i + 1}": float(x1[i]) for i in range(self.n)})
-        return b
-
-    def _eval_table(self, table, binding: Mapping[str, float]) -> np.ndarray:
-        return np.array(
-            [[expr.evaluate(e, binding) for e in row] for row in table], dtype=float
-        )
-
-    def f_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        b = self.xu_binding(x, u)
-        return np.array([expr.evaluate(fi, b) for fi in self.f], dtype=float)
-
-    def fx_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self._eval_table(self.f_x, self.xu_binding(x, u))
-
-    def fu_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self._eval_table(self.f_u, self.xu_binding(x, u))
-
-    def G_at(self, x: np.ndarray, u: np.ndarray) -> float:
-        return expr.evaluate(self.G, self.xu_binding(x, u))
-
-    def Gx_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        b = self.xu_binding(x, u)
-        return np.array([expr.evaluate(e, b) for e in self.G_x], dtype=float)
-
-    def Gu_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        b = self.xu_binding(x, u)
-        return np.array([expr.evaluate(e, b) for e in self.G_u], dtype=float)
-
-    def J_at(self, x0: np.ndarray, x1: np.ndarray) -> float:
-        return expr.evaluate(self.J, self.endpoint_binding(x0, x1))
-
     def endpoint_gradients(
         self, x0: np.ndarray, x1: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        b = self.endpoint_binding(x0, x1)
-        jx0 = np.array([expr.evaluate(e, b) for e in self.J_x0], dtype=float)
-        jx1 = np.array([expr.evaluate(e, b) for e in self.J_x1], dtype=float)
-        return jx0, jx1
+        """J_x0 and J_x1 at the endpoints, as a table of one sample; an
+        EvalError carries its bare reason, there being only one point."""
+        columns = {f"x{side}_{i + 1}": x[i : i + 1]
+                   for side, x in ((0, x0), (1, x1)) for i in range(self.n)}
+        try:
+            values = expr.evaluate_table(self.J_x0 + self.J_x1, columns)[0]
+        except EvalError as err:
+            raise EvalError(err.reason) from err
+        return values[: self.n], values[self.n :]
 
 
 @dataclass(frozen=True)
@@ -277,46 +235,6 @@ class Trajectory:
     def m(self) -> int:
         return self.u_left.shape[1]
 
-    def is_jump(self, k: int) -> bool:
-        return k in self.jumps
-
-    def control_left_limit(self, k: int) -> np.ndarray | None:
-        """u(tau_k - 0); None at the first node."""
-        return self.u_right[k - 1] if k >= 1 else None
-
-    def control_right_limit(self, k: int) -> np.ndarray | None:
-        """u(tau_k + 0); None at the last node."""
-        return self.u_left[k] if k <= self.grid.ncells - 1 else None
-
-    def control_points(self, k: int) -> tuple[np.ndarray, ...]:
-        """Distinct one-sided control values at node k."""
-        left = self.control_left_limit(k)
-        right = self.control_right_limit(k)
-        if left is None:
-            return (np.array(right, dtype=float),)
-        if right is None:
-            return (np.array(left, dtype=float),)
-        if self.is_jump(k) and not np.array_equal(left, right):
-            return (np.array(left, dtype=float), np.array(right, dtype=float))
-        return (np.array(right, dtype=float),)
-
-    def x_at(self, t: float) -> np.ndarray:
-        k = self.grid.cell_of(t)
-        h = self.grid.widths[k]
-        theta = (t - self.grid.nodes[k]) / h
-        return (1.0 - theta) * self.x[k] + theta * self.x[k + 1]
-
-    def u_in_cell(self, k: int, t: float) -> np.ndarray:
-        h = self.grid.widths[k]
-        theta = (t - self.grid.nodes[k]) / h
-        return (1.0 - theta) * self.u_left[k] + theta * self.u_right[k]
-
-    def u_mid(self, k: int) -> np.ndarray:
-        return 0.5 * (self.u_left[k] + self.u_right[k])
-
-    def x_mid(self, k: int) -> np.ndarray:
-        return 0.5 * (self.x[k] + self.x[k + 1])
-
     @property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         return self.x[0], self.x[-1]
@@ -344,11 +262,6 @@ def dynamics_defect(
     h = trajectory.grid.widths
     fa, fb = samples.left.f, samples.right.f
     return trajectory.x[1:] - trajectory.x[:-1] - (0.5 * h)[:, None] * (fa + fb)
-
-
-def endpoint_cost(problem: ProblemDef, trajectory: Trajectory) -> float:
-    x0, x1 = trajectory.endpoints
-    return problem.J_at(x0, x1)
 
 
 # -- built-in analytic fixtures ----------------------------------------------

@@ -167,9 +167,10 @@ class Samples:
         self._node_gradients: dict[tuple[float, float], np.ndarray] = {}
         self._contact: dict[tuple[float, float], "ContactSet"] = {}
 
-    def _per_node(self, left: np.ndarray, right: np.ndarray, fill) -> np.ndarray:
+    def per_node(self, left: np.ndarray, right: np.ndarray, fill) -> np.ndarray:
         """Arrays over the left and right point sets laid out per node, in
-        the two slots of the class docstring."""
+        the two slots of the class docstring; applied to the trajectory's
+        ``u_left`` and ``u_right``, the closure in measure of the control."""
         first = np.concatenate([left, right[-1:]])
         out = np.stack([first, np.full_like(first, fill)], axis=1)
         k = self.two_sided
@@ -180,12 +181,12 @@ class Samples:
     def node_flags(self, delta: float, eps: float) -> np.ndarray:
         """Per node: some closure-in-measure point is a relaxed phase point."""
         sides = (points.phase(delta, eps) for points in (self.left, self.right))
-        return _frozen(np.any(self._per_node(*sides, False), axis=1))
+        return _frozen(np.any(self.per_node(*sides, False), axis=1))
 
     def at_nodes(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Per node, the value at its first closure-in-measure point, from
         arrays over the left and right point sets."""
-        return self._per_node(left, right, 0)[:, 0]
+        return self.per_node(left, right, 0)[:, 0]
 
     def node_gradients(self, delta: float, eps: float) -> np.ndarray:
         """The (N+1, 2, n) table of jump generators: per node, G_x at the
@@ -194,7 +195,7 @@ class Samples:
         key = (delta, eps)
         if key not in self._node_gradients:
             sides = (points.phase_gradients(delta, eps) for points in (self.left, self.right))
-            table = self._per_node(*sides, np.nan)
+            table = self.per_node(*sides, np.nan)
             # G_x is never NaN: a NaN first slot is a point off the phase set
             table = np.where(np.isnan(table[:, :1, :1]), table[:, ::-1], table)
             self._node_gradients[key] = _frozen(table)

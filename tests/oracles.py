@@ -6,8 +6,10 @@ exhaustive simplex-grid and face enumeration, cone intersections by rejection
 sampling and by the primal margin LP in the unit box, small linear programs by
 enumerating their bases, the simplex start basis by a search in two passes,
 cumulative functions of measures by a loop over the nodes, the recovery
-program by a loop over the cells, and expected fixture values by closed forms
-written out by hand.
+program by a loop over the cells, the problem data one point at a time by
+the scalar evaluator, the closure in measure of the control node by node
+from its definition, and expected fixture values by closed forms written out
+by hand.
 """
 
 from __future__ import annotations
@@ -587,39 +589,100 @@ def random_certificate(rng, problem, trajectory, config) -> MultiplierSet:
     )
 
 
+# -- the data at one point, and the control at one node -------------------------
+#
+# The library evaluates tables over arrays (expr.evaluate_table, Samples) and
+# lays out the closure in measure per node (Samples.per_node); the tests
+# compare it against these, written out from the definitions one point or
+# node at a time.
+
+
+def evaluate_at(table, binding: dict):
+    """An expression, or a tuple (of tuples) of them as an array, at one
+    binding, entry by entry with the scalar expr.evaluate."""
+    if not isinstance(table, tuple):
+        return expr.evaluate(table, binding)
+    return np.array([evaluate_at(e, binding) for e in table], dtype=float)
+
+
+def at_point(problem, table, x, u):
+    """A table of the problem at the point (x, u)."""
+    binding = {f"x{i + 1}": float(x[i]) for i in range(problem.n)}
+    binding.update({f"u{j + 1}": float(u[j]) for j in range(problem.m)})
+    return evaluate_at(table, binding)
+
+
+def at_endpoints(problem, table, x0, x1):
+    """A table in the endpoint variables x0_i, x1_i at (x0, x1)."""
+    binding = {f"x0_{i + 1}": float(x0[i]) for i in range(problem.n)}
+    binding.update({f"x1_{i + 1}": float(x1[i]) for i in range(problem.n)})
+    return evaluate_at(table, binding)
+
+
+def control_points(trajectory, k) -> tuple[np.ndarray, ...]:
+    """The closure in measure of the control at node k: the one-sided value
+    at a horizon end, the left then the right limit at a declared jump whose
+    sides differ, and the one value at every other node."""
+    N = trajectory.grid.ncells
+    if k == 0:
+        return (trajectory.u_left[0],)
+    if k == N:
+        return (trajectory.u_right[N - 1],)
+    left, right = trajectory.u_right[k - 1], trajectory.u_left[k]
+    if k in trajectory.jumps and not np.array_equal(left, right):
+        return (left, right)
+    return (right,)
+
+
+def laid_out_controls(trajectory) -> list[tuple[np.ndarray, ...]]:
+    """Per node, the control points in the layout of Samples.per_node (its
+    first slot, and its second where that is not the NaN fill), as tuples
+    to compare with control_points.  The problem only sets the dimensions:
+    laying the controls out evaluates nothing."""
+    samples = Samples(random_problem(trajectory.n, trajectory.m), trajectory)
+    table = samples.per_node(trajectory.u_left, trajectory.u_right, np.nan)
+    return [tuple(row for row in node if not np.isnan(row[0])) for node in table]
+
+
+def cell_mid(trajectory, k) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint (x, u) of cell k."""
+    return (0.5 * (trajectory.x[k] + trajectory.x[k + 1]),
+            0.5 * (trajectory.u_left[k] + trajectory.u_right[k]))
+
+
 # -- scalar reference checker ----------------------------------------------------
 #
 # A point-by-point port of the certificate checker as it stood before the
 # problem data were evaluated over arrays: every table entry goes through
-# the scalar evaluator (ProblemDef.*_at), one grid point at a time.  The
+# the scalar evaluator (at_point), one grid point at a time.  The
 # array-based checker is compared against it.
 
 
 def _ref_phase(problem, x, u, delta, eps) -> bool:
-    g = problem.G_at(x, u)
+    g = at_point(problem, problem.G, x, u)
     if g < -delta or g > 0.0:
         return False
-    return float(np.linalg.norm(problem.Gu_at(x, u))) <= eps
+    return float(np.linalg.norm(at_point(problem, problem.G_u, x, u))) <= eps
 
 
 def _ref_generators(problem, x, points, delta, eps):
-    return tuple(problem.Gx_at(x, u) for u in points if _ref_phase(problem, x, u, delta, eps))
+    return tuple(at_point(problem, problem.G_x, x, u) for u in points
+                 if _ref_phase(problem, x, u, delta, eps))
 
 
 def reference_node_generators(problem, trajectory, k, delta, eps):
-    return _ref_generators(problem, trajectory.x[k], trajectory.control_points(k), delta, eps)
+    return _ref_generators(problem, trajectory.x[k], control_points(trajectory, k), delta, eps)
 
 
 def reference_mid_generators(problem, trajectory, k, delta, eps):
-    return _ref_generators(
-        problem, trajectory.x_mid(k), (trajectory.u_mid(k),), delta, eps
-    )
+    x, u = cell_mid(trajectory, k)
+    return _ref_generators(problem, x, (u,), delta, eps)
 
 
 def reference_contact_flags(problem, trajectory, delta, eps) -> np.ndarray:
     return np.array([
         any(_ref_phase(problem, trajectory.x[k], u, delta, eps)
-            for u in trajectory.control_points(k))
+            for u in control_points(trajectory, k))
         for k in range(trajectory.grid.ncells + 1)
     ])
 
@@ -657,8 +720,8 @@ def _ref_signs_slackness(ms, problem, trajectory, config):
     out.append(("eta_sign", neg, tol))
     slack = 0.0
     for k in range(grid.ncells):
-        gl = problem.G_at(trajectory.x[k], trajectory.u_left[k])
-        gr = problem.G_at(trajectory.x[k + 1], trajectory.u_right[k])
+        gl = at_point(problem, problem.G, trajectory.x[k], trajectory.u_left[k])
+        gr = at_point(problem, problem.G, trajectory.x[k + 1], trajectory.u_right[k])
         slack += abs(ms.lam[k]) * 0.5 * (abs(gl) + abs(gr)) * grid.widths[k]
     out.append(("slackness", slack, tol))
     flags = reference_contact_flags(problem, trajectory, config.delta, config.eps)
@@ -724,8 +787,10 @@ def _ref_adjoint(ms, problem, trajectory, config):
     for k in range(grid.ncells):
         xl, ul = trajectory.x[k], trajectory.u_left[k]
         xr, ur = trajectory.x[k + 1], trajectory.u_right[k]
-        a_left = p.left_limit(k) @ problem.fx_at(xl, ul) + ms.lam[k] * problem.Gx_at(xl, ul)
-        a_right = p.left_limit(k + 1) @ problem.fx_at(xr, ur) + ms.lam[k] * problem.Gx_at(xr, ur)
+        a_left = (p.left_limit(k) @ at_point(problem, problem.f_x, xl, ul)
+                  + ms.lam[k] * at_point(problem, problem.G_x, xl, ul))
+        a_right = (p.left_limit(k + 1) @ at_point(problem, problem.f_x, xr, ur)
+                   + ms.lam[k] * at_point(problem, problem.G_x, xr, ur))
         scale = max(scale, float(np.max(np.abs(a_left))), float(np.max(np.abs(a_right))))
         acc = acc + 0.5 * grid.widths[k] * (a_left + a_right)
         smass = smass + s_density[k] * grid.widths[k] + s_atom.get(k + 1, zero)
@@ -743,13 +808,12 @@ def _ref_stationarity(ms, problem, trajectory, config):
     for k in range(grid.ncells):
         samples = (
             (trajectory.x[k], trajectory.u_left[k], p.right_limit(k)),
-            (trajectory.x_mid(k), trajectory.u_mid(k),
-             0.5 * (p.right_limit(k) + p.left_limit(k + 1))),
+            (*cell_mid(trajectory, k), 0.5 * (p.right_limit(k) + p.left_limit(k + 1))),
             (trajectory.x[k + 1], trajectory.u_right[k], p.left_limit(k + 1)),
         )
         for x, u, pk in samples:
-            hu = pk @ problem.fu_at(x, u)
-            gu = ms.lam[k] * problem.Gu_at(x, u)
+            hu = pk @ at_point(problem, problem.f_u, x, u)
+            gu = ms.lam[k] * at_point(problem, problem.G_u, x, u)
             worst = max(worst, float(np.max(np.abs(hu + gu))))
             scale = max(scale, float(np.max(np.abs(hu))), float(np.max(np.abs(gu))))
     tol = config.stationarity_tol
@@ -760,7 +824,8 @@ def _ref_stationarity(ms, problem, trajectory, config):
 
 def _ref_transversality(ms, problem, trajectory, config):
     x0, x1 = trajectory.endpoints
-    jx0, jx1 = problem.endpoint_gradients(x0, x1)
+    jx0 = at_endpoints(problem, problem.J_x0, x0, x1)
+    jx1 = at_endpoints(problem, problem.J_x1, x0, x1)
     left = float(np.linalg.norm(ms.p.exterior_left + ms.alpha0 * jx0))
     right = float(np.linalg.norm(ms.p.exterior_right - ms.alpha0 * jx1))
     return [("transversality", left + right, config.structural_tol)]
@@ -770,8 +835,8 @@ def reference_dynamics_defect(problem, trajectory) -> np.ndarray:
     grid = trajectory.grid
     out = np.empty((grid.ncells, problem.n))
     for k in range(grid.ncells):
-        fa = problem.f_at(trajectory.x[k], trajectory.u_left[k])
-        fb = problem.f_at(trajectory.x[k + 1], trajectory.u_right[k])
+        fa = at_point(problem, problem.f, trajectory.x[k], trajectory.u_left[k])
+        fb = at_point(problem, problem.f, trajectory.x[k + 1], trajectory.u_right[k])
         out[k] = trajectory.x[k + 1] - trajectory.x[k] - 0.5 * grid.widths[k] * (fa + fb)
     return out
 

@@ -21,9 +21,12 @@ from lmpkit.measures import SignedMeasure, cumulative
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import build_program, cross_validate, solve
 from oracles import (
+    at_point,
     central_difference,
+    control_points,
     fd_comparable_sample,
     hull_distance_bruteforce,
+    laid_out_controls,
     random_trajectory,
 )
 
@@ -170,10 +173,13 @@ def test_criterion_6_closure_in_measure_cardinality():
         if not trajectory.jumps:
             continue
         trajectories += 1
+        laid_out = laid_out_controls(trajectory)
         for k in range(trajectory.grid.ncells + 1):
-            value = geometry.clm_at(trajectory, float(trajectory.grid.nodes[k]))
-            expected = 2 if k in trajectory.jumps else 1
-            assert len(value.points) == expected, (trajectories, k)
+            expected = control_points(trajectory, k)
+            assert len(expected) == (2 if k in trajectory.jumps else 1), (trajectories, k)
+            assert len(laid_out[k]) == len(expected), (trajectories, k)
+            for got, want in zip(laid_out[k], expected):
+                assert np.array_equal(got, want), (trajectories, k)
     announce(
         6,
         True,
@@ -236,7 +242,7 @@ def test_criterion_9_state_constraint_reduction():
     eta = SignedMeasure.scalar(
         grid, atoms={0: 0.4, 12: 0.7, 25: 0.1}, density=rng.uniform(0.0, 0.5, 25)
     )
-    gstate = {k: problem.Gx_at(trajectory.x[k], np.zeros(1)) for k in range(26)}
+    gstate = {k: at_point(problem, problem.G_x, trajectory.x[k], np.zeros(1)) for k in range(26)}
     s_atoms = {k: SupportDirection(vector=gstate[k]) for k in eta.atoms}
     s_cells = {
         k: SupportDirection(vector=0.5 * (gstate[k] + gstate[k + 1]))

@@ -226,6 +226,19 @@ class TestCones:
         assert "--seeds must be a nonnegative count, not -3" in captured.err
 
 
+def test_a_horizon_within_the_node_tolerance_is_accepted(tmp_path):
+    # the grid spans 2, so its ends may differ from t0 and t1 by up to 2e-9;
+    # the refusals beyond that are in test_io.test_problem_errors_name_the_field
+    out = tmp_path / "ex2"
+    assert run_cli("example", "ex2", "--N", "20", "--out-dir", str(out)) == 0
+    problem, trajectory, certificate = paths(out)
+    doc = json.loads(open(problem).read())
+    doc.update(t0=-1.0 + 1e-9, t1=1.0 - 1e-9)
+    open(problem, "w").write(json.dumps(doc))
+    assert run_cli("check", problem, trajectory, certificate) == 0
+    assert run_cli("recover", problem, trajectory) == 0
+
+
 def test_module_entry_point(fixture_dir):
     problem, trajectory, certificate = paths(fixture_dir)
     proc = subprocess.run(

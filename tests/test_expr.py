@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lmpkit import expr
 from lmpkit.errors import EvalError, ParseError
 from oracles import (
+    at_point,
     central_difference,
     fd_comparable_sample,
     random_binding,
@@ -50,7 +51,7 @@ def test_print_parse_print_idempotent(source):
 
 def test_eval_matches_phase_point(ex1):
     problem, _, _ = ex1
-    assert problem.G_at(np.array([1.0]), np.array([0.0])) == 0.0
+    assert at_point(problem, problem.G, np.array([1.0]), np.array([0.0])) == 0.0
 
 
 def test_eval_arc_constraint_active():
@@ -239,6 +240,8 @@ ARRAY_KERNEL_TOL = 1e-12
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_evaluate_many_matches_evaluate(seed):
+    """One expression over many samples by evaluate_table, against the
+    scalar evaluate sample by sample."""
     rng = np.random.default_rng(seed)
     names = ["x1", "x2", "u1"]
     e = random_expression(rng, names, depth=int(rng.integers(1, 6)))
@@ -255,10 +258,10 @@ def test_evaluate_many_matches_evaluate(seed):
             first_error = first_error or (i, str(err))
     if first_error is not None:
         with pytest.raises(EvalError) as info:
-            expr.evaluate_many(e, columns)
+            expr.evaluate_table((e,), columns)[:, 0]
         assert (info.value.sample, info.value.reason) == first_error
         return
-    values = expr.evaluate_many(e, columns)
+    values = expr.evaluate_table((e,), columns)[:, 0]
     expected = np.array(expected)
     if _exact_ops_only(e):
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
@@ -281,12 +284,14 @@ def test_evaluate_many_matches_evaluate(seed):
     ],
 )
 def test_evaluate_many_names_first_bad_sample(source, bad, reason):
+    """evaluate_table over many samples names the first bad one, with the
+    reason the scalar evaluate gives there."""
     e = expr.parse(source)
     columns = {"x1": np.full(8, 1.5), "u1": np.full(8, 2.0)}
     for name, value in bad.items():
         columns[name][[3, 6]] = value
     with pytest.raises(EvalError) as info:
-        expr.evaluate_many(e, columns)
+        expr.evaluate_table((e,), columns)
     assert (info.value.sample, info.value.reason) == (3, reason)
     binding = {name: float(column[3]) for name, column in columns.items()}
     with pytest.raises(EvalError, match=reason):

@@ -9,8 +9,11 @@ from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.samples import Samples
 from oracles import (
     RELAXED,
+    at_point,
+    control_points,
     hull_distance_bruteforce,
     hull_distance_faces,
+    laid_out_controls,
     random_problem,
     random_trajectory,
     reference_contact_flags,
@@ -30,38 +33,35 @@ def jumpy_trajectory():
 
 
 class TestClm:
+    """The closure in measure of the control, as Samples lays it out per node."""
+
     def test_constant_control_single_point(self, ex1):
         _, trajectory, _ = ex1
-        for t in (0.0, 0.25, 0.5, 1.0):
-            value = geometry.clm_at(trajectory, t)
-            assert len(value.points) == 1
-            assert value.points[0][0] == 0.0
+        for points in laid_out_controls(trajectory):
+            assert len(points) == 1
+            assert points[0][0] == 0.0
 
     def test_declared_jump_two_points(self):
-        trajectory = jumpy_trajectory()
-        value = geometry.clm_at(trajectory, 0.5)
-        assert len(value.points) == 2
-        assert {p[0] for p in value.points} == {1.0, -1.0}
+        # the left limit, then the right limit
+        points = laid_out_controls(jumpy_trajectory())[2]
+        assert [p[0] for p in points] == [1.0, -1.0]
 
     def test_endpoint_one_sided(self):
-        trajectory = jumpy_trajectory()
-        assert geometry.clm_at(trajectory, 0.0).points[0][0] == 1.0
-        assert geometry.clm_at(trajectory, 1.0).points[0][0] == -1.0
-
-    def test_off_node_time_interpolates(self, ex2):
-        _, trajectory, _ = ex2
-        value = geometry.clm_at(trajectory, 0.7512)
-        assert len(value.points) == 1
-        assert value.points[0][0] == pytest.approx(0.2512, abs=1e-12)
+        nodes = laid_out_controls(jumpy_trajectory())
+        assert [p[0] for p in nodes[0]] == [1.0]
+        assert [p[0] for p in nodes[-1]] == [-1.0]
 
     def test_surjectivity_on_random_trajectories(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             trajectory = random_trajectory(rng)
+            laid_out = laid_out_controls(trajectory)
             for k in range(trajectory.grid.ncells + 1):
-                t = float(trajectory.grid.nodes[k])
-                points = geometry.clm_at(trajectory, t).points
-                assert len(points) == (2 if k in trajectory.jumps else 1)
+                expected = control_points(trajectory, k)
+                assert len(expected) == (2 if k in trajectory.jumps else 1)
+                assert len(laid_out[k]) == len(expected)
+                for got, want in zip(laid_out[k], expected):
+                    assert np.array_equal(got, want)
 
 
 def phase_points(problem, x, u):
@@ -137,7 +137,7 @@ class TestContactSet:
 class TestJumpDirections:
     def test_atom_fixture_direction(self, ex1):
         problem, trajectory, _ = ex1
-        k = trajectory.grid.cell_of(0.375)
+        k = int(np.argmin(np.abs(trajectory.grid.midpoints - 0.375)))
         value = geometry.jump_directions_at_cell_mid(problem, trajectory, k, 1e-8, 1e-8)
         # the midpoint of the cell is a phase point; single generator G_x = -1
         assert value.t == 0.375
@@ -158,7 +158,7 @@ class TestJumpDirections:
             problem, trajectory, grid.node_index(0.9), 1e-9, 1e-9
         )
         mid = geometry.jump_directions_at_cell_mid(
-            problem, trajectory, grid.cell_of(0.9), 1e-9, 1e-9
+            problem, trajectory, int(np.argmin(np.abs(grid.midpoints - 0.9))), 1e-9, 1e-9
         )
         assert node.is_empty
         assert mid.is_empty
@@ -376,7 +376,7 @@ def test_contact_set_skips_derivatives_off_the_phase_set():
         u_right=u_nodes[1:, None],
     )
     with pytest.raises(EvalError):
-        problem.Gu_at(trajectory.x[0], trajectory.u_left[0])
+        at_point(problem, problem.G_u, trajectory.x[0], trajectory.u_left[0])
     for eps in (1e-8, 2.0):
         contact = geometry.contact_set(problem, trajectory, 1e-8, eps)
         expected = reference_contact_flags(problem, trajectory, 1e-8, eps)

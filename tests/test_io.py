@@ -183,6 +183,35 @@ def test_boolean_index_is_refused(ex2_files, field, key, record):
         io.load_certificate(path, trajectory.grid)
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", ["alpha0", "eta.atoms[0].weight"])
+def test_boolean_number_is_refused(ex2_files, capsys, field, value):
+    from lmpkit.cli import main
+
+    def edit(doc):
+        if field == "alpha0":
+            doc["alpha0"] = value
+        else:
+            doc["eta"]["atoms"] = [{"node": 0, "weight": value}]
+
+    tmp_path, _, _ = ex2_files
+    io.save_problem(builtin_example("ex2", ncells=20)[0], str(tmp_path / "problem.json"))
+    cert = rewrite(tmp_path / "certificate.json", edit)
+    code = main(["check", str(tmp_path / "problem.json"), str(tmp_path / "trajectory.json"), cert])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cert}.{field}: expected float\n"
+
+
+def test_booleans_in_a_list_of_numbers_read_as_one_and_zero(ex2_files):
+    tmp_path, trajectory, _ = ex2_files
+
+    def edit(doc):
+        doc["lambda"][:2] = [True, False]
+
+    ms = io.load_certificate(rewrite(tmp_path / "certificate.json", edit), trajectory.grid)
+    assert ms.lam[:2].tolist() == [1.0, 0.0]
+
+
 def _jump_at_node_9(doc, copies=1):
     """Cells 9 on hold 0.25, and a record of the jump this makes at node 9."""
     before = doc["u_cells"][8]
@@ -228,6 +257,8 @@ def test_boolean_jump_node_is_refused(ex2_files):
     ("problem", "m", "m: expected int"),
     ("cones", "dim", "dim: expected int"),
     ("problem", "format_version", "format_version: missing or not an integer"),
+    ("problem", "t0", "t0: expected float"),
+    ("problem", "t1", "t1: expected float"),
 ])
 def test_boolean_size_or_version_is_refused(tmp_path, kind, key, message):
     if kind == "problem":
@@ -603,6 +634,8 @@ def test_malformed_files_never_end_in_a_traceback(check_inputs, data):
     ("t0", 5.0, "t1: t0 < t1 is required"),
     ("m", -3, "m: must be >= 1"),
     ("m", 5, "m: 5, but the trajectory has 1"),
+    ("t0", 0.0, "t0: 0.0, but the trajectory's grid has -1.0"),
+    ("t1", 5.0, "t1: 5.0, but the trajectory's grid has 1.0"),
 ])
 def test_problem_errors_name_the_field(check_inputs, capsys, key, value, field):
     from lmpkit.cli import main

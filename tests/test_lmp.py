@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lmpkit import geometry, lmp
+from lmpkit import expr, geometry, lmp
 from lmpkit.errors import InputError
 from lmpkit.lmp import (
     CheckConfig,
@@ -24,6 +24,7 @@ from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import RecoveryConfig
 from oracles import (
     RELAXED,
+    at_point,
     random_certificate,
     random_problem,
     random_trajectory,
@@ -311,14 +312,12 @@ class TestAdjoint:
         acc = np.zeros(problem.n)
         p = ms.p
         for k in range(grid.ncells):
-            a_left = p.left_limit(k) @ problem.fx_at(
-                trajectory.x[k], trajectory.u_left[k]
-            ) + ms.lam[k] * problem.Gx_at(trajectory.x[k], trajectory.u_left[k])
-            a_right = p.left_limit(k + 1) @ problem.fx_at(
-                trajectory.x[k + 1], trajectory.u_right[k]
-            ) + ms.lam[k] * problem.Gx_at(
-                trajectory.x[k + 1], trajectory.u_right[k]
-            )
+            xl, ul = trajectory.x[k], trajectory.u_left[k]
+            xr, ur = trajectory.x[k + 1], trajectory.u_right[k]
+            a_left = (p.left_limit(k) @ at_point(problem, problem.f_x, xl, ul)
+                      + ms.lam[k] * at_point(problem, problem.G_x, xl, ul))
+            a_right = (p.left_limit(k + 1) @ at_point(problem, problem.f_x, xr, ur)
+                       + ms.lam[k] * at_point(problem, problem.G_x, xr, ur))
             acc = acc + 0.5 * grid.widths[k] * (a_left + a_right)
         direct = p.exterior_right - p.exterior_left + acc + total_measure
         assert np.allclose(rows[-1], direct, atol=1e-12, rtol=0.0)
@@ -350,6 +349,13 @@ class TestTransversality:
         assert entry.residual <= 1e-12
         assert ms.p.exterior_left[1] == pytest.approx(0.25, abs=1e-15)
         assert ms.p.exterior_right[1] == pytest.approx(-0.25, abs=1e-15)
+
+    def test_endpoint_gradient_error_is_the_bare_reason(self):
+        # x == 1 on ex1, so both gradients of J divide by x0_1 - 1 = 0
+        problem, trajectory, ms = builtin_example("ex1", ncells=20)
+        problem = replace(problem, J=expr.parse("x1_1/(x0_1 - 1)"))
+        entry = check_certificate(problem, trajectory, ms).entry("transversality")
+        assert entry.detail == "error: division by zero"
 
 
 class TestStationarity:
@@ -417,8 +423,7 @@ class TestCheckCertificate:
             assert a.name == b.name
             assert a.passed == b.passed
         assert scaled.diagnostics["nu"] == pytest.approx(2.7 * ms.nu(), rel=1e-12)
-        normalized = ms.normalized()
-        assert normalized.nu() == pytest.approx(1.0, abs=1e-12)
+        assert ms.scaled(1.0 / ms.nu()).nu() == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_refinement_keeps_acceptance(self):
         for ncells in (100, 200, 400):
@@ -483,7 +488,8 @@ class TestMergedStateConstraint:
         )
         # raw form: directions equal the state gradient of the constraint
         gprime = {
-            k: problem.Gx_at(trajectory.x[k], trajectory.u_left[min(k, grid.ncells - 1)])
+            k: at_point(problem, problem.G_x, trajectory.x[k],
+                        trajectory.u_left[min(k, grid.ncells - 1)])
             for k in range(grid.ncells + 1)
         }
         s_atoms = {k: SupportDirection(vector=gprime[k]) for k in eta.atoms}

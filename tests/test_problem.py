@@ -8,8 +8,8 @@ from lmpkit.problem import (
     Trajectory,
     builtin_example,
     dynamics_defect,
-    endpoint_cost,
 )
+from oracles import at_endpoints, at_point, control_points, laid_out_controls
 
 
 def constant_problem(n=1, m=1, f=None, G="-x1", J="x1_1"):
@@ -69,9 +69,7 @@ class TestTrajectory:
             u_right=np.array([[0.0], [1.0], [1.0]]),
             jumps=(1,),
         )
-        assert len(tr.control_points(1)) == 2
-        assert len(tr.control_points(0)) == 1
-        assert len(tr.control_points(3)) == 1
+        assert [len(points) for points in laid_out_controls(tr)] == [1, 2, 1, 1]
 
     def test_boundary_jump_rejected(self):
         grid = TimeGrid.uniform(0.0, 1.0, 3)
@@ -102,10 +100,10 @@ class TestProblemDef:
         problem, _, _ = ex2
         x = np.array([0.3, 0.125])
         u = np.array([0.5])
-        assert np.allclose(problem.fx_at(x, u), [[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(problem.fu_at(x, u), [[0.0], [1.0]])
-        assert np.allclose(problem.Gx_at(x, u), [0.0, -1.0])
-        assert np.allclose(problem.Gu_at(x, u), [0.5])
+        assert np.allclose(at_point(problem, problem.f_x, x, u), [[0.0, 1.0], [0.0, 0.0]])
+        assert np.allclose(at_point(problem, problem.f_u, x, u), [[0.0], [1.0]])
+        assert np.allclose(at_point(problem, problem.G_x, x, u), [0.0, -1.0])
+        assert np.allclose(at_point(problem, problem.G_u, x, u), [0.5])
 
 
 class TestDynamicsDefect:
@@ -139,6 +137,10 @@ class TestDynamicsDefect:
             dynamics_defect(problem, trajectory)
 
 
+def endpoint_cost(problem, trajectory) -> float:
+    return at_endpoints(problem, problem.J, *trajectory.endpoints)
+
+
 class TestEndpointCost:
     def test_product_cost(self, ex1):
         problem, trajectory, _ = ex1
@@ -161,16 +163,15 @@ class TestBuiltinExamples:
     def test_constraint_active_at_nodes(self, ex1, ex2):
         for problem, trajectory, _ in (ex1, ex2):
             for k in range(trajectory.grid.ncells + 1):
-                for u in trajectory.control_points(k):
-                    assert problem.G_at(trajectory.x[k], u) <= 1e-12
+                for u in control_points(trajectory, k):
+                    assert at_point(problem, problem.G, trajectory.x[k], u) <= 1e-12
 
     def test_arc_control_continuous_at_junctions(self, ex2):
         _, trajectory, _ = ex2
         grid = trajectory.grid
         for t in (-0.5, 0.5):  # +-b for T=1, m=0.5
             k = grid.node_index(t)
-            left = trajectory.control_left_limit(k)
-            right = trajectory.control_right_limit(k)
+            left, right = trajectory.u_right[k - 1], trajectory.u_left[k]
             assert np.array_equal(left, right)
             assert np.all(left == 0.0)
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from oracles import build_program_by_cells, encode_certificate_by_cells, layout_by_cells
 
-from lmpkit import geometry, io
+from lmpkit import expr, geometry, io
 from lmpkit.cli import main
-from lmpkit.errors import InputError, NumericalError
+from lmpkit.errors import EvalError, InputError, NumericalError
 from lmpkit.lmp import MultiplierSet, SupportDirection
 from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
@@ -154,11 +154,11 @@ class TestEncodeCertificate:
     def test_closed_forms_encode_to_zero_objective(self, name, ncells):
         problem, trajectory, ms = builtin_example(name, ncells=ncells)
         program = build_program(problem, trajectory)
-        assert program.objective(encode_certificate(program, ms.normalized())) <= 1e-20
+        assert program.objective(encode_certificate(program, ms.scaled(1.0 / ms.nu()))) <= 1e-20
 
     def test_matches_the_cell_by_cell_layout(self):
         problem, trajectory, ms = builtin_example("ex2", ncells=800)
-        ms = ms.normalized()
+        ms = ms.scaled(1.0 / ms.nu())
         program = build_program(problem, trajectory)
         oracle = build_program_by_cells(problem, trajectory)
         theta = encode_certificate(program, ms)
@@ -255,7 +255,7 @@ class TestSolve:
     def test_warm_start_is_a_fixed_point(self, ex1_small):
         problem, trajectory, ms = ex1_small
         program = build_program(problem, trajectory)
-        theta = encode_certificate(program, ms.normalized())
+        theta = encode_certificate(program, ms.scaled(1.0 / ms.nu()))
         assert program.objective(theta) <= 1e-20
         result = solve(program)
         assert result.objective <= 1e-20
@@ -393,3 +393,12 @@ class TestOneUnknownPerContactCell:
         assert cells.any()
         want = (closed.lam + closed.eta.density[:, 0]) / closed.alpha0
         assert np.max(np.abs(ms.lam / ms.alpha0 - want)[cells]) <= 1e-9
+
+
+def test_endpoint_gradient_error_is_the_bare_reason():
+    # x == 1 on ex1, so both gradients of J divide by x0_1 - 1 = 0
+    problem, trajectory, _ = builtin_example("ex1", ncells=20)
+    problem = replace(problem, J=expr.parse("x1_1/(x0_1 - 1)"))
+    with pytest.raises(EvalError) as info:
+        recover(problem, trajectory)
+    assert str(info.value) == "division by zero"

@@ -1,5 +1,5 @@
 """One-pass table evaluation of PointSet against evaluating each entry
-by expr.evaluate_many."""
+on its own by expr.evaluate_table."""
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ def outcome(call):
 
 
 def entry_by_entry(points, table, where=None):
-    """Each entry by evaluate_many; the error of the lowest failing sample,
+    """Each entry as a table of one; the error of the lowest failing sample,
     ties going to the first entry in table order."""
     index = np.arange(points.size) if where is None else np.flatnonzero(where)
     columns = {name: col[index] for name, col in points.columns.items()}
@@ -41,7 +41,7 @@ def entry_by_entry(points, table, where=None):
     values, errors = [], []
     for j, e in enumerate(flat):
         try:
-            values.append(expr.evaluate_many(e, columns))
+            values.append(expr.evaluate_table((e,), columns)[:, 0])
         except EvalError as err:
             errors.append((err.sample, j, err.reason))
     if errors:
