@@ -4,9 +4,11 @@
 For each fixture: check the closed-form certificate, then forget it and
 recover multipliers from the trajectory alone, cross-validating the result
 with the independent checker and comparing against the closed forms.
+Exits 1 when the independent check fails on either fixture.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -16,7 +18,7 @@ from lmpkit.problem import builtin_example
 from lmpkit.recovery import RecoveryConfig, build_program, cross_validate, solve
 
 
-def run_atom_fixture(ncells: int) -> None:
+def run_atom_fixture(ncells: int) -> bool:
     print(f"== endpoint-atom fixture (ncells={ncells}) ==")
     problem, trajectory, ms = builtin_example("ex1", ncells=ncells)
     print(check_certificate(problem, trajectory, ms).to_text())
@@ -33,9 +35,10 @@ def run_atom_fixture(ncells: int) -> None:
     )
     report = cross_validate(problem, trajectory, r)
     print(f"independent check: {'pass' if report.overall_pass else 'FAIL'}\n")
+    return report.overall_pass
 
 
-def run_arc_fixture(ncells: int) -> None:
+def run_arc_fixture(ncells: int) -> bool:
     print(f"== contact-arc fixture (ncells={ncells}) ==")
     problem, trajectory, ms = builtin_example("ex2", ncells=ncells)
     print(check_certificate(problem, trajectory, ms).to_text())
@@ -62,16 +65,18 @@ def run_arc_fixture(ncells: int) -> None:
     )
     report = cross_validate(problem, trajectory, r)
     print(f"independent check: {'pass' if report.overall_pass else 'FAIL'}\n")
+    return report.overall_pass
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--atom-cells", type=int, default=100)
     parser.add_argument("--arc-cells", type=int, default=400)
     args = parser.parse_args()
-    run_atom_fixture(args.atom_cells)
-    run_arc_fixture(args.arc_cells)
+    atom_ok = run_atom_fixture(args.atom_cells)
+    arc_ok = run_arc_fixture(args.arc_cells)
+    return 0 if atom_ok and arc_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,7 @@ from .lmp import (
     SupportDirection,
     check_certificate,
 )
-from .measures import BVFunction, SignedMeasure, cumulative, stieltjes_integral
+from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from .recovery import RecoveryConfig, build_program, recover
 
@@ -37,8 +37,6 @@ __all__ = [
     "build_program",
     "builtin_example",
     "check_certificate",
-    "cumulative",
     "recover",
-    "stieltjes_integral",
     "__version__",
 ]

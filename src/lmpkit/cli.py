@@ -52,19 +52,23 @@ def _load_inputs(args):
     """The problem and the trajectory; a dimension of the problem that the
     trajectory does not have, or a horizon end that is not the end of its
     grid (within the tolerance of TimeGrid.node_index), is refused by the
-    path of its field."""
+    path of its field, followed by the path of the trajectory's field."""
     problem = io.load_problem(args.problem)
     trajectory = io.load_trajectory(args.trajectory)
-    for key in ("n", "m"):
+    for key, field in (("n", "x"), ("m", "u_cells")):
         declared, given = getattr(problem, key), getattr(trajectory, key)
         if declared != given:
-            raise InputError(f"{args.problem}.{key}: {declared}, but the trajectory has {given}")
+            raise InputError(
+                f"{args.problem}.{key}: {declared}, but the trajectory has {given} "
+                f"({args.trajectory}.{field})"
+            )
     grid = trajectory.grid
-    for key in ("t0", "t1"):
+    for key, node in (("t0", 0), ("t1", grid.ncells)):
         declared, given = getattr(problem, key), getattr(grid, key)
         if abs(declared - given) > _NODE_MATCH_RTOL * (grid.t1 - grid.t0):
             raise InputError(
-                f"{args.problem}.{key}: {declared!r}, but the trajectory's grid has {given!r}"
+                f"{args.problem}.{key}: {declared!r}, but the trajectory's grid has "
+                f"{given!r} ({args.trajectory}.grid[{node}])"
             )
     return problem, trajectory
 

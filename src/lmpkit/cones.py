@@ -21,10 +21,10 @@ Its LP dual is: maximise t over x with <g_j, x> >= w_j t and |x|_inf <= 1.
   of c_j and 1 -+ y_i of z+-_i are nonnegative.  The intersection is
   nonempty iff t* is positive.
 
-* ``approx_separate`` solves LP(w) with w_j = <x0_i, g_j> for a generator of
-  an open cone i (0 for the closed cone): nonnegative generator
-  coefficients giving h_i in H_i with sum_i <x0_i, h_i> = 1 over the open
-  cones and |h_0 + sum h_i|_1 below a user epsilon (an approximate
+* ``approx_separate`` solves LP(w) with w_j = <x0_i, g_j> / |x0_i| for a
+  generator of an open cone i (0 for the closed cone): nonnegative generator
+  coefficients giving h_i in H_i with sum_i <x0_i, h_i> / |x0_i| = 1 over the
+  open cones and |h_0 + sum h_i|_1 below a user epsilon (an approximate
   Euler-Lagrange condition).  For polyhedral data the optimum is exactly
   zero in the separable case, so any epsilon above solver tolerance works.
 
@@ -36,11 +36,13 @@ generator rows.  Each test is then one simplex solve from a feasible basis,
 with no phase 1 and about four pivots, and c_j* is read off like any other
 coefficient.
 
-Both verdicts are invariant under positive scaling of the generators.
+Both verdicts are invariant under positive scaling of the generators, and
+the separation verdict under positive scaling of each x0 too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,9 +197,11 @@ def intersection_nonempty(cones) -> IntersectionResult:
 def approx_separate(cones, eps: float) -> SeparationResult:
     """Search an approximate separating family {h_i in H_i}.
 
-    One LP, LP(w) with w_j = <x0_i, g_j> on open cone i's generators and 0
-    on the closed cone's: minimise |h_0 + sum h_i|_1 over nonnegative
-    generator coefficients subject to sum over open cones of <x0_i, h_i> = 1.
+    One LP, LP(w) with w_j = <x0_i, g_j> / |x0_i| on open cone i's
+    generators and 0 on the closed cone's: minimise |h_0 + sum h_i|_1 over
+    nonnegative generator coefficients subject to sum over open cones of
+    <x0_i, h_i> / |x0_i| = 1.  Dividing by |x0_i| keeps the optimum, which
+    is compared with the absolute eps, from scaling as 1 / |x0_i|.
     Separation succeeds when the optimum is below eps; with no open-cone
     generator the normalisation cannot hold and no LP is solved.
     """
@@ -206,9 +210,11 @@ def approx_separate(cones, eps: float) -> SeparationResult:
     d = _check_family(cones)
     if any(c.open and c.ngens and c.x0 is None for c in cones):
         raise InputError("every open cone needs an interior point x0")
-    pairing = np.concatenate(
-        [c.generators @ c.x0 if c.open and c.ngens else np.zeros(c.ngens) for c in cones]
-    )
+    # math.hypot takes the norm of x0 without overflow or underflow
+    pairing = np.concatenate([
+        c.generators @ (c.x0 / math.hypot(*c.x0)) if c.open and c.ngens else np.zeros(c.ngens)
+        for c in cones
+    ])
     if pairing.max() <= 0.0:
         return SeparationResult(separated=False, objective=None)
     result = _solve_dual(np.concatenate([c.generators for c in cones if c.ngens]), pairing)

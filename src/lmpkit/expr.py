@@ -48,7 +48,6 @@ __all__ = [
     "evaluate_table",
     "differentiate",
     "free_variables",
-    "node_count",
     "to_source",
     "validate_scope",
     "classify_variable",
@@ -664,21 +663,3 @@ def _wrap(e: Expression, minimum: int) -> str:
 def to_source(e: Expression) -> str:
     """Print to grammar text; print-parse-print is idempotent."""
     return _render(e)[0]
-
-
-def node_count(e: Expression) -> int:
-    """AST size under a fixed counting rule.
-
-    Every Const, Var, operator, unary minus, and function call counts as one
-    node; a power counts as two (the operator and its integer exponent
-    literal) plus its base.
-    """
-    if isinstance(e, (Const, Var)):
-        return 1
-    if isinstance(e, Neg):
-        return 1 + node_count(e.child)
-    if isinstance(e, Binary):
-        return 1 + node_count(e.left) + node_count(e.right)
-    if isinstance(e, Pow):
-        return 2 + node_count(e.base)
-    return 1 + node_count(e.arg)

@@ -43,10 +43,6 @@ class ContactSet:
     intervals: tuple[tuple[int, int], ...]
 
     @property
-    def is_empty(self) -> bool:
-        return not bool(np.any(self.flags))
-
-    @property
     def cell_flags(self) -> np.ndarray:
         """Per cell: it belongs to the contact region, i.e. both its nodes do."""
         return self.flags[:-1] & self.flags[1:]

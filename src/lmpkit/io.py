@@ -175,8 +175,10 @@ def _collector_paused(load):
 
 def _load_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text ({err.reason})") from None
     except json.JSONDecodeError as err:
         raise InputError(f"{path}: not valid JSON ({err})") from err
     except RecursionError:

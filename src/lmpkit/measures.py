@@ -5,8 +5,10 @@ A BV function stores node values that are its left limits (v(tau_k - 0) =
 v(tau_k) everywhere, so values[0] is also the exterior value v(t0-)), plus a
 sparse map of jumps; the exterior right value is v(tau_N) + jump(tau_N).
 A measure is a sparse map of node atoms plus a piecewise-constant density;
-integrals over node-aligned [a, b] include the atoms at BOTH endpoints,
+its mass over node-aligned [a, b] includes the atoms at BOTH endpoints,
 matching the relation "integral of dp over [a,b] = p(b+0) - p(a-0)".
+:func:`running_sum` adds node atoms and cell masses in node order, the
+order in which the checker accumulates the costate balance.
 
 Singular-continuous parts are not representable: atoms live only at nodes,
 and the absolutely continuous part is cellwise constant.  All values are
@@ -23,14 +25,7 @@ import numpy as np
 from .errors import InputError
 from .problem import TimeGrid
 
-__all__ = [
-    "BVFunction",
-    "SignedMeasure",
-    "stieltjes_integral",
-    "cumulative",
-    "running_sum",
-    "convention_sensitive_nodes",
-]
+__all__ = ["BVFunction", "SignedMeasure", "running_sum"]
 
 
 def _as_row(value, dim: int) -> np.ndarray:
@@ -104,12 +99,6 @@ class BVFunction:
     def right_limits(self) -> np.ndarray:
         """:meth:`right_limit` at every node, one row per node."""
         return self.values + _dense(self.atoms, self.values.shape)
-
-    def total_variation(self) -> float:
-        tv = sum(float(np.linalg.norm(j)) for j in self.atoms.values())
-        for k in range(self.grid.ncells):
-            tv += float(np.linalg.norm(self.left_limit(k + 1) - self.right_limit(k)))
-        return tv
 
 
 @dataclass(frozen=True)
@@ -190,13 +179,6 @@ class SignedMeasure:
             raise InputError(f"misaligned or reversed bounds ({a}, {b})")
         return a, b
 
-    def total_variation(self) -> float:
-        tv = sum(float(np.linalg.norm(w)) for w in self.atoms.values())
-        tv += float(
-            np.sum(np.linalg.norm(self.density, axis=1) * self.grid.widths)
-        )
-        return tv
-
     def scaled(self, c: float) -> "SignedMeasure":
         return SignedMeasure(
             grid=self.grid,
@@ -234,71 +216,3 @@ def running_sum(base, atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
     steps[1::2] = atoms
     steps[2::2] = cells
     return np.cumsum(steps, axis=0)
-
-
-def stieltjes_integral(
-    phi,
-    dmu: SignedMeasure,
-    a: int = 0,
-    b: int | None = None,
-    phi_jumps: Mapping[int, tuple[float, float]] | None = None,
-):
-    """Integral of a node-sampled scalar phi against dmu over closed [a, b].
-
-    Atoms pair with phi at their node; where phi itself jumps (declared via
-    ``phi_jumps[node] = (left, right)``) the atom uses the two-sided average
-    and the node is reported by :func:`convention_sensitive_nodes`.  The
-    density part is integrated by the trapezoidal rule, which is exact here
-    because the density is constant on each cell.  The terms are summed in
-    node order, as :func:`cumulative` sums them.
-    """
-    a, b = dmu._bounds(a, b)
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 1 or phi.size != dmu.grid.ncells + 1:
-        raise InputError("phi must be sampled at every grid node")
-    left, right = phi.copy(), phi.copy()
-    for k, (phi_left, phi_right) in (phi_jumps or {}).items():
-        if 0 <= k < phi.size:
-            left[k], right[k] = phi_left, phi_right
-    atoms = (0.5 * (left + right))[:, None] * dmu.dense_atoms()
-    cells = (0.5 * (right[:-1] + left[1:]))[:, None] * (dmu.density * dmu.grid.widths[:, None])
-    total = running_sum(np.zeros(dmu.dim), atoms[a : b + 1], cells[a:b])[-1]
-    if dmu.dim == 1:
-        return float(total[0])
-    return total
-
-
-def convention_sensitive_nodes(
-    dmu: SignedMeasure,
-    phi_jumps: Mapping[int, tuple[float, float]] | None,
-    a: int = 0,
-    b: int | None = None,
-) -> list[int]:
-    """Nodes in [a, b] where an atom of dmu meets a jump of the integrand."""
-    if not phi_jumps:
-        return []
-    a, b = dmu._bounds(a, b)
-    nodes = []
-    for k in sorted(dmu.atoms):
-        if a <= k <= b and k in phi_jumps and np.any(dmu.atom(k) != 0.0):
-            left, right = phi_jumps[k]
-            if left != right:
-                nodes.append(k)
-    return nodes
-
-
-def cumulative(dmu: SignedMeasure, base=None) -> BVFunction:
-    """The BV function p with dp = dmu and p(t0-) = base.
-
-    Atoms of p equal atoms of dmu; the absolutely continuous part is the
-    running integral of the density.  Left-continuity holds by construction,
-    and p(b+0) - p(a-0) reproduces the closed-interval mass exactly.
-    """
-    if base is None:
-        base = np.zeros(dmu.dim)
-    base = _as_row(base, dmu.dim)
-    cells = dmu.density * dmu.grid.widths[:, None]
-    values = running_sum(base, dmu.dense_atoms(), cells)[0::2]
-    atoms = {k: w.copy() for k, w in dmu.atoms.items() if np.any(w != 0.0)}
-    return BVFunction(grid=dmu.grid, values=values, atoms=atoms)
-

@@ -9,7 +9,8 @@ cumulative functions of measures by a loop over the nodes, the recovery
 program by a loop over the cells, the problem data one point at a time by
 the scalar evaluator, the closure in measure of the control node by node
 from its definition, and expected fixture values by closed forms written out
-by hand.
+by hand.  The tests build costates with ``cumulative``, which runs
+``measures.running_sum``; the node loop checks it bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from lmpkit import expr, geometry, lp
 from lmpkit.errors import InputError, LmpkitError, NumericalError
 from lmpkit.lmp import CheckConfig, MultiplierSet, SupportDirection
-from lmpkit.measures import BVFunction, SignedMeasure
+from lmpkit.measures import BVFunction, SignedMeasure, running_sum
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory
 from lmpkit.recovery import RecoveryConfig, _slack_threshold
 from lmpkit.samples import Samples
@@ -347,6 +348,20 @@ def start_basis_by_two_passes(A, b) -> np.ndarray:
 
 
 # -- cumulative function of a measure ------------------------------------------
+
+
+def cumulative(dmu: SignedMeasure, base=None) -> BVFunction:
+    """The BV function p with dp = dmu and p(t0-) = base.
+
+    Atoms of p equal atoms of dmu; the absolutely continuous part is the
+    running integral of the density.  Left-continuity holds by construction,
+    and p(b+0) - p(a-0) reproduces the closed-interval mass exactly.
+    """
+    base = np.zeros(dmu.dim) if base is None else np.asarray(base, dtype=float)
+    cells = dmu.density * dmu.grid.widths[:, None]
+    values = running_sum(base, dmu.dense_atoms(), cells)[0::2]
+    atoms = {k: w.copy() for k, w in dmu.atoms.items() if np.any(w != 0.0)}
+    return BVFunction(grid=dmu.grid, values=values, atoms=atoms)
 
 
 def cumulative_by_loop(dmu: SignedMeasure, base=None) -> BVFunction:

@@ -17,13 +17,14 @@ from lmpkit.lmp import (
     check_certificate,
     merge_state_constraint,
 )
-from lmpkit.measures import SignedMeasure, cumulative
+from lmpkit.measures import SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import build_program, cross_validate, solve
 from oracles import (
     at_point,
     central_difference,
     control_points,
+    cumulative,
     fd_comparable_sample,
     hull_distance_bruteforce,
     laid_out_controls,

@@ -226,6 +226,37 @@ class TestCones:
         assert "--seeds must be a nonnegative count, not -3" in captured.err
 
 
+@pytest.mark.parametrize("command, name", [
+    ("check", "problem"), ("check", "trajectory"), ("check", "certificate"),
+    ("recover", "problem"), ("recover", "trajectory"), ("cones", "cones"),
+])
+@pytest.mark.parametrize("at, insert, reason", [
+    (1, b"\xff", "not UTF-8 text"),
+    (0, b"\xef\xbb\xbf", "not valid JSON"),  # a UTF-8 byte order mark
+], ids=["0xff", "bom"])
+def test_an_input_that_is_not_plain_utf8_json_is_input_error(
+    fixture_dir, capsys, command, name, at, insert, reason
+):
+    """A byte that is not UTF-8, or a leading byte order mark, exits 2 and
+    names the file, whichever command reads it."""
+    problem, trajectory, certificate = paths(fixture_dir)
+    cones = fixture_dir / "cones.json"
+    cones.write_text(json.dumps({"format_version": 1, "dim": 2, "cones": [
+        {"generators": [[1.0, 0.0]], "open": False},
+        {"generators": [[-1.0, 0.0]], "open": True, "x0": [-1.0, 0.0]},
+    ]}))
+    target = fixture_dir / f"{name}.json"
+    text = target.read_bytes()
+    target.write_bytes(text[:at] + insert + text[at:])
+    argv = {
+        "check": [problem, trajectory, certificate],
+        "recover": [problem, trajectory],
+        "cones": [str(cones)],
+    }[command]
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {target}: {reason}")
+
+
 def test_a_horizon_within_the_node_tolerance_is_accepted(tmp_path):
     # the grid spans 2, so its ends may differ from t0 and t1 by up to 2e-9;
     # the refusals beyond that are in test_io.test_problem_errors_name_the_field

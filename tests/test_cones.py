@@ -209,6 +209,17 @@ class TestSeparation:
             sb = approx_separate(scaled, eps=1e-6)
             assert sa.separated == sb.separated
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+    def test_verdict_does_not_depend_on_the_scale_of_x0(self, scale):
+        # the cones meet with margin 0.1 at every scale, so no scale of x0
+        # may separate them
+        open_cone = halfspace([1.0, 0.1], x0=scale * np.array([1.0, 0.1]))
+        closed = halfspace([-1.0, 0.0], open=False)
+        assert intersection_nonempty([closed, open_cone]).nonempty
+        result = approx_separate([closed, open_cone], eps=1e-6)
+        assert not result.separated
+        assert result.objective == pytest.approx(0.1 / np.hypot(1.0, 0.1), rel=1e-12)
+
 
 class TestConstructionInvariants:
     def test_x0_strict_interiority_enforced(self):

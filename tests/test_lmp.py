@@ -25,6 +25,7 @@ from lmpkit.recovery import RecoveryConfig
 from oracles import (
     RELAXED,
     at_point,
+    cumulative,
     random_certificate,
     random_problem,
     random_trajectory,
@@ -497,8 +498,6 @@ class TestMergedStateConstraint:
             k: SupportDirection(vector=0.5 * (gprime[k] + gprime[k + 1]))
             for k in range(grid.ncells)
         }
-        from lmpkit.measures import cumulative
-
         sdeta = SignedMeasure(
             grid=grid,
             dim=1,

@@ -4,15 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmpkit.errors import InputError
-from lmpkit.measures import (
-    BVFunction,
-    SignedMeasure,
-    convention_sensitive_nodes,
-    cumulative,
-    stieltjes_integral,
-)
+from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import TimeGrid
-from oracles import cumulative_by_loop
+from oracles import cumulative, cumulative_by_loop
 
 
 @pytest.fixture()
@@ -20,49 +14,38 @@ def grid():
     return TimeGrid.uniform(0.0, 1.0, 10)
 
 
-def ones(grid):
-    return np.ones(grid.ncells + 1)
-
-
 class TestStieltjes:
+    """The Stieltjes integral of 1 against dmu over node-aligned [a, b] is
+    the closed-interval mass: the atoms at both ends count."""
+
     def test_unit_atom_at_start(self, grid):
         dmu = SignedMeasure.scalar(grid, atoms={0: 1.0})
-        assert stieltjes_integral(ones(grid), dmu) == 1.0
+        assert dmu.mass()[0] == 1.0
 
     def test_endpoint_atoms_match_costate_increment(self, ex1):
         _, trajectory, ms = ex1
         grid = trajectory.grid
         dp = SignedMeasure.scalar(grid, atoms={0: 1.0, grid.ncells: 1.0})
-        total = stieltjes_integral(np.ones(grid.ncells + 1), dp)
+        total = dp.mass()[0]
         assert total == 2.0
         p = ms.p
         assert total == float(p.exterior_right[0] - p.exterior_left[0])
 
-    def test_density_against_linear_integrand(self, grid):
-        dmu = SignedMeasure.scalar(grid, density=np.ones(grid.ncells))
-        phi = grid.nodes.copy()
-        assert stieltjes_integral(phi, dmu) == pytest.approx(0.5, abs=1e-15)
-
     def test_partial_interval_includes_both_end_atoms(self, grid):
         dmu = SignedMeasure.scalar(grid, atoms={2: 1.0, 5: 2.0, 8: 4.0})
-        assert stieltjes_integral(ones(grid), dmu, 2, 5) == 3.0
-        assert stieltjes_integral(ones(grid), dmu, 2, 8) == 7.0
+        assert dmu.mass(2, 5)[0] == 3.0
+        assert dmu.mass(2, 8)[0] == 7.0
 
-    def test_jumping_integrand_uses_average_and_is_reported(self, grid):
-        dmu = SignedMeasure.scalar(grid, atoms={3: 2.0})
-        phi = np.zeros(grid.ncells + 1)
-        jumps = {3: (0.0, 1.0)}
-        value = stieltjes_integral(phi, dmu, phi_jumps=jumps)
-        assert value == 1.0  # atom pairs with the two-sided average
-        assert convention_sensitive_nodes(dmu, jumps) == [3]
-        assert convention_sensitive_nodes(dmu, {4: (0.0, 1.0)}) == []
+    def test_arc_fixture_density_mass(self, ex2):
+        _, _, ms = ex2
+        assert ms.eta.mass()[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_misaligned_bounds(self, grid):
         dmu = SignedMeasure.scalar(grid, atoms={0: 1.0})
         with pytest.raises(InputError):
-            stieltjes_integral(ones(grid), dmu, 0, 0.123)
+            dmu.mass(0, 0.123)
         with pytest.raises(InputError):
-            stieltjes_integral(ones(grid), dmu, 5, 2)
+            dmu.mass(5, 2)
 
 
 class TestCumulative:
@@ -87,19 +70,6 @@ class TestCumulative:
         p = cumulative(dmu)
         assert np.allclose(p.values[:, 0], 2.0 * grid.nodes)
         assert p.exterior_right[0] == pytest.approx(2.0, abs=1e-15)
-
-
-class TestTotalVariation:
-    def test_two_atoms(self, grid):
-        dmu = SignedMeasure.scalar(grid, atoms={0: 1.0, grid.ncells: -1.0})
-        assert dmu.total_variation() == 2.0
-
-    def test_arc_fixture_density_mass(self, ex2):
-        _, _, ms = ex2
-        assert ms.eta.total_variation() == pytest.approx(0.5, abs=1e-12)
-
-    def test_zero_measure(self, grid):
-        assert SignedMeasure.scalar(grid).total_variation() == 0.0
 
 
 class TestNonnegativeFlag:
@@ -149,23 +119,19 @@ def scalar_measures(draw):
 @given(scalar_measures(), st.integers(0, 6), st.integers(0, 6))
 @settings(max_examples=120, deadline=None)
 def test_integral_equals_cumulative_increment(dmu, a, b):
+    """The closed-interval mass over [a, b] is p(b+0) - p(a-0)."""
     if a > b:
         a, b = b, a
-    phi = np.ones(dmu.grid.ncells + 1)
     p = cumulative(dmu)
-    lhs = stieltjes_integral(phi, dmu, a, b)
+    lhs = dmu.mass(a, b)[0]
     rhs = float(p.right_limit(b)[0] - p.left_limit(a)[0])
-    if a == 0:
-        assert lhs == rhs  # identical finite sums, term by term
-    else:
-        # anchoring away from t0 subtracts two partial sums, so the match
-        # is exact only up to the last few ulps
-        assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-14)
+    # the two sum the same terms in different orders
+    assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-14)
 
 
 @given(scalar_measures(), scalar_measures(), st.floats(-2, 2, allow_nan=False))
 @settings(max_examples=80, deadline=None)
-def test_cumulative_linearity_and_norm_triangle(mu, nu, c):
+def test_cumulative_is_linear(mu, nu, c):
     combo = mu.scaled(c) + nu
     p_combo = cumulative(combo)
     p_mu = cumulative(mu)
@@ -173,7 +139,6 @@ def test_cumulative_linearity_and_norm_triangle(mu, nu, c):
     assert np.allclose(
         p_combo.values, c * p_mu.values + p_nu.values, atol=1e-12, rtol=0.0
     )
-    assert (mu + nu).total_variation() <= mu.total_variation() + nu.total_variation() + 1e-12
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -199,7 +164,8 @@ def test_cumulative_matches_the_node_loop_bitwise(measure):
     dmu, base = measure
     p = cumulative(dmu, base=base)
     expected = cumulative_by_loop(dmu, base=base)
-    # the same additions in the same order: equal to the last bit
+    # running_sum makes the loop's additions in the loop's order: equal to
+    # the last bit
     assert p.values.tobytes() == expected.values.tobytes()
     assert p.right_limits().tobytes() == expected.right_limits().tobytes()
     assert p.atoms.keys() == expected.atoms.keys()
@@ -211,10 +177,3 @@ class TestBVFunction:
         p = BVFunction(grid=grid, values=values, atoms={grid.ncells: np.array([0.5])})
         assert p.exterior_left[0] == 0.0
         assert p.exterior_right[0] == 1.5
-
-    def test_total_variation_counts_atoms_and_ramps(self, grid):
-        values = np.zeros((grid.ncells + 1, 1))
-        values[5:] = 1.0
-        p = BVFunction(grid=grid, values=values, atoms={0: np.array([-2.0])})
-        # jump of 2 down, ramp back up 2 within cell 0..4? values step at cell 4
-        assert p.total_variation() == pytest.approx(2.0 + 2.0 + 1.0)
