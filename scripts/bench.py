@@ -11,7 +11,10 @@ records, per checkout:
 - for recover, the wall time of its three phases (build, solve, re-check),
   taken from the spans of `perfbench/spans.py`;
 - the `tracemalloc` peak of one more recover call, and whether recovery
-  certified (exit code 0);
+  certified (exit code 0).  In the same call, wrappers around
+  `recovery.build_program` and `recovery.solve` reset the peak on entry and
+  read it on return, so each phase's peak is recorded too, counting what is
+  held on entry (for the solve, the program itself);
 - for check, one more pass of ten calls with wrappers around the three
   loaders (`io.load_problem`, `io.load_trajectory`, `io.load_certificate`):
   the CPU time per call inside each loader, and the garbage collector's
@@ -77,6 +80,7 @@ PHASES = {
 REPEATS = 3
 LOAD_CALLS = 10  # calls of the pass that splits out the loaders of check
 LOADERS = ("load_problem", "load_trajectory", "load_certificate")
+PEAK_PHASES = ("build_program", "solve")  # of lmpkit.recovery
 CONE_SEED = 0
 CONE_FAMILIES = 750
 BUDGET_S = 30.0  # wall seconds per call
@@ -180,13 +184,39 @@ class Sweep:
                     phases[key] += 1e3 * (rec["end"] - rec["start"])
         return rc, cpu, wall, phases
 
-    def peak_mb(self, argv: list[str]) -> float:
+    def peak_mb(self, argv: list[str]) -> tuple[float, dict]:
+        """The tracemalloc peak in MB of one more call, and the peak inside
+        each of PEAK_PHASES, from wrappers that reset the peak on entry."""
+        from lmpkit import recovery
+
+        phases = dict.fromkeys(PEAK_PHASES, 0.0)
+        peak = 0  # bytes: the call's peak up to the latest reset
+
+        def traced(real, name):
+            def wrapper(*args, **kwargs):
+                nonlocal peak
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    phase = tracemalloc.get_traced_memory()[1] / 1e6
+                    phases[name] = max(phases[name], phase)
+
+            return wrapper
+
+        reals = {name: getattr(recovery, name) for name in PEAK_PHASES}
+        for name, real in reals.items():
+            setattr(recovery, name, traced(real, name))
         tracemalloc.start()
         try:
             self.call(argv)
-            return tracemalloc.get_traced_memory()[1] / 1e6
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+            for name, real in reals.items():
+                setattr(recovery, name, real)
+        return peak / 1e6, phases
 
     def load_split(self, argv: list[str]) -> dict:
         """Over LOAD_CALLS more calls: the CPU ms per call inside each loader
@@ -261,7 +291,9 @@ class Sweep:
                 for key in PHASES
             }
             out["certified"] = codes[0] == 0
-            out["tracemalloc_peak_mb"] = self.peak_mb(argv)
+            peak, phases = self.peak_mb(argv)
+            out["tracemalloc_peak_mb"] = peak
+            out["tracemalloc_phase_peak_mb"] = phases
         return out
 
 
@@ -527,6 +559,9 @@ def main(argv=None) -> int:
             "wall_s": "wall seconds of the same calls",
             "phases_wall_ms": "wall ms of each recover phase, from perfbench/spans.py",
             "tracemalloc_peak_mb": "tracemalloc peak of one more recover call",
+            "tracemalloc_phase_peak_mb": "tracemalloc peak inside recovery.build_program "
+            "and recovery.solve in that call, from wrappers that reset the peak on entry; "
+            "it counts what is held on entry",
             "load_cpu_ms": "CPU ms per check call inside each of the three loaders, "
             f"from wrappers timed with process_time, over {LOAD_CALLS} more calls",
             "gc_passes_per_call": "garbage-collector passes per check call by generation, "

@@ -158,7 +158,7 @@ class MinNormPoint:
     start: int
 
 
-def min_norm_point(P, corral=None) -> MinNormPoint:
+def min_norm_point(P, start=0) -> MinNormPoint:
     """Wolfe's algorithm (Math. Programming 11, 1976) for the point of least
     norm in conv{P_j}, the columns of a (d, r) array; finite and exact.
 
@@ -169,43 +169,47 @@ def min_norm_point(P, corral=None) -> MinNormPoint:
     takes one step of iterative refinement.  Ties go to the lowest index, so
     the result is deterministic.
 
-    The loop starts from the column of least norm, or from ``corral``, a
-    sequence of column indices, when those columns are affinely independent
-    (every Cholesky pivot ``L_kk^2`` of their ``G_S + 1 1^T`` exceeds
-    ``1e-14`` times its diagonal entry, the test bordering applies) and
-    their affine minimiser has all weights positive.  Either way the result
-    is optimal only by the Wolfe gap over all of ``P``.
+    The loop starts from the column of least norm, or from the first
+    ``start`` columns when those are affinely independent (every Cholesky
+    pivot ``L_kk^2`` of their ``G_S + 1 1^T`` exceeds ``1e-14`` times its
+    diagonal entry, the test bordering applies) and their affine minimiser
+    has all weights positive.  A taken start is read in place, as the
+    leading block of ``P``: its weights come from linear solves, and the
+    corral's own copy of its points and the inverse are formed only when the
+    loop first borders.  Either way the result is optimal only by the Wolfe
+    gap over all of ``P``.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[1] == 0:
         raise InputError("min_norm_point needs a (d, r) array of r >= 1 points")
     d, r = P.shape
+    if not 0 <= start <= r:
+        raise InputError("the start corral reaches a column outside the array")
     points = P.T
     sq = np.einsum("ij,ij->i", points, points)
     gap_tol = 1e-15 * float(np.max(sq))
     # The corral lives in the leading s slots of buffers that double when
     # full, up to min(r, d + 1): no more points are affinely independent.
     limit = min(r, d + 1)
-    corral = np.asarray([] if corral is None else corral, dtype=np.intp).reshape(-1)
-    cap = min(limit, max(32, corral.size))
-    idx = np.empty(cap, dtype=np.intp)
-    rows = np.empty((cap, d))  # the corral's points
+    cap = min(limit, max(32, start))
+    idx = np.arange(cap)  # a taken start holds the slots in column order
     w = np.empty(cap)
     B = np.empty((cap, cap))  # G_S + 1 1^T
-    B_inv = np.empty((cap, cap))
-    start = s = _load_corral(corral, P, idx, rows, w, B, B_inv)
-    if not start:
+    rows = B_inv = None  # the corral's points and B^{-1}, once it borders
+    taken = s = _load_start(P[:, :start], B, w) if start <= cap else 0
+    if not taken:
         j = int(np.argmin(sq))
         s = 1
-        idx[0], rows[0], w[0] = j, points[j], 1.0
+        idx[0], w[0] = j, 1.0
         B[0, 0] = sq[j] + 1.0
-        B_inv[0, 0] = 1.0 / B[0, 0]
+        rows, B_inv = np.empty((cap, d)), np.empty((cap, cap))
+        rows[0], B_inv[0, 0] = points[j], 1.0 / B[0, 0]
     in_corral = np.zeros(r, dtype=bool)
     in_corral[idx[:s]] = True
     max_iterations = 50 * r + 100
     iterations = 0
     while True:
-        x = w[:s] @ rows[:s]
+        x = P[:, :s] @ w[:s] if rows is None else w[:s] @ rows[:s]
         scores = points @ x
         j = int(np.argmin(scores))
         gap = float(x @ x - scores[j])
@@ -221,6 +225,10 @@ def min_norm_point(P, corral=None) -> MinNormPoint:
             status = "iteration_cap"
             break
         iterations += 1
+        if rows is None:  # the first bordering of the taken start
+            rows, B_inv = np.empty((cap, d)), np.empty((cap, cap))
+            rows[:s] = points[:s]
+            B_inv[:s, :s] = np.linalg.inv(B[:s, :s])
         b = rows[:s] @ points[j] + 1.0
         u = B_inv[:s, :s] @ b
         beta = sq[j] + 1.0
@@ -263,7 +271,7 @@ def min_norm_point(P, corral=None) -> MinNormPoint:
     weights = np.zeros(r)
     weights[idx[:s]] = w[:s]
     return MinNormPoint(
-        w=weights, gap=gap, iterations=iterations, status=status, start=start
+        w=weights, gap=gap, iterations=iterations, status=status, start=taken
     )
 
 
@@ -275,28 +283,27 @@ def _affine_minimiser(B: np.ndarray, B_inv: np.ndarray) -> np.ndarray:
     return v / v.sum()
 
 
-def _load_corral(corral, P, idx, rows, w, B, B_inv) -> int:
-    """Load the columns ``corral`` of ``P`` into the leading slots of the
-    buffers, with their affine minimiser as weights, and return their
-    count; return 0 when the corral is empty, does not fit the buffers, is
-    affinely dependent or has a nonpositive weight."""
-    if np.any((corral < 0) | (corral >= P.shape[1])):
-        raise InputError("the start corral names a column outside the array")
-    if not 0 < corral.size <= len(idx):
+def _load_start(S, B, w) -> int:
+    """Load ``G_S + 1 1^T`` of the columns of ``S``, a view of the leading
+    columns of ``P``, into the leading block of ``B``, and their affine
+    minimiser into ``w``, as ``_affine_minimiser`` forms it but by linear
+    solves; return their count, or 0 when there are none, they are affinely
+    dependent or a weight is nonpositive."""
+    s = S.shape[1]
+    if not s:
         return 0
-    s = corral.size
-    idx[:s] = corral
-    rows[:s] = P[:, corral].T
-    np.matmul(rows[:s], rows[:s].T, out=B[:s, :s])
-    B[:s, :s] += 1.0
+    G = B[:s, :s]
+    np.matmul(S.T, S, out=G)  # syrk: S^T S from the view, with no gathered copy
+    G += 1.0
     try:
-        L = np.linalg.cholesky(B[:s, :s])
+        pivots = np.linalg.cholesky(G).diagonal() ** 2
     except np.linalg.LinAlgError:
         return 0
-    if np.any(L.diagonal() ** 2 <= 1e-14 * B.diagonal()[:s]):
+    if np.any(pivots <= 1e-14 * G.diagonal()):
         return 0
-    B_inv[:s, :s] = np.linalg.inv(B[:s, :s])
-    w[:s] = _affine_minimiser(B[:s, :s], B_inv[:s, :s])
+    v = np.linalg.solve(G, np.ones(s))
+    v += np.linalg.solve(G, 1.0 - G @ v)
+    w[:s] = v / v.sum()
     return s if np.all(w[:s] > 0.0) else 0
 
 

@@ -90,14 +90,9 @@ class BVFunction:
     def jump(self, k: int) -> np.ndarray:
         return self.atoms.get(int(k), np.zeros(self.dim))
 
-    def left_limit(self, k: int) -> np.ndarray:
-        return self.values[k]
-
-    def right_limit(self, k: int) -> np.ndarray:
-        return self.values[k] + self.jump(k)
-
     def right_limits(self) -> np.ndarray:
-        """:meth:`right_limit` at every node, one row per node."""
+        """The right limit ``v(t_k + 0) = values[k] + jump(k)`` at every node,
+        one row per node; ``values[k]`` is the left limit."""
         return self.values + _dense(self.atoms, self.values.shape)
 
 

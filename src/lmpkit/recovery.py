@@ -29,7 +29,9 @@ affine independence in floating point) or ``iteration_cap``.  Recovered
 certificates are always routed through the independent checker; recovery is
 never accepted by construction alone.  When some lambda cell lies off the
 contact set, as on ex2, Wolfe's loop starts from the corral of alpha0 and
-lambda, the density part of a regular certificate.
+lambda, the density part of a regular certificate.  They are the leading
+columns of the program, so that start is the leading block of its residual
+map, which the solver reads in place.
 """
 
 from __future__ import annotations
@@ -277,16 +279,15 @@ def solve(program: RecoveryProgram) -> RecoveryResult:
     the minimum-norm point of the columns of ``M``; the KKT residual reported
     is its Wolfe gap.  When some lambda cell lies off the contact set,
     Wolfe's loop is offered alpha0 and lambda as its start corral: the
-    density part of a regular certificate."""
-    corral = None
-    if program.lam_off_contact:
-        corral = np.concatenate(([0], program.lam_cols))
-    mnp = geometry.min_norm_point(program.M, corral)
-    if corral is None:
+    density part of a regular certificate.  The column layout puts them
+    first, so that start is the leading block of ``M``, read in place."""
+    start = 1 + program.lam_cells.size if program.lam_off_contact else 0
+    mnp = geometry.min_norm_point(program.M, start)
+    if not start:
         log.debug("start corral: none (every lambda cell is a contact cell)")
     else:
         verdict = "taken" if mnp.start else "refused"
-        log.debug("start corral of %d columns (alpha0, lambda): %s", corral.size, verdict)
+        log.debug("start corral of %d columns (alpha0, lambda): %s", start, verdict)
     theta = mnp.w
     return RecoveryResult(
         multipliers=_assemble(program, theta),

@@ -149,8 +149,8 @@ class TestRecover:
     def test_early_stop_is_reported(self, fixture_dir, capsys, monkeypatch):
         exact = geometry.min_norm_point
 
-        def capped(P, corral=None):
-            return dataclasses.replace(exact(P, corral), status="iteration_cap")
+        def capped(P, start=0):
+            return dataclasses.replace(exact(P, start), status="iteration_cap")
 
         monkeypatch.setattr(geometry, "min_norm_point", capped)
         problem, trajectory, _ = paths(fixture_dir)

@@ -244,11 +244,11 @@ class TestHullDistance:
             geometry.dist_to_convex_hull(np.zeros(3), np.ones((2, 2)))
 
 
-def assert_min_norm_point(P, corral=None):
+def assert_min_norm_point(P, start=0):
     """Weights on the simplex, Wolfe gap at the optimum, and the distance of
     the face-enumeration oracle."""
     P = np.asarray(P, dtype=float)
-    res = geometry.min_norm_point(P, corral)
+    res = geometry.min_norm_point(P, start)
     scale = max(1.0, float(np.max(np.sum(P * P, axis=0))))
     assert res.status == "optimal"
     assert np.all(res.w >= 0.0)
@@ -320,29 +320,35 @@ class TestStartCorral:
         rng = np.random.default_rng(seed)
         P = rng.normal(size=(d, r)) * rng.uniform(0.1, 10.0)
         P += rng.normal(size=(d, 1)) * rng.uniform(0.0, 3.0)
-        corral = rng.permutation(r)[: rng.integers(1, r + 1)]
+        # a drawn corral, moved to the front by a column permutation
+        P = P[:, rng.permutation(r)]
+        start = int(rng.integers(1, r + 1))
         plain = geometry.min_norm_point(P)
-        res = assert_min_norm_point(P, corral)
+        res = assert_min_norm_point(P, start)
         assert float(np.linalg.norm(P @ res.w)) == pytest.approx(
             float(np.linalg.norm(P @ plain.w)), abs=1e-9
         )
-        assert res.start in (0, corral.size)
+        assert res.start in (0, start)
 
     def test_a_positive_start_is_taken(self):
         # the affine minimiser of (1, 1) and (1, -1) is (1, 0), at weights 1/2
-        P = np.array([[3.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
-        res = geometry.min_norm_point(P, [1, 2])
+        P = np.array([[1.0, 1.0, 3.0], [1.0, -1.0, 0.0]])
+        res = geometry.min_norm_point(P, 2)
         assert res.start == 2
         assert res.iterations == 0
         assert res.status == "optimal"
-        assert res.w.tolist() == [0.0, 0.5, 0.5]
+        # the weights come from linear solves, exact to a rounding
+        assert res.w[:2] == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert res.w[2] == 0.0
 
     @pytest.mark.parametrize("corral", [[0, 2], [1, 1], [0, 1, 2]], ids=str)
     def test_an_affinely_dependent_start_is_refused(self, corral):
         # columns 0 and 2 coincide: a start holding both, or one column
-        # twice, is affinely dependent
+        # twice, is affinely dependent.  The corral's columns are moved to
+        # the front, a repeated one twice, so that they are the start.
         P = np.array([[1.0, 2.0, 1.0], [1.0, -1.0, 1.0]])
-        res = geometry.min_norm_point(P, corral)
+        P = P[:, corral + [j for j in range(3) if j not in corral]]
+        res = geometry.min_norm_point(P, len(corral))
         plain = geometry.min_norm_point(P)
         assert res.start == 0
         assert np.array_equal(res.w, plain.w)
@@ -352,14 +358,15 @@ class TestStartCorral:
         # the line through (1, 0) and (2, 0) is nearest the origin at the
         # weights (2, -1)
         P = np.array([[1.0, 2.0], [0.0, 0.0]])
-        res = geometry.min_norm_point(P, [0, 1])
+        res = geometry.min_norm_point(P, 2)
         assert res.start == 0
         assert res.w.tolist() == [1.0, 0.0]
         assert res.status == "optimal"
 
     def test_a_column_outside_the_array_is_an_error(self):
-        with pytest.raises(InputError, match="outside the array"):
-            geometry.min_norm_point(np.eye(2), [0, 2])
+        for start in (3, -1):
+            with pytest.raises(InputError, match="outside the array"):
+                geometry.min_norm_point(np.eye(2), start)
 
 
 def test_contact_set_skips_derivatives_off_the_phase_set():

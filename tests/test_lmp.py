@@ -315,9 +315,9 @@ class TestAdjoint:
         for k in range(grid.ncells):
             xl, ul = trajectory.x[k], trajectory.u_left[k]
             xr, ur = trajectory.x[k + 1], trajectory.u_right[k]
-            a_left = (p.left_limit(k) @ at_point(problem, problem.f_x, xl, ul)
+            a_left = (p.values[k] @ at_point(problem, problem.f_x, xl, ul)
                       + ms.lam[k] * at_point(problem, problem.G_x, xl, ul))
-            a_right = (p.left_limit(k + 1) @ at_point(problem, problem.f_x, xr, ur)
+            a_right = (p.values[k + 1] @ at_point(problem, problem.f_x, xr, ur)
                        + ms.lam[k] * at_point(problem, problem.G_x, xr, ur))
             acc = acc + 0.5 * grid.widths[k] * (a_left + a_right)
         direct = p.exterior_right - p.exterior_left + acc + total_measure

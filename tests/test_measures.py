@@ -52,17 +52,17 @@ class TestCumulative:
     def test_single_atom_step(self, grid):
         dmu = SignedMeasure.scalar(grid, atoms={3: 1.0})
         p = cumulative(dmu)
-        assert p.left_limit(3)[0] == 0.0  # left-continuous at the jump
-        assert p.right_limit(3)[0] == 1.0
-        assert p.left_limit(7)[0] == 1.0
+        assert p.values[3, 0] == 0.0  # left-continuous at the jump
+        assert p.right_limits()[3, 0] == 1.0
+        assert p.values[7, 0] == 1.0
 
     def test_endpoint_atoms_step_function(self, ex1):
         _, trajectory, ms = ex1
         p = cumulative(ms.eta)
         N = trajectory.grid.ncells
         assert p.exterior_left[0] == 0.0
-        assert p.right_limit(0)[0] == 1.0
-        assert p.left_limit(N)[0] == 1.0
+        assert p.right_limits()[0, 0] == 1.0
+        assert p.values[N, 0] == 1.0
         assert p.exterior_right[0] == 2.0
 
     def test_density_ramp(self, grid):
@@ -96,8 +96,9 @@ class TestNonnegativeFlag:
             )
             p = cumulative(dmu)
             seq = [p.exterior_left[0]]
+            right = p.right_limits()
             for k in range(grid.ncells + 1):
-                seq.extend([p.left_limit(k)[0], p.right_limit(k)[0]])
+                seq.extend([p.values[k, 0], right[k, 0]])
             seq.append(p.exterior_right[0])
             assert np.all(np.diff(seq) >= 0.0)
 
@@ -124,7 +125,7 @@ def test_integral_equals_cumulative_increment(dmu, a, b):
         a, b = b, a
     p = cumulative(dmu)
     lhs = dmu.mass(a, b)[0]
-    rhs = float(p.right_limit(b)[0] - p.left_limit(a)[0])
+    rhs = float(p.right_limits()[b, 0] - p.values[a, 0])
     # the two sum the same terms in different orders
     assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-14)
 

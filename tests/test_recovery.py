@@ -4,7 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import build_program_by_cells, encode_certificate_by_cells, layout_by_cells
+from oracles import (
+    build_program_by_cells,
+    encode_certificate_by_cells,
+    layout_by_cells,
+    start_weights,
+)
 
 from lmpkit import expr, geometry, io
 from lmpkit.cli import main
@@ -134,19 +139,22 @@ class TestBuildOverArrays:
         # the build needs little beyond M and A_L (1.02x on ex2); per-node
         # dense atom maps took 1.23x, and a temporary the size of A_L more.
         # The solve on ex1 adds little (1.04x with the build); a scaled copy
-        # of M took 1.78x.  ex2's solve forms its start corral densely (about
-        # 2.1x) and is left unbounded here.
-        for name, solved in (("ex2", False), ("ex1", True)):
+        # of M took 1.78x.  ex2's solve reads its start corral in place and
+        # adds the corral's Gram and a factor of it (about 1.27x); a gathered
+        # copy of the corral and its explicit inverse took 2.07x.
+        for name, bound in (("ex2", 1.4), ("ex1", 1.1)):
             problem, trajectory, _ = builtin_example(name, ncells=400)
             tracemalloc.start()
             try:
                 program = build_program(problem, trajectory)
-                if solved:
-                    solve(program)
+                built = tracemalloc.get_traced_memory()[1]
+                solve(program)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 1.1 * (program.M.nbytes + program.A_L.nbytes), name
+            size = program.M.nbytes + program.A_L.nbytes
+            assert built < 1.1 * size, name
+            assert peak < bound * size, name
 
 
 class TestEncodeCertificate:
@@ -361,6 +369,18 @@ class TestStartCorral:
         ms = outcome.result.multipliers
         assert _arc_closed_form_deviation(ms, trajectory.grid.nodes) <= 1e-6
 
+    @pytest.mark.parametrize("ncells", [20, 100, 200])
+    def test_start_weights_match_a_dense_inverse(self, ncells):
+        # alpha0 and lambda are the leading columns, and the start is taken
+        # with no major iteration, so its weights are the answer
+        problem, trajectory, _ = builtin_example("ex2", ncells=ncells)
+        program = build_program(problem, trajectory)
+        start = 1 + program.lam_cells.size
+        res = geometry.min_norm_point(program.M, start)
+        assert (res.start, res.iterations) == (start, 0)
+        assert np.max(np.abs(res.w[:start] - start_weights(program.M, start))) <= 1e-12
+        assert not np.any(res.w[start:])
+
     @pytest.mark.parametrize("ncells", [20, 101, 400])
     def test_atom_fixture_never_forms_the_corral(self, ncells, monkeypatch):
         problem, trajectory, _ = builtin_example("ex1", ncells=ncells)
@@ -369,13 +389,13 @@ class TestStartCorral:
         exact = geometry.min_norm_point
         offered = []
 
-        def spy(P, corral=None):
-            offered.append(corral)
-            return exact(P, corral)
+        def spy(P, start=0):
+            offered.append(start)
+            return exact(P, start)
 
         monkeypatch.setattr(geometry, "min_norm_point", spy)
         assert solve(program).status == "optimal"
-        assert offered == [None]
+        assert offered == [0]
 
 
 class TestOneUnknownPerContactCell:
