@@ -200,8 +200,7 @@ class Sweep:
                 try:
                     return real(*args, **kwargs)
                 finally:
-                    phase = tracemalloc.get_traced_memory()[1] / 1e6
-                    phases[name] = max(phases[name], phase)
+                    phases[name] = tracemalloc.get_traced_memory()[1] / 1e6
 
             return wrapper
 
