@@ -4,7 +4,7 @@ Subcommands: ``check`` a certificate, ``recover`` multipliers, ``example``
 to materialise a built-in fixture as files, and ``cones`` for the
 separation engine.  Exit codes: 0 success/pass, 1 a check failed, 2 input
 error.  Reports are deterministic: identical inputs and options produce
-byte-identical output.  Set LMP_LOG=debug|info for more logging.
+byte-identical output at a fixed BLAS thread count.  Set LMP_LOG=debug|info for more logging.
 """
 
 from __future__ import annotations

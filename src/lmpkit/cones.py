@@ -32,9 +32,10 @@ The builder writes LP(w) by index into one zeroed array, [A | b] over the
 cost row.  It eliminates the coefficient c_j* of largest weight a = w_j*
 from the generator rows by c_j* = (1 - sum_{j != j*} w_j c_j) / a, so c_j*
 is the normalisation row's slack and z+, z- are unit columns of the
-generator rows.  Each test is then one simplex solve from a feasible basis,
-with no phase 1 and about four pivots, and c_j* is read off like any other
-coefficient.
+generator rows.  Each test is then one simplex solve from a feasible basis
+of unit columns, in about four pivots, and c_j* is read off like any other
+coefficient.  ``solve_standard_form`` has no phase 1: it refuses a row
+without a start column.
 
 Both verdicts are invariant under positive scaling of the generators, and
 the separation verdict under positive scaling of each x0 too.

@@ -8,9 +8,9 @@ current basis B; each pivot is a rank-1 update of T.
 * Starting basis.  Rows with b < 0 are negated.  One vectorised pass gives
   each row its lowest column with a single nonzero entry (a slack, surplus
   or box column) where that entry is positive, else where it is negative on
-  a row with b = 0 (the row is then negated).  Rows left without one get
-  artificials, minimised in a phase 1; those still basic at zero are
-  pivoted out, or their rows dropped.  The cone LPs need no artificials.
+  a row with b = 0 (the row is then negated).  There is no phase 1: a row
+  left without such a column is refused with ``NumericalError`` naming the
+  row.  The cone LPs give every row a unit column.
 * Pricing.  The reduced costs c - c_B T are computed when pivoting starts
   and updated by each pivot's rank-1 step; the most negative enters
   (Dantzig).  After ``_DEGENERATE_RUN`` degenerate pivots in a row (ratio
@@ -18,18 +18,17 @@ current basis B; each pivot is a rank-1 update of T.
   residue such as 1e-18 counts as zero) the lowest-index eligible column
   enters (Bland) until one makes progress; as ratio ties go to the
   lowest-index basic variable, Bland cannot cycle.
-* Fresh check.  When a phase stops, B X = [A | b | I] is solved afresh
+* Fresh check.  When the pivots stop, B X = [A | b | I] is solved afresh
   from the columns of A by one LU solve with partial pivoting (one LAPACK
-  call), sharing no code with the pivots.  The phase ends only when the
+  call), sharing no code with the pivots.  The solve ends only when the
   fresh x_B (the returned x) is nonnegative within tolerance and the fresh
   tableau confirms the stop: no negative reduced cost (optimal), or one
   whose column has no positive entry (unbounded).  Else the fresh tableau
   replaces T, up to ``_REFRESHES`` times before ``NumericalError``.
 * Multipliers.  An optimal result carries y = B^-T c_B for its final basis
   B, from the B^-1 of the check that confirmed it, in the rows as the
-  caller gave them: y of a row negated for b < 0 is negated back, and a row
-  dropped as redundant gets 0.  Then c - A^T y is the reduced cost, >= 0 at
-  the optimum, and b.y the objective.
+  caller gave them: y of a row negated for b < 0 is negated back.  Then
+  c - A^T y is the reduced cost, >= 0 at the optimum, and b.y the objective.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ _DEGENERATE_RUN = 10
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal", "infeasible", "unbounded"
+    status: str  # "optimal" or "unbounded"
     x: np.ndarray | None
     objective: float | None
-    iterations: int  # pivots over both phases
+    iterations: int  # pivots
     y: np.ndarray | None = None  # row multipliers of an optimal result
 
 
@@ -140,58 +139,29 @@ def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult
     m, n = A.shape
     sign = np.where(b < 0, -1.0, 1.0)  # rows with b < 0 are negated
     A, b = A * sign[:, None], np.abs(b)
+    data = np.zeros((m + 1, n + 1 + m))  # [A | b | I] over c
+    full = data[:m]
+    full[:, :n], full[:, n], data[m, :n] = A, b, c
+    if not np.isfinite(data).all():
+        raise NumericalError("LP data must be finite")
+    full.ravel()[n + 1 :: n + m + 2] = 1.0  # the diagonal of I
 
     # Starting basis: per row the lowest single-nonzero column that is positive
     # (priority 2), else negative on a b = 0 row (1; the division negates it).
     priority = np.where(A > 0, 2, (A < 0) & (b == 0)[:, None])
     priority *= (A != 0).sum(axis=0) == 1
+    missing = np.flatnonzero(priority.max(axis=1, initial=0) == 0)
+    if missing.size:
+        raise NumericalError(f"LP row {missing[0]} has no start column")
     basis = priority.argmax(axis=1) if n else np.zeros(m, dtype=int)
-    rows = np.arange(m)
-    missing = (priority[rows, basis] == 0).nonzero()[0] if n else rows
-    width = n + missing.size + 1
-    data = np.zeros((m + 1, width + m))  # [A | artificials | b | I] over c
-    full = data[:m]
-    full[:, :n], full[:, width - 1], data[m, :n] = A, b, c
-    if not np.isfinite(data).all():
-        raise NumericalError("LP data must be finite")
-    full.ravel()[width :: width + m + 1] = 1.0  # the diagonal of I
-    if missing.size:
-        basis[missing] = n + np.arange(missing.size)
-        full[missing, basis[missing]] = 1.0
-    tableau = full[:, :width] / full[rows, basis][:, None]
+    tableau = full[:, : n + 1] / full[np.arange(m), basis][:, None]
 
-    def result(status, pivots, x=None, y=None):
-        log.debug("simplex on %d x %d: %s after %d pivots", m, n, status, pivots)
-        return LpResult(status, x, None if x is None else float(c @ x), pivots, y)
-
-    phase1 = 0
-    kept_rows = slice(None)  # all rows, unless phase 1 finds some redundant
-    if missing.size:
-        cost = np.concatenate([np.zeros(n), np.ones(missing.size)])
-        fresh, phase1 = _solve_phase(tableau, basis, cost, full)
-        if fresh is None:  # cannot happen: the phase-1 cost is bounded
-            raise NumericalError("phase-1 simplex reported unbounded")
-        tableau = fresh[:, :width]
-        if cost[basis] @ tableau[:, -1] > 1e-8 * (1.0 + b.max(initial=0.0)):
-            return result("infeasible", phase1)
-        for i in np.flatnonzero(cost[basis]):
-            nonzero = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
-            if nonzero.size:
-                _pivot(tableau, basis, i, nonzero[0])
-                phase1 += 1
-        # An artificial still basic marks its own row as redundant.
-        keep = cost[basis] == 0.0
-        kept_rows = np.ones(m, dtype=bool)
-        kept_rows[missing[basis[~keep] - n]] = False
-        full = full[kept_rows][:, np.r_[:n, width - 1, width + rows[kept_rows]]]
-        tableau = tableau[keep][:, np.r_[:n, -1]]
-        basis = basis[keep]
-
-    fresh, phase2 = _solve_phase(tableau, basis, c, full)
+    fresh, pivots = _solve_phase(tableau, basis, c, full)
+    status = "unbounded" if fresh is None else "optimal"
+    log.debug("simplex on %d x %d: %s after %d pivots", m, n, status, pivots)
     if fresh is None:
-        return result("unbounded", phase1 + phase2)
+        return LpResult(status, None, None, pivots)
     x = np.zeros(n)
     x[basis] = fresh[:, n]  # fresh is B^-1 [A | b | I]
-    y = np.zeros(m)
-    y[kept_rows] = c[basis] @ fresh[:, n + 1 :]  # B^-T c_B
-    return result("optimal", phase1 + phase2, x, y * sign)
+    y = c[basis] @ fresh[:, n + 1 :]  # B^-T c_B
+    return LpResult(status, x, float(c @ x), pivots, y * sign)

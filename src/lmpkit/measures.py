@@ -183,23 +183,6 @@ class SignedMeasure:
             nonnegative=self.nonnegative and c >= 0,
         )
 
-    def __add__(self, other: "SignedMeasure") -> "SignedMeasure":
-        if other.grid is not self.grid and not np.array_equal(
-            other.grid.nodes, self.grid.nodes
-        ):
-            raise InputError("measures live on different grids")
-        if other.dim != self.dim:
-            raise InputError("measure dimensions differ")
-        atoms = {k: w.copy() for k, w in self.atoms.items()}
-        for k, w in other.atoms.items():
-            atoms[k] = atoms.get(k, np.zeros(self.dim)) + w
-        return SignedMeasure(
-            grid=self.grid,
-            dim=self.dim,
-            atoms=atoms,
-            density=self.density + other.density,
-        )
-
 
 def running_sum(base, atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Running sum of base, atoms[0], cells[0], atoms[1], ..., atoms[-1],

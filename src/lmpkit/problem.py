@@ -420,8 +420,11 @@ def builtin_example(name: str, **params):
     """Return (ProblemDef, Trajectory, MultiplierSet) for a named fixture.
 
     ``ex1``: params t0, t1, ncells.  ``ex2``: params T, m, ncells, and an
-    optional contact_split pair.
+    optional contact_split pair.  A non-finite param is refused by name.
     """
+    for key, value in params.items():
+        if not np.isfinite(value).all():
+            raise InputError(f"{key} must be finite, not {value!r}")
     if name == "ex1":
         return _example_atom_measure(
             t0=params.get("t0", 0.0),

@@ -18,8 +18,7 @@ A contact cell has one unknown, lambda.  There the phase test holds, G_u
 vanishes, and lambda and the density of eta enter the costate through the
 same G_x, so only their sum is determined.  Recovery therefore emits no eta
 density: the contact-cell mass stays on lambda, and the atoms stay at the
-contact nodes.  ``encode_certificate`` reads a certificate's density as
-lambda.
+contact nodes.
 
 With masses summing to 1 the program is the minimum-norm point of the
 columns of its residual map, which Wolfe's algorithm
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import InputError, NumericalError
+from .errors import NumericalError
 from .lmp import (
     CheckConfig,
     Directions,
@@ -357,87 +356,6 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
         s_atoms=s_atoms,
         p=p,
     )
-
-
-def encode_certificate(program: RecoveryProgram, ms: MultiplierSet) -> np.ndarray:
-    """Map a certificate onto the program's masses, to evaluate it there.
-
-    The density on a contact cell goes onto lambda there, split along its
-    one direction, the cell's midpoint generator; a cell without a lambda
-    unknown or without that generator counts as outside the contact set.
-    Lambda is checked first, then the atoms in the certificate's order, then
-    the density cells; the first element that cannot be encoded raises."""
-    grid = program.trajectory.grid
-    h = grid.widths
-    theta = np.zeros(program.nvars)
-    theta[0] = ms.alpha0
-    lam_col = np.zeros(grid.ncells, dtype=np.intp)
-    lam_col[program.lam_cells] = program.lam_cols
-    carried = np.flatnonzero(ms.lam != 0.0)
-    inactive = carried[lam_col[carried] == 0]
-    if inactive.size:
-        raise InputError(f"certificate carries lambda mass on inactive cell {inactive[0]}")
-    theta[lam_col[carried]] = ms.lam[carried] * h[carried]
-
-    nodes = np.fromiter(ms.eta.atoms, dtype=np.intp, count=len(ms.eta.atoms))
-    mass = np.array([w[0] for w in ms.eta.atoms.values()], dtype=float)
-    _encode_mass(
-        theta, nodes[mass != 0.0], mass[mass != 0.0], ms.s_atoms,
-        program.atom_nodes, program.atom_cols, program.atom_gens,
-        "an atom outside the contact set: node",
-    )
-    delta, eps = program.config.delta, program.config.eps
-    samples = Samples(program.problem, program.trajectory)
-    mid, contact = samples.mid, samples.contact_set(delta, eps)
-    eta_cells = np.flatnonzero(contact.cell_flags & mid.phase(delta, eps) & (lam_col > 0))
-    cells = np.flatnonzero(ms.eta.density[:, 0] != 0.0)
-    _encode_mass(
-        theta, cells, ms.eta.density[cells, 0] * h[cells], ms.s_cells,
-        eta_cells, lam_col[eta_cells], mid.phase_gradients(delta, eps)[eta_cells],
-        "density outside the contact set: cell",
-    )
-    return theta
-
-
-def _encode_mass(theta, elements, mass, s, of, cols, gens, outside: str) -> None:
-    """Add the eta ``mass`` on ``elements`` (nodes or cells, in the order
-    given), split along the directions ``s``, to the columns ``cols``, whose
-    elements are ``of`` (nondecreasing) and generators ``gens``."""
-    first = np.searchsorted(of, elements)
-    count = np.searchsorted(of, elements, side="right") - first
-    at = np.searchsorted(s.index, elements)
-    given = at < s.index.size
-    given[given] = s.index[at[given]] == elements[given]
-    at = at[given]
-    weighted = np.zeros(elements.size, dtype=bool)
-    weighted[given] = s.weighted[at]
-    size = np.zeros(elements.size, dtype=np.intp)
-    size[given] = s.size[at]
-    row = np.zeros(elements.size, dtype=np.intp)
-    row[given] = at
-    bad = (count == 0) | ~given | (weighted & (size != count))
-    stop = int(np.argmax(bad)) if bad.any() else elements.size
-
-    # the columns of the elements, element by element
-    offset = np.cumsum(count) - count
-    element = np.repeat(np.arange(elements.size), count)
-    place = np.arange(element.size) - offset[element]
-    weights = np.zeros(element.size)
-    for i in np.flatnonzero(given[:stop] & ~weighted[:stop]).tolist():
-        vector = s.values[row[i], : size[i]]
-        dist, w = geometry.dist_to_convex_hull(vector, gens[first[i] : first[i] + count[i]])
-        if dist > 1e-8:
-            raise InputError("certificate direction is not in the convex hull of the generators")
-        weights[offset[i] : offset[i] + count[i]] = w
-    if stop < elements.size:
-        if count[stop] == 0:
-            raise InputError(f"certificate carries {outside} {elements[stop]}")
-        if not given[stop]:
-            raise InputError("certificate is missing a direction on the eta support")
-        raise InputError("weight count does not match the generators")
-    by_weights = weighted[element]
-    weights[by_weights] = s.values[row[element[by_weights]], place[by_weights]]
-    theta[cols[first[element] + place]] += mass[element] * weights
 
 
 def cross_validate(

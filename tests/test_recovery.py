@@ -13,14 +13,12 @@ from oracles import (
 
 from lmpkit import expr, geometry, io
 from lmpkit.cli import main
-from lmpkit.errors import EvalError, InputError, NumericalError
-from lmpkit.lmp import MultiplierSet, SupportDirection
-from lmpkit.measures import BVFunction, SignedMeasure
+from lmpkit.errors import EvalError, NumericalError
+from lmpkit.lmp import MultiplierSet
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import (
     build_program,
     cross_validate,
-    encode_certificate,
     recover,
     solve,
 )
@@ -157,64 +155,25 @@ class TestBuildOverArrays:
             assert peak < bound * size, name
 
 
+def encode(problem, trajectory, ms) -> np.ndarray:
+    """A certificate as masses of the program's columns, by the cell-by-cell
+    oracle, whose column layout ``build_program`` shares (see
+    ``test_matches_the_cell_by_cell_build``)."""
+    return encode_certificate_by_cells(build_program_by_cells(problem, trajectory), ms)
+
+
 class TestEncodeCertificate:
     @pytest.mark.parametrize("name, ncells", [("ex1", 100), ("ex2", 52), ("ex2", 100)])
     def test_closed_forms_encode_to_zero_objective(self, name, ncells):
         problem, trajectory, ms = builtin_example(name, ncells=ncells)
         program = build_program(problem, trajectory)
-        assert program.objective(encode_certificate(program, ms.scaled(1.0 / ms.nu()))) <= 1e-20
-
-    def test_matches_the_cell_by_cell_layout(self):
-        problem, trajectory, ms = builtin_example("ex2", ncells=800)
-        ms = ms.scaled(1.0 / ms.nu())
-        program = build_program(problem, trajectory)
-        oracle = build_program_by_cells(problem, trajectory)
-        theta = encode_certificate(program, ms)
-        assert np.array_equal(theta, encode_certificate_by_cells(oracle, ms))
-
-    @pytest.mark.parametrize("edit, message", [
-        ("inactive", "lambda mass on inactive cell 0"),
-        ("atom", "an atom outside the contact set: node 0"),
-        ("missing", "missing a direction on the eta support"),
-        ("count", "weight count does not match the generators"),
-        ("hull", "not in the convex hull of the generators"),
-        ("hull first", "not in the convex hull of the generators"),
-    ])
-    def test_refuses_what_the_program_cannot_carry(self, edit, message):
-        problem, trajectory, ms = builtin_example("ex2", ncells=20)
-        grid = trajectory.grid
-        cells = np.flatnonzero(ms.eta.density[:, 0]).tolist()
-        if edit == "inactive":
-            problem, trajectory = _inactive_constraint_case()
-            ms = MultiplierSet(
-                alpha0=1.0,
-                lam=np.ones(10),
-                eta=SignedMeasure.scalar(trajectory.grid),
-                p=BVFunction(grid=trajectory.grid, values=np.zeros((11, 1))),
-            )
-        elif edit == "atom":
-            eta = SignedMeasure.scalar(grid, atoms={0: 0.1}, density=ms.eta.density)
-            ms = replace(ms, eta=eta, s_atoms={0: SupportDirection(vector=[0.0, -1.0])})
-        elif edit == "missing":
-            ms = replace(ms, s_cells={})
-        elif edit == "count":
-            ms = replace(ms, s_cells={k: SupportDirection(weights=[0.5, 0.5]) for k in cells})
-        elif edit == "hull":
-            ms = replace(ms, s_cells={k: SupportDirection(vector=[5.0, 5.0]) for k in cells})
-        else:  # the first cell fails the hull test before the last misses its direction
-            s_cells = dict(ms.s_cells.items())
-            s_cells[cells[0]] = SupportDirection(vector=[5.0, 5.0])
-            del s_cells[cells[-1]]
-            ms = replace(ms, s_cells=s_cells)
-        program = build_program(problem, trajectory)
-        with pytest.raises(InputError, match=message):
-            encode_certificate(program, ms)
+        assert program.objective(encode(problem, trajectory, ms.scaled(1.0 / ms.nu()))) <= 1e-20
 
     def test_recovered_certificate_encodes_to_its_theta(self):
         problem, trajectory, _ = builtin_example("ex1", ncells=40)
         program = build_program(problem, trajectory)
         result = solve(program)
-        theta = encode_certificate(program, result.multipliers)
+        theta = encode(problem, trajectory, result.multipliers)
         assert np.allclose(theta, result.theta, rtol=1e-12, atol=1e-15)
 
 
@@ -263,7 +222,7 @@ class TestSolve:
     def test_warm_start_is_a_fixed_point(self, ex1_small):
         problem, trajectory, ms = ex1_small
         program = build_program(problem, trajectory)
-        theta = encode_certificate(program, ms.scaled(1.0 / ms.nu()))
+        theta = encode(problem, trajectory, ms.scaled(1.0 / ms.nu()))
         assert program.objective(theta) <= 1e-20
         result = solve(program)
         assert result.objective <= 1e-20
