@@ -334,8 +334,8 @@ def cone_pivots(families: list) -> dict:
     real = cones.solve_standard_form
     counts = []
 
-    def counted(c, A, b):
-        result = real(c, A, b)
+    def counted(c, A, b, basis):
+        result = real(c, A, b, basis)
         counts[-1] += result.iterations
         return result
 

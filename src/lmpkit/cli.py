@@ -13,6 +13,7 @@ import argparse
 import functools
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -189,6 +190,18 @@ def cmd_cones(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a value that starts with '-' for an option name unless
+    it reads like -1 or -.5, so ``--t0 -inf`` and ``--t0 -1e400`` end in
+    "expected one argument"; that error names the form that works."""
+
+    def error(self, message):
+        option = re.fullmatch(r"argument (--[\w-]+): expected one argument", message)
+        if option:
+            message += f" (join a value that starts with '-' with '=', as in {option[1]}=-inf)"
+        super().error(message)
+
+
 def _add_check_options(sub) -> None:
     sub.add_argument("--delta", type=float, default=1e-8, help="phase-set slack on G")
     sub.add_argument("--eps", type=float, default=1e-8, help="phase-set slack on |G_u|")
@@ -205,7 +218,7 @@ def _add_output_options(sub) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmpkit",
         description=(
             "Check and recover first-order optimality certificates for optimal "

@@ -32,10 +32,10 @@ The builder writes LP(w) by index into one zeroed array, [A | b] over the
 cost row.  It eliminates the coefficient c_j* of largest weight a = w_j*
 from the generator rows by c_j* = (1 - sum_{j != j*} w_j c_j) / a, so c_j*
 is the normalisation row's slack and z+, z- are unit columns of the
-generator rows.  Each test is then one simplex solve from a feasible basis
-of unit columns, in about four pivots, and c_j* is read off like any other
-coefficient.  ``solve_standard_form`` has no phase 1: it refuses a row
-without a start column.
+generator rows.  Each test is then one simplex solve, in about four pivots,
+from the feasible basis of unit columns that `_solve_dual` passes: z+_i on a
+generator row with b_i >= 0, z-_i where b_i < 0, and c_j* on the
+normalisation row, read off like any other coefficient.
 
 Both verdicts are invariant under positive scaling of the generators, and
 the separation verdict under positive scaling of each x0 too.
@@ -164,7 +164,8 @@ def _solve_dual(G: np.ndarray, w: np.ndarray):
     flat[k : k + d * (width + 1) : width + 1] = 1.0
     flat[k + d : k + d + d * (width + 1) : width + 1] = -1.0
     A[d, :k], b[d], lp[-1, k:-1] = w, 1.0, 1.0  # w.c = 1, and the cost
-    return solve_standard_form(lp[-1, :-1], A, b)
+    basis = np.append(k + np.arange(d) + d * (b[:d] < 0), j)  # z+ or z-, then c_j*
+    return solve_standard_form(lp[-1, :-1], A, b, basis)
 
 
 def intersection_nonempty(cones) -> IntersectionResult:
@@ -183,9 +184,6 @@ def intersection_nonempty(cones) -> IntersectionResult:
     G = np.concatenate([c.generators for c in cones])
     w = np.repeat([float(c.open) for c in cones], [c.ngens for c in cones])
     result = _solve_dual(G, w)
-    if result.status != "optimal":
-        # c_j* = 1 / a is feasible, and the cost is a norm, bounded below
-        raise InputError(f"intersection LP ended with status {result.status}")
     margin = result.objective
     if abs(margin) <= 1e-12:
         # pivot roundoff on a structurally zero optimum (data are O(1))
@@ -202,7 +200,9 @@ def approx_separate(cones, eps: float) -> SeparationResult:
     generators and 0 on the closed cone's: minimise |h_0 + sum h_i|_1 over
     nonnegative generator coefficients subject to sum over open cones of
     <x0_i, h_i> / |x0_i| = 1.  Dividing by |x0_i| keeps the optimum, which
-    is compared with the absolute eps, from scaling as 1 / |x0_i|.
+    is compared with the absolute eps, from scaling as 1 / |x0_i|.  LP(w)
+    is solved over the generators scaled to a largest entry of 1, which
+    leaves its optimum as it is and keeps its data finite.
     Separation succeeds when the optimum is below eps; with no open-cone
     generator the normalisation cannot hold and no LP is solved.
     """
@@ -211,19 +211,24 @@ def approx_separate(cones, eps: float) -> SeparationResult:
     d = _check_family(cones)
     if any(c.open and c.ngens and c.x0 is None for c in cones):
         raise InputError("every open cone needs an interior point x0")
+    # rows scaled to a largest entry of 1, so that neither the pairing nor
+    # LP(w) overflows; LP(w)'s optimum does not change
+    G = np.concatenate([c.generators.reshape(-1, d) for c in cones])
+    scale = np.abs(G).max(axis=1)
+    G = G / scale[:, None]
+    splits = np.cumsum([c.ngens for c in cones])[:-1]
     # math.hypot takes the norm of x0 without overflow or underflow
     pairing = np.concatenate([
-        c.generators @ (c.x0 / math.hypot(*c.x0)) if c.open and c.ngens else np.zeros(c.ngens)
-        for c in cones
+        g @ (c.x0 / math.hypot(*c.x0)) if c.open and c.ngens else np.zeros(c.ngens)
+        for g, c in zip(np.split(G, splits), cones)
     ])
     if pairing.max() <= 0.0:
         return SeparationResult(separated=False, objective=None)
-    result = _solve_dual(np.concatenate([c.generators for c in cones if c.ngens]), pairing)
-    if result.status != "optimal":
-        raise InputError(f"separation LP ended with status {result.status}")
+    result = _solve_dual(G, pairing)
     if result.objective >= eps:
         return SeparationResult(separated=False, objective=result.objective)
-    coeffs = np.split(result.x[: pairing.size], np.cumsum([c.ngens for c in cones])[:-1])
+    # the coefficients of the scaled rows, divided back by the scales
+    coeffs = np.split(result.x[: pairing.size] / scale, splits)
     hs = [ci @ c.generators if c.ngens else np.zeros(d) for ci, c in zip(coeffs, cones)]
     return SeparationResult(True, result.objective, tuple(hs), tuple(coeffs))
 

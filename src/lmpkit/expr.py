@@ -417,10 +417,11 @@ _NON_FINITE = "expression evaluated to a non-finite value"
 
 
 def evaluate_table(
-    table: Sequence[Expression], columns: Mapping[str, np.ndarray]
+    table: Sequence[Expression], columns: Mapping[str, np.ndarray], size: int
 ) -> np.ndarray:
-    """Evaluate several expressions in one pass at every sample of
-    equal-length columns, one per variable, into a (samples, len(table)) array.
+    """Evaluate several expressions in one pass at ``size`` samples, given by
+    columns of that length, one per variable the table names, into a
+    (size, len(table)) array.
 
     Raises the EvalError of the lowest failing sample, with the reason
     :func:`evaluate` gives there; of the expressions failing there, the first
@@ -429,7 +430,6 @@ def evaluate_table(
     kernels and may differ from the math module in the last bit.  Only
     compound expressions run the interpreter.
     """
-    size = len(next(iter(columns.values()))) if columns else 0
     out = np.empty((size, len(table)))
     faults = _Faults(size)
     with np.errstate(all="ignore"):

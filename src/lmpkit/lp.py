@@ -1,16 +1,15 @@
 """Dense simplex for small standard-form linear programs.
 
 Solves  min c.x  s.t.  A x = b, x >= 0, for finite data (else
-``NumericalError`` before any pivot).  Problem sizes here are tiny (tens of
-rows), so the solver keeps the full dense tableau T = B^-1 [A | b] of the
-current basis B; each pivot is a rank-1 update of T.
+``NumericalError`` before any pivot), from a feasible basis of unit columns
+that the caller names, one column per row.  Problem sizes here are tiny
+(tens of rows), so the solver keeps the full dense tableau T = B^-1 [A | b]
+of the current basis B; each pivot is a rank-1 update of T.
 
-* Starting basis.  Rows with b < 0 are negated.  One vectorised pass gives
-  each row its lowest column with a single nonzero entry (a slack, surplus
-  or box column) where that entry is positive, else where it is negative on
-  a row with b = 0 (the row is then negated).  There is no phase 1: a row
-  left without such a column is refused with ``NumericalError`` naming the
-  row.  The cone LPs give every row a unit column.
+* Starting basis.  Each row is divided by its basis entry.  A basis column
+  with a nonzero entry outside its row, or an entry whose sign differs from
+  that of a nonzero b, is refused with ``NumericalError``; there is no
+  phase 1.
 * Pricing.  The reduced costs c - c_B T are computed when pivoting starts
   and updated by each pivot's rank-1 step; the most negative enters
   (Dantzig).  After ``_DEGENERATE_RUN`` degenerate pivots in a row (ratio
@@ -20,15 +19,14 @@ current basis B; each pivot is a rank-1 update of T.
   lowest-index basic variable, Bland cannot cycle.
 * Fresh check.  When the pivots stop, B X = [A | b | I] is solved afresh
   from the columns of A by one LU solve with partial pivoting (one LAPACK
-  call), sharing no code with the pivots.  The solve ends only when the
-  fresh x_B (the returned x) is nonnegative within tolerance and the fresh
-  tableau confirms the stop: no negative reduced cost (optimal), or one
-  whose column has no positive entry (unbounded).  Else the fresh tableau
-  replaces T, up to ``_REFRESHES`` times before ``NumericalError``.
-* Multipliers.  An optimal result carries y = B^-T c_B for its final basis
-  B, from the B^-1 of the check that confirmed it, in the rows as the
-  caller gave them: y of a row negated for b < 0 is negated back.  Then
-  c - A^T y is the reduced cost, >= 0 at the optimum, and b.y the objective.
+  call), sharing no code with the pivots.  The solve ends when the fresh
+  x_B (the returned x) is nonnegative within tolerance and no fresh reduced
+  cost is negative; an improving column with no positive entry is a ray,
+  and the LP is refused as unbounded.  Else the fresh tableau replaces T,
+  up to ``_REFRESHES`` times before ``NumericalError``.
+* Multipliers.  y = B^-T c_B for the final basis B, from the B^-1 of the
+  check that confirmed it.  Then c - A^T y is the reduced cost, >= 0 at the
+  optimum, and b.y the objective.
 """
 
 from __future__ import annotations
@@ -52,11 +50,10 @@ _DEGENERATE_RUN = 10
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal" or "unbounded"
-    x: np.ndarray | None
-    objective: float | None
+    x: np.ndarray
+    objective: float
     iterations: int  # pivots
-    y: np.ndarray | None = None  # row multipliers of an optimal result
+    y: np.ndarray  # row multipliers
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -66,10 +63,9 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
-    """Pivot in place; returns 'optimal' or 'unbounded', and the pivot count."""
-    if not cost.size:  # no columns: the empty x is the only point
-        return "optimal", 0
+def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> int:
+    """Pivot in place until no reduced cost is negative or the entering
+    column has no positive entry; returns the pivot count."""
     rhs, reduced = tableau[:, -1], cost - cost[basis] @ tableau[:, :-1]
     flat = 1e-12 * (1.0 + rhs.max(initial=0.0))
     ratios = np.empty(rhs.size)
@@ -77,13 +73,13 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray):
     for pivots in range(50_000 + 200 * (tableau.shape[0] + cost.size)):
         col = reduced.argmin()
         if reduced[col] >= -_COST_TOL:
-            return "optimal", pivots
+            return pivots
         if degenerate >= _DEGENERATE_RUN:
             col = (reduced < -_COST_TOL).argmax()
         column = tableau[:, col]  # rhs and column: views of T, pivoted in place
         eligible = column > _PIVOT_TOL
         if not np.count_nonzero(eligible):
-            return "unbounded", pivots
+            return pivots
         ratios.fill(np.inf)
         np.divide(rhs, column, out=ratios, where=eligible)
         row = ratios.argmin()
@@ -107,61 +103,49 @@ def _fresh_tableau(full: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _solve_phase(tableau, basis, cost, full):
-    """Iterate to a basis the fresh check confirms optimal or unbounded
-    (``full`` is [A | b | I]); returns the fresh B^-1 full, or None if
-    unbounded, and the pivot count."""
+    """Pivot to a basis the fresh check confirms optimal; returns B^-1 full and the pivots."""
     width = tableau.shape[1]
     pivots = 0
     for _ in range(_REFRESHES + 1):
-        status, count = _iterate(tableau, basis, cost)
-        pivots += count
+        pivots += _iterate(tableau, basis, cost)
         fresh = _fresh_tableau(full, basis)
         tableau = fresh[:, :width]  # B^-1 [A | b]; pivots go on in this view
-        reduced = cost - cost[basis] @ tableau[:, :-1]
         if tableau[:, -1].min(initial=0.0) < -_FEAS_TOL:
             continue
-        improving = reduced < -_COST_TOL
-        if status == "optimal" and not improving.any():
+        improving = cost - cost[basis] @ tableau[:, :-1] < -_COST_TOL
+        if not improving.any():
             return fresh, pivots
-        ray = improving & (tableau[:, :-1] <= _PIVOT_TOL).all(axis=0)
-        if status == "unbounded" and ray.any():
-            return None, pivots
+        if (improving & (tableau[:, :-1] <= _PIVOT_TOL).all(axis=0)).any():
+            raise NumericalError("LP is unbounded: the fresh check confirms an improving ray")
     raise NumericalError("simplex basis fails its fresh check after refreshes")
 
 
-def solve_standard_form(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
-    """Dense simplex on min c.x, A x = b, x >= 0."""
+def solve_standard_form(c, A, b, basis) -> LpResult:
+    """Dense simplex on min c.x, A x = b, x >= 0, from the feasible basis of
+    unit columns ``basis`` (one column index per row)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
-    if A.ndim != 2 or A.shape != (b.size, c.size):
+    basis = np.array(basis, dtype=int).reshape(-1)  # a copy: the pivots change it
+    m, n = b.size, c.size
+    in_range = 0 <= basis.min(initial=0) <= basis.max(initial=0) < n  # false if n = 0
+    if A.shape != (m, n) or basis.shape != (m,) or not in_range:
         raise NumericalError("inconsistent LP dimensions")
-    m, n = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)  # rows with b < 0 are negated
-    A, b = A * sign[:, None], np.abs(b)
     data = np.zeros((m + 1, n + 1 + m))  # [A | b | I] over c
     full = data[:m]
     full[:, :n], full[:, n], data[m, :n] = A, b, c
     if not np.isfinite(data).all():
         raise NumericalError("LP data must be finite")
     full.ravel()[n + 1 :: n + m + 2] = 1.0  # the diagonal of I
-
-    # Starting basis: per row the lowest single-nonzero column that is positive
-    # (priority 2), else negative on a b = 0 row (1; the division negates it).
-    priority = np.where(A > 0, 2, (A < 0) & (b == 0)[:, None])
-    priority *= (A != 0).sum(axis=0) == 1
-    missing = np.flatnonzero(priority.max(axis=1, initial=0) == 0)
-    if missing.size:
-        raise NumericalError(f"LP row {missing[0]} has no start column")
-    basis = priority.argmax(axis=1) if n else np.zeros(m, dtype=int)
-    tableau = full[:, : n + 1] / full[np.arange(m), basis][:, None]
+    start = A[:, basis]  # B, diagonal for a basis of unit columns
+    entries = start.diagonal()
+    if np.count_nonzero(start) != m or not entries.all() or (b * np.sign(entries) < 0).any():
+        raise NumericalError("the start basis is not unit columns of its rows that keep b >= 0")
+    tableau = full[:, : n + 1] / entries[:, None]
 
     fresh, pivots = _solve_phase(tableau, basis, c, full)
-    status = "unbounded" if fresh is None else "optimal"
-    log.debug("simplex on %d x %d: %s after %d pivots", m, n, status, pivots)
-    if fresh is None:
-        return LpResult(status, None, None, pivots)
+    log.debug("simplex on %d x %d: optimal after %d pivots", m, n, pivots)
     x = np.zeros(n)
     x[basis] = fresh[:, n]  # fresh is B^-1 [A | b | I]
     y = c[basis] @ fresh[:, n + 1 :]  # B^-T c_B
-    return LpResult(status, x, float(c @ x), pivots, y * sign)
+    return LpResult(x, float(c @ x), pivots, y)

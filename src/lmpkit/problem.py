@@ -173,7 +173,7 @@ class ProblemDef:
         columns = {f"x{side}_{i + 1}": x[i : i + 1]
                    for side, x in ((0, x0), (1, x1)) for i in range(self.n)}
         try:
-            values = expr.evaluate_table(self.J_x0 + self.J_x1, columns)[0]
+            values = expr.evaluate_table(self.J_x0 + self.J_x1, columns, 1)[0]
         except EvalError as err:
             raise EvalError(err.reason) from err
         return values[: self.n], values[self.n :]

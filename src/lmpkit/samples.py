@@ -66,14 +66,16 @@ class PointSet:
         An EvalError names the first failing point, as evaluating point by
         point in order would: its ``sample`` is the point's cell index.
         """
-        columns = self.columns
-        if where is not None:
-            index = where.nonzero()[0]
-            columns = {name: col[index] for name, col in columns.items()}
         nested = isinstance(table[0], tuple)
         flat = [e for row in table for e in row] if nested else table
+        columns, size = self.columns, self.size
+        if where is not None:  # gathers only the columns the table reads
+            index = where.nonzero()[0]
+            names = frozenset().union(*map(expr.free_variables, flat))
+            columns = {name: col[index] for name, col in columns.items() if name in names}
+            size = index.size
         try:
-            values = expr.evaluate_table(flat, columns)
+            values = expr.evaluate_table(flat, columns, size)
         except EvalError as err:
             if where is None or err.sample is None:
                 raise

@@ -284,9 +284,11 @@ def margin_by_box_lp(family) -> tuple[float, np.ndarray]:
     rhs[k:] = 1.0
     cost = np.zeros(nvar)
     cost[2 * d : 2 * d + 2] = [-1.0, 1.0]  # maximise t
-    result = lp.solve_standard_form(cost, rows, rhs)
-    if result.status != "optimal":
-        raise NumericalError(f"margin LP ended with status {result.status}")
+    # start on the surplus columns of the generator rows and the box rows'
+    # slacks (rows k + 2j and k + 2j + 1 take slacks j and d + j)
+    slacks = np.arange(2 * d).reshape(2, d).T.ravel()
+    start = 2 * d + 2 + np.append(np.arange(k), k + slacks)
+    result = lp.solve_standard_form(cost, rows, rhs, start)
     return -result.objective, result.x[:d] - result.x[d : 2 * d]
 
 
@@ -337,30 +339,6 @@ def lp_by_basis_enumeration(c, A, b) -> tuple[str, float | None]:
     if any(c @ d < -1e-9 for d in rays):
         return "unbounded", None
     return "optimal", min(float(c @ x) for x in vertices)
-
-
-def start_basis_by_two_passes(A, b) -> np.ndarray:
-    """The starting basis of ``lp.solve_standard_form``, searched in two
-    passes over the rows: after rows with b < 0 are negated, each row takes
-    its lowest single-nonzero column with a positive entry, and a row still
-    without one its lowest such column with a negative entry if b = 0."""
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float).reshape(-1)
-    m = A.shape[0]
-    A[b < 0] *= -1.0
-    b = np.abs(b)
-    single = np.ones(m) @ (A != 0) == 1.0  # nonzeros per column == 1
-    basis = np.zeros(m, dtype=int)
-    found = np.zeros(m, dtype=bool)
-    for candidate in (A > 0, (A < 0) & (b == 0)[:, None]):
-        candidate &= single
-        pick = ~found & candidate.any(axis=1)
-        if pick.any():
-            basis[pick] = candidate[pick].argmax(axis=1)
-        found |= pick
-    if not found.all():
-        raise ValueError(f"row {np.argmin(found)} has no start column")
-    return basis
 
 
 # -- cumulative function of a measure ------------------------------------------

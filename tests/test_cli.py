@@ -70,6 +70,21 @@ class TestExample:
         assert capsys.readouterr().err.startswith(f"error: {name} must be finite, not ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-inf", "-1e400"])
+    def test_a_negative_value_is_joined_to_its_option(self, tmp_path, capsys, value):
+        # argparse takes "-inf" for an option name: the usage error names the
+        # joined form, and that form reaches the program
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exit:
+            run_cli("example", "ex1", "--t0", value, "--out-dir", out)
+        assert exit.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(
+            "argument --t0: expected one argument "
+            "(join a value that starts with '-' with '=', as in --t0=-inf)"
+        )
+        assert run_cli("example", "ex1", f"--t0={value}", "--out-dir", out) == 2
+        assert capsys.readouterr().err == "error: t0 must be finite, not -inf\n"
+
 
 class TestCheck:
     def test_flipped_direction_fails_inclusion(self, fixture_dir, capsys):

@@ -31,23 +31,24 @@ class TestSimplexCore:
             np.array([-1.0, -1.0, 0.0]),
             np.array([[1.0, 1.0, 1.0]]),
             np.array([1.0]),
+            [2],
         )
-        assert res.status == "optimal"
         assert res.objective == pytest.approx(-1.0, abs=1e-12)
 
     def test_infeasible(self):
         # no column can start row 0, and there is no phase 1 to find one
-        with pytest.raises(NumericalError, match="row 0 has no start column"):
-            solve_standard_form(np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
+        with pytest.raises(NumericalError, match="not unit columns"):
+            solve_standard_form(np.array([1.0]), np.array([[0.0]]), np.array([1.0]), [0])
 
     def test_unbounded(self):
         # min -x1 with a vacuous equality row
-        res = solve_standard_form(
-            np.array([-1.0, 0.0]),
-            np.array([[0.0, 1.0]]),
-            np.array([0.0]),
-        )
-        assert res.status == "unbounded"
+        with pytest.raises(NumericalError, match="unbounded"):
+            solve_standard_form(
+                np.array([-1.0, 0.0]),
+                np.array([[0.0, 1.0]]),
+                np.array([0.0]),
+                [1],
+            )
 
 
 class TestIntersection:
@@ -100,8 +101,8 @@ def test_family_449_reaches_the_true_margin(monkeypatch):
     family = load_cone_family(str(FAMILY_449))
     solved = []
 
-    def spy(c, A, b):
-        result = solve_standard_form(c, A, b)
+    def spy(c, A, b, basis):
+        result = solve_standard_form(c, A, b, basis)
         solved.append((A, b, result))
         return result
 
@@ -218,6 +219,30 @@ class TestSeparation:
         result = approx_separate([closed, open_cone], eps=1e-6)
         assert not result.separated
         assert result.objective == pytest.approx(0.1 / np.hypot(1.0, 0.1), rel=1e-12)
+
+    def test_generators_whose_pairing_overflows(self):
+        # <g, x0> = 4.5e308 overflows; with the rows scaled to a largest entry
+        # of 1 the optimum is |(0, 1, 1)|_1 / sqrt(3), at h_0 = (-1, 0, 0) / sqrt(3)
+        open_cone = halfspace([1.5e308] * 3, x0=np.ones(3))
+        closed = halfspace([-1.0, 0.0, 0.0], open=False)
+        with np.errstate(over="ignore"):  # the margin, 3e308, overflows to inf
+            assert intersection_nonempty([closed, open_cone]).nonempty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = approx_separate([closed, open_cone], eps=1e-6)
+        assert not result.separated
+        assert result.objective == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
+
+    def test_coefficients_are_those_of_the_generators_as_given(self):
+        # LP(w) runs on rows scaled to a largest entry of 1
+        closed = halfspace([-2.0, 0.0], open=False)
+        open_cone = halfspace([1.0e300, 0.0], x0=np.array([1.0, 0.0]))
+        result = approx_separate([closed, open_cone], eps=1e-6)
+        assert result.separated
+        (c0,), (c1,) = result.coefficients
+        assert c1 == pytest.approx(1e-300, rel=1e-12)
+        assert c0 == pytest.approx(0.5, rel=1e-12)
+        np.testing.assert_allclose(result.h, [[-1.0, 0.0], [1.0, 0.0]], rtol=1e-12)
 
 
 class TestConstructionInvariants:

@@ -251,10 +251,10 @@ def test_evaluate_many_matches_evaluate(seed):
             first_error = first_error or (i, str(err))
     if first_error is not None:
         with pytest.raises(EvalError) as info:
-            expr.evaluate_table((e,), columns)[:, 0]
+            expr.evaluate_table((e,), columns, size)[:, 0]
         assert (info.value.sample, info.value.reason) == first_error
         return
-    values = expr.evaluate_table((e,), columns)[:, 0]
+    values = expr.evaluate_table((e,), columns, size)[:, 0]
     expected = np.array(expected)
     if _exact_ops_only(e):
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
@@ -284,7 +284,7 @@ def test_evaluate_many_names_first_bad_sample(source, bad, reason):
     for name, value in bad.items():
         columns[name][[3, 6]] = value
     with pytest.raises(EvalError) as info:
-        expr.evaluate_table((e,), columns)
+        expr.evaluate_table((e,), columns, 8)
     assert (info.value.sample, info.value.reason) == (3, reason)
     binding = {name: float(column[3]) for name, column in columns.items()}
     with pytest.raises(EvalError, match=reason):

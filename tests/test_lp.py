@@ -7,22 +7,23 @@ from hypothesis import strategies as st
 
 from lmpkit import cones, lp
 from lmpkit.errors import NumericalError
-from oracles import lp_by_basis_enumeration, start_basis_by_two_passes
+from oracles import lp_by_basis_enumeration
 
 SMALL = st.integers(-3, 3)
 
 
 def with_start_columns(draw, c, A, b):
-    """The program with one unit column appended per row, a start column:
-    positive in the row as the solver sees it (rows with b < 0 are
-    negated), or, where b = 0, of either sign."""
-    m = b.size
+    """The program with one unit column appended per row, and those columns
+    as its start basis: each has the sign of its row's b, or, where b = 0,
+    either sign."""
+    m, n = A.shape
     signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=m, max_size=m)))
     costs = np.array(draw(st.lists(SMALL, min_size=m, max_size=m)), dtype=float)
     return (
         np.append(c, costs),
         np.column_stack([A, np.diag(np.where(b == 0, signs, np.sign(b)))]),
         b,
+        np.arange(n, n + m),
     )
 
 
@@ -43,41 +44,59 @@ def small_programs(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_programs())
 # a negative unit column on a b = 0 row, next to a positive one
-@example((np.array([-1.0, 0, 0, 0]), np.array([[1.0, -1, -1, 0], [1, 1, 0, 1]]), np.array([0.0, 2])))
+@example((
+    np.array([-1.0, 0, 0, 0]), np.array([[1.0, -1, -1, 0], [1, 1, 0, 1]]), np.array([0.0, 2]),
+    [2, 3],
+))
 # a row with b < 0
-@example((np.array([1.0, 1, 0]), np.array([[-1.0, -1, -1]]), np.array([-2.0])))
+@example((np.array([1.0, 1, 0]), np.array([[-1.0, -1, -1]]), np.array([-2.0]), [2]))
 # unbounded
-@example((np.array([-1.0, 0]), np.array([[1.0, -1]]), np.array([0.0])))
+@example((np.array([-1.0, 0]), np.array([[1.0, -1]]), np.array([0.0]), [1]))
 def test_simplex_agrees_with_basis_enumeration(program):
-    c, A, b = program
-    result = lp.solve_standard_form(c, A, b)
+    """Every drawn program is feasible, as its start basis is; an unbounded
+    one is refused by name."""
+    c, A, b, basis = program
     status, objective = lp_by_basis_enumeration(c, A, b)
-    assert result.status == status
-    if status == "optimal":
-        assert result.objective == pytest.approx(objective, abs=1e-9)
-        assert result.x.min() >= -1e-9
-        assert np.max(np.abs(A @ result.x - b)) <= 1e-9
+    if status == "unbounded":
+        with pytest.raises(NumericalError, match="^LP is unbounded"):
+            lp.solve_standard_form(c, A, b, basis)
+        return
+    result = lp.solve_standard_form(c, A, b, basis)
+    assert result.objective == pytest.approx(objective, abs=1e-9)
+    assert result.x.min() >= -1e-9
+    assert np.max(np.abs(A @ result.x - b)) <= 1e-9
 
 
-def test_an_lp_without_a_start_column_is_refused(monkeypatch):
-    """There is no phase 1: a row without a start column is refused by name
-    before any pivot.  Both cone LPs give every row one (see
-    ``test_cone_lps_start_from_the_two_pass_basis``)."""
+@pytest.mark.parametrize("A, b, basis, reason", [
+    # a basis column with a second nonzero entry
+    ([[1.0, 1, 1], [1, 1, 1]], [1.0, 1], [0, 1], "unit columns"),
+    # unit columns, each named for the other's row
+    ([[1.0, 0, 0], [0, 1, 0]], [1.0, 1], [1, 0], "unit columns"),
+    # one column named for two rows
+    ([[1.0, 0, 0], [0, 1, 0]], [1.0, 1], [0, 0], "unit columns"),
+    # a negative entry where b > 0, and a positive one where b < 0
+    ([[1.0, 0, 0], [0, -1, 0]], [1.0, 1], [0, 1], "unit columns"),
+    ([[1.0, 0, 0], [0, 1, 0]], [1.0, -1], [0, 1], "unit columns"),
+    # columns the LP does not have, and a basis shorter than the rows
+    ([[1.0, 0, 0], [0, 1, 0]], [1.0, 1], [0, 3], "inconsistent"),
+    ([[1.0, 0, 0], [0, 1, 0]], [1.0, 1], [-3, 1], "inconsistent"),
+    ([[1.0, 0, 0], [0, 1, 0]], [1.0, 1], [0], "inconsistent"),
+], ids=[
+    "second-nonzero", "other-rows", "one-column-twice", "negative-entry", "positive-entry",
+    "no-such-column", "negative-index", "short-basis",
+])
+def test_a_start_basis_that_is_not_feasible_unit_columns_is_refused(
+    monkeypatch, A, b, basis, reason
+):
+    """There is no phase 1: a start basis that is not unit columns of its
+    rows, or that would leave b < 0, is refused before any pivot."""
 
     def no_pivot(*args):
         raise AssertionError("pivoted without a start basis")
 
     monkeypatch.setattr(lp, "_solve_phase", no_pivot)
-    for c, A, b, row in (
-        # a duplicated row: no column has a single nonzero entry
-        ([1.0, 2, 3], [[1.0, 1, 1], [1, 1, 1]], [1.0, 1], 0),
-        # the only unit column of row 1 is negative, and b = 1 there
-        ([0.0, 0], [[1.0, 0], [0, -1]], [1.0, 1], 1),
-        # the same after row 1 is negated for b < 0
-        ([0.0, 0], [[1.0, 0], [0, 1]], [1.0, -1], 1),
-    ):
-        with pytest.raises(NumericalError, match=rf"^LP row {row} has no start column$"):
-            lp.solve_standard_form(np.array(c), np.array(A), np.array(b))
+    with pytest.raises(NumericalError, match=reason):
+        lp.solve_standard_form(np.array([1.0, 2, 3]), np.array(A), np.array(b), basis)
 
 
 # min -x1 - 2 x2 with x1 - x2 <= 1 and x1 + x2 <= 3 through slacks x3 and
@@ -86,6 +105,7 @@ BOX = (
     np.array([-1.0, -2.0, 0.0, 0.0]),
     np.array([[1.0, -1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]]),
     np.array([1.0, 3.0]),
+    [2, 3],
 )
 
 
@@ -113,7 +133,6 @@ def test_fresh_check_recovers_from_a_corrupted_tableau(monkeypatch):
     result = lp.solve_standard_form(*BOX)
     # the first stop fails its fresh check, and the rebuilt tableau goes on
     assert len(fresh) > 1 and len(pivots) > 1
-    assert result.status == "optimal"
     assert result.objective == pytest.approx(-6.0, abs=1e-12)
     np.testing.assert_allclose(result.x, [0.0, 3.0, 4.0, 0.0], atol=1e-12)
 
@@ -137,7 +156,6 @@ def test_unbounded_stop_is_confirmed_afresh(monkeypatch):
     # the carried tableau stops unbounded after one pivot; the fresh
     # tableau of that basis shows x2 improving with a positive entry
     assert pivots[0] == 0 and len(pivots) > 1
-    assert result.status == "optimal"
     assert result.objective == pytest.approx(-6.0, abs=1e-12)
     np.testing.assert_allclose(result.x, [0.0, 3.0, 4.0, 0.0], atol=1e-12)
 
@@ -155,6 +173,7 @@ BEALE = (
         ]
     ),
     np.array([0.0, 0.0, 1.0]),
+    [0, 1, 2],
 )
 
 
@@ -162,7 +181,6 @@ def test_bland_fallback_ends_the_cycle_of_beales_example(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="lmpkit.lp"):
         result = lp.solve_standard_form(*BEALE)
     assert caplog.messages == [f"simplex on 3 x 7: optimal after {result.iterations} pivots"]
-    assert result.status == "optimal"
     assert result.objective == pytest.approx(-1.25, abs=1e-12)
     np.testing.assert_allclose(result.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
     # without the fallback the same program cycles: 12 pivots visit 6 bases
@@ -187,9 +205,8 @@ def test_rounding_residue_counts_as_a_degenerate_ratio(b):
     """Beale's cycle with right-hand sides that are zero but for rounding
     residue: ratios such as 1e-18 must still count as degenerate pivots, or
     the Bland fallback never starts and Dantzig cycles to the pivot cap."""
-    c, A, _ = BEALE
-    result = lp.solve_standard_form(c, A, np.array(b))
-    assert result.status == "optimal"
+    c, A, _, basis = BEALE
+    result = lp.solve_standard_form(c, A, np.array(b), basis)
     assert result.objective == pytest.approx(-1.25, abs=1e-12)
     assert result.iterations == 18
 
@@ -216,8 +233,9 @@ def degenerate_programs(draw):
 def test_optimal_results_carry_an_optimality_certificate(program):
     """Every optimal result is checked against a certificate computed here,
     from the final basis alone: A x = b and x >= 0; y from B^T y = c_B;
-    c - A^T y >= 0; and c.x = b.y.  Every result counts its pivots."""
-    c, A, b = program
+    c - A^T y >= 0; and c.x = b.y.  Every result counts its pivots.  An LP
+    refused as unbounded has an improving ray at the last basis checked."""
+    c, A, b, start = program
     bases = []
     pivots = []
     real_fresh, real_pivot = lp._fresh_tableau, lp._pivot
@@ -233,12 +251,23 @@ def test_optimal_results_carry_an_optimality_certificate(program):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_fresh_tableau", recorded)
         patch.setattr(lp, "_pivot", counted)
-        result = lp.solve_standard_form(c, A, b)
-    assert result.iterations == len(pivots)
-    if result.status != "optimal":
-        return
-    x = result.x
+        try:
+            result = lp.solve_standard_form(c, A, b, start)
+        except NumericalError as err:
+            assert str(err).startswith("LP is unbounded")
+            result = None
     basis = bases[-1]  # the basis the last fresh check confirmed
+    if result is None:
+        # a column d: d_col = 1 and d_B = -B^-1 A_col, with A d = 0, d >= 0 and c.d < 0
+        T = np.linalg.solve(A[:, basis], A)
+        ray = (c - c[basis] @ T < -1e-11) & (T <= 1e-11).all(axis=0)
+        d = np.eye(c.size)[ray.argmax()]
+        d[basis] -= T[:, ray.argmax()]
+        assert ray.any() and d.min() >= -1e-9 and c @ d < 0
+        assert np.max(np.abs(A @ d)) <= 1e-9
+        return
+    assert result.iterations == len(pivots)
+    x = result.x
     assert np.all(x[np.setdiff1d(np.arange(c.size), basis)] == 0.0)
     assert x.min() >= -1e-9
     assert np.max(np.abs(A @ x - b), initial=0.0) <= 1e-9
@@ -264,45 +293,19 @@ def test_fresh_check_that_keeps_failing_raises(monkeypatch):
     c = np.array([-1.0, 0.0, 0.0])
     A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     with pytest.raises(NumericalError, match="fresh check"):
-        lp.solve_standard_form(c, A, np.array([1.0, 2.0]))
+        lp.solve_standard_form(c, A, np.array([1.0, 2.0]), [1, 2])
 
 
-class _Started(Exception):
-    pass
-
-
-def start_basis(c, A, b) -> np.ndarray:
-    """The basis ``solve_standard_form`` starts from."""
-
-    def stop(tableau, basis, cost, full):
-        raise _Started(basis.copy())
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "_solve_phase", stop)
-        with pytest.raises(_Started) as started:
-            lp.solve_standard_form(c, A, b)
-    return started.value.args[0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(degenerate_programs())
-@example(BOX)
-@example(BEALE)
-# a row whose only unit column is negative, with b = 0
-@example((np.zeros(4), np.array([[1.0, -1, -1, 0], [1, 1, 0, 1]]), np.array([0.0, 2])))
-def test_start_basis_matches_the_two_pass_search(program):
-    """The same columns start basic."""
-    c, A, b = program
-    np.testing.assert_array_equal(start_basis(c, A, b), start_basis_by_two_passes(A, b))
-
-
-def test_cone_lps_start_from_the_two_pass_basis(monkeypatch):
+def test_cone_lps_start_from_the_basis_they_are_built_on(monkeypatch):
+    """z+_i on a generator row with b_i >= 0, z-_i where b_i < 0, and on
+    the normalisation row the coefficient of largest weight, whose column
+    is zero on the generator rows."""
     programs = []
     real = cones.solve_standard_form
 
-    def recorded(c, A, b):
-        programs.append((c.copy(), A.copy(), b.copy()))
-        return real(c, A, b)
+    def recorded(c, A, b, basis):
+        programs.append((c.size, A.copy(), b.copy(), basis.copy()))
+        return real(c, A, b, basis)
 
     monkeypatch.setattr(cones, "solve_standard_form", recorded)
     for seed in range(50):
@@ -310,8 +313,12 @@ def test_cone_lps_start_from_the_two_pass_basis(monkeypatch):
         cones.intersection_nonempty(family)
         cones.approx_separate(family, eps=1e-6)
     assert len(programs) == 100
-    for c, A, b in programs:
-        np.testing.assert_array_equal(start_basis(c, A, b), start_basis_by_two_passes(A, b))
+    for n, A, b, basis in programs:
+        d = b.size - 1
+        k = n - 2 * d
+        z = k + np.arange(d) + d * (b[:d] < 0)
+        np.testing.assert_array_equal(basis, np.append(z, A[d, :k].argmax()))
+        assert not A[:d, basis[d]].any()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -319,7 +326,7 @@ def test_cone_lps_start_from_the_two_pass_basis(monkeypatch):
 def test_non_finite_data_is_refused_before_any_pivot(monkeypatch, where, value):
     """Without the check, this LP ends 'optimal' with NaN or inf in b, and
     pivots up to the iteration limit with NaN in A or c."""
-    c, A, b = (v.copy() for v in BOX)
+    c, A, b = (v.copy() for v in BOX[:3])
     {"c": c, "A": A, "b": b}[where][0] = value
 
     def no_pivot(tableau, basis, row, col):
@@ -327,17 +334,11 @@ def test_non_finite_data_is_refused_before_any_pivot(monkeypatch, where, value):
 
     monkeypatch.setattr(lp, "_pivot", no_pivot)
     with pytest.raises(NumericalError, match="finite"):
-        lp.solve_standard_form(c, A, b)
+        lp.solve_standard_form(c, A, b, BOX[3])
 
 
 @pytest.mark.parametrize("m", [0, 2])
 def test_lp_without_columns(m):
-    """The empty x is optimal without rows; a row has no start column."""
-    if not m:
-        result = lp.solve_standard_form(np.zeros(0), np.zeros((0, 0)), np.zeros(0))
-        assert (result.status, result.objective, result.iterations) == ("optimal", 0.0, 0)
-        assert result.x.shape == (0,) and result.y.shape == (0,)
-        return
-    for b in (np.zeros(m), np.array([0.0, -1.0])):
-        with pytest.raises(NumericalError, match="^LP row 0 has no start column"):
-            lp.solve_standard_form(np.zeros(0), np.zeros((m, 0)), b)
+    """No start basis can name a column of an LP without columns."""
+    with pytest.raises(NumericalError, match="^inconsistent LP dimensions$"):
+        lp.solve_standard_form(np.zeros(0), np.zeros((m, 0)), np.zeros(m), np.zeros(m, dtype=int))

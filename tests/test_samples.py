@@ -41,7 +41,7 @@ def entry_by_entry(points, table, where=None):
     values, errors = [], []
     for j, e in enumerate(flat):
         try:
-            values.append(expr.evaluate_table((e,), columns)[:, 0])
+            values.append(expr.evaluate_table((e,), columns, index.size)[:, 0])
         except EvalError as err:
             errors.append((err.sample, j, err.reason))
     if errors:
@@ -127,4 +127,27 @@ def test_bare_variable_on_an_infinite_column_is_an_error():
     assert_same(points, (x1,), np.array([False, True, True, False]))
     np.testing.assert_array_equal(
         points.evaluate((x1, x2), np.array([True, False, False, True]))[:, 0], [0.0, 0.0]
+    )
+
+
+class _Unread(np.ndarray):
+    """A column that fails when a masked evaluation gathers from it."""
+
+    def __getitem__(self, index):
+        raise AssertionError("gathered a column the table does not read")
+
+
+def test_masked_evaluation_gathers_only_the_columns_the_table_reads():
+    x = np.array([[2.0, 1.0], [2.0, -1.0], [1.0, 3.0]])
+    points = PointSet(PROBLEM, x, np.array([[1.0], [0.5], [2.0]]))
+    where = np.array([True, False, True])
+    want = points.evaluate((expr.parse("x2*u1"), expr.Const(-1.0)), where)
+    points.columns["x1"] = points.columns["x1"].view(_Unread)
+    got = points.evaluate((expr.parse("x2*u1"), expr.Const(-1.0)), where)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, [[1.0, -1.0], [6.0, -1.0]])
+    # a table of constants gathers nothing, and still has one row per point
+    points.columns = {name: col.view(_Unread) for name, col in points.columns.items()}
+    np.testing.assert_array_equal(
+        points.evaluate(((expr.Const(0.0), expr.Const(-1.0)),), where), [[[0.0, -1.0]]] * 2
     )
