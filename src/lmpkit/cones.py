@@ -176,9 +176,9 @@ def intersection_nonempty(cones) -> IntersectionResult:
     the optimum of its dual LP(w), w = 1 on the open generators; a positive
     margin yields the witness x, the multipliers of LP(w)'s generator rows.
     """
-    d = _check_family(cones)
     if any(c.ngens == 0 for c in cones):
         raise InputError("degenerate input: a cone has no generators")
+    d = _check_family(cones)
     if not any(c.open for c in cones):
         raise InputError("at least one open cone is required")
     G = np.concatenate([c.generators for c in cones])

@@ -408,7 +408,7 @@ class _Faults:
 
     def raise_first(self) -> None:
         """Raise the failure of the lowest failing sample, if any."""
-        if self.code is not None:
+        if len(self.reasons) > 1:
             first = int(np.argmax(self.code != 0))
             raise EvalError(self.reasons[self.code[first]], sample=first)
 
@@ -439,26 +439,27 @@ def evaluate_table(
                 if not math.isfinite(e.value):
                     faults.flag(np.ones(size, dtype=bool), _NON_FINITE)
                 continue
-            value = _eval_many(e, columns, size, faults)
+            value = _eval_many(e, columns, faults)
             faults.flag(~np.isfinite(value), _NON_FINITE)
             out[:, j] = value
     faults.raise_first()
     return out
 
 
-def _eval_many(e: Expression, columns, size: int, faults: _Faults) -> np.ndarray:
+def _eval_many(e: Expression, columns, faults: _Faults) -> np.ndarray | np.float64:
     if isinstance(e, Const):
-        return np.full(size, e.value)
+        # a numpy scalar, which broadcasts, and divides by 0.0 without raising
+        return np.float64(e.value)
     if isinstance(e, Var):
         try:
             return np.asarray(columns[e.name], dtype=float)
         except KeyError:
             raise EvalError(f"unbound variable '{e.name}'") from None
     if isinstance(e, Neg):
-        return -_eval_many(e.child, columns, size, faults)
+        return -_eval_many(e.child, columns, faults)
     if isinstance(e, Binary):
-        a = _eval_many(e.left, columns, size, faults)
-        b = _eval_many(e.right, columns, size, faults)
+        a = _eval_many(e.left, columns, faults)
+        b = _eval_many(e.right, columns, faults)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -468,13 +469,13 @@ def _eval_many(e: Expression, columns, size: int, faults: _Faults) -> np.ndarray
         faults.flag(b == 0.0, "division by zero")
         return a / b
     if isinstance(e, Pow):
-        base = _eval_many(e.base, columns, size, faults)
+        base = _eval_many(e.base, columns, faults)
         if e.exponent < 0:
             faults.flag(base == 0.0, "zero raised to a negative power")
         out = np.power(base, float(e.exponent))
         faults.flag(~np.isfinite(out), "power overflow")
         return out
-    arg = _eval_many(e.arg, columns, size, faults)
+    arg = _eval_many(e.arg, columns, faults)
     if e.func == "log":
         faults.flag(arg <= 0.0, "log of a non-positive value")
     if e.func == "sqrt":

@@ -24,17 +24,12 @@ they read as 1 and 0.  An optional field (``jumps``, ``s``, and the lists
 ``eta.atoms``, ``s.atoms``, ``s.cells`` and ``p.atoms``) may be left out,
 but where given it must be the container the format names.
 
-The long lists are read by columns: the state and costate rows, the
-control cells and the direction records of s are each gathered into
-columns by one Python loop over the records, then turned into arrays by a
-few ``np.array`` calls over whole columns, with one finiteness test per
-column.  Input the column read does not take as it stands (a record
-that is not an object, a missing or extra key, an index that is not an
-int, a non-number, ragged rows, an index outside the grid or taken
-twice, a non-finite number) is read again record by record.  That reader
-returns the same arrays where the input is valid, and otherwise raises
-the error of the first bad record in file order, so which reader ran
-never shows in the result.
+Each list has one reader, by columns: the state and costate rows, the
+cone generators, the control cells and the direction records of s are
+gathered into columns by one Python loop over the records, and each
+column becomes an array by one ``np.array`` call and one finiteness test.
+Where a column does not convert, a locator walks the records in file order
+and raises the error of the first bad one; it never returns arrays.
 
 Each loader runs with the cyclic garbage collector paused.  ``json.load``
 allocates a list or dict per JSON container, about 15 000 for a
@@ -61,7 +56,7 @@ import numpy as np
 from . import cones as cones_mod
 from . import expr
 from .errors import InputError, ParseError
-from .lmp import Directions, MultiplierSet, SupportDirection
+from .lmp import Directions, MultiplierSet
 from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, TimeGrid, Trajectory
 
@@ -233,36 +228,42 @@ def _float(value: int | float) -> float:
 def _columns(value, ndim: int) -> np.ndarray | None:
     """``value`` as an ``ndim``-dimensional float array, read by one
     ``np.array`` call, if it is a regular nest of finite JSON numbers
-    (booleans count as 0 and 1, as in :func:`_vector`); else None."""
+    (booleans count as 0 and 1, ints beyond int64 are read by
+    :func:`_float`); else None."""
     try:
         arr = np.array(value)
     except (TypeError, ValueError, OverflowError):
         return None
-    if arr.ndim != ndim or arr.dtype.kind not in "biuf":
+    if arr.ndim != ndim:
+        return None
+    if arr.dtype == object:  # numbers among ints beyond int64, or non-numbers
+        if not all(isinstance(v, (int, float)) for v in arr.flat):
+            return None
+        arr = np.array(list(map(_float, arr.flat))).reshape(arr.shape)
+    elif arr.dtype.kind not in "biuf":
         return None
     arr = arr.astype(float, copy=False)
     return arr if np.isfinite(arr).all() else None
 
 
-def _matrix(rows: list, path: str) -> np.ndarray:
-    """A list of number rows of one common length, read in one call.
-
-    Input that is not such a list is read again row by row, so that the
-    error names the offending row.
-    """
-    arr = _columns(rows, 2)
-    if arr is not None and arr.shape[1] >= 1:
-        return arr
-    dim = len(rows[0]) if isinstance(rows[0], list) else -1
-    if dim < 1:
-        raise InputError(f"{path}[0]: expected a list of numbers")
-    return np.vstack([_vector(row, dim, f"{path}[{i}]") for i, row in enumerate(rows)])
+def _matrix(rows: list, path: str, width: int | None = None) -> np.ndarray:
+    """A list of number rows of one length: ``width`` where given (the list
+    may then be empty), else that of the first row, at least 1.  The error
+    names the first bad row."""
+    if width is None:
+        width = len(rows[0]) if isinstance(rows[0], list) else 0
+        if width < 1:
+            raise InputError(f"{path}[0]: expected a list of numbers")
+    arr = _columns(rows, 2) if rows else np.zeros((0, width))
+    if arr is None or arr.shape[1] != width:
+        for i, row in enumerate(rows):  # the first bad row raises
+            _vector(row, width, f"{path}[{i}]")
+    return arr
 
 
 def _vector(value, size: int | None, path: str) -> np.ndarray:
     """A list of ``size`` numbers (any number if None), read in one call;
-    input that is not such a list is read entry by entry, so that the error
-    names the first bad entry."""
+    the error names the first bad entry."""
     arr = _columns(value, 1) if isinstance(value, list) else None
     if arr is not None and (size is None or arr.size == size):
         return arr
@@ -272,11 +273,8 @@ def _vector(value, size: int | None, path: str) -> np.ndarray:
         raise InputError(f"{path}: expected a list of numbers")
     if size is not None and len(value) != size:
         raise InputError(f"{path}: expected {size} numbers, got {len(value)}")
-    numbers = [_float(v) for v in value]
-    for i, v in enumerate(numbers):
-        if not math.isfinite(v):
-            raise InputError(f"{path}[{i}]: not a finite number")
-    return np.array(numbers)
+    i = next(i for i, v in enumerate(value) if not math.isfinite(_float(v)))
+    raise InputError(f"{path}[{i}]: not a finite number")
 
 
 # -- problem -------------------------------------------------------------------
@@ -381,53 +379,37 @@ def load_trajectory(path: str) -> Trajectory:
 
 
 def _u_cells(cells: list, path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The left and right control values of the cell records."""
-    columns = _u_columns(cells)
-    return columns if columns is not None else _u_cells_by_record(cells, path)
-
-
-def _u_columns(cells: list) -> tuple[np.ndarray, np.ndarray] | None:
-    """The cell records read as a left and a right column, each taking
-    ``value`` where a record has it; None if they are not that regular."""
+    """The left and right control values of the cell records: a cell's
+    ``value`` where it has one, else its ``left`` and ``right``."""
     left, right = [], []
-    try:
-        # a constant cell holds just "value", any other just "left" and "right"
-        for cell in cells:
-            if type(cell) is not dict:
-                return None
-            if len(cell) == 1:
-                value = cell["value"]
-                left.append(value)
-                right.append(value)
-            elif len(cell) == 2:
-                left.append(cell["left"])
-                right.append(cell["right"])
-            else:
-                return None
-    except KeyError:
-        return None
+    for cell in cells:
+        if not isinstance(cell, dict):
+            _locate_cell_fault(cells, path)
+        if "value" in cell:
+            left.append(cell["value"])
+            right.append(cell["value"])
+        else:
+            left.append(cell.get("left"))
+            right.append(cell.get("right"))
     u_left, u_right = _columns(left, 2), _columns(right, 2)
     if u_left is None or u_right is None or u_left.shape != u_right.shape:
-        return None
+        _locate_cell_fault(cells, path)
     return u_left, u_right
 
 
-def _u_cells_by_record(cells: list, path: str) -> tuple[np.ndarray, np.ndarray]:
-    u_left, u_right = [], []
+def _locate_cell_fault(cells: list, path: str) -> None:
+    """Raise the error of the first cell record, in file order, that the
+    columns refuse: every cell gives as many numbers as the first."""
     m = None
     for i, cell in enumerate(cells):
         where = f"{path}[{i}]"
         if not isinstance(cell, dict):
             raise InputError(f"{where}: expected an object")
         if "value" in cell:
-            left = right = _vector(cell["value"], m, f"{where}.value")
+            m = _vector(cell["value"], m, f"{where}.value").size
         else:
-            left = _vector(cell.get("left"), m, f"{where}.left")
-            right = _vector(cell.get("right"), left.size, f"{where}.right")
-        m = left.size
-        u_left.append(left)
-        u_right.append(right)
-    return np.vstack(u_left), np.vstack(u_right)
+            m = _vector(cell.get("left"), m, f"{where}.left").size
+            _vector(cell.get("right"), m, f"{where}.right")
 
 
 def save_trajectory(trajectory: Trajectory, path: str) -> None:
@@ -463,65 +445,59 @@ def save_trajectory(trajectory: Trajectory, path: str) -> None:
 
 
 def _directions(records: list, key: str, size: int, path: str) -> Directions:
-    """The direction records of s, each with an index ``key`` below
-    ``size``."""
-    columns = _direction_columns(records, key, size)
-    return columns if columns is not None else _directions_by_record(records, key, size, path)
-
-
-def _direction_columns(records: list, key: str, size: int) -> Directions | None:
-    """The records read as an index column and a numbers column; None if
-    they are not that regular or an index is out of range or taken twice."""
+    """The direction records of s, each an index ``key`` below ``size`` and
+    exactly one of ``vector`` or ``weights``, whose numbers are zero-padded
+    to the longest record's."""
     if not records:
         return Directions.of({})
     index, weighted, numbers = [], [], []
-    try:
-        # an index and one of vector or weights, no other key
-        for rec in records:
-            if len(rec) != 2:
-                return None
-            weights = "weights" in rec
-            index.append(rec[key])
-            weighted.append(weights)
-            numbers.append(rec["weights" if weights else "vector"])
-    except (TypeError, KeyError):
-        return None
-    if set(map(type, index)) != {int}:  # ints, not bools
-        return None
-    index = np.array(index)
+    for rec in records:
+        if not isinstance(rec, dict) or ("vector" in rec) == ("weights" in rec):
+            _locate_direction_fault(records, key, size, path)
+        weights = "weights" in rec
+        index.append(rec.get(key))
+        weighted.append(weights)
+        numbers.append(rec["weights" if weights else "vector"])
     values = _columns(numbers, 2)
-    if index.dtype.kind != "i" or values is None:
-        return None
+    if values is not None:
+        sizes = np.full(len(numbers), values.shape[1])
+    else:  # rows of several lengths, zero-padded to the longest, or a fault
+        try:
+            sizes = np.array(list(map(len, numbers)))
+            width = sizes.max()
+            values = _columns([v + [0.0] * (width - len(v)) for v in numbers], 2)
+        except TypeError:  # numbers that are not lists
+            pass
+    # ints, not bools; beyond int64 the array is not of ints
+    index = np.array(index) if set(map(type, index)) == {int} else None
+    if values is None or index is None or index.dtype.kind != "i":
+        _locate_direction_fault(records, key, size, path)
     order = np.argsort(index, kind="stable")
     index = index[order]
     if index[0] < 0 or index[-1] >= size or (index[1:] == index[:-1]).any():
-        return None
+        _locate_direction_fault(records, key, size, path)
     return Directions(
         index=index,
         weighted=np.array(weighted)[order],
-        size=np.full(index.size, values.shape[1]),
+        size=sizes[order],
         values=values[order],
     )
 
 
-def _directions_by_record(records: list, key: str, size: int, path: str) -> Directions:
-    out: dict[int, SupportDirection] = {}
+def _locate_direction_fault(records: list, key: str, size: int, path: str) -> None:
+    """Raise the error of the first direction record, in file order, that
+    the columns refuse."""
+    taken = set()
     for i, rec in enumerate(records):
         where = f"{path}[{i}]"
-        k = _index(rec, key, size, out, where)
-        out[k] = _load_direction(rec, where)
-    return Directions.of(out)
+        taken.add(_index(rec, key, size, taken, where))
+        if ("vector" in rec) == ("weights" in rec):
+            raise InputError(f"{where}: give exactly one of vector or weights")
+        kind = "weights" if "weights" in rec else "vector"
+        _vector(rec[kind], None, f"{where}.{kind}")
 
 
-def _load_direction(rec: dict, where: str) -> SupportDirection:
-    if ("vector" in rec) == ("weights" in rec):
-        raise InputError(f"{where}: give exactly one of vector or weights")
-    if "vector" in rec:
-        return SupportDirection(vector=_vector(rec["vector"], None, f"{where}.vector"))
-    return SupportDirection(weights=_vector(rec["weights"], None, f"{where}.weights"))
-
-
-def _index(rec: dict, key: str, size: int, taken: dict, where: str) -> int:
+def _index(rec: dict, key: str, size: int, taken: dict | set, where: str) -> int:
     """The integer field ``key`` of one record of a list: a node or cell
     index below ``size`` that no earlier record of the list has taken."""
     if not isinstance(rec, dict):
@@ -628,23 +604,19 @@ def load_cone_family(path: str) -> list[cones_mod.PolyCone]:
     doc = _load_json(path)
     _check_version(doc, path)
     dim = _field(doc, "dim", int, path)
+    if dim < 1:
+        raise InputError(f"{path}.dim: must be >= 1")
     out = []
     for i, rec in enumerate(_field(doc, "cones", list, path)):
         where = f"{path}.cones[{i}]"
         if not isinstance(rec, dict):
             raise InputError(f"{where}: expected an object")
-        gens_rows = _field(rec, "generators", list, where)
-        gens = np.vstack(
-            [
-                _vector(row, dim, f"{where}.generators[{j}]")
-                for j, row in enumerate(gens_rows)
-            ]
-        )
+        gens = _field(rec, "generators", list, where)
         x0 = rec.get("x0")
         out.append(
             cones_mod.PolyCone(
-                generators=gens,
-                open=bool(rec.get("open", True)),
+                generators=_matrix(gens, f"{where}.generators", dim),
+                open=_field(rec, "open", bool, where) if "open" in rec else True,
                 x0=None if x0 is None else _vector(x0, dim, f"{where}.x0"),
             )
         )

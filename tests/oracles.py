@@ -5,11 +5,12 @@ are checked by central differences of the evaluator, hull distances by
 exhaustive simplex-grid and face enumeration, the weights of Wolfe's start
 corral by a dense inverse, cone intersections by rejection sampling and by
 the primal margin LP in the unit box, small linear programs by enumerating
-their bases, the simplex start basis by a search in two passes, cumulative
-functions of measures by a loop over the nodes, the recovery program by a
-loop over the cells, the problem data one point at a time by the scalar
-evaluator, the closure in measure of the control node by node from its
-definition, and expected fixture values by closed forms written out by hand.
+their bases, cumulative functions of measures by a loop over the nodes, the
+control cells and direction records of a file record by record, the
+recovery program by a loop over the cells, the problem data one point at a
+time by the scalar evaluator, the closure in measure of the control node by
+node from its definition, and expected fixture values by closed forms
+written out by hand.
 The tests build costates with ``cumulative``, which runs
 ``measures.running_sum``; the node loop checks it bit for bit.
 """
@@ -23,7 +24,8 @@ import numpy as np
 
 from lmpkit import expr, geometry, lp
 from lmpkit.errors import InputError, LmpkitError, NumericalError
-from lmpkit.lmp import CheckConfig, MultiplierSet, SupportDirection
+from lmpkit.io import _index, _vector
+from lmpkit.lmp import CheckConfig, Directions, MultiplierSet, SupportDirection
 from lmpkit.measures import BVFunction, SignedMeasure, running_sum
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory
 from lmpkit.recovery import RecoveryConfig, _slack_threshold
@@ -370,6 +372,44 @@ def cumulative_by_loop(dmu: SignedMeasure, base=None) -> BVFunction:
         values[k + 1] = right + dmu.density[k] * dmu.grid.widths[k]
     atoms = {k: w.copy() for k, w in dmu.atoms.items() if np.any(w != 0.0)}
     return BVFunction(grid=dmu.grid, values=values, atoms=atoms)
+
+
+# -- file lists, record by record ------------------------------------------------
+
+
+def u_cells_by_record(cells: list, path: str) -> tuple[np.ndarray, np.ndarray]:
+    u_left, u_right = [], []
+    m = None
+    for i, cell in enumerate(cells):
+        where = f"{path}[{i}]"
+        if not isinstance(cell, dict):
+            raise InputError(f"{where}: expected an object")
+        if "value" in cell:
+            left = right = _vector(cell["value"], m, f"{where}.value")
+        else:
+            left = _vector(cell.get("left"), m, f"{where}.left")
+            right = _vector(cell.get("right"), left.size, f"{where}.right")
+        m = left.size
+        u_left.append(left)
+        u_right.append(right)
+    return np.vstack(u_left), np.vstack(u_right)
+
+
+def directions_by_record(records: list, key: str, size: int, path: str) -> Directions:
+    out: dict[int, SupportDirection] = {}
+    for i, rec in enumerate(records):
+        where = f"{path}[{i}]"
+        k = _index(rec, key, size, out, where)
+        out[k] = _load_direction(rec, where)
+    return Directions.of(out)
+
+
+def _load_direction(rec: dict, where: str) -> SupportDirection:
+    if ("vector" in rec) == ("weights" in rec):
+        raise InputError(f"{where}: give exactly one of vector or weights")
+    if "vector" in rec:
+        return SupportDirection(vector=_vector(rec["vector"], None, f"{where}.vector"))
+    return SupportDirection(weights=_vector(rec["weights"], None, f"{where}.weights"))
 
 
 # -- the recovery program, cell by cell ------------------------------------------

@@ -289,3 +289,19 @@ def test_evaluate_many_names_first_bad_sample(source, bad, reason):
     binding = {name: float(column[3]) for name, column in columns.items()}
     with pytest.raises(EvalError, match=reason):
         expr.evaluate(e, binding)
+
+
+def test_constants_inside_an_entry_broadcast():
+    """A constant inside a compound entry evaluates to one numpy scalar: the
+    table keeps its (size, k) shape, a constant divisor of zero fails at
+    sample 0, and a table over no samples fails nowhere."""
+    columns = {"x1": np.linspace(1.0, 2.0, 5)}
+    table = tuple(map(expr.parse, ("x1 + 2*3", "-(2)", "2*3")))
+    values = expr.evaluate_table(table, columns, 5)
+    assert values.shape == (5, 3)
+    assert values.tolist() == [[x + 6.0, -2.0, 6.0] for x in columns["x1"].tolist()]
+    with pytest.raises(EvalError) as info:
+        expr.evaluate_table((expr.parse("x1"), expr.parse("x1/0")), columns, 5)
+    assert (info.value.sample, info.value.reason) == (0, "division by zero")
+    empty = expr.evaluate_table((expr.parse("x1 + log(0)"),), {"x1": np.empty(0)}, 0)
+    assert empty.shape == (0, 1)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lmpkit import io
 from lmpkit.errors import InputError
 from lmpkit.problem import builtin_example
+from oracles import directions_by_record, u_cells_by_record
 
 
 @pytest.fixture()
@@ -154,6 +155,60 @@ def test_non_finite_cone_generator_names_its_entry(tmp_path):
         io.load_cone_family(str(path))
 
 
+def _cones(edit):
+    """The two-cone family of a closed and an open half-plane, edited."""
+    doc = {"format_version": 1, "dim": 2, "cones": [
+        {"generators": [[1.0, 0.0], [1.0, 1.0]], "open": False},
+        {"generators": [[-1.0, 0.0]], "open": True, "x0": [-1.0, 0.0]},
+    ]}
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_cones(lambda doc: doc["cones"][1].update(generators=[])),
+     "degenerate input: a cone has no generators"),
+    (_cones(lambda doc: [cone.update(generators=[]) for cone in doc["cones"]]),
+     "degenerate input: a cone has no generators"),
+    (_cones(lambda doc: doc["cones"][0].update(open="no")), r"\.cones\[0\]\.open: expected bool"),
+    (_cones(lambda doc: doc["cones"][1].update(open=1)), r"\.cones\[1\]\.open: expected bool"),
+    (_cones(lambda doc: doc["cones"][0].update(generators={"0": [1.0, 0.0]})),
+     r"\.cones\[0\]\.generators: expected list"),
+    (_cones(lambda doc: doc["cones"][1].update(x0=[-1.0])),
+     r"\.cones\[1\]\.x0: expected 2 numbers, got 1"),
+    (_cones(lambda doc: doc["cones"][0]["generators"][1].__setitem__(0, float("inf"))),
+     r"\.cones\[0\]\.generators\[1\]\[0\]: not a finite number"),
+    (_cones(lambda doc: doc["cones"][0]["generators"].append([1.0])),
+     r"\.cones\[0\]\.generators\[2\]: expected 2 numbers, got 1"),
+    (_cones(lambda doc: doc.update(dim=0)), r"\.dim: must be >= 1"),
+], ids=["no-generators", "none-with-generators", "open-string", "open-int",
+        "generators-object", "short-x0", "infinite-entry", "short-row", "dim-0"])
+def test_malformed_cone_files_are_input_errors(tmp_path, capsys, doc, message):
+    """`lmpkit cones FILE` exits 2 on a malformed family, with a message and
+    no traceback."""
+    from lmpkit.cli import main
+
+    path = tmp_path / "cones.json"
+    path.write_text(json.dumps(doc))
+    assert main(["cones", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: .*{message}\n", captured.err), captured.err
+
+
+def test_cone_family_reads_generators_as_matrices(tmp_path):
+    """Each cone's generators are one (rows, dim) array, none gives (0, dim),
+    and a cone without ``open`` is open."""
+    doc = _cones(lambda doc: doc["cones"][1].pop("open"))
+    doc["cones"].append({"generators": [], "open": True})
+    path = tmp_path / "cones.json"
+    path.write_text(json.dumps(doc))
+    family = io.load_cone_family(str(path))
+    assert [c.generators.shape for c in family] == [(2, 2), (1, 2), (0, 2)]
+    assert family[0].generators.tolist() == [[1.0, 0.0], [1.0, 1.0]]
+    assert [c.open for c in family] == [False, True, True]
+
+
 def test_check_refuses_a_nan_multiplier(ex2_files, capsys):
     from lmpkit.cli import main
 
@@ -274,12 +329,12 @@ def test_boolean_size_or_version_is_refused(tmp_path, kind, key, message):
         load(path)
 
 
-# -- the column read and the record-by-record read -------------------------------
+# -- the column read against the record-by-record read -------------------------
 
 
 def test_saved_files_are_read_by_columns(tmp_path, monkeypatch):
-    """The files lmpkit writes, indented or compact, never need the
-    record-by-record reader, whether they give s as vectors or as weights."""
+    """The files lmpkit writes, indented or compact, never enter the
+    locators of a bad record, whether they give s as vectors or as weights."""
     from dataclasses import replace
 
     from lmpkit.lmp import SupportDirection
@@ -300,10 +355,10 @@ def test_saved_files_are_read_by_columns(tmp_path, monkeypatch):
         io.save_certificate(certificate, str(tmp_path / f"{name}.json"))
 
     def refuse(*args):
-        raise AssertionError("read record by record")
+        raise AssertionError("a locator ran")
 
-    monkeypatch.setattr(io, "_u_cells_by_record", refuse)
-    monkeypatch.setattr(io, "_directions_by_record", refuse)
+    monkeypatch.setattr(io, "_locate_cell_fault", refuse)
+    monkeypatch.setattr(io, "_locate_direction_fault", refuse)
     for compact in (False, True):
         if compact:  # as json.dump writes without indent
             for path in tmp_path.glob("*.json"):
@@ -441,7 +496,7 @@ def _same_bits(a, b):
 @settings(max_examples=400, deadline=None)
 def test_u_cells_read_as_record_by_record(cells):
     got = _outcome(io._u_cells, cells, "t.u_cells")
-    want = _outcome(io._u_cells_by_record, cells, "t.u_cells")
+    want = _outcome(u_cells_by_record, cells, "t.u_cells")
     if isinstance(want, str):
         assert got == want
     else:
@@ -454,7 +509,7 @@ def test_directions_read_as_record_by_record(drawn, random):
     records, key, size = drawn
     random.shuffle(records)
     got = _outcome(io._directions, records, key, size, "c.s.cells")
-    want = _outcome(io._directions_by_record, records, key, size, "c.s.cells")
+    want = _outcome(directions_by_record, records, key, size, "c.s.cells")
     if isinstance(want, str):
         assert got == want
     else:
