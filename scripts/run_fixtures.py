@@ -31,7 +31,7 @@ def run_atom_fixture(ncells: int) -> bool:
     print(f"\nrecovered in {elapsed:.2f}s, objective {result.objective:.2e}")
     print(
         "normalised proportions (cost weight : first atom : last atom) = "
-        f"{r.alpha0:.6f} : {r.eta.scalar_atom(0):.6f} : {r.eta.scalar_atom(N):.6f}"
+        f"{r.alpha0:.6f} : {r.eta.atoms[0, 0]:.6f} : {r.eta.atoms[N, 0]:.6f}"
     )
     report = cross_validate(problem, trajectory, r)
     print(f"independent check: {'pass' if report.overall_pass else 'FAIL'}\n")

@@ -8,7 +8,6 @@ from .lmp import (
     Directions,
     MultiplierSet,
     Report,
-    SupportDirection,
     check_certificate,
 )
 from .measures import BVFunction, SignedMeasure
@@ -31,7 +30,6 @@ __all__ = [
     "RecoveryConfig",
     "Report",
     "SignedMeasure",
-    "SupportDirection",
     "TimeGrid",
     "Trajectory",
     "build_program",

@@ -77,7 +77,11 @@ def _load_inputs(args):
 def cmd_check(args) -> int:
     problem, trajectory = _load_inputs(args)
     certificate = io.load_certificate(args.certificate, trajectory.grid)
-    report = check_certificate(problem, trajectory, certificate, _check_config(args))
+    config = _check_config(args)
+    try:
+        report = check_certificate(problem, trajectory, certificate, config)
+    except InputError as err:  # its one refusal: a costate of another width than n
+        raise InputError(f"{args.certificate}.p.values: {err}") from None
     _emit_report(report, args)
     return 0 if report.overall_pass else 1
 

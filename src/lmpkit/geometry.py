@@ -56,10 +56,6 @@ class JumpDirectionSet:
     t: float
     generators: tuple[np.ndarray, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.generators
-
 
 def contact_set(
     problem: ProblemDef,

@@ -449,7 +449,7 @@ def _directions(records: list, key: str, size: int, path: str) -> Directions:
     exactly one of ``vector`` or ``weights``, whose numbers are zero-padded
     to the longest record's."""
     if not records:
-        return Directions.of({})
+        return Directions()
     index, weighted, numbers = [], [], []
     for rec in records:
         if not isinstance(rec, dict) or ("vector" in rec) == ("weights" in rec):
@@ -490,16 +490,17 @@ def _locate_direction_fault(records: list, key: str, size: int, path: str) -> No
     taken = set()
     for i, rec in enumerate(records):
         where = f"{path}[{i}]"
-        taken.add(_index(rec, key, size, taken, where))
+        _index(rec, key, size, taken, where)
         if ("vector" in rec) == ("weights" in rec):
             raise InputError(f"{where}: give exactly one of vector or weights")
         kind = "weights" if "weights" in rec else "vector"
         _vector(rec[kind], None, f"{where}.{kind}")
 
 
-def _index(rec: dict, key: str, size: int, taken: dict | set, where: str) -> int:
+def _index(rec: dict, key: str, size: int, taken: set, where: str) -> int:
     """The integer field ``key`` of one record of a list: a node or cell
-    index below ``size`` that no earlier record of the list has taken."""
+    index below ``size`` that no earlier record of the list has taken,
+    added to ``taken``."""
     if not isinstance(rec, dict):
         raise InputError(f"{where}: expected an object")
     k = _field(rec, key, int, where)
@@ -507,6 +508,7 @@ def _index(rec: dict, key: str, size: int, taken: dict | set, where: str) -> int
         raise InputError(f"{where}.{key}: outside the grid")
     if k in taken:
         raise InputError(f"{where}.{key}: duplicate {key} {k}")
+    taken.add(k)
     return k
 
 
@@ -518,13 +520,13 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
     alpha0 = _field(doc, "alpha0", float, path)
     lam = _vector(_field(doc, "lambda", list, path), N, f"{path}.lambda")
     eta_doc = _field(doc, "eta", dict, path)
-    atoms = {}
+    atoms, taken = np.zeros(N + 1), set()
     for i, rec in enumerate(_optional(eta_doc, "atoms", list, f"{path}.eta")):
         where = f"{path}.eta.atoms[{i}]"
-        node = _index(rec, "node", N + 1, atoms, where)
+        node = _index(rec, "node", N + 1, taken, where)
         atoms[node] = _field(rec, "weight", float, where)
     density = _vector(eta_doc.get("density", [0.0] * N), N, f"{path}.eta.density")
-    eta = SignedMeasure.scalar(grid, atoms=atoms, density=density)
+    eta = SignedMeasure(grid, atoms=atoms, density=density)
     s_doc = _optional(doc, "s", dict, path)
     s_atoms = _directions(
         _optional(s_doc, "atoms", list, f"{path}.s"), "node", N + 1, f"{path}.s.atoms"
@@ -545,10 +547,10 @@ def load_certificate(path: str, grid: TimeGrid) -> MultiplierSet:
         raise InputError(
             f"{path}.p.exterior_left: must equal values[0] (left-continuity)"
         )
-    p_atoms = {}
+    p_atoms, taken = np.zeros((N + 1, dim)), set()
     for i, rec in enumerate(_optional(p_doc, "atoms", list, f"{path}.p")):
         where = f"{path}.p.atoms[{i}]"
-        node = _index(rec, "node", N + 1, p_atoms, where)
+        node = _index(rec, "node", N + 1, taken, where)
         p_atoms[node] = _vector(rec.get("jump"), dim, f"{where}.jump")
     p = BVFunction(grid=grid, values=values, atoms=p_atoms)
     return MultiplierSet(
@@ -568,16 +570,20 @@ def _direction_docs(directions: Directions, key: str) -> list[dict]:
     ]
 
 
+def _atom_docs(atoms: np.ndarray, key: str) -> list[dict]:
+    """The nonzero entries of ``atoms``, a number or a row per node, in node
+    order, each as a record of its node and, under ``key``, the entry."""
+    nodes = np.flatnonzero(np.any(atoms.reshape(len(atoms), -1) != 0.0, axis=1))
+    return [{"node": k, key: v} for k, v in zip(nodes.tolist(), atoms[nodes].tolist())]
+
+
 def save_certificate(ms: MultiplierSet, path: str) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "alpha0": float(ms.alpha0),
         "lambda": ms.lam.tolist(),
         "eta": {
-            "atoms": [
-                {"node": int(k), "weight": ms.eta.scalar_atom(k)}
-                for k in sorted(ms.eta.atoms)
-            ],
+            "atoms": _atom_docs(ms.eta.atoms[:, 0], "weight"),
             "density": ms.eta.density[:, 0].tolist(),
         },
         "s": {
@@ -587,10 +593,7 @@ def save_certificate(ms: MultiplierSet, path: str) -> None:
         "p": {
             "exterior_left": ms.p.exterior_left.tolist(),
             "values": ms.p.values.tolist(),
-            "atoms": [
-                {"node": int(k), "jump": ms.p.jump(k).tolist()}
-                for k in sorted(ms.p.atoms)
-            ],
+            "atoms": _atom_docs(ms.p.atoms, "jump"),
         },
     }
     dump_json(doc, path)

@@ -16,6 +16,11 @@ one residual per condition:
 * the endpoint transversality relations;
 * stationarity of the control Hamiltonian.
 
+A certificate is held in arrays only: the atoms of d-eta and the jumps of
+p are rows, one per node and zero where there is none, and s is a
+:class:`Directions` record of index, flag, size and value arrays, one entry
+per atom or density cell it covers.
+
 Certificates are accepted up to positive scaling; normalisation is reported,
 never required.  Checks are independent and pure; the report is assembled by
 a single aggregator that never aborts on a failing sub-check.
@@ -24,9 +29,7 @@ a single aggregator that never aborts on a failing sub-check.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .problem import ProblemDef, Trajectory, dynamics_defect
 from .samples import Samples
 
 __all__ = [
-    "SupportDirection",
     "Directions",
     "MultiplierSet",
     "CheckConfig",
@@ -56,47 +58,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SupportDirection:
-    """Direction assignment on one support element of the singular measure:
-    either an explicit costate-space row vector, or convex weights over the
-    local jump-direction generators."""
-
-    vector: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.vector is None) == (self.weights is None):
-            raise InputError("give exactly one of vector or weights")
-        if self.vector is not None:
-            object.__setattr__(
-                self, "vector", np.asarray(self.vector, dtype=float).reshape(-1)
-            )
-        else:
-            object.__setattr__(
-                self, "weights", np.asarray(self.weights, dtype=float).reshape(-1)
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class Directions(Mapping):
+class Directions:
     """The directions of s on the atoms or on the density cells of d-eta,
-    held as arrays, one row per record.
+    one row per record; none by default.
 
     ``index`` holds the node or cell numbers, strictly increasing;
-    ``weighted`` whether a record gives weights (else a vector); ``size``
-    how many numbers it gives; ``values`` the numbers, one row per record,
-    zero-padded to a common width.  Records whose size does not fit their
-    element are held as given; the checker rejects them.
-
-    It is also a read-only ``Mapping[int, SupportDirection]`` whose records
-    are built on demand.  The field ``values`` shadows the Mapping method of
-    that name; use ``items()`` for the records.
+    ``weighted`` whether a record gives weights over the local jump-direction
+    generators (else a costate-space row vector); ``size`` how many numbers
+    it gives; ``values`` the numbers, one row per record, zero-padded to a
+    common width.  Records whose size does not fit their element are held
+    as given; the checker rejects them.
     """
 
-    index: np.ndarray
-    weighted: np.ndarray
-    size: np.ndarray
-    values: np.ndarray = field()  # not a bare annotation: Mapping.values would be its default
+    index: np.ndarray = ()
+    weighted: np.ndarray = ()
+    size: np.ndarray = ()
+    values: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def __post_init__(self):
         index = np.asarray(self.index, dtype=np.intp).reshape(-1)
@@ -114,39 +91,11 @@ class Directions(Mapping):
             raise InputError("direction sizes must fit the value rows")
 
     @classmethod
-    def of(cls, records: Mapping[int, SupportDirection]) -> "Directions":
-        """The arrays of a mapping from node or cell number to its record."""
-        if isinstance(records, Directions):
-            return records
-        keys = sorted(records)
-        weighted = [records[k].weights is not None for k in keys]
-        numbers = [
-            records[k].weights if w else records[k].vector for k, w in zip(keys, weighted)
-        ]
-        size = np.array([v.size for v in numbers], dtype=np.intp)
-        values = np.zeros((len(keys), int(size.max(initial=0))))
-        for row, v in zip(values, numbers):
-            row[: v.size] = v
-        return cls(index=keys, weighted=weighted, size=size, values=values)
-
-    def __getitem__(self, key) -> SupportDirection:
-        try:
-            k = operator.index(key)
-        except TypeError:
-            raise KeyError(key) from None
-        i = int(np.searchsorted(self.index, k))
-        if i == self.index.size or self.index[i] != k:
-            raise KeyError(key)
-        numbers = self.values[i, : self.size[i]].copy()
-        if self.weighted[i]:
-            return SupportDirection(weights=numbers)
-        return SupportDirection(vector=numbers)
-
-    def __iter__(self):
-        return iter(self.index.tolist())
-
-    def __len__(self) -> int:
-        return self.index.size
+    def vectors(cls, index, rows) -> "Directions":
+        """The records giving row ``rows[i]`` as the vector at ``index[i]``."""
+        rows = np.asarray(rows, dtype=float)
+        count = len(rows)
+        return cls(index, np.zeros(count, dtype=bool), np.full(count, rows.shape[1]), rows)
 
 
 @dataclass(frozen=True)
@@ -155,17 +104,16 @@ class MultiplierSet:
 
     ``lam`` is the per-cell density of the integrable multiplier; ``eta``
     is a scalar measure flagged nonnegative whose support should lie in the
-    contact set; ``s_atoms``/``s_cells`` assign directions on its atoms and
-    density cells (given as any mapping from node or cell number to
-    :class:`SupportDirection`, held as :class:`Directions`); ``p`` is the
-    row-vector costate of bounded variation.
+    contact set, its atoms one row per node; ``s_atoms``/``s_cells`` are the
+    :class:`Directions` of s on its atoms and density cells; ``p`` is the
+    row-vector costate of bounded variation, its jumps one row per node.
     """
 
     alpha0: float
     lam: np.ndarray
     eta: SignedMeasure
-    s_atoms: Directions = field(default_factory=dict)
-    s_cells: Directions = field(default_factory=dict)
+    s_atoms: Directions = field(default_factory=Directions)
+    s_cells: Directions = field(default_factory=Directions)
     p: BVFunction | None = None
 
     def __post_init__(self):
@@ -176,8 +124,6 @@ class MultiplierSet:
             raise InputError("lambda must have one value per grid cell")
         if self.p is None:
             raise InputError("a costate function p is required")
-        object.__setattr__(self, "s_atoms", Directions.of(self.s_atoms))
-        object.__setattr__(self, "s_cells", Directions.of(self.s_cells))
 
     @property
     def grid(self):
@@ -192,18 +138,6 @@ class MultiplierSet:
     def nu(self) -> float:
         """The nontriviality functional alpha0 + |lambda|_1 + eta mass."""
         return float(self.alpha0) + self.lambda_l1() + self.eta_mass()
-
-    def scaled(self, c: float) -> "MultiplierSet":
-        """Positive rescaling; directions are scale-free and stay put."""
-        if c <= 0:
-            raise InputError("certificates may only be scaled by c > 0")
-        p = BVFunction(
-            grid=self.p.grid,
-            values=c * self.p.values,
-            atoms={k: c * v for k, v in self.p.atoms.items()},
-        )
-        return replace(self, alpha0=c * self.alpha0, lam=c * self.lam,
-                       eta=self.eta.scaled(c), p=p)
 
 
 @dataclass(frozen=True)
@@ -337,10 +271,10 @@ def check_signs_slackness(
             tol,
         ),
     ]
-    density = ms.eta.density[:, 0]
-    neg_mass = sum(
-        max(0.0, -ms.eta.scalar_atom(k)) for k in ms.eta.atoms
-    ) + float(np.sum(np.maximum(0.0, -density) * grid.widths))
+    atoms, density = ms.eta.atoms[:, 0], ms.eta.density[:, 0]
+    neg_mass = float(np.sum(np.maximum(0.0, -atoms))) + float(
+        np.sum(np.maximum(0.0, -density) * grid.widths)
+    )
     entries.append(Entry("eta_sign", neg_mass, tol))
 
     slack = float(
@@ -354,11 +288,10 @@ def check_signs_slackness(
     entries.append(Entry("slackness", slack, tol))
 
     contact = samples.contact_set(config.delta, config.eps)
-    outside = sum(
-        abs(ms.eta.scalar_atom(k)) for k in ms.eta.atoms if not contact.flags[k]
-    )
     off = (density != 0.0) & ~contact.cell_flags
-    outside += float(np.sum(np.abs(density[off]) * grid.widths[off]))
+    outside = float(np.sum(np.abs(atoms[~contact.flags]))) + float(
+        np.sum(np.abs(density[off]) * grid.widths[off])
+    )
     entries.append(Entry("eta_outside_contact", outside, tol))
     return entries
 
@@ -431,7 +364,7 @@ def _support_directions(
     unless ``resolve_bare`` is set; then weights there raise too.
     """
     delta, eps = config.delta, config.eps
-    atoms = ms.eta.dense_atoms()[:, 0]
+    atoms = ms.eta.atoms[:, 0]
     nodes = np.flatnonzero(atoms)
     cells = np.flatnonzero(ms.eta.density[:, 0] != 0.0)
     natoms = nodes.size
@@ -537,9 +470,10 @@ def _direction_measure(
     sup = _support_directions(ms, problem.n, samples, config, resolve_bare=True)
     sdeta = sup.rows * sup.value[:, None]
     k = sup.natoms
+    atoms = np.zeros((ms.grid.ncells + 1, problem.n))
+    atoms[sup.index[:k]] = sdeta[:k]
     density = np.zeros((ms.grid.ncells, problem.n))
     density[sup.index[k:]] = sdeta[k:]
-    atoms = dict(zip(sup.index[:k].tolist(), sdeta[:k]))
     return SignedMeasure(grid=ms.grid, dim=problem.n, atoms=atoms, density=density)
 
 
@@ -599,7 +533,7 @@ def _adjoint_profile(
         a_left,
         a_right,
         grid.widths,
-        sdeta.dense_atoms(),
+        sdeta.atoms,
         sdeta.density * grid.widths[:, None],
     )
     return rows, scale
@@ -694,8 +628,13 @@ def check_certificate(
     the rest.  Diagnostics carry the dynamics defect (informational, not a
     gate), the nontriviality value, and the convention-sensitive nodes:
     atoms of d-eta at declared control jumps whose two sides differ, where
-    the integrand side at the atom is a convention.
+    the integrand side at the atom is a convention.  A costate whose width
+    is not the problem's n is refused before any sub-check runs.
     """
+    if ms.p.dim != problem.n:
+        raise InputError(
+            f"the costate p has width {ms.p.dim}, but the problem has n = {problem.n}"
+        )
     samples = samples or Samples(problem, trajectory)
     entries: list[Entry] = []
     try:
@@ -726,7 +665,7 @@ def check_certificate(
         diagnostics["dynamics_defect_max"] = float(np.max(np.abs(defect)))
     except (EvalError, InputError) as err:
         diagnostics["dynamics_defect_max"] = f"error: {err}"
-    nodes = np.flatnonzero(ms.eta.dense_atoms()[:, 0])
+    nodes = np.flatnonzero(ms.eta.atoms[:, 0])
     diagnostics["convention_sensitive_nodes"] = nodes[np.isin(nodes, samples.two_sided)].tolist()
     diagnostics["nu"] = ms.nu()
     try:
@@ -769,11 +708,7 @@ def merge_state_constraint(
         raise InputError("G depends on the control; the merged form needs G(x,u)=g(x)")
     samples = samples or Samples(problem, trajectory)
     grid = ms.grid
-    merged = SignedMeasure.scalar(
-        grid,
-        atoms={k: ms.eta.scalar_atom(k) for k in ms.eta.atoms},
-        density=ms.lam + ms.eta.density[:, 0],
-    )
+    merged = SignedMeasure(grid, atoms=ms.eta.atoms, density=ms.lam + ms.eta.density[:, 0])
     left, right = samples.left, samples.right
     gprime = samples.at_nodes(left.G_x, right.G_x)
     gvals = samples.at_nodes(left.G, right.G)
@@ -784,14 +719,12 @@ def merge_state_constraint(
         _costate_times(p.values[:-1], left.f_x),
         _costate_times(p.values[1:], right.f_x),
         grid.widths,
-        merged.dense_atoms() * gprime,
+        merged.atoms * gprime,
         (merged.density[:, 0] * grid.widths)[:, None] * (0.5 * (gprime[:-1] + gprime[1:])),
     )
     worst = float(np.max(np.abs(rows)))
 
-    slack = sum(
-        abs(gvals[k]) * abs(merged.scalar_atom(k)) for k in merged.atoms
-    )
+    slack = float(np.sum(np.abs(gvals) * np.abs(merged.atoms[:, 0])))
     slack += float(
         np.sum(
             0.5 * (np.abs(gvals[:-1]) + np.abs(gvals[1:]))

@@ -2,11 +2,12 @@
 left-continuity and closed-interval endpoint conventions.
 
 A BV function stores node values that are its left limits (v(tau_k - 0) =
-v(tau_k) everywhere, so values[0] is also the exterior value v(t0-)), plus a
-sparse map of jumps; the exterior right value is v(tau_N) + jump(tau_N).
-A measure is a sparse map of node atoms plus a piecewise-constant density;
-its mass over node-aligned [a, b] includes the atoms at BOTH endpoints,
-matching the relation "integral of dp over [a,b] = p(b+0) - p(a-0)".
+v(tau_k) everywhere, so values[0] is also the exterior value v(t0-)), plus
+its jumps as rows, one per node, zero where it does not jump; the exterior
+right value is v(tau_N) + jump(tau_N).  A measure stores its node atoms the
+same way, one row per node, plus a piecewise-constant density; its mass
+over node-aligned [a, b] includes the atoms at BOTH endpoints, matching the
+relation "integral of dp over [a,b] = p(b+0) - p(a-0)".
 :func:`running_sum` adds node atoms and cell masses in node order, the
 order in which the checker accumulates the costate balance.
 
@@ -17,8 +18,7 @@ immutable and every operation here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +28,17 @@ from .problem import TimeGrid
 __all__ = ["BVFunction", "SignedMeasure", "running_sum"]
 
 
-def _as_row(value, dim: int) -> np.ndarray:
-    row = np.atleast_1d(np.asarray(value, dtype=float))
-    if row.shape != (dim,):
-        raise InputError(f"expected a value of dimension {dim}, got shape {row.shape}")
-    return row
-
-
-def _dense(atoms: Mapping[int, np.ndarray], shape: tuple[int, int]) -> np.ndarray:
-    """Sparse node rows as a dense array, zero rows elsewhere."""
-    out = np.zeros(shape)
-    for k, row in atoms.items():
-        out[k] = row
-    return out
+def _rows(value, shape: tuple[int, int], what: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, zeros where it is None; a
+    single column may be given as a flat array."""
+    if value is None:
+        return np.zeros(shape)
+    rows = np.asarray(value, dtype=float)
+    if rows.ndim == 1:
+        rows = rows.reshape(-1, 1)
+    if rows.shape != shape:
+        raise InputError(f"{what} must have shape {shape}, got {rows.shape}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -48,31 +46,23 @@ class BVFunction:
     """Left-continuous function of bounded variation with exterior values.
 
     ``values[k]`` is v(tau_k) = v(tau_k - 0); ``atoms[k]`` is the jump
-    v(tau_k + 0) - v(tau_k - 0).  Within a cell the absolutely continuous
-    part is the linear segment from the right limit at the left node to the
-    left limit at the right node.
+    v(tau_k + 0) - v(tau_k - 0), a zero row where v is continuous.  Within a
+    cell the absolutely continuous part is the linear segment from the right
+    limit at the left node to the left limit at the right node.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    atoms: Mapping[int, np.ndarray] = field(default_factory=dict)
+    atoms: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values.reshape(-1, 1)
-        object.__setattr__(self, "values", values)
-        nnodes = self.grid.ncells + 1
-        if values.shape[0] != nnodes:
+        if values.shape[0] != self.grid.ncells + 1:
             raise InputError("values must have one row per grid node")
-        dim = values.shape[1]
-        atoms = {}
-        for k, jump in dict(self.atoms).items():
-            k = int(k)
-            if not 0 <= k < nnodes:
-                raise InputError(f"atom node {k} outside the grid")
-            atoms[k] = _as_row(jump, dim)
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "atoms", _rows(self.atoms, values.shape, "atoms"))
 
     @property
     def dim(self) -> int:
@@ -85,84 +75,45 @@ class BVFunction:
 
     @property
     def exterior_right(self) -> np.ndarray:
-        return self.values[-1] + self.jump(self.grid.ncells)
-
-    def jump(self, k: int) -> np.ndarray:
-        return self.atoms.get(int(k), np.zeros(self.dim))
+        return self.values[-1] + self.atoms[-1]
 
     def right_limits(self) -> np.ndarray:
-        """The right limit ``v(t_k + 0) = values[k] + jump(k)`` at every node,
-        one row per node; ``values[k]`` is the left limit."""
-        return self.values + _dense(self.atoms, self.values.shape)
+        """The right limit ``v(t_k + 0) = values[k] + atoms[k]`` at every
+        node, one row per node; ``values[k]`` is the left limit."""
+        return self.values + self.atoms
 
 
 @dataclass(frozen=True)
 class SignedMeasure:
     """Measure on the grid: node atoms plus a cellwise-constant density.
 
+    ``atoms[k]`` is the atom at node k, a zero row where there is none;
     ``density[k]`` is the density value on cell k, so its mass contribution
-    is density[k] * h_k.  A nonnegative-flagged measure must have all atoms
-    and density values >= 0.
+    is density[k] * h_k.  A scalar measure (``dim`` 1) may be given flat
+    arrays.  A nonnegative-flagged measure must have all atoms and density
+    values >= 0.
     """
 
     grid: TimeGrid
-    dim: int
-    atoms: Mapping[int, np.ndarray] = field(default_factory=dict)
+    dim: int = 1
+    atoms: np.ndarray | None = None
     density: np.ndarray | None = None
     nonnegative: bool = False
 
     def __post_init__(self):
         ncells = self.grid.ncells
-        density = self.density
-        if density is None:
-            density = np.zeros((ncells, self.dim))
-        density = np.asarray(density, dtype=float)
-        if density.ndim == 1:
-            density = density.reshape(-1, 1)
-        if density.shape != (ncells, self.dim):
-            raise InputError(
-                f"density must have shape ({ncells}, {self.dim}), got {density.shape}"
-            )
-        object.__setattr__(self, "density", density)
-        atoms = {}
-        for k, weight in dict(self.atoms).items():
-            k = int(k)
-            if not 0 <= k <= ncells:
-                raise InputError(f"atom node {k} outside the grid")
-            atoms[k] = _as_row(weight, self.dim)
+        atoms = _rows(self.atoms, (ncells + 1, self.dim), "atoms")
+        density = _rows(self.density, (ncells, self.dim), "density")
         object.__setattr__(self, "atoms", atoms)
-        if self.nonnegative:
-            if any(np.any(w < 0) for w in atoms.values()) or np.any(density < 0):
-                raise InputError("measure flagged nonnegative has negative parts")
-
-    @classmethod
-    def scalar(
-        cls,
-        grid: TimeGrid,
-        atoms: Mapping[int, float] | None = None,
-        density: np.ndarray | None = None,
-        nonnegative: bool = False,
-    ) -> "SignedMeasure":
-        atom_map = {int(k): np.array([float(v)]) for k, v in (atoms or {}).items()}
-        dens = None if density is None else np.asarray(density, dtype=float).reshape(-1, 1)
-        return cls(grid=grid, dim=1, atoms=atom_map, density=dens, nonnegative=nonnegative)
-
-    def atom(self, k: int) -> np.ndarray:
-        return self.atoms.get(int(k), np.zeros(self.dim))
-
-    def scalar_atom(self, k: int) -> float:
-        return float(self.atom(k)[0])
-
-    def dense_atoms(self) -> np.ndarray:
-        """:meth:`atom` at every node, one row per node."""
-        return _dense(self.atoms, (self.grid.ncells + 1, self.dim))
+        object.__setattr__(self, "density", density)
+        if self.nonnegative and (np.any(atoms < 0) or np.any(density < 0)):
+            raise InputError("measure flagged nonnegative has negative parts")
 
     def mass(self, a: int = 0, b: int | None = None) -> np.ndarray:
         """Closed-interval mass over [tau_a, tau_b]: atoms at both ends included."""
         a, b = self._bounds(a, b)
-        atoms = self.dense_atoms()[a : b + 1]
         cells = self.density[a:b] * self.grid.widths[a:b, None]
-        return np.sum(atoms, axis=0) + np.sum(cells, axis=0)
+        return np.sum(self.atoms[a : b + 1], axis=0) + np.sum(cells, axis=0)
 
     def _bounds(self, a, b) -> tuple[int, int]:
         if b is None:
@@ -173,15 +124,6 @@ class SignedMeasure:
         if not 0 <= a <= b <= self.grid.ncells:
             raise InputError(f"misaligned or reversed bounds ({a}, {b})")
         return a, b
-
-    def scaled(self, c: float) -> "SignedMeasure":
-        return SignedMeasure(
-            grid=self.grid,
-            dim=self.dim,
-            atoms={k: c * w for k, w in self.atoms.items()},
-            density=c * self.density,
-            nonnegative=self.nonnegative and c >= 0,
-        )
 
 
 def running_sum(base, atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:

@@ -295,27 +295,17 @@ def _example_atom_measure(t0: float, t1: float, ncells: int):
         u_left=np.zeros((N, 1)),
         u_right=np.zeros((N, 1)),
     )
-    eta = measures.SignedMeasure.scalar(
-        grid, atoms={0: 1.0, N: 1.0}, nonnegative=True
-    )
-    direction = np.array([-1.0])
+    # unit atoms of eta at both ends, where p jumps by 1 and s = -1
+    atoms = np.zeros(N + 1)
+    atoms[[0, N]] = 1.0
     p_values = np.zeros((N + 1, 1))
     p_values[0, 0] = -1.0
-    p = measures.BVFunction(
-        grid=grid,
-        values=p_values,
-        atoms={0: np.array([1.0]), N: np.array([1.0])},
-    )
     multipliers = lmp.MultiplierSet(
         alpha0=1.0,
         lam=np.zeros(N),
-        eta=eta,
-        s_atoms={
-            0: lmp.SupportDirection(vector=direction),
-            N: lmp.SupportDirection(vector=direction),
-        },
-        s_cells={},
-        p=p,
+        eta=measures.SignedMeasure(grid, atoms=atoms, nonnegative=True),
+        s_atoms=lmp.Directions.vectors([0, N], [[-1.0], [-1.0]]),
+        p=measures.BVFunction(grid=grid, values=p_values, atoms=atoms),
     )
     return problem, trajectory, multipliers
 
@@ -382,13 +372,6 @@ def _example_arc_measure(
     on_contact = (u_nodes[:-1] == 0.0) & (u_nodes[1:] == 0.0)
     lam = np.where(on_contact, lam_share, 0.5)
     eta_density = np.where(on_contact, eta_share, 0.0)
-    eta = measures.SignedMeasure(
-        grid=grid,
-        dim=1,
-        atoms={},
-        density=eta_density.reshape(-1, 1),
-        nonnegative=True,
-    )
 
     def px_of(t: float) -> float:
         if t <= -b:
@@ -398,20 +381,13 @@ def _example_arc_measure(
         return 0.0
 
     p_values = np.column_stack([np.ones(N + 1), [px_of(t) for t in nodes]])
-    p = measures.BVFunction(grid=grid, values=p_values, atoms={})
-    direction = np.array([0.0, -1.0])
-    s_cells = {
-        k: lmp.SupportDirection(vector=direction)
-        for k in range(N)
-        if eta_density[k] != 0.0
-    }
+    cells = np.flatnonzero(eta_density)
     multipliers = lmp.MultiplierSet(
         alpha0=1.0,
         lam=lam,
-        eta=eta,
-        s_atoms={},
-        s_cells=s_cells,
-        p=p,
+        eta=measures.SignedMeasure(grid, density=eta_density, nonnegative=True),
+        s_cells=lmp.Directions.vectors(cells, np.tile([0.0, -1.0], (cells.size, 1))),
+        p=measures.BVFunction(grid=grid, values=p_values),
     )
     return problem, trajectory, multipliers
 

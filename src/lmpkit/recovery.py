@@ -334,21 +334,18 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
     lam = np.zeros(grid.ncells)
     lam[program.lam_cells] = theta[program.lam_cols] / grid.widths[program.lam_cells]
     atom_mass, s_atoms = _weights(theta, program.atom_nodes, program.atom_cols)
-    eta = SignedMeasure.scalar(
-        grid,
-        atoms=dict(zip(s_atoms.index.tolist(), atom_mass.tolist())),
-        nonnegative=True,
-    )
+    atoms = np.zeros(grid.ncells + 1)
+    atoms[s_atoms.index] = atom_mass
+    eta = SignedMeasure(grid, atoms=atoms, nonnegative=True)
     values = program.costate_left_limits(theta)
     # the costate jumps by -(s d-eta) at each contact node
     starts, _ = _groups(program.atom_nodes)
-    nodes = program.atom_nodes[starts]
-    jumps = np.zeros((0, program.problem.n))
-    if nodes.size:
-        jumps = -np.add.reduceat(theta[program.atom_cols, None] * program.atom_gens, starts)
-    nonzero = np.any(jumps != 0.0, axis=1)
-    p_atoms = dict(zip(nodes[nonzero].tolist(), jumps[nonzero]))
-    p = BVFunction(grid=grid, values=values, atoms=p_atoms)
+    jumps = np.zeros_like(values)
+    if starts.size:
+        jumps[program.atom_nodes[starts]] = -np.add.reduceat(
+            theta[program.atom_cols, None] * program.atom_gens, starts
+        )
+    p = BVFunction(grid=grid, values=values, atoms=jumps)
     return MultiplierSet(
         alpha0=float(theta[0]),
         lam=lam,

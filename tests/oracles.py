@@ -12,12 +12,15 @@ time by the scalar evaluator, the closure in measure of the control node by
 node from its definition, and expected fixture values by closed forms
 written out by hand.
 The tests build costates with ``cumulative``, which runs
-``measures.running_sum``; the node loop checks it bit for bit.
+``measures.running_sum``; the node loop checks it bit for bit.  They build
+certificates record by record (``Record``, ``directions_of``,
+``node_rows``), and ``scaled`` rescales one for the scale-invariance tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +28,7 @@ import numpy as np
 from lmpkit import expr, geometry, lp
 from lmpkit.errors import InputError, LmpkitError, NumericalError
 from lmpkit.io import _index, _vector
-from lmpkit.lmp import CheckConfig, Directions, MultiplierSet, SupportDirection
+from lmpkit.lmp import CheckConfig, Directions, MultiplierSet
 from lmpkit.measures import BVFunction, SignedMeasure, running_sum
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory
 from lmpkit.recovery import RecoveryConfig, _slack_threshold
@@ -343,6 +346,72 @@ def lp_by_basis_enumeration(c, A, b) -> tuple[str, float | None]:
     return "optimal", min(float(c @ x) for x in vertices)
 
 
+# -- certificates record by record ----------------------------------------------
+#
+# The library holds a certificate in arrays only: atoms as rows, one per
+# node, and s as a Directions record.  The tests build certificates, and the
+# reference checker reads them, one record at a time through these.
+
+
+@dataclass(frozen=True)
+class Record:
+    """One direction record of s: a costate-space row ``vector``, or convex
+    ``weights`` over the local jump-direction generators."""
+
+    vector: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.vector is None) == (self.weights is None):
+            raise InputError("give exactly one of vector or weights")
+        for name in ("vector", "weights"):
+            if getattr(self, name) is not None:
+                numbers = np.asarray(getattr(self, name), dtype=float).reshape(-1)
+                object.__setattr__(self, name, numbers)
+
+
+def directions_of(records: dict) -> Directions:
+    """The arrays of a mapping from node or cell number to its Record."""
+    keys = sorted(records)
+    weighted = [records[k].weights is not None for k in keys]
+    numbers = [records[k].weights if w else records[k].vector for k, w in zip(keys, weighted)]
+    size = np.array([v.size for v in numbers], dtype=np.intp)
+    values = np.zeros((len(keys), int(size.max(initial=0))))
+    for row, v in zip(values, numbers):
+        row[: v.size] = v
+    return Directions(index=keys, weighted=weighted, size=size, values=values)
+
+
+def records_of(directions: Directions) -> dict:
+    """The Record of each node or cell of ``directions``."""
+    out = {}
+    for i, k in enumerate(directions.index.tolist()):
+        numbers = directions.values[i, : directions.size[i]].copy()
+        out[k] = Record(weights=numbers) if directions.weighted[i] else Record(vector=numbers)
+    return out
+
+
+def node_rows(grid: TimeGrid, atoms: dict, dim: int = 1) -> np.ndarray:
+    """One row per node of ``grid``: ``atoms[k]`` at node k, zeros elsewhere."""
+    rows = np.zeros((grid.ncells + 1, dim))
+    for k, row in atoms.items():
+        rows[k] = row
+    return rows
+
+
+def scaled(ms: MultiplierSet, c: float) -> MultiplierSet:
+    """The certificate times c > 0; the directions are scale-free."""
+    assert c > 0
+    eta, p = ms.eta, ms.p
+    return replace(
+        ms,
+        alpha0=c * ms.alpha0,
+        lam=c * ms.lam,
+        eta=SignedMeasure(eta.grid, eta.dim, c * eta.atoms, c * eta.density, eta.nonnegative),
+        p=BVFunction(grid=p.grid, values=c * p.values, atoms=c * p.atoms),
+    )
+
+
 # -- cumulative function of a measure ------------------------------------------
 
 
@@ -355,9 +424,8 @@ def cumulative(dmu: SignedMeasure, base=None) -> BVFunction:
     """
     base = np.zeros(dmu.dim) if base is None else np.asarray(base, dtype=float)
     cells = dmu.density * dmu.grid.widths[:, None]
-    values = running_sum(base, dmu.dense_atoms(), cells)[0::2]
-    atoms = {k: w.copy() for k, w in dmu.atoms.items() if np.any(w != 0.0)}
-    return BVFunction(grid=dmu.grid, values=values, atoms=atoms)
+    values = running_sum(base, dmu.atoms, cells)[0::2]
+    return BVFunction(grid=dmu.grid, values=values, atoms=dmu.atoms.copy())
 
 
 def cumulative_by_loop(dmu: SignedMeasure, base=None) -> BVFunction:
@@ -368,10 +436,9 @@ def cumulative_by_loop(dmu: SignedMeasure, base=None) -> BVFunction:
     values = np.empty((dmu.grid.ncells + 1, dmu.dim))
     values[0] = base
     for k in range(dmu.grid.ncells):
-        right = values[k] + dmu.atom(k)
+        right = values[k] + dmu.atoms[k]
         values[k + 1] = right + dmu.density[k] * dmu.grid.widths[k]
-    atoms = {k: w.copy() for k, w in dmu.atoms.items() if np.any(w != 0.0)}
-    return BVFunction(grid=dmu.grid, values=values, atoms=atoms)
+    return BVFunction(grid=dmu.grid, values=values, atoms=dmu.atoms.copy())
 
 
 # -- file lists, record by record ------------------------------------------------
@@ -396,20 +463,21 @@ def u_cells_by_record(cells: list, path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def directions_by_record(records: list, key: str, size: int, path: str) -> Directions:
-    out: dict[int, SupportDirection] = {}
+    out: dict[int, Record] = {}
+    taken: set[int] = set()
     for i, rec in enumerate(records):
         where = f"{path}[{i}]"
-        k = _index(rec, key, size, out, where)
+        k = _index(rec, key, size, taken, where)
         out[k] = _load_direction(rec, where)
-    return Directions.of(out)
+    return directions_of(out)
 
 
-def _load_direction(rec: dict, where: str) -> SupportDirection:
+def _load_direction(rec: dict, where: str) -> Record:
     if ("vector" in rec) == ("weights" in rec):
         raise InputError(f"{where}: give exactly one of vector or weights")
     if "vector" in rec:
-        return SupportDirection(vector=_vector(rec["vector"], None, f"{where}.vector"))
-    return SupportDirection(weights=_vector(rec["weights"], None, f"{where}.weights"))
+        return Record(vector=_vector(rec["vector"], None, f"{where}.vector"))
+    return Record(weights=_vector(rec["weights"], None, f"{where}.weights"))
 
 
 # -- the recovery program, cell by cell ------------------------------------------
@@ -528,22 +596,23 @@ def encode_certificate_by_cells(program, ms) -> np.ndarray:
     mid_gens = Samples(program.problem, program.trajectory).mid.phase_gradients(
         program.config.delta, program.config.eps
     )
+    s_atoms, s_cells = records_of(ms.s_atoms), records_of(ms.s_cells)
     for k in range(grid.ncells):
         if ms.lam[k] != 0.0:
             theta[program.idx_lam[k]] = ms.lam[k] * grid.widths[k]
         e = float(ms.eta.density[k, 0])
         if e != 0.0:
-            weights = _weights_by_hull(ms.s_cells[k], mid_gens[k : k + 1])
+            weights = _weights_by_hull(s_cells[k], mid_gens[k : k + 1])
             theta[program.idx_lam[k]] += (e * grid.widths[k] * weights).item()
-    for k in ms.eta.atoms:
-        mass = ms.eta.scalar_atom(k)
+    for k in range(grid.ncells + 1):
+        mass = float(ms.eta.atoms[k, 0])
         if mass != 0.0:
-            weights = _weights_by_hull(ms.s_atoms[k], program.atom_gens[k])
+            weights = _weights_by_hull(s_atoms[k], program.atom_gens[k])
             theta[program.idx_atom[k]] = mass * weights
     return theta
 
 
-def _weights_by_hull(sd: SupportDirection, gens: np.ndarray) -> np.ndarray:
+def _weights_by_hull(sd: Record, gens: np.ndarray) -> np.ndarray:
     if sd.weights is not None:
         return sd.weights
     dist, weights = geometry.dist_to_convex_hull(sd.vector, gens)
@@ -620,21 +689,23 @@ def random_certificate(rng, problem, trajectory, config) -> MultiplierSet:
             weights = rng.dirichlet(np.ones(len(gens)))
             if rng.random() < 0.5:  # off the simplex: negative or unnormalised
                 weights = weights * rng.uniform(-0.5, 1.5) - rng.uniform(0.0, 0.2)
-            target[k] = SupportDirection(weights=weights)
+            target[k] = Record(weights=weights)
         elif gens and rng.random() < 0.5:
-            target[k] = SupportDirection(vector=rng.dirichlet(np.ones(len(gens))) @ np.array(gens))
+            target[k] = Record(vector=rng.dirichlet(np.ones(len(gens))) @ np.array(gens))
         else:
-            target[k] = SupportDirection(vector=rng.normal(size=n))
+            target[k] = Record(vector=rng.normal(size=n))
     if s_cells and rng.random() < 0.25:  # a missing direction makes two checks raise
         del s_cells[min(s_cells)]
     p_atoms = {k: rng.normal(size=n) for k in atoms}
     return MultiplierSet(
         alpha0=float(rng.uniform(-0.2, 1.0)),
         lam=np.where(rng.random(N) < 0.7, rng.uniform(0.0, 1.0, N), 0.0),
-        eta=SignedMeasure.scalar(grid, atoms=atoms, density=density),
-        s_atoms=s_atoms,
-        s_cells=s_cells,
-        p=BVFunction(grid=grid, values=rng.normal(size=(N + 1, n)), atoms=p_atoms),
+        eta=SignedMeasure(grid, atoms=node_rows(grid, atoms), density=density),
+        s_atoms=directions_of(s_atoms),
+        s_cells=directions_of(s_cells),
+        p=BVFunction(
+            grid=grid, values=rng.normal(size=(N + 1, n)), atoms=node_rows(grid, p_atoms, n)
+        ),
     )
 
 
@@ -749,8 +820,8 @@ def _ref_direction(sd, gens, n, where):
 
 
 def _ref_support(ms):
-    atoms = [(k, ms.eta.scalar_atom(k)) for k in sorted(ms.eta.atoms)
-             if ms.eta.scalar_atom(k) != 0.0]
+    atoms = [(k, float(ms.eta.atoms[k, 0]))
+             for k in range(ms.grid.ncells + 1) if ms.eta.atoms[k, 0] != 0.0]
     cells = [(k, float(ms.eta.density[k, 0] * ms.grid.widths[k]))
              for k in range(ms.grid.ncells) if ms.eta.density[k, 0] != 0.0]
     return atoms, cells
@@ -763,7 +834,7 @@ def _ref_signs_slackness(ms, problem, trajectory, config):
         ("alpha0_sign", max(0.0, -float(ms.alpha0)), tol),
         ("lambda_sign", float(np.max(np.maximum(0.0, -ms.lam), initial=0.0)), tol),
     ]
-    neg = sum(max(0.0, -ms.eta.scalar_atom(k)) for k in ms.eta.atoms)
+    neg = sum(max(0.0, -ms.eta.atoms[k, 0]) for k in range(grid.ncells + 1))
     for k in range(grid.ncells):
         neg += max(0.0, -ms.eta.density[k, 0]) * grid.widths[k]
     out.append(("eta_sign", neg, tol))
@@ -774,7 +845,7 @@ def _ref_signs_slackness(ms, problem, trajectory, config):
         slack += abs(ms.lam[k]) * 0.5 * (abs(gl) + abs(gr)) * grid.widths[k]
     out.append(("slackness", slack, tol))
     flags = reference_contact_flags(problem, trajectory, config.delta, config.eps)
-    outside = sum(abs(ms.eta.scalar_atom(k)) for k in ms.eta.atoms if not flags[k])
+    outside = sum(abs(ms.eta.atoms[k, 0]) for k in range(grid.ncells + 1) if not flags[k])
     for k in range(grid.ncells):
         if ms.eta.density[k, 0] != 0.0 and not (flags[k] and flags[k + 1]):
             outside += abs(ms.eta.density[k, 0]) * grid.widths[k]
@@ -785,10 +856,11 @@ def _ref_signs_slackness(ms, problem, trajectory, config):
 def _ref_jump_inclusion(ms, problem, trajectory, config):
     atoms, cells = _ref_support(ms)
     worst, outside = 0.0, 0.0
-    elements = [(mass, ms.s_atoms.get(k), f"node {k}",
+    s_atoms, s_cells = records_of(ms.s_atoms), records_of(ms.s_cells)
+    elements = [(mass, s_atoms.get(k), f"node {k}",
                  reference_node_generators(problem, trajectory, k, config.delta, config.eps))
                 for k, mass in atoms]
-    elements += [(mass, ms.s_cells.get(k), f"cell {k}",
+    elements += [(mass, s_cells.get(k), f"cell {k}",
                   reference_mid_generators(problem, trajectory, k, config.delta, config.eps))
                  for k, mass in cells]
     for mass, sd, where, gens in elements:
@@ -820,14 +892,15 @@ def hull_distance_exact(s, generators) -> float:
 def _ref_adjoint(ms, problem, trajectory, config):
     grid, p, n = ms.grid, ms.p, problem.n
     atoms, cells = _ref_support(ms)
+    s_atoms, s_cells = records_of(ms.s_atoms), records_of(ms.s_cells)
     s_atom = {}
     for k, mass in atoms:
         gens = reference_node_generators(problem, trajectory, k, config.delta, config.eps)
-        s_atom[k] = _ref_direction(ms.s_atoms.get(k), gens, n, f"node {k}") * mass
+        s_atom[k] = _ref_direction(s_atoms.get(k), gens, n, f"node {k}") * mass
     s_density = np.zeros((grid.ncells, n))
     for k, _ in cells:
         gens = reference_mid_generators(problem, trajectory, k, config.delta, config.eps)
-        shat = _ref_direction(ms.s_cells.get(k), gens, n, f"cell {k}")
+        shat = _ref_direction(s_cells.get(k), gens, n, f"cell {k}")
         s_density[k] = shat * ms.eta.density[k, 0]
     zero = np.zeros(n)
     smass = s_atom.get(0, zero).copy()

@@ -11,8 +11,8 @@ import pytest
 from lmpkit import expr, geometry
 from lmpkit.cones import approx_separate, intersection_nonempty, random_family
 from lmpkit.lmp import (
+    Directions,
     MultiplierSet,
-    SupportDirection,
     check_adjoint,
     check_certificate,
     merge_state_constraint,
@@ -28,6 +28,7 @@ from oracles import (
     fd_comparable_sample,
     hull_distance_bruteforce,
     laid_out_controls,
+    node_rows,
     random_trajectory,
 )
 
@@ -92,12 +93,9 @@ def test_criterion_3_recovery_atom_fixture():
     r = result.multipliers
     N = trajectory.grid.ncells
     lam_max = float(np.max(np.abs(r.lam)))
-    interior_mass = sum(
-        abs(r.eta.scalar_atom(k)) for k in r.eta.atoms if k not in (0, N)
-    ) + float(np.sum(np.abs(r.eta.density)))
-    end_gap = max(
-        abs(r.eta.scalar_atom(0) - r.alpha0), abs(r.eta.scalar_atom(N) - r.alpha0)
-    )
+    atoms = r.eta.atoms[:, 0]
+    interior_mass = float(np.sum(np.abs(atoms[1:N]))) + float(np.sum(np.abs(r.eta.density)))
+    end_gap = max(abs(atoms[0] - r.alpha0), abs(atoms[N] - r.alpha0))
     ok = (
         lam_max <= 1e-8
         and end_gap <= 1e-6
@@ -240,21 +238,17 @@ def test_criterion_9_state_constraint_reduction():
     )
     rng = np.random.default_rng(11)
     lam = rng.uniform(0.0, 1.0, 25)
-    eta = SignedMeasure.scalar(
-        grid, atoms={0: 0.4, 12: 0.7, 25: 0.1}, density=rng.uniform(0.0, 0.5, 25)
+    eta = SignedMeasure(
+        grid,
+        atoms=node_rows(grid, {0: 0.4, 12: 0.7, 25: 0.1}),
+        density=rng.uniform(0.0, 0.5, 25),
     )
-    gstate = {k: at_point(problem, problem.G_x, trajectory.x[k], np.zeros(1)) for k in range(26)}
-    s_atoms = {k: SupportDirection(vector=gstate[k]) for k in eta.atoms}
-    s_cells = {
-        k: SupportDirection(vector=0.5 * (gstate[k] + gstate[k + 1]))
-        for k in range(25)
-    }
-    sdeta = SignedMeasure(
-        grid=grid,
-        dim=1,
-        atoms={k: -eta.atom(k) for k in eta.atoms},
-        density=-eta.density,
+    gstate = [at_point(problem, problem.G_x, trajectory.x[k], np.zeros(1)) for k in range(26)]
+    s_atoms = Directions.vectors([0, 12, 25], [gstate[k] for k in (0, 12, 25)])
+    s_cells = Directions.vectors(
+        np.arange(25), [0.5 * (gstate[k] + gstate[k + 1]) for k in range(25)]
     )
+    sdeta = SignedMeasure(grid, atoms=-eta.atoms, density=-eta.density)
     p = cumulative(sdeta, base=np.array([0.25]))
     ms = MultiplierSet(
         alpha0=0.0, lam=lam, eta=eta, s_atoms=s_atoms, s_cells=s_cells, p=p
@@ -279,11 +273,7 @@ def test_criterion_10_negative_controls_fail_only_their_lines():
         alpha0=ms.alpha0,
         lam=ms.lam,
         eta=ms.eta,
-        s_atoms={
-            0: SupportDirection(vector=np.array([1.0])),
-            N: SupportDirection(vector=np.array([1.0])),
-        },
-        s_cells={},
+        s_atoms=Directions.vectors([0, N], [[1.0], [1.0]]),
         p=ms.p,
     )
     report_a = check_certificate(problem, trajectory, flipped)
@@ -294,9 +284,9 @@ def test_criterion_10_negative_controls_fail_only_their_lines():
 
     problem2, trajectory2, ms2 = builtin_example("ex2", ncells=400)
     arc_node = trajectory2.grid.node_index(0.75)
-    eta = SignedMeasure.scalar(
+    eta = SignedMeasure(
         trajectory2.grid,
-        atoms={arc_node: 0.2},
+        atoms=node_rows(trajectory2.grid, {arc_node: 0.2}),
         density=ms2.eta.density[:, 0],
         nonnegative=True,
     )
@@ -304,7 +294,7 @@ def test_criterion_10_negative_controls_fail_only_their_lines():
         alpha0=ms2.alpha0,
         lam=ms2.lam,
         eta=eta,
-        s_atoms={arc_node: SupportDirection(vector=np.zeros(2))},
+        s_atoms=Directions.vectors([arc_node], [[0.0, 0.0]]),
         s_cells=ms2.s_cells,
         p=ms2.p,
     )

@@ -98,6 +98,22 @@ class TestCheck:
         line = [l for l in out.splitlines() if l.startswith("jump_inclusion ")]
         assert line and "FAIL" in line[0]
 
+    def test_a_costate_of_another_width_is_input_error(self, fixture_dir, capsys):
+        # ex1 has n = 1: each row of p written twice used to pass every check
+        problem, trajectory, certificate = paths(fixture_dir)
+        doc = json.loads(open(certificate).read())
+        p = doc["p"]
+        p["values"] = [row * 2 for row in p["values"]]
+        p["exterior_left"] *= 2
+        for atom in p["atoms"]:
+            atom["jump"] *= 2
+        open(certificate, "w").write(json.dumps(doc))
+        assert run_cli("check", problem, trajectory, certificate) == 2
+        assert capsys.readouterr().err == (
+            f"error: {certificate}.p.values: the costate p has width 2, "
+            "but the problem has n = 1\n"
+        )
+
     def test_malformed_json_is_input_error(self, fixture_dir, capsys):
         problem, trajectory, certificate = paths(fixture_dir)
         open(certificate, "w").write("{not json")

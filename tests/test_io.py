@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lmpkit import io
 from lmpkit.errors import InputError
 from lmpkit.problem import builtin_example
-from oracles import directions_by_record, u_cells_by_record
+from oracles import Record, directions_by_record, directions_of, u_cells_by_record
 
 
 @pytest.fixture()
@@ -37,6 +37,52 @@ def test_roundtrip_keeps_arrays(ex2_files):
     assert np.array_equal(loaded.x, trajectory.x)
     cert = io.load_certificate(str(tmp_path / "certificate.json"), loaded.grid)
     assert np.array_equal(cert.p.values, ms.p.values)
+
+
+def _example(tmp_path, *argv) -> list[str]:
+    """The problem, trajectory and certificate files of `lmpkit example`."""
+    from lmpkit.cli import main
+
+    with contextlib.redirect_stdout(text_io.StringIO()):
+        assert main(["example", *argv, "--N", "40", "--out-dir", str(tmp_path)]) == 0
+    return [str(tmp_path / f"{name}.json") for name in ("problem", "trajectory", "certificate")]
+
+
+@pytest.mark.parametrize("argv, recovered", [
+    (["ex1"], False), (["ex2"], False), (["ex2", "--split", "0,1"], False), (["ex1"], True),
+])
+def test_a_certificate_is_saved_again_byte_for_byte(tmp_path, argv, recovered):
+    """A certificate read into rows and saved again gives the same file."""
+    from lmpkit.cli import main
+
+    problem, trajectory, certificate = _example(tmp_path, *argv)
+    if recovered:
+        with contextlib.redirect_stdout(text_io.StringIO()):
+            assert main(["recover", problem, trajectory, "--out-certificate", certificate]) == 0
+    again = str(tmp_path / "again.json")
+    io.save_certificate(io.load_certificate(certificate, io.load_trajectory(trajectory).grid), again)
+    assert open(again, "rb").read() == open(certificate, "rb").read()
+
+
+def test_an_eta_atom_of_weight_zero_changes_nothing(tmp_path):
+    """It changes no line of the report, and it is not written back."""
+    from lmpkit.cli import main
+
+    problem, trajectory, certificate = _example(tmp_path, "ex1")
+    doc = json.loads(open(certificate).read())
+    doc["eta"]["atoms"].insert(1, {"node": 5, "weight": 0.0})
+    zero = str(tmp_path / "zero.json")
+    open(zero, "w").write(json.dumps(doc))
+    reports = []
+    for path in (certificate, zero):
+        out = text_io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["check", problem, trajectory, path, "--format", "json"]) == 0
+        reports.append(out.getvalue())
+    assert reports[0] == reports[1]
+    again = str(tmp_path / "again.json")
+    io.save_certificate(io.load_certificate(zero, io.load_trajectory(trajectory).grid), again)
+    assert open(again, "rb").read() == open(certificate, "rb").read()
 
 
 def test_string_in_state_row_names_the_row(ex2_files):
@@ -117,15 +163,28 @@ def test_record_outside_the_grid_names_its_path(ex2_files, field, key, record):
 
 
 def _set(path):
-    """An edit that sets the entry at a key path of a document to a value."""
+    """An edit that sets the entry at a key path of a document to a value,
+    or to a function of the value it had."""
     def setter(value):
         def edit(doc):
             target = doc
             for key in path[:-1]:
                 target = target[key]
-            target[path[-1]] = value
+            target[path[-1]] = value(target[path[-1]]) if callable(value) else value
         return edit
     return setter
+
+
+def resized_rows(doc, width: int):
+    """``doc`` with every nonempty list of numbers in it, itself included,
+    cycled or cut to ``width`` numbers: [a, b] becomes [a, b, a] or [a]."""
+    if isinstance(doc, list) and doc and all(type(v) in (int, float) for v in doc):
+        return [doc[i % len(doc)] for i in range(width)]
+    if isinstance(doc, list):
+        return [resized_rows(v, width) for v in doc]
+    if isinstance(doc, dict):
+        return {k: resized_rows(v, width) for k, v in doc.items()}
+    return doc
 
 
 @pytest.mark.parametrize("file, path, message", [
@@ -337,18 +396,18 @@ def test_saved_files_are_read_by_columns(tmp_path, monkeypatch):
     locators of a bad record, whether they give s as vectors or as weights."""
     from dataclasses import replace
 
-    from lmpkit.lmp import SupportDirection
     from lmpkit.recovery import recover
 
     # ex2's closed form gives s on its density cells as vectors, or as
     # weights over each cell's one generator; recovery gives s on ex1's
     # atoms as weights
     _, arc, ms = builtin_example("ex2", ncells=52)
-    weighted = replace(ms, s_cells={k: SupportDirection(weights=[1.0]) for k in ms.s_cells})
+    records = {k: Record(weights=[1.0]) for k in ms.s_cells.index.tolist()}
+    weighted = replace(ms, s_cells=directions_of(records))
     problem, atom, _ = builtin_example("ex1", ncells=40)
     recovered = recover(problem, atom).result.multipliers
-    assert len(recovered.s_atoms) > 0 and recovered.s_atoms.weighted.all()
-    assert len(weighted.s_cells) > 0 and weighted.s_cells.weighted.all()
+    assert recovered.s_atoms.index.size > 0 and recovered.s_atoms.weighted.all()
+    assert weighted.s_cells.index.size > 0 and weighted.s_cells.weighted.all()
     cases = {"closed": (arc, ms), "weighted": (arc, weighted), "recovered": (atom, recovered)}
     for name, (trajectory, certificate) in cases.items():
         io.save_trajectory(trajectory, str(tmp_path / f"{name}-trajectory.json"))
@@ -380,7 +439,7 @@ def test_one_wrong_dimension_vector_among_many_cells_fails_at_check(tmp_path):
     from lmpkit.lmp import check_certificate
 
     problem, trajectory, ms = builtin_example("ex2", ncells=2000)
-    assert len(ms.s_cells) == 1000
+    assert ms.s_cells.index.size == 1000
     io.save_certificate(ms, str(tmp_path / "certificate.json"))
     cell = ms.s_cells.index[437]
 
@@ -524,10 +583,17 @@ def test_directions_read_as_record_by_record(drawn, random):
     ("certificate.json", ("s", "cells"), 5, r"\.s\.cells: expected a list"),
     ("certificate.json", ("p", "atoms"), 5, r"\.p\.atoms: expected a list"),
     ("trajectory.json", ("jumps",), 5, r"\.jumps: expected a list"),
+    # every row of the costate, its exterior value and its jumps, of another
+    # width than the problem's n = 2
+    ("certificate.json", ("p",), lambda p: resized_rows(p, 3),
+     r"\.p\.values: the costate p has width 3, but the problem has n = 2"),
+    ("certificate.json", ("p",), lambda p: resized_rows(p, 1),
+     r"\.p\.values: the costate p has width 1, but the problem has n = 2"),
 ])
 def test_check_refuses_a_wrong_container(ex2_files, capsys, file, path, value, message):
-    """A field holding the wrong kind of container is an input error that
-    names its JSON path (exit 2), not a traceback."""
+    """A field holding the wrong kind of container, or a costate of the
+    wrong width, is an input error that names its JSON path (exit 2), not a
+    traceback."""
     from lmpkit.cli import main
 
     tmp_path, _, _ = ex2_files
@@ -645,6 +711,7 @@ MUTATIONS = {
     "bool": st.booleans(),
     "string": st.sampled_from(["", "x", "1.0"]),
     "deep": st.sampled_from([3, 60, 2000]),
+    "width": st.sampled_from([1, 3]),  # the problem has n = 2 and m = 1
 }
 
 
@@ -652,9 +719,10 @@ MUTATIONS = {
 @settings(max_examples=300, deadline=None)
 def test_malformed_files_never_end_in_a_traceback(check_inputs, data):
     """One entry of a valid problem, trajectory or certificate is dropped or
-    replaced; `lmpkit check` then exits 0, 1 or 2, and an exit 2 names a JSON
-    path of the file.  Where the problem and the trajectory disagree, the
-    message names the paths of both files, the problem's first."""
+    replaced, or its rows of numbers take another width; `lmpkit check` then
+    exits 0, 1 or 2, and an exit 2 names a JSON path of the file.  Where the
+    problem and the trajectory disagree, the message names the paths of both
+    files, the problem's first."""
     from lmpkit.cli import main
 
     d, docs = check_inputs
@@ -668,6 +736,8 @@ def test_malformed_files_never_end_in_a_traceback(check_inputs, data):
         parent = parent[key]
     if kind == "drop":
         del parent[where[-1]]
+    elif kind == "width":
+        parent[where[-1]] = resized_rows(parent[where[-1]], value)
     else:
         parent[where[-1]] = DEEP if kind == "deep" else value
     nested = "[" * value + "1.0" + "]" * value if kind == "deep" else ""

@@ -9,7 +9,6 @@ from lmpkit.lmp import (
     CheckConfig,
     Directions,
     MultiplierSet,
-    SupportDirection,
     check_adjoint,
     check_certificate,
     check_jump_inclusion,
@@ -24,14 +23,19 @@ from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import RecoveryConfig
 from oracles import (
     RELAXED,
+    Record,
     at_point,
     cumulative,
+    directions_of,
+    node_rows,
     random_certificate,
     random_problem,
     random_trajectory,
+    records_of,
     reference_check,
     reference_contact_flags,
     reference_dynamics_defect,
+    scaled,
 )
 
 
@@ -54,7 +58,7 @@ def make_multipliers(grid, alpha0=0.0, lam=None, eta=None, p=None, n=1, **s):
     return MultiplierSet(
         alpha0=alpha0,
         lam=np.zeros(N) if lam is None else np.asarray(lam, dtype=float),
-        eta=eta if eta is not None else SignedMeasure.scalar(grid),
+        eta=eta if eta is not None else SignedMeasure(grid),
         p=p if p is not None else BVFunction(grid=grid, values=np.zeros((N + 1, n))),
         **s,
     )
@@ -91,7 +95,7 @@ class TestSignsSlackness:
     def test_negative_parts_reported(self, ex1):
         problem, trajectory, _ = ex1
         grid = trajectory.grid
-        eta = SignedMeasure.scalar(grid, atoms={3: -0.25})
+        eta = SignedMeasure(grid, atoms=node_rows(grid, {3: -0.25}))
         ms = make_multipliers(grid, alpha0=-1.0, eta=eta)
         entries = {e.name: e for e in check_signs_slackness(ms, problem, trajectory)}
         assert entries["alpha0_sign"].residual == 1.0
@@ -133,14 +137,11 @@ class TestJumpInclusion:
 
     def test_wrong_direction_distance(self, ex2):
         problem, trajectory, ms = ex2
-        wrong = {
-            k: SupportDirection(vector=np.zeros(2)) for k in ms.s_cells
-        }
+        wrong = Directions.vectors(ms.s_cells.index, np.zeros((ms.s_cells.index.size, 2)))
         bad = MultiplierSet(
             alpha0=ms.alpha0,
             lam=ms.lam,
             eta=ms.eta,
-            s_atoms={},
             s_cells=wrong,
             p=ms.p,
         )
@@ -149,14 +150,13 @@ class TestJumpInclusion:
 
     def test_cell_weights_off_the_simplex(self, ex2):
         problem, trajectory, ms = ex2
-        weights = {k: SupportDirection(weights=np.array([1.0])) for k in ms.s_cells}
-        weights[min(weights)] = SupportDirection(weights=np.array([-0.25]))
+        weights = {k: Record(weights=[1.0]) for k in ms.s_cells.index.tolist()}
+        weights[min(weights)] = Record(weights=[-0.25])
         bad = MultiplierSet(
             alpha0=ms.alpha0,
             lam=ms.lam,
             eta=ms.eta,
-            s_atoms={},
-            s_cells=weights,
+            s_cells=directions_of(weights),
             p=ms.p,
         )
         entries = {e.name: e for e in check_jump_inclusion(bad, problem, trajectory)}
@@ -165,14 +165,7 @@ class TestJumpInclusion:
 
     def test_missing_direction_is_error(self, ex1):
         problem, trajectory, ms = ex1
-        stripped = MultiplierSet(
-            alpha0=ms.alpha0,
-            lam=ms.lam,
-            eta=ms.eta,
-            s_atoms={},
-            s_cells={},
-            p=ms.p,
-        )
+        stripped = MultiplierSet(alpha0=ms.alpha0, lam=ms.lam, eta=ms.eta, p=ms.p)
         with pytest.raises(InputError):
             check_jump_inclusion(stripped, problem, trajectory)
 
@@ -193,7 +186,7 @@ def off_the_constraint(trajectory):
     (
         {},
         2,
-        {"s_cells": {2: SupportDirection(weights=np.array([1.0]))}},
+        {"s_cells": directions_of({2: Record(weights=[1.0])})},
         "weights given at cell 2 but no jump directions are available there",
     ),
 ])
@@ -206,7 +199,7 @@ def test_elements_without_generators_split_the_errors(ex1, atoms, cell, records,
     density = np.zeros(grid.ncells)
     if cell is not None:
         density[cell] = 1.0
-    eta = SignedMeasure.scalar(grid, atoms=atoms, density=density)
+    eta = SignedMeasure(grid, atoms=node_rows(grid, atoms), density=density)
     ms = make_multipliers(grid, alpha0=1.0, eta=eta, **records)
     mass = ms.eta_mass()
     assert mass > 0.0
@@ -222,9 +215,9 @@ def test_elements_without_generators_split_the_errors(ex1, atoms, cell, records,
 
 
 @pytest.mark.parametrize("s_atoms, cell, message", [
-    ({0: SupportDirection(vector=np.array([-1.0, 0.0]))}, None,
+    ({0: Record(vector=[-1.0, 0.0])}, None,
      "direction vector at node 0 has wrong dimension"),
-    ({0: SupportDirection(weights=np.array([0.5, 0.5]))}, None,
+    ({0: Record(weights=[0.5, 0.5])}, None,
      "2 weights for 1 generators at node 0"),
     ({}, 5, "direction s is missing on the eta support at cell 5"),
 ])
@@ -233,8 +226,9 @@ def test_records_that_do_not_fit_fail_both_checks(ex1, s_atoms, cell, message):
     density = np.zeros(trajectory.grid.ncells)
     if cell is not None:
         density[cell] = 1.0
-    eta = SignedMeasure.scalar(trajectory.grid, atoms={0: 1.0}, density=density)
-    bad = replace(ms, eta=eta, s_atoms={0: ms.s_atoms[0], **s_atoms}, s_cells={})
+    eta = SignedMeasure(trajectory.grid, atoms=node_rows(trajectory.grid, {0: 1.0}), density=density)
+    s_atoms = directions_of({0: records_of(ms.s_atoms)[0], **s_atoms})
+    bad = replace(ms, eta=eta, s_atoms=s_atoms, s_cells=Directions())
     for check in (check_jump_inclusion, check_adjoint):
         with pytest.raises(InputError, match=f"^{message}$"):
             check(bad, problem, trajectory)
@@ -246,43 +240,41 @@ def test_records_that_do_not_fit_fail_both_checks(ex1, s_atoms, cell, message):
 
 @pytest.mark.parametrize("s_atoms, s_cells, message", [
     # atoms come before cells, cells in cell order
-    ({}, {3: SupportDirection(vector=np.array([1.0, 2.0]))},
+    ({}, {3: Record(vector=[1.0, 2.0])},
      "direction vector at cell 3 has wrong dimension"),
-    ({0: SupportDirection(weights=np.array([0.5, 0.5]))},
-     {3: SupportDirection(vector=np.array([1.0, 2.0]))},
+    ({0: Record(weights=[0.5, 0.5])},
+     {3: Record(vector=[1.0, 2.0])},
      "2 weights for 1 generators at node 0"),
 ])
 def test_the_first_failing_element_raises(ex1, s_atoms, s_cells, message):
     problem, trajectory, ms = ex1
     density = np.zeros(trajectory.grid.ncells)
     density[[3, 5]] = 1.0  # cell 5 has no record
-    eta = SignedMeasure.scalar(trajectory.grid, atoms={0: 1.0}, density=density)
-    bad = replace(ms, eta=eta, s_atoms={0: ms.s_atoms[0], **s_atoms}, s_cells=s_cells)
+    eta = SignedMeasure(trajectory.grid, atoms=node_rows(trajectory.grid, {0: 1.0}), density=density)
+    s_atoms = directions_of({0: records_of(ms.s_atoms)[0], **s_atoms})
+    bad = replace(ms, eta=eta, s_atoms=s_atoms, s_cells=directions_of(s_cells))
     for check in (check_jump_inclusion, check_adjoint):
         with pytest.raises(InputError, match=f"^{message}$"):
             check(bad, problem, trajectory)
 
 
-def test_directions_read_as_a_mapping_of_records():
-    records = {
-        7: SupportDirection(weights=np.array([0.25, 0.75])),
-        2: SupportDirection(vector=np.array([-1.0])),
-    }
-    directions = Directions.of(records)
-    assert directions.index.tolist() == [2, 7]
-    assert directions.weighted.tolist() == [False, True]
-    assert directions.size.tolist() == [1, 2]
-    assert directions.values.tolist() == [[-1.0, 0.0], [0.25, 0.75]]
-    assert Directions.of(directions) is directions
-    assert list(directions) == [2, 7] and all(type(k) is int for k in directions)
-    assert len(directions) == 2 and 7 in directions and 3 not in directions
-    assert directions.get("7") is None and directions.get(3) is None
-    assert np.array_equal(directions[7].weights, [0.25, 0.75]) and directions[7].vector is None
-    assert np.array_equal(directions[np.int64(2)].vector, [-1.0])
-    directions[2].vector[0] = 5.0  # records are copies
-    assert directions.values[0, 0] == -1.0
+def test_directions_hold_their_records_as_arrays():
+    empty = Directions()
+    assert empty.index.size == empty.weighted.size == empty.size.size == 0
+    assert empty.values.shape == (0, 0)
+    vectors = Directions.vectors([2, 7], [[-1.0, 0.5], [0.25, 0.75]])
+    assert vectors.index.tolist() == [2, 7]
+    assert vectors.weighted.tolist() == [False, False]
+    assert vectors.size.tolist() == [2, 2]
+    assert vectors.values.tolist() == [[-1.0, 0.5], [0.25, 0.75]]
+    mixed = directions_of({7: Record(weights=[0.25, 0.75]), 2: Record(vector=[-1.0])})
+    assert mixed.weighted.tolist() == [False, True] and mixed.size.tolist() == [1, 2]
+    assert mixed.values.tolist() == [[-1.0, 0.0], [0.25, 0.75]]
     with pytest.raises(InputError, match="strictly increasing"):
-        Directions(index=[7, 2], weighted=[False, False], size=[1, 1], values=[[1.0], [1.0]])
+        Directions.vectors([7, 2], [[1.0], [1.0]])
+    with pytest.raises(InputError, match="must fit the value rows"):
+        Directions(index=[2], weighted=[True], size=[3], values=[[1.0, 0.0]])
+
 
 class TestAdjoint:
     def test_atom_fixture_exact(self, ex1):
@@ -293,9 +285,7 @@ class TestAdjoint:
     def test_constant_costate_trivial(self):
         problem = make_problem(["0"], "-x1")
         trajectory = make_flat(problem, 8)
-        p = BVFunction(
-            grid=trajectory.grid, values=np.full((9, 1), 1.75), atoms={}
-        )
+        p = BVFunction(grid=trajectory.grid, values=np.full((9, 1), 1.75))
         ms = make_multipliers(trajectory.grid, p=p)
         assert check_adjoint(ms, problem, trajectory).residual == 0.0
 
@@ -327,9 +317,9 @@ class TestAdjoint:
         _, trajectory, ms = ex1
         N = trajectory.grid.ncells
         for node in (0, N):
-            jump = ms.p.jump(node)
-            mass = ms.eta.scalar_atom(node)
-            shat = ms.s_atoms[node].vector
+            jump = ms.p.atoms[node]
+            mass = ms.eta.atoms[node, 0]
+            shat = records_of(ms.s_atoms)[node].vector
             assert np.allclose(jump, -shat * mass, atol=1e-15)
 
 
@@ -368,9 +358,7 @@ class TestStationarity:
         problem = make_problem(["x1"], "-x1")
         trajectory = make_flat(problem, 4, x_value=1.0)
         rng = np.random.default_rng(2)
-        p = BVFunction(
-            grid=trajectory.grid, values=rng.normal(size=(5, 1)), atoms={}
-        )
+        p = BVFunction(grid=trajectory.grid, values=rng.normal(size=(5, 1)))
         ms = make_multipliers(
             trajectory.grid, alpha0=1.0, lam=rng.uniform(0, 1, 4), p=p
         )
@@ -400,11 +388,7 @@ class TestCheckCertificate:
             alpha0=ms.alpha0,
             lam=ms.lam,
             eta=ms.eta,
-            s_atoms={
-                0: SupportDirection(vector=np.array([1.0])),
-                N: SupportDirection(vector=np.array([1.0])),
-            },
-            s_cells={},
+            s_atoms=Directions.vectors([0, N], [[1.0], [1.0]]),
             p=ms.p,
         )
         report = check_certificate(problem, trajectory, flipped)
@@ -419,12 +403,18 @@ class TestCheckCertificate:
     def test_scaling_invariance(self, ex2):
         problem, trajectory, ms = ex2
         report = check_certificate(problem, trajectory, ms)
-        scaled = check_certificate(problem, trajectory, ms.scaled(2.7))
-        for a, b in zip(report.entries, scaled.entries):
+        larger = check_certificate(problem, trajectory, scaled(ms, 2.7))
+        for a, b in zip(report.entries, larger.entries):
             assert a.name == b.name
             assert a.passed == b.passed
-        assert scaled.diagnostics["nu"] == pytest.approx(2.7 * ms.nu(), rel=1e-12)
-        assert ms.scaled(1.0 / ms.nu()).nu() == pytest.approx(1.0, abs=1e-12)
+        assert larger.diagnostics["nu"] == pytest.approx(2.7 * ms.nu(), rel=1e-12)
+        assert scaled(ms, 1.0 / ms.nu()).nu() == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_costate_of_another_width_is_refused(self, ex1):
+        problem, trajectory, ms = ex1
+        p = BVFunction(ms.grid, np.tile(ms.p.values, 2), np.tile(ms.p.atoms, 2))
+        with pytest.raises(InputError, match="^the costate p has width 2, but the problem has n = 1$"):
+            check_certificate(problem, trajectory, replace(ms, p=p))
 
     def test_grid_refinement_keeps_acceptance(self):
         for ncells in (100, 200, 400):
@@ -434,9 +424,7 @@ class TestCheckCertificate:
 
     def test_errors_become_failing_entries(self, ex1):
         problem, trajectory, ms = ex1
-        broken = MultiplierSet(
-            alpha0=ms.alpha0, lam=ms.lam, eta=ms.eta, s_atoms={}, s_cells={}, p=ms.p
-        )
+        broken = MultiplierSet(alpha0=ms.alpha0, lam=ms.lam, eta=ms.eta, p=ms.p)
         report = check_certificate(problem, trajectory, broken)
         assert not report.overall_pass
         # the missing direction poisons inclusion and the adjoint, nothing else
@@ -461,16 +449,16 @@ class TestMergedStateConstraint:
         problem, trajectory = state_constrained_toy(4)
         grid = trajectory.grid
         lam = np.array([1.0, 0.0, 0.0, 0.0])
-        eta = SignedMeasure.scalar(grid, atoms={2: 0.5})
+        eta = SignedMeasure(grid, atoms=node_rows(grid, {2: 0.5}))
         ms = make_multipliers(
             grid,
             lam=lam,
             eta=eta,
-            s_atoms={2: SupportDirection(vector=np.array([-1.0]))},
+            s_atoms=Directions.vectors([2], [[-1.0]]),
         )
         merged = merge_state_constraint(problem, trajectory, ms)
         assert merged.measure.density[0, 0] == 1.0
-        assert merged.measure.scalar_atom(2) == 0.5
+        assert merged.measure.atoms[2, 0] == 0.5
 
     def test_rejects_control_dependent_constraint(self, ex1):
         problem, trajectory, ms = ex1
@@ -482,9 +470,9 @@ class TestMergedStateConstraint:
         grid = trajectory.grid
         rng = np.random.default_rng(7)
         lam = rng.uniform(0.0, 1.0, grid.ncells)
-        eta = SignedMeasure.scalar(
+        eta = SignedMeasure(
             grid,
-            atoms={0: 0.3, 7: 0.6, grid.ncells: 0.2},
+            atoms=node_rows(grid, {0: 0.3, 7: 0.6, grid.ncells: 0.2}),
             density=rng.uniform(0.0, 1.0, grid.ncells),
         )
         # raw form: directions equal the state gradient of the constraint
@@ -493,17 +481,13 @@ class TestMergedStateConstraint:
                         trajectory.u_left[min(k, grid.ncells - 1)])
             for k in range(grid.ncells + 1)
         }
-        s_atoms = {k: SupportDirection(vector=gprime[k]) for k in eta.atoms}
-        s_cells = {
-            k: SupportDirection(vector=0.5 * (gprime[k] + gprime[k + 1]))
-            for k in range(grid.ncells)
-        }
-        sdeta = SignedMeasure(
-            grid=grid,
-            dim=1,
-            atoms={k: -eta.atom(k) for k in eta.atoms},
-            density=-eta.density,
+        nodes = np.flatnonzero(eta.atoms[:, 0])
+        s_atoms = Directions.vectors(nodes, [gprime[k] for k in nodes])
+        s_cells = Directions.vectors(
+            np.arange(grid.ncells),
+            [0.5 * (gprime[k] + gprime[k + 1]) for k in range(grid.ncells)],
         )
+        sdeta = SignedMeasure(grid, atoms=-eta.atoms, density=-eta.density)
         p = cumulative(sdeta, base=np.array([0.4]))
         ms = make_multipliers(
             grid, alpha0=0.0, lam=lam, eta=eta, p=p,
@@ -522,11 +506,11 @@ class TestMergedStateConstraint:
             u_left=np.zeros((4, 1)),
             u_right=np.zeros((4, 1)),
         )
-        eta = SignedMeasure.scalar(trajectory.grid, atoms={2: 1.0})
+        eta = SignedMeasure(trajectory.grid, atoms=node_rows(trajectory.grid, {2: 1.0}))
         ms = make_multipliers(
             trajectory.grid,
             eta=eta,
-            s_atoms={2: SupportDirection(vector=np.array([-1.0]))},
+            s_atoms=Directions.vectors([2], [[-1.0]]),
         )
         merged = merge_state_constraint(problem, inside, ms)
         assert merged.slackness_residual == pytest.approx(2.0, abs=1e-14)
@@ -607,12 +591,12 @@ def test_convention_sensitive_nodes_are_atoms_at_two_sided_jumps(ex1):
         u_right=np.array([[0.0], [0.0], [0.0], [0.5], [0.5], [0.5]]),
         jumps=(3,),
     )
-    eta = SignedMeasure.scalar(grid, atoms={1: 0.5, 3: 1.0}, nonnegative=True)
+    eta = SignedMeasure(grid, atoms=node_rows(grid, {1: 0.5, 3: 1.0}), nonnegative=True)
     certificate = make_multipliers(
         grid,
         alpha0=1.0,
         eta=eta,
-        s_atoms={k: SupportDirection(vector=np.array([-1.0])) for k in (1, 3)},
+        s_atoms=Directions.vectors([1, 3], [[-1.0], [-1.0]]),
     )
     report = check_certificate(problem, jumpy, certificate)
     assert report.diagnostics["convention_sensitive_nodes"] == [3]

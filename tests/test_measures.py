@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lmpkit.errors import InputError
 from lmpkit.measures import BVFunction, SignedMeasure, running_sum
 from lmpkit.problem import TimeGrid
-from oracles import cumulative, cumulative_by_loop
+from oracles import cumulative, cumulative_by_loop, node_rows
 
 
 @pytest.fixture()
@@ -19,20 +19,20 @@ class TestStieltjes:
     the closed-interval mass: the atoms at both ends count."""
 
     def test_unit_atom_at_start(self, grid):
-        dmu = SignedMeasure.scalar(grid, atoms={0: 1.0})
+        dmu = SignedMeasure(grid, atoms=node_rows(grid, {0: 1.0}))
         assert dmu.mass()[0] == 1.0
 
     def test_endpoint_atoms_match_costate_increment(self, ex1):
         _, trajectory, ms = ex1
         grid = trajectory.grid
-        dp = SignedMeasure.scalar(grid, atoms={0: 1.0, grid.ncells: 1.0})
+        dp = SignedMeasure(grid, atoms=node_rows(grid, {0: 1.0, grid.ncells: 1.0}))
         total = dp.mass()[0]
         assert total == 2.0
         p = ms.p
         assert total == float(p.exterior_right[0] - p.exterior_left[0])
 
     def test_partial_interval_includes_both_end_atoms(self, grid):
-        dmu = SignedMeasure.scalar(grid, atoms={2: 1.0, 5: 2.0, 8: 4.0})
+        dmu = SignedMeasure(grid, atoms=node_rows(grid, {2: 1.0, 5: 2.0, 8: 4.0}))
         assert dmu.mass(2, 5)[0] == 3.0
         assert dmu.mass(2, 8)[0] == 7.0
 
@@ -41,7 +41,7 @@ class TestStieltjes:
         assert ms.eta.mass()[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_misaligned_bounds(self, grid):
-        dmu = SignedMeasure.scalar(grid, atoms={0: 1.0})
+        dmu = SignedMeasure(grid, atoms=node_rows(grid, {0: 1.0}))
         with pytest.raises(InputError):
             dmu.mass(0, 0.123)
         with pytest.raises(InputError):
@@ -50,7 +50,7 @@ class TestStieltjes:
 
 class TestCumulative:
     def test_single_atom_step(self, grid):
-        dmu = SignedMeasure.scalar(grid, atoms={3: 1.0})
+        dmu = SignedMeasure(grid, atoms=node_rows(grid, {3: 1.0}))
         p = cumulative(dmu)
         assert p.values[3, 0] == 0.0  # left-continuous at the jump
         assert p.right_limits()[3, 0] == 1.0
@@ -66,7 +66,7 @@ class TestCumulative:
         assert p.exterior_right[0] == 2.0
 
     def test_density_ramp(self, grid):
-        dmu = SignedMeasure.scalar(grid, density=2.0 * np.ones(grid.ncells))
+        dmu = SignedMeasure(grid, density=2.0 * np.ones(grid.ncells))
         p = cumulative(dmu)
         assert np.allclose(p.values[:, 0], 2.0 * grid.nodes)
         assert p.exterior_right[0] == pytest.approx(2.0, abs=1e-15)
@@ -75,9 +75,9 @@ class TestCumulative:
 class TestNonnegativeFlag:
     def test_rejects_negative_parts(self, grid):
         with pytest.raises(InputError):
-            SignedMeasure.scalar(grid, atoms={0: -1.0}, nonnegative=True)
+            SignedMeasure(grid, atoms=node_rows(grid, {0: -1.0}), nonnegative=True)
         with pytest.raises(InputError):
-            SignedMeasure.scalar(
+            SignedMeasure(
                 grid, density=-np.ones(grid.ncells), nonnegative=True
             )
 
@@ -88,9 +88,9 @@ class TestNonnegativeFlag:
                 int(k): float(rng.uniform(0, 2))
                 for k in rng.integers(0, grid.ncells + 1, size=3)
             }
-            dmu = SignedMeasure.scalar(
+            dmu = SignedMeasure(
                 grid,
-                atoms=atoms,
+                atoms=node_rows(grid, atoms),
                 density=rng.uniform(0, 1, grid.ncells),
                 nonnegative=True,
             )
@@ -114,7 +114,7 @@ def scalar_measures(draw):
     density = np.array(
         [draw(st.floats(-3, 3, allow_nan=False)) for _ in range(ncells)]
     )
-    return SignedMeasure.scalar(grid, atoms=atoms, density=density)
+    return SignedMeasure(grid, atoms=node_rows(grid, atoms), density=density)
 
 
 @given(scalar_measures(), st.integers(0, 6), st.integers(0, 6))
@@ -136,7 +136,7 @@ def test_cumulative_is_linear(mu, nu, c):
     """``cumulative`` is the running sum of a measure's atoms and cell
     masses, and ``running_sum`` is linear in those two arrays."""
     (atoms_mu, cells_mu), (atoms_nu, cells_nu) = (
-        (m.dense_atoms(), m.density * m.grid.widths[:, None]) for m in (mu, nu)
+        (m.atoms, m.density * m.grid.widths[:, None]) for m in (mu, nu)
     )
     combo = running_sum(np.zeros(1), c * atoms_mu + atoms_nu, c * cells_mu + cells_nu)
     assert np.allclose(
@@ -158,7 +158,7 @@ def vector_measures(draw):
     atoms = {k: np.array(draw(row)) for k in sorted(nodes)}
     density = np.array([draw(row) for _ in range(grid.ncells)])
     base = np.array(draw(row))
-    return SignedMeasure(grid=grid, dim=dim, atoms=atoms, density=density), base
+    return SignedMeasure(grid, dim, node_rows(grid, atoms, dim), density), base
 
 
 @given(vector_measures())
@@ -171,12 +171,19 @@ def test_cumulative_matches_the_node_loop_bitwise(measure):
     # the last bit
     assert p.values.tobytes() == expected.values.tobytes()
     assert p.right_limits().tobytes() == expected.right_limits().tobytes()
-    assert p.atoms.keys() == expected.atoms.keys()
+    assert p.atoms.tobytes() == expected.atoms.tobytes()
 
 
 class TestBVFunction:
+    def test_rows_of_the_wrong_shape_are_refused(self, grid):
+        values = np.zeros((grid.ncells + 1, 2))
+        with pytest.raises(InputError, match=r"atoms must have shape \(11, 2\), got \(11, 1\)"):
+            BVFunction(grid=grid, values=values, atoms=np.zeros(grid.ncells + 1))
+        with pytest.raises(InputError, match=r"atoms must have shape \(11, 1\), got \(10, 1\)"):
+            SignedMeasure(grid, atoms=np.zeros(grid.ncells))
+
     def test_exterior_values(self, grid):
         values = np.linspace(0.0, 1.0, grid.ncells + 1).reshape(-1, 1)
-        p = BVFunction(grid=grid, values=values, atoms={grid.ncells: np.array([0.5])})
+        p = BVFunction(grid=grid, values=values, atoms=node_rows(grid, {grid.ncells: 0.5}))
         assert p.exterior_left[0] == 0.0
         assert p.exterior_right[0] == 1.5

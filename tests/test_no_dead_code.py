@@ -1,8 +1,9 @@
 """No library code that only tests run.
 
-Every top-level function and class of ``src/lmpkit`` must be referenced as
-code (a name or an attribute, outside its own definition) somewhere in
-``src/lmpkit``, ``scripts/`` or ``perfbench/``.  References from tests do not
+Every top-level function and class of ``src/lmpkit``, and every method and
+property of its classes (dunder methods aside, which Python calls itself),
+must be referenced as code (a name or an attribute, outside its own
+definition) somewhere in ``src/lmpkit``, ``scripts/`` or ``perfbench/``.  References from tests do not
 count, and neither do docstrings.  The span table ``_SPANS`` of
 ``perfbench/spans.py`` names the functions it wraps by string, so its strings
 count as references.
@@ -44,6 +45,20 @@ def _span_table(tree: ast.Module) -> Counter:
     )
 
 
+def _definitions(tree: ast.Module, module: str):
+    """(dotted name, references inside its own definition) of the top-level
+    functions and classes of a module and of the methods of its classes."""
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield f"{module}.{node.name}", _references(node)[node.name]
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield f"{module}.{node.name}.{sub.name}", _references(sub)[sub.name]
+
+
 def test_every_library_definition_is_referenced_by_the_program():
     used = Counter()
     definitions = []  # (module.name, references inside its own definition)
@@ -51,11 +66,7 @@ def test_every_library_definition_is_referenced_by_the_program():
         tree = ast.parse(path.read_text(), str(path))
         used += _references(tree) + _span_table(tree)
         if path.parent.name == "lmpkit":
-            definitions.extend(
-                (f"{path.stem}.{node.name}", _references(node)[node.name])
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            )
+            definitions.extend(_definitions(tree, path.stem))
     assert len(definitions) > 100  # the glob found the package
     unused = [
         name for name, own in definitions

@@ -8,6 +8,7 @@ from oracles import (
     build_program_by_cells,
     encode_certificate_by_cells,
     layout_by_cells,
+    scaled,
     start_weights,
 )
 
@@ -167,7 +168,7 @@ class TestEncodeCertificate:
     def test_closed_forms_encode_to_zero_objective(self, name, ncells):
         problem, trajectory, ms = builtin_example(name, ncells=ncells)
         program = build_program(problem, trajectory)
-        assert program.objective(encode(problem, trajectory, ms.scaled(1.0 / ms.nu()))) <= 1e-20
+        assert program.objective(encode(problem, trajectory, scaled(ms, 1.0 / ms.nu()))) <= 1e-20
 
     def test_recovered_certificate_encodes_to_its_theta(self):
         problem, trajectory, _ = builtin_example("ex1", ncells=40)
@@ -214,15 +215,15 @@ class TestSolve:
         r = result.multipliers
         N = trajectory.grid.ncells
         assert r.alpha0 == pytest.approx(1.0 / 3.0, abs=1e-6)
-        assert r.eta.scalar_atom(0) == pytest.approx(r.alpha0, abs=1e-6)
-        assert r.eta.scalar_atom(N) == pytest.approx(r.alpha0, abs=1e-6)
+        assert r.eta.atoms[0, 0] == pytest.approx(r.alpha0, abs=1e-6)
+        assert r.eta.atoms[N, 0] == pytest.approx(r.alpha0, abs=1e-6)
         assert float(np.max(np.abs(r.lam))) <= 1e-8
         assert r.nu() == pytest.approx(1.0, abs=1e-9)
 
     def test_warm_start_is_a_fixed_point(self, ex1_small):
         problem, trajectory, ms = ex1_small
         program = build_program(problem, trajectory)
-        theta = encode(problem, trajectory, ms.scaled(1.0 / ms.nu()))
+        theta = encode(problem, trajectory, scaled(ms, 1.0 / ms.nu()))
         assert program.objective(theta) <= 1e-20
         result = solve(program)
         assert result.objective <= 1e-20
@@ -367,7 +368,7 @@ class TestOneUnknownPerContactCell:
     def test_lambda_carries_the_closed_form_sum(self, name, ncells):
         problem, trajectory, closed = builtin_example(name, ncells=ncells)
         ms = recover(problem, trajectory).result.multipliers
-        assert len(ms.s_cells) == 0 and not ms.eta.density.any()
+        assert ms.s_cells.index.size == 0 and not ms.eta.density.any()
         cells = geometry.contact_set(problem, trajectory, 1e-8, 1e-8).cell_flags
         assert cells.any()
         want = (closed.lam + closed.eta.density[:, 0]) / closed.alpha0
