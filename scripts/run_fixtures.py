@@ -15,17 +15,19 @@ import numpy as np
 
 from lmpkit.lmp import check_certificate
 from lmpkit.problem import builtin_example
-from lmpkit.recovery import RecoveryConfig, build_program, cross_validate, solve
+from lmpkit.recovery import recover
+from lmpkit.samples import Samples
 
 
 def run_atom_fixture(ncells: int) -> bool:
     print(f"== endpoint-atom fixture (ncells={ncells}) ==")
     problem, trajectory, ms = builtin_example("ex1", ncells=ncells)
-    print(check_certificate(problem, trajectory, ms).to_text())
+    samples = Samples(problem, trajectory)
+    print(check_certificate(samples, ms).to_text())
     start = time.perf_counter()
-    program = build_program(problem, trajectory)
-    result = solve(program)
+    outcome = recover(samples)
     elapsed = time.perf_counter() - start
+    result, report = outcome.result, outcome.report
     r = result.multipliers
     N = trajectory.grid.ncells
     print(f"\nrecovered in {elapsed:.2f}s, objective {result.objective:.2e}")
@@ -33,7 +35,6 @@ def run_atom_fixture(ncells: int) -> bool:
         "normalised proportions (cost weight : first atom : last atom) = "
         f"{r.alpha0:.6f} : {r.eta.atoms[0, 0]:.6f} : {r.eta.atoms[N, 0]:.6f}"
     )
-    report = cross_validate(problem, trajectory, r)
     print(f"independent check: {'pass' if report.overall_pass else 'FAIL'}\n")
     return report.overall_pass
 
@@ -41,11 +42,12 @@ def run_atom_fixture(ncells: int) -> bool:
 def run_arc_fixture(ncells: int) -> bool:
     print(f"== contact-arc fixture (ncells={ncells}) ==")
     problem, trajectory, ms = builtin_example("ex2", ncells=ncells)
-    print(check_certificate(problem, trajectory, ms).to_text())
+    samples = Samples(problem, trajectory)
+    print(check_certificate(samples, ms).to_text())
     start = time.perf_counter()
-    program = build_program(problem, trajectory)
-    result = solve(program)
+    outcome = recover(samples)
     elapsed = time.perf_counter() - start
+    result, report = outcome.result, outcome.report
     r = result.multipliers
     a0 = r.alpha0
     mids = trajectory.grid.midpoints
@@ -63,7 +65,6 @@ def run_arc_fixture(ncells: int) -> bool:
         "(lambda + eta-density)/alpha0 on the contact interior: "
         f"[{tot[inner].min():.4f}, {tot[inner].max():.4f}] (closed form 1.0)"
     )
-    report = cross_validate(problem, trajectory, r)
     print(f"independent check: {'pass' if report.overall_pass else 'FAIL'}\n")
     return report.overall_pass
 

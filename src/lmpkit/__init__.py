@@ -13,6 +13,7 @@ from .lmp import (
 from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from .recovery import RecoveryConfig, build_program, recover
+from .samples import Samples
 
 __version__ = "0.1.0"
 
@@ -29,6 +30,7 @@ __all__ = [
     "ProblemDef",
     "RecoveryConfig",
     "Report",
+    "Samples",
     "SignedMeasure",
     "TimeGrid",
     "Trajectory",

@@ -22,9 +22,14 @@ from . import cones as cones_mod
 from . import io, recovery
 from .errors import InputError, LmpkitError
 from .lmp import CheckConfig, check_certificate
-from .problem import _NODE_MATCH_RTOL, builtin_example
+from .problem import builtin_example
+from .samples import Samples
 
 log = logging.getLogger("lmpkit")
+
+# a horizon end of the problem matches the trajectory's grid within this
+# share of the horizon
+_NODE_MATCH_RTOL = 1e-9
 
 
 def _check_config(args) -> CheckConfig:
@@ -52,8 +57,8 @@ def _emit_report(report, args) -> None:
 def _load_inputs(args):
     """The problem and the trajectory; a dimension of the problem that the
     trajectory does not have, or a horizon end that is not the end of its
-    grid (within the tolerance of TimeGrid.node_index), is refused by the
-    path of its field, followed by the path of the trajectory's field."""
+    grid (within _NODE_MATCH_RTOL of the horizon), is refused by the path
+    of its field, followed by the path of the trajectory's field."""
     problem = io.load_problem(args.problem)
     trajectory = io.load_trajectory(args.trajectory)
     for key, field in (("n", "x"), ("m", "u_cells")):
@@ -78,8 +83,9 @@ def cmd_check(args) -> int:
     problem, trajectory = _load_inputs(args)
     certificate = io.load_certificate(args.certificate, trajectory.grid)
     config = _check_config(args)
+    samples = Samples(problem, trajectory)
     try:
-        report = check_certificate(problem, trajectory, certificate, config)
+        report = check_certificate(samples, certificate, config)
     except InputError as err:  # its one refusal: a costate of another width than n
         raise InputError(f"{args.certificate}.p.values: {err}") from None
     _emit_report(report, args)
@@ -95,7 +101,7 @@ def cmd_recover(args) -> int:
         eps=args.eps,
         delta_slack=args.delta_slack,
     )
-    outcome = recovery.recover(problem, trajectory, config)
+    outcome = recovery.recover(Samples(problem, trajectory), config)
     log.info("recovery dims: %s", outcome.dims)
     if args.out_certificate:
         io.save_certificate(outcome.result.multipliers, args.out_certificate)

@@ -6,8 +6,9 @@ jumps) the closure in measure at a node is a finite set: the single control
 value at continuity nodes, the two one-sided values at a declared jump, and
 the one-sided value at the horizon ends.  :class:`~lmpkit.samples.Samples`
 lays these points out per node, with the problem data evaluated at them;
-everything here reads that layout.  A phase point is a pair (x, u)
-with G = 0 and G_u = 0; membership is always tested through the relaxed set
+the contact set and the jump-direction sets take that Samples as their
+first argument and read that layout.  A phase point is a pair (x, u) with
+G = 0 and G_u = 0; membership is always tested through the relaxed set
 {-delta <= G <= 0, |G_u| <= eps} because exact equalities are measure-zero
 in floating point.
 """
@@ -15,12 +16,14 @@ in floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
-from .problem import ProblemDef, Trajectory
-from .samples import Samples
+
+if TYPE_CHECKING:
+    from .samples import Samples
 
 __all__ = [
     "ContactSet",
@@ -57,16 +60,9 @@ class JumpDirectionSet:
     generators: tuple[np.ndarray, ...]
 
 
-def contact_set(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    delta: float,
-    eps: float,
-    samples: Samples | None = None,
-) -> ContactSet:
+def contact_set(samples: Samples, delta: float, eps: float) -> ContactSet:
     """Flag the nodes where some closure-in-measure point is a relaxed phase
     point; assemble maximal runs of flagged nodes as closed intervals."""
-    samples = samples or Samples(problem, trajectory)
     flags = samples.node_flags(delta, eps)
     edges = np.diff(np.concatenate(([0], flags.astype(np.int8), [0])))
     starts = np.flatnonzero(edges == 1)
@@ -78,38 +74,27 @@ def contact_set(
 
 
 def jump_directions_at_node(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    k: int,
-    delta: float,
-    eps: float,
-    samples: Samples | None = None,
+    samples: Samples, k: int, delta: float, eps: float
 ) -> JumpDirectionSet:
     """Generators {G_x(x_k, u)} over the closure-in-measure points u of node
     k that pass the relaxed phase test; the costate may jump at node k only
     into their convex hull.  The rows are views of row k of
     :meth:`Samples.node_gradients`, which batch readers index directly."""
-    row = (samples or Samples(problem, trajectory)).node_gradients(delta, eps)[k]
+    row = samples.node_gradients(delta, eps)[k]
     return JumpDirectionSet(
-        t=float(trajectory.grid.nodes[k]),
+        t=float(samples.trajectory.grid.nodes[k]),
         generators=tuple(row[~np.isnan(row[:, 0])]),
     )
 
 
 def jump_directions_at_cell_mid(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    k: int,
-    delta: float,
-    eps: float,
-    samples: Samples | None = None,
+    samples: Samples, k: int, delta: float, eps: float
 ) -> JumpDirectionSet:
     """The generator G_x at the midpoint of cell k if that is a relaxed phase
     point, none otherwise."""
-    samples = samples or Samples(problem, trajectory)
     mid = samples.mid
     gens = (mid.phase_gradients(delta, eps)[k],) if mid.phase(delta, eps)[k] else ()
-    return JumpDirectionSet(t=float(trajectory.grid.midpoints[k]), generators=gens)
+    return JumpDirectionSet(t=float(samples.trajectory.grid.midpoints[k]), generators=gens)
 
 
 # -- distance to a convex hull -------------------------------------------------

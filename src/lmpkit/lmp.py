@@ -21,6 +21,11 @@ p are rows, one per node and zero where there is none, and s is a
 :class:`Directions` record of index, flag, size and value arrays, one entry
 per atom or density cell it covers.
 
+Every check that reads the problem data takes, as its first argument, the
+:class:`~lmpkit.samples.Samples` of the (problem, trajectory) pair, and
+reads the problem and the trajectory from it; the report's sub-checks all
+share one.
+
 Certificates are accepted up to positive scaling; normalisation is reported,
 never required.  Checks are independent and pure; the report is assembled by
 a single aggregator that never aborts on a failing sub-check.
@@ -30,14 +35,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import expr, geometry
 from .errors import EvalError, InputError, LmpkitError
 from .measures import BVFunction, SignedMeasure, running_sum
-from .problem import ProblemDef, Trajectory, dynamics_defect
-from .samples import Samples
+from .problem import dynamics_defect
+
+if TYPE_CHECKING:
+    from .samples import Samples
 
 __all__ = [
     "Directions",
@@ -197,12 +205,6 @@ class Report:
     def overall_pass(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def entry(self, name: str) -> Entry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def to_json_dict(self) -> dict:
         return {
             "overall": "pass" if self.overall_pass else "FAIL",
@@ -252,17 +254,12 @@ def _jsonable(obj):
 
 
 def check_signs_slackness(
-    ms: MultiplierSet,
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: CheckConfig = CheckConfig(),
-    samples: Samples | None = None,
+    samples: Samples, ms: MultiplierSet, config: CheckConfig = CheckConfig()
 ) -> list[Entry]:
     """Sign conditions, complementary slackness, and the contact-set support
     of the singular measure (at grid resolution)."""
-    samples = samples or Samples(problem, trajectory)
     tol = config.structural_tol
-    grid = trajectory.grid
+    grid = samples.trajectory.grid
     entries = [
         Entry("alpha0_sign", max(0.0, -float(ms.alpha0)) + 0.0, tol),
         Entry(
@@ -348,11 +345,7 @@ def _records(directions: Directions, keys: np.ndarray, width: int):
 
 
 def _support_directions(
-    ms: MultiplierSet,
-    n: int,
-    samples: Samples,
-    config: CheckConfig,
-    resolve_bare: bool,
+    samples: Samples, ms: MultiplierSet, config: CheckConfig, resolve_bare: bool
 ) -> _Support:
     """Resolve s on every element of the eta support from its record.
 
@@ -363,7 +356,7 @@ def _support_directions(
     fit its generators raises.  Elements without generators are skipped
     unless ``resolve_bare`` is set; then weights there raise too.
     """
-    delta, eps = config.delta, config.eps
+    n, delta, eps = samples.problem.n, config.delta, config.eps
     atoms = ms.eta.atoms[:, 0]
     nodes = np.flatnonzero(atoms)
     cells = np.flatnonzero(ms.eta.density[:, 0] != 0.0)
@@ -424,11 +417,7 @@ def _support_directions(
 
 
 def check_jump_inclusion(
-    ms: MultiplierSet,
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: CheckConfig = CheckConfig(),
-    samples: Samples | None = None,
+    samples: Samples, ms: MultiplierSet, config: CheckConfig = CheckConfig()
 ) -> list[Entry]:
     """Distance of s to the convex hull of the reachable constraint
     gradients, over every element of the eta support; mass sitting where no
@@ -439,8 +428,7 @@ def check_jump_inclusion(
     Where s is given as weights, the residual is their distance from the
     simplex, max(0, -min w) + |sum w - 1|.
     """
-    samples = samples or Samples(problem, trajectory)
-    sup = _support_directions(ms, problem.n, samples, config, resolve_bare=False)
+    sup = _support_directions(samples, ms, config, resolve_bare=False)
     outside_mass = float(np.sum(np.abs(sup.value * sup.width)[sup.count == 0]))
     w = sup.weights[sup.weighted]
     # the zeros after the weights change neither max(0, -min w) nor sum w
@@ -459,22 +447,18 @@ def check_jump_inclusion(
 
 
 def _direction_measure(
-    ms: MultiplierSet,
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: CheckConfig,
-    samples: Samples | None = None,
+    samples: Samples, ms: MultiplierSet, config: CheckConfig
 ) -> SignedMeasure:
     """The vector measure s*d-eta used by the costate balance."""
-    samples = samples or Samples(problem, trajectory)
-    sup = _support_directions(ms, problem.n, samples, config, resolve_bare=True)
+    n = samples.problem.n
+    sup = _support_directions(samples, ms, config, resolve_bare=True)
     sdeta = sup.rows * sup.value[:, None]
     k = sup.natoms
-    atoms = np.zeros((ms.grid.ncells + 1, problem.n))
+    atoms = np.zeros((ms.grid.ncells + 1, n))
     atoms[sup.index[:k]] = sdeta[:k]
-    density = np.zeros((ms.grid.ncells, problem.n))
+    density = np.zeros((ms.grid.ncells, n))
     density[sup.index[k:]] = sdeta[k:]
-    return SignedMeasure(grid=ms.grid, dim=problem.n, atoms=atoms, density=density)
+    return SignedMeasure(grid=ms.grid, dim=n, atoms=atoms, density=density)
 
 
 def _costate_times(p_rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -506,11 +490,7 @@ def _balance_rows(
 
 
 def _adjoint_profile(
-    ms: MultiplierSet,
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: CheckConfig,
-    samples: Samples | None = None,
+    samples: Samples, ms: MultiplierSet, config: CheckConfig
 ) -> tuple[np.ndarray, float]:
     """Residual rows of the cumulative costate balance at every node.
 
@@ -519,10 +499,9 @@ def _adjoint_profile(
     p taken by its left-limit node values) minus the closed-interval mass of
     s*d-eta through node k.  Returns (rows, data scale).
     """
-    samples = samples or Samples(problem, trajectory)
     grid = ms.grid
     p = ms.p
-    sdeta = _direction_measure(ms, problem, trajectory, config, samples)
+    sdeta = _direction_measure(samples, ms, config)
     left, right = samples.left, samples.right
     lam = ms.lam[:, None]
     a_left = _costate_times(p.values[:-1], left.f_x) + lam * left.G_x
@@ -546,14 +525,10 @@ def _auto_tol(explicit: float | None, config: CheckConfig, h: float, scale: floa
 
 
 def check_adjoint(
-    ms: MultiplierSet,
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: CheckConfig = CheckConfig(),
-    samples: Samples | None = None,
+    samples: Samples, ms: MultiplierSet, config: CheckConfig = CheckConfig()
 ) -> Entry:
     """Max-norm residual of the costate balance in cumulative form."""
-    rows, scale = _adjoint_profile(ms, problem, trajectory, config, samples)
+    rows, scale = _adjoint_profile(samples, ms, config)
     residual = float(np.max(np.abs(rows)))
     h = float(np.max(ms.grid.widths))
     tol = _auto_tol(config.adjoint_tol, config, h, scale)
@@ -561,30 +536,22 @@ def check_adjoint(
 
 
 def check_transversality(
-    ms: MultiplierSet,
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: CheckConfig = CheckConfig(),
+    samples: Samples, ms: MultiplierSet, config: CheckConfig = CheckConfig()
 ) -> Entry:
     """Endpoint relations: p(t0-) + alpha0*J_x0 = 0 and p(t1+) = alpha0*J_x1."""
-    x0, x1 = trajectory.endpoints
-    jx0, jx1 = problem.endpoint_gradients(x0, x1)
+    x0, x1 = samples.trajectory.endpoints
+    jx0, jx1 = samples.problem.endpoint_gradients(x0, x1)
     left = float(np.linalg.norm(ms.p.exterior_left + ms.alpha0 * jx0))
     right = float(np.linalg.norm(ms.p.exterior_right - ms.alpha0 * jx1))
     return Entry("transversality", left + right, config.structural_tol)
 
 
 def check_stationarity(
-    ms: MultiplierSet,
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: CheckConfig = CheckConfig(),
-    samples: Samples | None = None,
+    samples: Samples, ms: MultiplierSet, config: CheckConfig = CheckConfig()
 ) -> Entry:
     """Essential-supremum residual of p.f_u + lambda*G_u, sampled at both
     cell sides and the midpoint; the L1 aggregate is reported as detail."""
-    samples = samples or Samples(problem, trajectory)
-    grid = trajectory.grid
+    grid = samples.trajectory.grid
     p = ms.p
     right_limits = p.right_limits()[:-1]
     left_limits = p.values[1:]
@@ -615,53 +582,47 @@ def _error_entry(name: str, err: Exception) -> Entry:
 
 
 def check_certificate(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    ms: MultiplierSet,
-    config: CheckConfig = CheckConfig(),
-    samples: Samples | None = None,
+    samples: Samples, ms: MultiplierSet, config: CheckConfig = CheckConfig()
 ) -> Report:
     """Run every condition check and assemble the report.
 
-    The problem data are evaluated once, into one Samples shared by every
-    sub-check.  Sub-check errors become failing entries instead of aborting
-    the rest.  Diagnostics carry the dynamics defect (informational, not a
+    Every sub-check reads the problem data from the one Samples given, so
+    they are evaluated once.  Sub-check errors become failing entries
+    instead of aborting the rest.  Diagnostics carry the dynamics defect (informational, not a
     gate), the nontriviality value, and the convention-sensitive nodes:
     atoms of d-eta at declared control jumps whose two sides differ, where
     the integrand side at the atom is a convention.  A costate whose width
     is not the problem's n is refused before any sub-check runs.
     """
-    if ms.p.dim != problem.n:
-        raise InputError(
-            f"the costate p has width {ms.p.dim}, but the problem has n = {problem.n}"
-        )
-    samples = samples or Samples(problem, trajectory)
+    n = samples.problem.n
+    if ms.p.dim != n:
+        raise InputError(f"the costate p has width {ms.p.dim}, but the problem has n = {n}")
     entries: list[Entry] = []
     try:
-        entries.extend(check_signs_slackness(ms, problem, trajectory, config, samples))
+        entries.extend(check_signs_slackness(samples, ms, config))
     except LmpkitError as err:
         entries.append(_error_entry("signs_slackness", err))
     entries.append(check_nontriviality(ms, config))
     try:
-        entries.extend(check_jump_inclusion(ms, problem, trajectory, config, samples))
+        entries.extend(check_jump_inclusion(samples, ms, config))
     except LmpkitError as err:
         entries.append(_error_entry("jump_inclusion", err))
     try:
-        entries.append(check_adjoint(ms, problem, trajectory, config, samples))
+        entries.append(check_adjoint(samples, ms, config))
     except LmpkitError as err:
         entries.append(_error_entry("adjoint", err))
     try:
-        entries.append(check_transversality(ms, problem, trajectory, config))
+        entries.append(check_transversality(samples, ms, config))
     except LmpkitError as err:
         entries.append(_error_entry("transversality", err))
     try:
-        entries.append(check_stationarity(ms, problem, trajectory, config, samples))
+        entries.append(check_stationarity(samples, ms, config))
     except LmpkitError as err:
         entries.append(_error_entry("stationarity", err))
 
     diagnostics: dict = {}
     try:
-        defect = dynamics_defect(problem, trajectory, samples)
+        defect = dynamics_defect(samples)
         diagnostics["dynamics_defect_max"] = float(np.max(np.abs(defect)))
     except (EvalError, InputError) as err:
         diagnostics["dynamics_defect_max"] = f"error: {err}"
@@ -689,13 +650,7 @@ class MergedStateConstraint:
     slackness_residual: float
 
 
-def merge_state_constraint(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    ms: MultiplierSet,
-    config: CheckConfig = CheckConfig(),
-    samples: Samples | None = None,
-) -> MergedStateConstraint:
+def merge_state_constraint(samples: Samples, ms: MultiplierSet) -> MergedStateConstraint:
     """Merge lambda*dt + d-eta into one measure for G(x, u) = g(x).
 
     Requires G_u to vanish structurally (as an expression).  The costate
@@ -704,9 +659,8 @@ def merge_state_constraint(
     construction both residuals coincide with the unmerged forms evaluated
     with s equal to that gradient.
     """
-    if not all(expr.is_zero(e) for e in problem.G_u):
+    if not all(expr.is_zero(e) for e in samples.problem.G_u):
         raise InputError("G depends on the control; the merged form needs G(x,u)=g(x)")
-    samples = samples or Samples(problem, trajectory)
     grid = ms.grid
     merged = SignedMeasure(grid, atoms=ms.eta.atoms, density=ms.lam + ms.eta.density[:, 0])
     left, right = samples.left, samples.right

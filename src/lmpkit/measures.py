@@ -6,8 +6,8 @@ v(tau_k) everywhere, so values[0] is also the exterior value v(t0-)), plus
 its jumps as rows, one per node, zero where it does not jump; the exterior
 right value is v(tau_N) + jump(tau_N).  A measure stores its node atoms the
 same way, one row per node, plus a piecewise-constant density; its mass
-over node-aligned [a, b] includes the atoms at BOTH endpoints, matching the
-relation "integral of dp over [a,b] = p(b+0) - p(a-0)".
+over the closed horizon [t0, t1] includes the atoms at BOTH ends, matching
+the relation "integral of dp over [t0, t1] = p(t1+0) - p(t0-0)".
 :func:`running_sum` adds node atoms and cell masses in node order, the
 order in which the checker accumulates the costate balance.
 
@@ -109,21 +109,11 @@ class SignedMeasure:
         if self.nonnegative and (np.any(atoms < 0) or np.any(density < 0)):
             raise InputError("measure flagged nonnegative has negative parts")
 
-    def mass(self, a: int = 0, b: int | None = None) -> np.ndarray:
-        """Closed-interval mass over [tau_a, tau_b]: atoms at both ends included."""
-        a, b = self._bounds(a, b)
-        cells = self.density[a:b] * self.grid.widths[a:b, None]
-        return np.sum(self.atoms[a : b + 1], axis=0) + np.sum(cells, axis=0)
-
-    def _bounds(self, a, b) -> tuple[int, int]:
-        if b is None:
-            b = self.grid.ncells
-        a = a if isinstance(a, (int, np.integer)) else self.grid.node_index(a)
-        b = b if isinstance(b, (int, np.integer)) else self.grid.node_index(b)
-        a, b = int(a), int(b)
-        if not 0 <= a <= b <= self.grid.ncells:
-            raise InputError(f"misaligned or reversed bounds ({a}, {b})")
-        return a, b
+    def mass(self) -> np.ndarray:
+        """Mass over the closed horizon [t0, t1]: every atom, the end atoms
+        included, plus the density mass of every cell."""
+        cells = self.density * self.grid.widths[:, None]
+        return np.sum(self.atoms, axis=0) + np.sum(cells, axis=0)
 
 
 def running_sum(base, atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import expr
 from .errors import EvalError, InputError
-from .samples import Samples
+
+if TYPE_CHECKING:
+    from .samples import Samples
 
 __all__ = [
     "ProblemDef",
@@ -29,7 +32,6 @@ __all__ = [
     "builtin_example",
 ]
 
-_NODE_MATCH_RTOL = 1e-9
 _CONTINUITY_TOL = 1e-12
 
 
@@ -72,14 +74,6 @@ class TimeGrid:
     @cached_property
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
-
-    def node_index(self, t: float) -> int:
-        """Map a time to its node index; raises if t is not grid-aligned."""
-        k = int(np.argmin(np.abs(self.nodes - t)))
-        span = self.t1 - self.t0
-        if abs(self.nodes[k] - t) > _NODE_MATCH_RTOL * span:
-            raise InputError(f"time {t!r} is not aligned with a grid node")
-        return k
 
 
 def _parse_or_keep(source, scope: expr.Scope) -> expr.Expression:
@@ -240,14 +234,11 @@ class Trajectory:
         return self.x[0], self.x[-1]
 
 
-def dynamics_defect(
-    problem: ProblemDef, trajectory: Trajectory, samples: Samples | None = None
-) -> np.ndarray:
+def dynamics_defect(samples: Samples) -> np.ndarray:
     """Per-cell trapezoidal defect of the dynamics; a diagnostic, not a gate.
 
     defect_k = x(tau_{k+1}) - x(tau_k) - h_k/2 * (f(w(tau_k+)) + f(w(tau_{k+1}-))).
     """
-    samples = samples or Samples(problem, trajectory)
     errors = []
     for points in (samples.left, samples.right):
         try:
@@ -259,9 +250,9 @@ def dynamics_defect(
         raise EvalError(
             f"dynamics evaluation failed on cell {err.sample}: {err.reason}"
         ) from err
-    h = trajectory.grid.widths
+    x, h = samples.trajectory.x, samples.trajectory.grid.widths
     fa, fb = samples.left.f, samples.right.f
-    return trajectory.x[1:] - trajectory.x[:-1] - (0.5 * h)[:, None] * (fa + fb)
+    return x[1:] - x[:-1] - (0.5 * h)[:, None] * (fa + fb)
 
 
 # -- built-in analytic fixtures ----------------------------------------------

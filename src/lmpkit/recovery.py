@@ -1,8 +1,10 @@
 """Multiplier recovery: build a convex program from the discretised
 optimality conditions and solve it with a self-contained method.
 
-Given only a problem and a candidate trajectory, the program searches a
-normalised multiplier family.  Its unknowns are masses: the cost weight, the
+Given only a problem and a candidate trajectory, held with their evaluated
+data in the one :class:`~lmpkit.samples.Samples` that building the program
+and the re-check both take first, the program searches a normalised
+multiplier family.  Its unknowns are masses: the cost weight, the
 lambda mass lambda_k h_k on each cell left active by a
 complementary-slackness pre-pass, and generator coefficients of the singular
 measure at the contact nodes.  The bilinear product of the direction s with
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,8 +54,10 @@ from .lmp import (
     refuse_bad_tolerances,
 )
 from .measures import BVFunction, SignedMeasure
-from .problem import ProblemDef, Trajectory
-from .samples import Samples
+from .problem import TimeGrid
+
+if TYPE_CHECKING:
+    from .samples import Samples
 
 __all__ = [
     "RecoveryConfig",
@@ -85,20 +90,21 @@ class RecoveryProgram:
     weight alpha0 (column 0); the lambda mass lambda_k h_k on the cells
     ``lam_cells`` (columns ``lam_cols``); and one coefficient per jump
     generator at the contact nodes, column ``atom_cols[i]`` for node
-    ``atom_nodes[i]`` and generator ``atom_gens[i]``.  Cells increase, and
-    nodes do not decrease.  A contact cell has no unknown besides lambda.
+    ``atom_nodes[i]`` and generator ``atom_gens[i]``, which sits in slot
+    ``atom_slots[i]`` of the node (see :meth:`Samples.node_gradients`).
+    Cells increase, and nodes do not decrease.  A contact cell has no
+    unknown besides lambda.
     ``lam_off_contact`` says whether some lambda cell lies off the contact
     set; only then does the solve start from alpha0 and lambda.
 
     ``A_L`` is a transposed view of a node-major (N+1, n, nvars) array.
     """
 
-    problem: ProblemDef
-    trajectory: Trajectory
-    config: RecoveryConfig
+    grid: TimeGrid
     nvars: int
     lam_cells: np.ndarray  # (L,) cells that carry a lambda unknown
     atom_nodes: np.ndarray  # (A,) node of each atom coefficient, nondecreasing
+    atom_slots: np.ndarray  # (A,) its slot at the node, 0 or 1
     atom_gens: np.ndarray  # (A, n) its jump generator
     M: np.ndarray  # objective residual map, f = |M theta|^2
     A_L: np.ndarray  # (N+1, nvars, n): costate left limits, p_k = theta . A_L[k]
@@ -113,13 +119,6 @@ class RecoveryProgram:
     def atom_cols(self) -> np.ndarray:
         start = 1 + self.lam_cells.size
         return np.arange(start, start + self.atom_nodes.size)
-
-    def costate_left_limits(self, theta: np.ndarray) -> np.ndarray:
-        return self.A_L.transpose(0, 2, 1) @ theta
-
-    def objective(self, theta: np.ndarray) -> float:
-        r = self.M @ theta
-        return float(r @ r)
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,7 @@ def _slack_threshold(samples: Samples, config: RecoveryConfig) -> float:
 
 
 def build_program(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: RecoveryConfig = RecoveryConfig(),
-    samples: Samples | None = None,
+    samples: Samples, config: RecoveryConfig = RecoveryConfig()
 ) -> RecoveryProgram:
     """Assemble unknowns, the normalisation row, the affine costate
     recursion, and the quadratic objective.
@@ -157,7 +153,7 @@ def build_program(
     backward sweep, and one batched product per sample side for the
     stationarity rows.
     """
-    samples = samples or Samples(problem, trajectory)
+    problem, trajectory = samples.problem, samples.trajectory
     left, mid, right = samples.left, samples.mid, samples.right
     grid = trajectory.grid
     N = grid.ncells
@@ -244,12 +240,11 @@ def build_program(
         "slack_threshold": slack,
     }
     return RecoveryProgram(
-        problem=problem,
-        trajectory=trajectory,
-        config=config,
+        grid=grid,
         nvars=nvars,
         lam_cells=lam_cells,
         atom_nodes=atom_nodes,
+        atom_slots=slot,
         atom_gens=atom_gens,
         M=rows,
         A_L=S.transpose(0, 2, 1),
@@ -288,9 +283,10 @@ def solve(program: RecoveryProgram) -> RecoveryResult:
         verdict = "taken" if mnp.start else "refused"
         log.debug("start corral of %d columns (alpha0, lambda): %s", start, verdict)
     theta = mnp.w
+    r = program.M @ theta
     return RecoveryResult(
         multipliers=_assemble(program, theta),
-        objective=program.objective(theta),
+        objective=float(r @ r),
         kkt_residual=mnp.gap,
         theta=theta,
         status=mnp.status,
@@ -298,53 +294,32 @@ def solve(program: RecoveryProgram) -> RecoveryResult:
     )
 
 
-def _groups(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each run of equal entries of a nondecreasing array starts, and
-    its length."""
-    first = np.ones(elements.size, dtype=bool)
-    first[1:] = elements[1:] != elements[:-1]
-    starts = np.flatnonzero(first)
-    return starts, np.diff(np.append(starts, elements.size))
-
-
-def _weights(
-    theta: np.ndarray, elements: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, Directions]:
-    """The nodes (``elements``, one per coefficient column ``cols``) that
-    carry positive eta mass: their masses, and s on them as the weights
-    coeff / mass."""
-    starts, size = _groups(elements)
-    group = np.repeat(np.arange(starts.size), size)
-    coeff = np.zeros((starts.size, int(size.max(initial=0))))
-    coeff[group, np.arange(elements.size) - starts[group]] = theta[cols]
-    mass = np.sum(coeff, axis=1)
-    keep = mass > 0.0
-    size = size[keep]
-    s = Directions(
-        index=elements[starts][keep],
-        weighted=np.ones(size.size, dtype=bool),
-        size=size,
-        values=coeff[keep, : size.max(initial=0)] / mass[keep, None],
-    )
-    return mass[keep], s
-
-
 def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
-    grid = program.trajectory.grid
+    """The multipliers of the masses ``theta``.  The atom coefficients are
+    laid out by node and slot; a node with positive mass carries an eta
+    atom of that mass, and s there as the weights coefficient / mass."""
+    grid = program.grid
+    nodes, slots, cols = program.atom_nodes, program.atom_slots, program.atom_cols
     lam = np.zeros(grid.ncells)
     lam[program.lam_cells] = theta[program.lam_cols] / grid.widths[program.lam_cells]
-    atom_mass, s_atoms = _weights(theta, program.atom_nodes, program.atom_cols)
-    atoms = np.zeros(grid.ncells + 1)
-    atoms[s_atoms.index] = atom_mass
-    eta = SignedMeasure(grid, atoms=atoms, nonnegative=True)
-    values = program.costate_left_limits(theta)
+    coeff = np.zeros((grid.ncells + 1, 2))
+    coeff[nodes, slots] = theta[cols]
+    mass = np.sum(coeff, axis=1)
+    index = np.flatnonzero(mass > 0.0)
+    size = np.bincount(nodes, minlength=grid.ncells + 1)[index]
+    s_atoms = Directions(
+        index=index,
+        weighted=np.ones(index.size, dtype=bool),
+        size=size,
+        values=coeff[index, : size.max(initial=0)] / mass[index, None],
+    )
+    eta = SignedMeasure(grid, atoms=np.where(mass > 0.0, mass, 0.0), nonnegative=True)
+    values = program.A_L.transpose(0, 2, 1) @ theta
     # the costate jumps by -(s d-eta) at each contact node
-    starts, _ = _groups(program.atom_nodes)
+    starts = np.flatnonzero(slots == 0)
     jumps = np.zeros_like(values)
     if starts.size:
-        jumps[program.atom_nodes[starts]] = -np.add.reduceat(
-            theta[program.atom_cols, None] * program.atom_gens, starts
-        )
+        jumps[nodes[starts]] = -np.add.reduceat(theta[cols, None] * program.atom_gens, starts)
     p = BVFunction(grid=grid, values=values, atoms=jumps)
     return MultiplierSet(
         alpha0=float(theta[0]),
@@ -356,14 +331,10 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
 
 
 def cross_validate(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    ms: MultiplierSet,
-    check_config: CheckConfig = CheckConfig(),
-    samples: Samples | None = None,
+    samples: Samples, ms: MultiplierSet, check_config: CheckConfig = CheckConfig()
 ) -> Report:
     """Independent acceptance: pipe recovered multipliers through the checker."""
-    return check_certificate(problem, trajectory, ms, check_config, samples)
+    return check_certificate(samples, ms, check_config)
 
 
 @dataclass(frozen=True)
@@ -375,17 +346,14 @@ class RecoveryOutcome:
 
 
 def recover(
-    problem: ProblemDef,
-    trajectory: Trajectory,
-    config: RecoveryConfig = RecoveryConfig(),
-    check_config: CheckConfig | None = None,
+    samples: Samples, config: RecoveryConfig = RecoveryConfig()
 ) -> RecoveryOutcome:
-    """End-to-end recovery: build, solve, cross-validate."""
-    samples = Samples(problem, trajectory)
-    program = build_program(problem, trajectory, config, samples)
+    """End-to-end recovery: build, solve, cross-validate at the recovery's
+    own phase-test tolerances."""
+    program = build_program(samples, config)
     result = solve(program)
-    cfg = check_config or CheckConfig(delta=config.delta, eps=config.eps)
-    report = cross_validate(problem, trajectory, result.multipliers, cfg, samples)
+    check_config = CheckConfig(delta=config.delta, eps=config.eps)
+    report = cross_validate(samples, result.multipliers, check_config)
     return RecoveryOutcome(
         result=result,
         report=report,

@@ -19,7 +19,10 @@ the contact set.  G_u is evaluated only where -delta <= G <= 0 and G_x for
 the phase rows only at phase points, so data that are undefined off the
 phase set do not raise; G_x is evaluated at most once per point, whether
 the phase rows or the whole table is read first.
-Geometry, the checker and recovery all read their data from one Samples.
+
+Geometry, the checker and recovery take one Samples as their first
+argument and read the problem and the trajectory from it; the command line
+builds it, once per command.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import expr
+from . import expr, geometry
 from .errors import EvalError, InputError
 
 if TYPE_CHECKING:
-    from .geometry import ContactSet
     from .problem import ProblemDef, Trajectory
 
 __all__ = ["PointSet", "Samples"]
@@ -167,7 +169,7 @@ class Samples:
         jumps = np.asarray(trajectory.jumps, dtype=np.intp)
         self.two_sided = _frozen(jumps[np.any(ur[jumps - 1] != ul[jumps], axis=1)])
         self._node_gradients: dict[tuple[float, float], np.ndarray] = {}
-        self._contact: dict[tuple[float, float], "ContactSet"] = {}
+        self._contact: dict[tuple[float, float], geometry.ContactSet] = {}
 
     def per_node(self, left: np.ndarray, right: np.ndarray, fill) -> np.ndarray:
         """Arrays over the left and right point sets laid out per node, in
@@ -203,14 +205,10 @@ class Samples:
             self._node_gradients[key] = _frozen(table)
         return self._node_gradients[key]
 
-    def contact_set(self, delta: float, eps: float) -> "ContactSet":
+    def contact_set(self, delta: float, eps: float) -> geometry.ContactSet:
         """The contact set of :func:`lmpkit.geometry.contact_set`, built once
         per (delta, eps)."""
         key = (delta, eps)
         if key not in self._contact:
-            from . import geometry  # geometry imports this module
-
-            self._contact[key] = geometry.contact_set(
-                self.problem, self.trajectory, delta, eps, self
-            )
+            self._contact[key] = geometry.contact_set(self, delta, eps)
         return self._contact[key]

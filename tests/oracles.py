@@ -15,6 +15,8 @@ The tests build costates with ``cumulative``, which runs
 ``measures.running_sum``; the node loop checks it bit for bit.  They build
 certificates record by record (``Record``, ``directions_of``,
 ``node_rows``), and ``scaled`` rescales one for the scale-invariance tests.
+``entry`` reads a report's line by name, and ``node_at`` a grid's node by
+its time.
 """
 
 from __future__ import annotations
@@ -412,6 +414,18 @@ def scaled(ms: MultiplierSet, c: float) -> MultiplierSet:
     )
 
 
+def entry(report, name: str):
+    """The entry of a report by its condition name."""
+    return next(e for e in report.entries if e.name == name)
+
+
+def node_at(grid: TimeGrid, t: float) -> int:
+    """The node of a grid at time t, to within 1e-9 of the horizon."""
+    k = int(np.argmin(np.abs(grid.nodes - t)))
+    assert abs(grid.nodes[k] - t) <= 1e-9 * (grid.t1 - grid.t0), t
+    return k
+
+
 # -- cumulative function of a measure ------------------------------------------
 
 
@@ -503,7 +517,7 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
 
     slack = _slack_threshold(samples, config)
     active = np.flatnonzero(np.maximum(left.G, right.G) >= -slack).tolist()
-    contact = geometry.contact_set(problem, trajectory, config.delta, config.eps, samples)
+    contact = samples.contact_set(config.delta, config.eps)
     atom_gens = {
         k: np.asarray(
             reference_node_generators(problem, trajectory, k, config.delta, config.eps)

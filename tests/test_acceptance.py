@@ -20,14 +20,17 @@ from lmpkit.lmp import (
 from lmpkit.measures import SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import build_program, cross_validate, solve
+from lmpkit.samples import Samples
 from oracles import (
     at_point,
     central_difference,
     control_points,
     cumulative,
+    entry,
     fd_comparable_sample,
     hull_distance_bruteforce,
     laid_out_controls,
+    node_at,
     node_rows,
     random_trajectory,
 )
@@ -42,7 +45,7 @@ def announce(number: int, passed: bool, detail: str) -> None:
 def test_criterion_1_atom_fixture_reproduction():
     start = time.perf_counter()
     problem, trajectory, ms = builtin_example("ex1", t0=0.0, t1=1.0, ncells=100)
-    report = check_certificate(problem, trajectory, ms)
+    report = check_certificate(Samples(problem, trajectory), ms)
     elapsed = time.perf_counter() - start
     worst = max(e.residual for e in report.entries)
     ok = report.overall_pass and worst <= 1e-9 and elapsed < 1.0
@@ -61,8 +64,8 @@ def test_criterion_2_arc_fixture_both_splits():
         problem, trajectory, ms = builtin_example(
             "ex2", T=1.0, m=0.5, ncells=400, contact_split=split
         )
-        report = check_certificate(problem, trajectory, ms)
-        adjoint = report.entry("adjoint").residual
+        report = check_certificate(Samples(problem, trajectory), ms)
+        adjoint = entry(report, "adjoint").residual
         structural = max(
             e.residual for e in report.entries if e.name != "adjoint"
         )
@@ -86,9 +89,10 @@ def test_criterion_2_arc_fixture_both_splits():
 def test_criterion_3_recovery_atom_fixture():
     start = time.perf_counter()
     problem, trajectory, _ = builtin_example("ex1", t0=0.0, t1=1.0, ncells=100)
-    program = build_program(problem, trajectory)
+    samples = Samples(problem, trajectory)
+    program = build_program(samples)
     result = solve(program)
-    report = cross_validate(problem, trajectory, result.multipliers)
+    report = cross_validate(samples, result.multipliers)
     elapsed = time.perf_counter() - start
     r = result.multipliers
     N = trajectory.grid.ncells
@@ -115,9 +119,10 @@ def test_criterion_3_recovery_atom_fixture():
 def test_criterion_4_recovery_arc_fixture():
     start = time.perf_counter()
     problem, trajectory, _ = builtin_example("ex2", T=1.0, m=0.5, ncells=400)
-    program = build_program(problem, trajectory)
+    samples = Samples(problem, trajectory)
+    program = build_program(samples)
     result = solve(program)
-    report = cross_validate(problem, trajectory, result.multipliers)
+    report = cross_validate(samples, result.multipliers)
     elapsed = time.perf_counter() - start
     r = result.multipliers
     a0 = r.alpha0
@@ -253,8 +258,9 @@ def test_criterion_9_state_constraint_reduction():
     ms = MultiplierSet(
         alpha0=0.0, lam=lam, eta=eta, s_atoms=s_atoms, s_cells=s_cells, p=p
     )
-    raw = check_adjoint(ms, problem, trajectory)
-    merged = merge_state_constraint(problem, trajectory, ms)
+    samples = Samples(problem, trajectory)
+    raw = check_adjoint(samples, ms)
+    merged = merge_state_constraint(samples, ms)
     gap = abs(merged.adjoint_residual - raw.residual)
     slack_ok = merged.slackness_residual <= 1e-14  # g == 0 on the whole path
     ok = gap <= 1e-12 and slack_ok
@@ -276,14 +282,14 @@ def test_criterion_10_negative_controls_fail_only_their_lines():
         s_atoms=Directions.vectors([0, N], [[1.0], [1.0]]),
         p=ms.p,
     )
-    report_a = check_certificate(problem, trajectory, flipped)
+    report_a = check_certificate(Samples(problem, trajectory), flipped)
     failing_a = {e.name for e in report_a.entries if not e.passed}
     # flipping s must trip the inclusion line; the costate balance couples to
     # s through the measure term, so it trips alongside, and nothing else does
     ok_a = failing_a == {"jump_inclusion", "adjoint"}
 
     problem2, trajectory2, ms2 = builtin_example("ex2", ncells=400)
-    arc_node = trajectory2.grid.node_index(0.75)
+    arc_node = node_at(trajectory2.grid, 0.75)
     eta = SignedMeasure(
         trajectory2.grid,
         atoms=node_rows(trajectory2.grid, {arc_node: 0.2}),
@@ -298,7 +304,7 @@ def test_criterion_10_negative_controls_fail_only_their_lines():
         s_cells=ms2.s_cells,
         p=ms2.p,
     )
-    report_b = check_certificate(problem2, trajectory2, moved)
+    report_b = check_certificate(Samples(problem2, trajectory2), moved)
     failing_b = {e.name for e in report_b.entries if not e.passed}
     ok_b = failing_b == {"eta_outside_contact", "jump_inclusion_outside"}
     announce(

@@ -14,6 +14,7 @@ import lmpkit
 from lmpkit.lmp import Report
 from lmpkit.problem import ProblemDef, builtin_example
 from lmpkit.recovery import build_program
+from lmpkit.samples import Samples
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -47,7 +48,7 @@ def test_directly_wrapped_names_exist():
 
 def test_the_solve_wrapper_reads_the_program_sizes():
     problem, trajectory, _ = builtin_example("ex1", ncells=20)
-    program = build_program(problem, trajectory)
+    program = build_program(Samples(problem, trajectory))
     assert program.M.nbytes > 0
     assert program.A_L.nbytes > 0
     assert program.nvars > 0

@@ -14,6 +14,7 @@ from oracles import (
     hull_distance_bruteforce,
     hull_distance_faces,
     laid_out_controls,
+    node_at,
     random_problem,
     random_trajectory,
     reference_contact_flags,
@@ -102,21 +103,22 @@ class TestPhaseSet:
 class TestContactSet:
     def test_whole_horizon(self, ex1):
         problem, trajectory, _ = ex1
-        contact = geometry.contact_set(problem, trajectory, 1e-8, 1e-8)
+        samples = Samples(problem, trajectory)
+        contact = geometry.contact_set(samples, 1e-8, 1e-8)
         assert contact.intervals == ((0, trajectory.grid.ncells),)
         assert contact.flags.all()
         # the fixture is exact in floating point, so zero tolerances already
         # recover the full contact interval
-        exact = geometry.contact_set(problem, trajectory, 0.0, 0.0)
+        exact = geometry.contact_set(samples, 0.0, 0.0)
         assert exact.intervals == contact.intervals
 
     def test_arc_fixture_interval(self, ex2):
         problem, trajectory, _ = ex2
-        contact = geometry.contact_set(problem, trajectory, 1e-9, 1e-9)
+        contact = geometry.contact_set(Samples(problem, trajectory), 1e-9, 1e-9)
         grid = trajectory.grid
         (lo, hi), = contact.intervals
-        k_left = grid.node_index(-0.5)
-        k_right = grid.node_index(0.5)
+        k_left = node_at(grid, -0.5)
+        k_right = node_at(grid, 0.5)
         assert abs(lo - k_left) <= 1
         assert abs(hi - k_right) <= 1
 
@@ -129,7 +131,7 @@ class TestContactSet:
             u_left=trajectory.u_left,
             u_right=trajectory.u_right,
         )
-        contact = geometry.contact_set(problem_, raised, 0.5, 0.5)
+        contact = geometry.contact_set(Samples(problem_, raised), 0.5, 0.5)
         assert not contact.flags.any()
         assert contact.intervals == ()
 
@@ -138,7 +140,7 @@ class TestJumpDirections:
     def test_atom_fixture_direction(self, ex1):
         problem, trajectory, _ = ex1
         k = int(np.argmin(np.abs(trajectory.grid.midpoints - 0.375)))
-        value = geometry.jump_directions_at_cell_mid(problem, trajectory, k, 1e-8, 1e-8)
+        value = geometry.jump_directions_at_cell_mid(Samples(problem, trajectory), k, 1e-8, 1e-8)
         # the midpoint of the cell is a phase point; single generator G_x = -1
         assert value.t == 0.375
         assert len(value.generators) == 1
@@ -146,35 +148,31 @@ class TestJumpDirections:
 
     def test_arc_fixture_direction(self, ex2):
         problem, trajectory, _ = ex2
-        k = trajectory.grid.node_index(0.0)
-        value = geometry.jump_directions_at_node(problem, trajectory, k, 1e-9, 1e-9)
+        k = node_at(trajectory.grid, 0.0)
+        value = geometry.jump_directions_at_node(Samples(problem, trajectory), k, 1e-9, 1e-9)
         assert len(value.generators) == 1
         assert np.array_equal(value.generators[0], np.array([0.0, -1.0]))
 
     def test_inactive_time_empty(self, ex2):
         problem, trajectory, _ = ex2
         grid = trajectory.grid
-        node = geometry.jump_directions_at_node(
-            problem, trajectory, grid.node_index(0.9), 1e-9, 1e-9
-        )
+        samples = Samples(problem, trajectory)
+        node = geometry.jump_directions_at_node(samples, node_at(grid, 0.9), 1e-9, 1e-9)
         mid = geometry.jump_directions_at_cell_mid(
-            problem, trajectory, int(np.argmin(np.abs(grid.midpoints - 0.9))), 1e-9, 1e-9
+            samples, int(np.argmin(np.abs(grid.midpoints - 0.9))), 1e-9, 1e-9
         )
         assert node.generators == ()
         assert mid.generators == ()
 
     def test_tolerance_monotonicity(self, ex2):
         problem, trajectory, _ = ex2
-        small = geometry.contact_set(problem, trajectory, 1e-9, 1e-9)
-        large = geometry.contact_set(problem, trajectory, 1e-3, 1e-1)
+        samples = Samples(problem, trajectory)
+        small = geometry.contact_set(samples, 1e-9, 1e-9)
+        large = geometry.contact_set(samples, 1e-3, 1e-1)
         assert np.all(small.flags <= large.flags)
         for k in range(0, trajectory.grid.ncells + 1, 25):
-            g_small = geometry.jump_directions_at_node(
-                problem, trajectory, k, 1e-9, 1e-9
-            ).generators
-            g_large = geometry.jump_directions_at_node(
-                problem, trajectory, k, 1e-3, 1e-1
-            ).generators
+            g_small = geometry.jump_directions_at_node(samples, k, 1e-9, 1e-9).generators
+            g_large = geometry.jump_directions_at_node(samples, k, 1e-3, 1e-1).generators
             small_set = {tuple(g) for g in g_small}
             large_set = {tuple(g) for g in g_large}
             assert small_set <= large_set
@@ -384,13 +382,14 @@ def test_contact_set_skips_derivatives_off_the_phase_set():
     )
     with pytest.raises(EvalError):
         at_point(problem, problem.G_u, trajectory.x[0], trajectory.u_left[0])
+    samples = Samples(problem, trajectory)
     for eps in (1e-8, 2.0):
-        contact = geometry.contact_set(problem, trajectory, 1e-8, eps)
+        contact = geometry.contact_set(samples, 1e-8, eps)
         expected = reference_contact_flags(problem, trajectory, 1e-8, eps)
         assert np.array_equal(contact.flags, expected)
-    assert geometry.contact_set(problem, trajectory, 1e-8, 2.0).intervals == ((3, 5),)
+    assert geometry.contact_set(samples, 1e-8, 2.0).intervals == ((3, 5),)
     for k in (3, 4):
-        gens = geometry.jump_directions_at_node(problem, trajectory, k, 1e-8, 2.0).generators
+        gens = geometry.jump_directions_at_node(samples, k, 1e-8, 2.0).generators
         assert len(gens) == 1 and gens[0][0] == -1.0
 
 
@@ -399,11 +398,12 @@ def test_node_generators_match_reference_on_random_trajectories():
     for _ in range(10):
         trajectory = random_trajectory(rng)
         problem = random_problem(trajectory.n, trajectory.m)
-        table = Samples(problem, trajectory).node_gradients(RELAXED.delta, RELAXED.eps)
+        samples = Samples(problem, trajectory)
+        table = samples.node_gradients(RELAXED.delta, RELAXED.eps)
         assert table.shape == (trajectory.grid.ncells + 1, 2, trajectory.n)
         for k in range(trajectory.grid.ncells + 1):
             gens = geometry.jump_directions_at_node(
-                problem, trajectory, k, RELAXED.delta, RELAXED.eps
+                samples, k, RELAXED.delta, RELAXED.eps
             ).generators
             expected = reference_node_generators(
                 problem, trajectory, k, RELAXED.delta, RELAXED.eps

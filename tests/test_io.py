@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lmpkit import io
 from lmpkit.errors import InputError
 from lmpkit.problem import builtin_example
+from lmpkit.samples import Samples
 from oracles import Record, directions_by_record, directions_of, u_cells_by_record
 
 
@@ -405,7 +406,7 @@ def test_saved_files_are_read_by_columns(tmp_path, monkeypatch):
     records = {k: Record(weights=[1.0]) for k in ms.s_cells.index.tolist()}
     weighted = replace(ms, s_cells=directions_of(records))
     problem, atom, _ = builtin_example("ex1", ncells=40)
-    recovered = recover(problem, atom).result.multipliers
+    recovered = recover(Samples(problem, atom)).result.multipliers
     assert recovered.s_atoms.index.size > 0 and recovered.s_atoms.weighted.all()
     assert weighted.s_cells.index.size > 0 and weighted.s_cells.weighted.all()
     cases = {"closed": (arc, ms), "weighted": (arc, weighted), "recovered": (atom, recovered)}
@@ -449,7 +450,7 @@ def test_one_wrong_dimension_vector_among_many_cells_fails_at_check(tmp_path):
     path = rewrite(tmp_path / "certificate.json", edit)
     cert = io.load_certificate(path, trajectory.grid)
     assert cert.s_cells.size.tolist().count(3) == 1
-    report = check_certificate(problem, trajectory, cert)
+    report = check_certificate(Samples(problem, trajectory), cert)
     failing = {e.name: e.detail for e in report.entries if not e.passed}
     message = f"error: direction vector at cell {cell} has wrong dimension"
     assert failing == {"jump_inclusion": message, "adjoint": message}

@@ -21,12 +21,14 @@ from lmpkit.lmp import (
 from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import RecoveryConfig
+from lmpkit.samples import Samples
 from oracles import (
     RELAXED,
     Record,
     at_point,
     cumulative,
     directions_of,
+    entry,
     node_rows,
     random_certificate,
     random_problem,
@@ -67,7 +69,7 @@ def make_multipliers(grid, alpha0=0.0, lam=None, eta=None, p=None, n=1, **s):
 class TestSignsSlackness:
     def test_atom_fixture_all_zero(self, ex1):
         problem, trajectory, ms = ex1
-        entries = check_signs_slackness(ms, problem, trajectory)
+        entries = check_signs_slackness(Samples(problem, trajectory), ms)
         assert [e.name for e in entries] == [
             "alpha0_sign",
             "lambda_sign",
@@ -82,13 +84,13 @@ class TestSignsSlackness:
         trajectory = make_flat(problem, 2)
         lam = np.array([1.0, 0.0])
         ms = make_multipliers(trajectory.grid, lam=lam)
-        entries = {e.name: e for e in check_signs_slackness(ms, problem, trajectory)}
+        entries = {e.name: e for e in check_signs_slackness(Samples(problem, trajectory), ms)}
         assert entries["slackness"].residual == pytest.approx(0.003, abs=1e-15)
 
     def test_zero_multipliers_have_zero_residuals(self, ex1):
         problem, trajectory, _ = ex1
         ms = make_multipliers(trajectory.grid)
-        entries = check_signs_slackness(ms, problem, trajectory)
+        entries = check_signs_slackness(Samples(problem, trajectory), ms)
         assert all(e.residual == 0.0 for e in entries)
         assert not check_nontriviality(ms).passed
 
@@ -97,7 +99,7 @@ class TestSignsSlackness:
         grid = trajectory.grid
         eta = SignedMeasure(grid, atoms=node_rows(grid, {3: -0.25}))
         ms = make_multipliers(grid, alpha0=-1.0, eta=eta)
-        entries = {e.name: e for e in check_signs_slackness(ms, problem, trajectory)}
+        entries = {e.name: e for e in check_signs_slackness(Samples(problem, trajectory), ms)}
         assert entries["alpha0_sign"].residual == 1.0
         assert entries["eta_sign"].residual == 0.25
 
@@ -127,12 +129,12 @@ class TestNontriviality:
 class TestJumpInclusion:
     def test_atom_fixture(self, ex1):
         problem, trajectory, ms = ex1
-        entries = check_jump_inclusion(ms, problem, trajectory)
+        entries = check_jump_inclusion(Samples(problem, trajectory), ms)
         assert all(e.residual == 0.0 for e in entries)
 
     def test_arc_fixture(self, ex2):
         problem, trajectory, ms = ex2
-        entries = check_jump_inclusion(ms, problem, trajectory)
+        entries = check_jump_inclusion(Samples(problem, trajectory), ms)
         assert all(e.residual <= 1e-12 for e in entries)
 
     def test_wrong_direction_distance(self, ex2):
@@ -145,7 +147,7 @@ class TestJumpInclusion:
             s_cells=wrong,
             p=ms.p,
         )
-        entries = {e.name: e for e in check_jump_inclusion(bad, problem, trajectory)}
+        entries = {e.name: e for e in check_jump_inclusion(Samples(problem, trajectory), bad)}
         assert entries["jump_inclusion"].residual == pytest.approx(1.0, abs=1e-12)
 
     def test_cell_weights_off_the_simplex(self, ex2):
@@ -159,7 +161,7 @@ class TestJumpInclusion:
             s_cells=directions_of(weights),
             p=ms.p,
         )
-        entries = {e.name: e for e in check_jump_inclusion(bad, problem, trajectory)}
+        entries = {e.name: e for e in check_jump_inclusion(Samples(problem, trajectory), bad)}
         # the negative part 0.25 plus the gap 1.25 of the sum to 1
         assert entries["jump_inclusion"].residual == 1.5
 
@@ -167,7 +169,7 @@ class TestJumpInclusion:
         problem, trajectory, ms = ex1
         stripped = MultiplierSet(alpha0=ms.alpha0, lam=ms.lam, eta=ms.eta, p=ms.p)
         with pytest.raises(InputError):
-            check_jump_inclusion(stripped, problem, trajectory)
+            check_jump_inclusion(Samples(problem, trajectory), stripped)
 
 
 def off_the_constraint(trajectory):
@@ -203,15 +205,16 @@ def test_elements_without_generators_split_the_errors(ex1, atoms, cell, records,
     ms = make_multipliers(grid, alpha0=1.0, eta=eta, **records)
     mass = ms.eta_mass()
     assert mass > 0.0
-    entries = {e.name: e for e in check_jump_inclusion(ms, problem, raised)}
+    samples = Samples(problem, raised)
+    entries = {e.name: e for e in check_jump_inclusion(samples, ms)}
     assert entries["jump_inclusion"].residual == 0.0
     assert entries["jump_inclusion_outside"].residual == mass
     with pytest.raises(InputError, match=message):
-        check_adjoint(ms, problem, raised)
-    report = check_certificate(problem, raised, ms)
+        check_adjoint(samples, ms)
+    report = check_certificate(samples, ms)
     errors = {e.name for e in report.entries if e.detail.startswith("error:")}
     assert errors == {"adjoint"}
-    assert report.entry("adjoint").detail == f"error: {message}"
+    assert entry(report, "adjoint").detail == f"error: {message}"
 
 
 @pytest.mark.parametrize("s_atoms, cell, message", [
@@ -229,10 +232,11 @@ def test_records_that_do_not_fit_fail_both_checks(ex1, s_atoms, cell, message):
     eta = SignedMeasure(trajectory.grid, atoms=node_rows(trajectory.grid, {0: 1.0}), density=density)
     s_atoms = directions_of({0: records_of(ms.s_atoms)[0], **s_atoms})
     bad = replace(ms, eta=eta, s_atoms=s_atoms, s_cells=Directions())
+    samples = Samples(problem, trajectory)
     for check in (check_jump_inclusion, check_adjoint):
         with pytest.raises(InputError, match=f"^{message}$"):
-            check(bad, problem, trajectory)
-    report = check_certificate(problem, trajectory, bad)
+            check(samples, bad)
+    report = check_certificate(samples, bad)
     errors = {e.name for e in report.entries if e.detail.startswith("error:")}
     assert errors == {"jump_inclusion", "adjoint"}
 
@@ -255,7 +259,7 @@ def test_the_first_failing_element_raises(ex1, s_atoms, s_cells, message):
     bad = replace(ms, eta=eta, s_atoms=s_atoms, s_cells=directions_of(s_cells))
     for check in (check_jump_inclusion, check_adjoint):
         with pytest.raises(InputError, match=f"^{message}$"):
-            check(bad, problem, trajectory)
+            check(Samples(problem, trajectory), bad)
 
 
 def test_directions_hold_their_records_as_arrays():
@@ -279,7 +283,7 @@ def test_directions_hold_their_records_as_arrays():
 class TestAdjoint:
     def test_atom_fixture_exact(self, ex1):
         problem, trajectory, ms = ex1
-        entry = check_adjoint(ms, problem, trajectory)
+        entry = check_adjoint(Samples(problem, trajectory), ms)
         assert entry.residual == 0.0
 
     def test_constant_costate_trivial(self):
@@ -287,17 +291,18 @@ class TestAdjoint:
         trajectory = make_flat(problem, 8)
         p = BVFunction(grid=trajectory.grid, values=np.full((9, 1), 1.75))
         ms = make_multipliers(trajectory.grid, p=p)
-        assert check_adjoint(ms, problem, trajectory).residual == 0.0
+        assert check_adjoint(Samples(problem, trajectory), ms).residual == 0.0
 
     def test_arc_fixture_within_quadrature_error(self, ex2, ex2_variant):
         for problem, trajectory, ms in (ex2, ex2_variant):
-            entry = check_adjoint(ms, problem, trajectory)
+            entry = check_adjoint(Samples(problem, trajectory), ms)
             assert entry.residual <= 2e-3
 
     def test_telescoping_identity(self, ex2):
         problem, trajectory, ms = ex2
-        rows, _ = lmp._adjoint_profile(ms, problem, trajectory, CheckConfig())
-        sdeta = lmp._direction_measure(ms, problem, trajectory, CheckConfig())
+        samples = Samples(problem, trajectory)
+        rows, _ = lmp._adjoint_profile(samples, ms, CheckConfig())
+        sdeta = lmp._direction_measure(samples, ms, CheckConfig())
         total_measure = sdeta.mass()
         grid = trajectory.grid
         acc = np.zeros(problem.n)
@@ -326,17 +331,17 @@ class TestAdjoint:
 class TestTransversality:
     def test_atom_fixture(self, ex1):
         problem, trajectory, ms = ex1
-        assert check_transversality(ms, problem, trajectory).residual == 0.0
+        assert check_transversality(Samples(problem, trajectory), ms).residual == 0.0
 
     def test_zero_cost_weight(self):
         problem = make_problem(["0"], "-x1")
         trajectory = make_flat(problem, 4)
         ms = make_multipliers(trajectory.grid)
-        assert check_transversality(ms, problem, trajectory).residual == 0.0
+        assert check_transversality(Samples(problem, trajectory), ms).residual == 0.0
 
     def test_arc_fixture(self, ex2):
         problem, trajectory, ms = ex2
-        entry = check_transversality(ms, problem, trajectory)
+        entry = check_transversality(Samples(problem, trajectory), ms)
         assert entry.residual <= 1e-12
         assert ms.p.exterior_left[1] == pytest.approx(0.25, abs=1e-15)
         assert ms.p.exterior_right[1] == pytest.approx(-0.25, abs=1e-15)
@@ -345,14 +350,14 @@ class TestTransversality:
         # x == 1 on ex1, so both gradients of J divide by x0_1 - 1 = 0
         problem, trajectory, ms = builtin_example("ex1", ncells=20)
         problem = replace(problem, J=expr.parse("x1_1/(x0_1 - 1)"))
-        entry = check_certificate(problem, trajectory, ms).entry("transversality")
-        assert entry.detail == "error: division by zero"
+        report = check_certificate(Samples(problem, trajectory), ms)
+        assert entry(report, "transversality").detail == "error: division by zero"
 
 
 class TestStationarity:
     def test_atom_fixture(self, ex1):
         problem, trajectory, ms = ex1
-        assert check_stationarity(ms, problem, trajectory).residual == 0.0
+        assert check_stationarity(Samples(problem, trajectory), ms).residual == 0.0
 
     def test_control_free_problem(self):
         problem = make_problem(["x1"], "-x1")
@@ -362,23 +367,23 @@ class TestStationarity:
         ms = make_multipliers(
             trajectory.grid, alpha0=1.0, lam=rng.uniform(0, 1, 4), p=p
         )
-        assert check_stationarity(ms, problem, trajectory).residual == 0.0
+        assert check_stationarity(Samples(problem, trajectory), ms).residual == 0.0
 
     def test_arc_fixture_cancels(self, ex2):
         problem, trajectory, ms = ex2
-        assert check_stationarity(ms, problem, trajectory).residual <= 1e-15
+        assert check_stationarity(Samples(problem, trajectory), ms).residual <= 1e-15
 
 
 class TestCheckCertificate:
     def test_atom_fixture_passes(self, ex1):
         problem, trajectory, ms = ex1
-        report = check_certificate(problem, trajectory, ms)
+        report = check_certificate(Samples(problem, trajectory), ms)
         assert report.overall_pass
         assert report.diagnostics["dynamics_defect_max"] == 0.0
 
     def test_arc_fixture_both_splits_pass(self, ex2, ex2_variant):
         for problem, trajectory, ms in (ex2, ex2_variant):
-            report = check_certificate(problem, trajectory, ms)
+            report = check_certificate(Samples(problem, trajectory), ms)
             assert report.overall_pass
 
     def test_flipped_direction_fails_inclusion_and_adjoint(self, ex1):
@@ -391,19 +396,20 @@ class TestCheckCertificate:
             s_atoms=Directions.vectors([0, N], [[1.0], [1.0]]),
             p=ms.p,
         )
-        report = check_certificate(problem, trajectory, flipped)
+        report = check_certificate(Samples(problem, trajectory), flipped)
         assert not report.overall_pass
         failing = {e.name for e in report.entries if not e.passed}
         assert failing == {"jump_inclusion", "adjoint"}
         # distance from +1 to {-1} is 2; the cumulative balance misses by
         # twice each atom's mass, accumulating to 4 by the far endpoint
-        assert report.entry("jump_inclusion").residual == pytest.approx(2.0)
-        assert report.entry("adjoint").residual == pytest.approx(4.0)
+        assert entry(report, "jump_inclusion").residual == pytest.approx(2.0)
+        assert entry(report, "adjoint").residual == pytest.approx(4.0)
 
     def test_scaling_invariance(self, ex2):
         problem, trajectory, ms = ex2
-        report = check_certificate(problem, trajectory, ms)
-        larger = check_certificate(problem, trajectory, scaled(ms, 2.7))
+        samples = Samples(problem, trajectory)
+        report = check_certificate(samples, ms)
+        larger = check_certificate(samples, scaled(ms, 2.7))
         for a, b in zip(report.entries, larger.entries):
             assert a.name == b.name
             assert a.passed == b.passed
@@ -414,18 +420,18 @@ class TestCheckCertificate:
         problem, trajectory, ms = ex1
         p = BVFunction(ms.grid, np.tile(ms.p.values, 2), np.tile(ms.p.atoms, 2))
         with pytest.raises(InputError, match="^the costate p has width 2, but the problem has n = 1$"):
-            check_certificate(problem, trajectory, replace(ms, p=p))
+            check_certificate(Samples(problem, trajectory), replace(ms, p=p))
 
     def test_grid_refinement_keeps_acceptance(self):
         for ncells in (100, 200, 400):
             problem, trajectory, ms = builtin_example("ex2", ncells=ncells)
-            report = check_certificate(problem, trajectory, ms)
+            report = check_certificate(Samples(problem, trajectory), ms)
             assert report.overall_pass, ncells
 
     def test_errors_become_failing_entries(self, ex1):
         problem, trajectory, ms = ex1
         broken = MultiplierSet(alpha0=ms.alpha0, lam=ms.lam, eta=ms.eta, p=ms.p)
-        report = check_certificate(problem, trajectory, broken)
+        report = check_certificate(Samples(problem, trajectory), broken)
         assert not report.overall_pass
         # the missing direction poisons inclusion and the adjoint, nothing else
         failing = {e.name for e in report.entries if not e.passed}
@@ -456,14 +462,14 @@ class TestMergedStateConstraint:
             eta=eta,
             s_atoms=Directions.vectors([2], [[-1.0]]),
         )
-        merged = merge_state_constraint(problem, trajectory, ms)
+        merged = merge_state_constraint(Samples(problem, trajectory), ms)
         assert merged.measure.density[0, 0] == 1.0
         assert merged.measure.atoms[2, 0] == 0.5
 
     def test_rejects_control_dependent_constraint(self, ex1):
         problem, trajectory, ms = ex1
         with pytest.raises(InputError):
-            merge_state_constraint(problem, trajectory, ms)
+            merge_state_constraint(Samples(problem, trajectory), ms)
 
     def test_merged_equals_raw_with_gradient_direction(self):
         problem, trajectory = state_constrained_toy(16)
@@ -493,8 +499,9 @@ class TestMergedStateConstraint:
             grid, alpha0=0.0, lam=lam, eta=eta, p=p,
             s_atoms=s_atoms, s_cells=s_cells,
         )
-        raw = check_adjoint(ms, problem, trajectory)
-        merged = merge_state_constraint(problem, trajectory, ms)
+        samples = Samples(problem, trajectory)
+        raw = check_adjoint(samples, ms)
+        merged = merge_state_constraint(samples, ms)
         assert merged.adjoint_residual == pytest.approx(raw.residual, abs=1e-12)
 
     def test_slack_constraint_violation_positive(self):
@@ -512,7 +519,7 @@ class TestMergedStateConstraint:
             eta=eta,
             s_atoms=Directions.vectors([2], [[-1.0]]),
         )
-        merged = merge_state_constraint(problem, inside, ms)
+        merged = merge_state_constraint(Samples(problem, inside), ms)
         assert merged.slackness_residual == pytest.approx(2.0, abs=1e-14)
 
 
@@ -520,7 +527,8 @@ class TestMergedStateConstraint:
 
 
 def assert_matches_reference(problem, trajectory, ms, config):
-    report = check_certificate(problem, trajectory, ms, config)
+    samples = Samples(problem, trajectory)
+    report = check_certificate(samples, ms, config)
     expected = reference_check(problem, trajectory, ms, config)
     assert [e.name for e in report.entries] == [name for name, _, _ in expected]
     for entry, (name, residual, tol) in zip(report.entries, expected):
@@ -531,7 +539,7 @@ def assert_matches_reference(problem, trajectory, ms, config):
         else:
             assert abs(entry.residual - residual) <= 1e-12 * max(abs(residual), tol), name
     flags = reference_contact_flags(problem, trajectory, config.delta, config.eps)
-    contact = geometry.contact_set(problem, trajectory, config.delta, config.eps)
+    contact = geometry.contact_set(samples, config.delta, config.eps)
     assert np.array_equal(contact.flags, flags)
     defect = reference_dynamics_defect(problem, trajectory)
     assert report.diagnostics["dynamics_defect_max"] == pytest.approx(
@@ -574,13 +582,13 @@ def test_scalar_evaluations_do_not_grow_with_the_grid(monkeypatch):
     for N in (100, 400):
         counts[N] = 0
         problem, trajectory, ms = builtin_example("ex2", ncells=N)
-        assert check_certificate(problem, trajectory, ms).overall_pass
+        assert check_certificate(Samples(problem, trajectory), ms).overall_pass
     assert counts[100] == counts[400]
 
 
 def test_convention_sensitive_nodes_are_atoms_at_two_sided_jumps(ex1):
     problem, trajectory, ms = ex1
-    assert check_certificate(problem, trajectory, ms).diagnostics[
+    assert check_certificate(Samples(problem, trajectory), ms).diagnostics[
         "convention_sensitive_nodes"
     ] == []
     grid = TimeGrid.uniform(0.0, 1.0, 6)
@@ -598,7 +606,7 @@ def test_convention_sensitive_nodes_are_atoms_at_two_sided_jumps(ex1):
         eta=eta,
         s_atoms=Directions.vectors([1, 3], [[-1.0], [-1.0]]),
     )
-    report = check_certificate(problem, jumpy, certificate)
+    report = check_certificate(Samples(problem, jumpy), certificate)
     assert report.diagnostics["convention_sensitive_nodes"] == [3]
 
 

@@ -9,7 +9,8 @@ from lmpkit.problem import (
     builtin_example,
     dynamics_defect,
 )
-from oracles import at_endpoints, at_point, control_points, laid_out_controls
+from lmpkit.samples import Samples
+from oracles import at_endpoints, at_point, control_points, laid_out_controls, node_at
 
 
 def constant_problem(n=1, m=1, f=None, G="-x1", J="x1_1"):
@@ -41,12 +42,6 @@ class TestTimeGrid:
     def test_requires_two_cells(self):
         with pytest.raises(InputError):
             TimeGrid(np.array([0.0, 1.0]))
-
-    def test_node_index_alignment(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 10)
-        assert grid.node_index(0.3) == 3
-        with pytest.raises(InputError):
-            grid.node_index(0.31)
 
 
 class TestTrajectory:
@@ -109,16 +104,16 @@ class TestProblemDef:
 class TestDynamicsDefect:
     def test_optimal_process_exact(self, ex1):
         problem, trajectory, _ = ex1
-        assert np.max(np.abs(dynamics_defect(problem, trajectory))) == 0.0
+        assert np.max(np.abs(dynamics_defect(Samples(problem, trajectory)))) == 0.0
 
     def test_zero_dynamics_constant_state(self):
         problem = constant_problem()
         trajectory = flat_trajectory(problem, x_value=2.0, u_value=1.0)
-        assert np.max(np.abs(dynamics_defect(problem, trajectory))) == 0.0
+        assert np.max(np.abs(dynamics_defect(Samples(problem, trajectory)))) == 0.0
 
     def test_arc_fixture_defect_small(self, ex2):
         problem, trajectory, _ = ex2
-        defect = dynamics_defect(problem, trajectory)
+        defect = dynamics_defect(Samples(problem, trajectory))
         assert np.max(np.abs(defect)) <= 1e-3
         # trapezoid is exact on the control integral; only the quadratic
         # state arc contributes, at O(h^3) per cell
@@ -134,7 +129,7 @@ class TestDynamicsDefect:
             grid=trajectory.grid, x=x, u_left=trajectory.u_left, u_right=trajectory.u_right
         )
         with pytest.raises(EvalError, match="failed on cell 2: division by zero"):
-            dynamics_defect(problem, trajectory)
+            dynamics_defect(Samples(problem, trajectory))
 
 
 def endpoint_cost(problem, trajectory) -> float:
@@ -170,7 +165,7 @@ class TestBuiltinExamples:
         _, trajectory, _ = ex2
         grid = trajectory.grid
         for t in (-0.5, 0.5):  # +-b for T=1, m=0.5
-            k = grid.node_index(t)
+            k = node_at(grid, t)
             left, right = trajectory.u_right[k - 1], trajectory.u_left[k]
             assert np.array_equal(left, right)
             assert np.all(left == 0.0)

@@ -23,6 +23,7 @@ from lmpkit.recovery import (
     recover,
     solve,
 )
+from lmpkit.samples import Samples
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +100,14 @@ class TestBuildOverArrays:
             problem, trajectory = _perturbed_ex1()
         else:
             problem, trajectory, _ = builtin_example(case[0], ncells=case[1])
-        program = build_program(problem, trajectory)
+        program = build_program(Samples(problem, trajectory))
         oracle = build_program_by_cells(problem, trajectory)
         assert program.nvars == oracle.nvars
         assert _layout(program) == layout_by_cells(oracle)
         none = np.empty((0, problem.n))
         assert np.array_equal(program.atom_gens, np.concatenate([none, *oracle.atom_gens.values()]))
+        slots = [slot for cols in oracle.idx_atom.values() for slot in range(len(cols))]
+        assert program.atom_slots.tolist() == slots
         assert program.M.shape == oracle.M.shape
         assert program.A_L.shape == oracle.A_L.shape
         assert _relative(program.M, oracle.M) <= 1e-12
@@ -127,7 +130,7 @@ class TestBuildOverArrays:
             u_right=np.zeros((4, 1)),
         )
         with pytest.raises(NumericalError, match=rf"singular on cell {named}$"):
-            build_program(problem, trajectory)
+            build_program(Samples(problem, trajectory))
         io.save_problem(problem, str(tmp_path / "problem.json"))
         io.save_trajectory(trajectory, str(tmp_path / "trajectory.json"))
         code = main(["recover", str(tmp_path / "problem.json"), str(tmp_path / "trajectory.json")])
@@ -145,7 +148,7 @@ class TestBuildOverArrays:
             problem, trajectory, _ = builtin_example(name, ncells=400)
             tracemalloc.start()
             try:
-                program = build_program(problem, trajectory)
+                program = build_program(Samples(problem, trajectory))
                 built = tracemalloc.get_traced_memory()[1]
                 solve(program)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -154,6 +157,12 @@ class TestBuildOverArrays:
             size = program.M.nbytes + program.A_L.nbytes
             assert built < 1.1 * size, name
             assert peak < bound * size, name
+
+
+def objective(program, theta: np.ndarray) -> float:
+    """The program's objective |M theta|^2 at the masses theta."""
+    r = program.M @ theta
+    return float(r @ r)
 
 
 def encode(problem, trajectory, ms) -> np.ndarray:
@@ -167,12 +176,12 @@ class TestEncodeCertificate:
     @pytest.mark.parametrize("name, ncells", [("ex1", 100), ("ex2", 52), ("ex2", 100)])
     def test_closed_forms_encode_to_zero_objective(self, name, ncells):
         problem, trajectory, ms = builtin_example(name, ncells=ncells)
-        program = build_program(problem, trajectory)
-        assert program.objective(encode(problem, trajectory, scaled(ms, 1.0 / ms.nu()))) <= 1e-20
+        program = build_program(Samples(problem, trajectory))
+        assert objective(program, encode(problem, trajectory, scaled(ms, 1.0 / ms.nu()))) <= 1e-20
 
     def test_recovered_certificate_encodes_to_its_theta(self):
         problem, trajectory, _ = builtin_example("ex1", ncells=40)
-        program = build_program(problem, trajectory)
+        program = build_program(Samples(problem, trajectory))
         result = solve(program)
         theta = encode(problem, trajectory, result.multipliers)
         assert np.allclose(theta, result.theta, rtol=1e-12, atol=1e-15)
@@ -181,14 +190,15 @@ class TestEncodeCertificate:
 class TestBuildProgram:
     def test_atom_fixture_dimensions(self, ex1):
         problem, trajectory, _ = ex1
-        program = build_program(problem, trajectory)
+        program = build_program(Samples(problem, trajectory))
         assert program.dims["eta_atoms"] == 101  # every node is in contact
         assert program.dims["lambda_cells"] == 100  # G == 0 on every cell
         assert program.dims["unknowns"] == 1 + 100 + 101  # no unknown besides lambda per cell
 
     def test_inactive_constraint_strips_unknowns(self):
         problem, trajectory = _inactive_constraint_case()
-        program = build_program(problem, trajectory)
+        samples = Samples(problem, trajectory)
+        program = build_program(samples)
         assert program.dims["eta_atoms"] == 0
         assert program.dims["lambda_cells"] == 0
         assert program.dims["unknowns"] == 1  # only the cost weight survives
@@ -196,19 +206,19 @@ class TestBuildProgram:
         # normalisation forces alpha0 = 1, and nothing can cancel the
         # stationarity defect: recovery reports failure through the checker
         assert result.objective > 1e-3
-        report = cross_validate(problem, trajectory, result.multipliers)
+        report = cross_validate(samples, result.multipliers)
         assert not report.overall_pass
 
     def test_arc_fixture_active_everywhere(self, ex2):
         problem, trajectory, _ = ex2
-        program = build_program(problem, trajectory)
+        program = build_program(Samples(problem, trajectory))
         assert program.dims["lambda_cells"] == 400
 
 
 class TestSolve:
     def test_atom_fixture_proportions(self, ex1_small):
         problem, trajectory, _ = ex1_small
-        program = build_program(problem, trajectory)
+        program = build_program(Samples(problem, trajectory))
         result = solve(program)
         assert result.objective <= 1e-12
         assert result.kkt_residual <= 1e-9
@@ -222,19 +232,20 @@ class TestSolve:
 
     def test_warm_start_is_a_fixed_point(self, ex1_small):
         problem, trajectory, ms = ex1_small
-        program = build_program(problem, trajectory)
+        program = build_program(Samples(problem, trajectory))
         theta = encode(problem, trajectory, scaled(ms, 1.0 / ms.nu()))
-        assert program.objective(theta) <= 1e-20
+        assert objective(program, theta) <= 1e-20
         result = solve(program)
         assert result.objective <= 1e-20
         assert result.status == "optimal"
 
     def test_perturbed_trajectory_not_certified(self):
         problem, shifted = _perturbed_ex1()
-        program = build_program(problem, shifted)
+        samples = Samples(problem, shifted)
+        program = build_program(samples)
         result = solve(program)
         assert result.objective > 1e-3
-        report = cross_validate(problem, shifted, result.multipliers)
+        report = cross_validate(samples, result.multipliers)
         assert not report.overall_pass
 
     def test_recover_writes_identical_certificates(self, tmp_path):
@@ -255,7 +266,7 @@ class TestSolve:
         values = {}
         for ncells in (10, 20):
             problem, trajectory, _ = builtin_example("ex1", ncells=ncells)
-            program = build_program(problem, trajectory)
+            program = build_program(Samples(problem, trajectory))
             values[ncells] = solve(program).objective
         h = 1.0 / 10
         assert values[20] <= values[10] + 10.0 * h * h
@@ -264,13 +275,13 @@ class TestSolve:
 class TestCrossValidate:
     def test_atom_fixture_end_to_end(self, ex1_small):
         problem, trajectory, _ = ex1_small
-        outcome = recover(problem, trajectory)
+        outcome = recover(Samples(problem, trajectory))
         assert outcome.certified
         assert outcome.report.overall_pass
 
     def test_recovered_costate_matches_closed_form(self, ex1_small):
         problem, trajectory, _ = ex1_small
-        outcome = recover(problem, trajectory)
+        outcome = recover(Samples(problem, trajectory))
         r = outcome.result.multipliers
         scale = 1.0 / r.alpha0
         assert scale * r.p.exterior_left[0] == pytest.approx(-1.0, abs=1e-6)
@@ -283,7 +294,7 @@ class TestArcFixtureRecovery:
     @pytest.mark.parametrize("ncells", [400, 800])
     def test_certifies_on_grids_that_fit_the_arc(self, ncells):
         problem, trajectory, _ = builtin_example("ex2", ncells=ncells)
-        outcome = recover(problem, trajectory)
+        outcome = recover(Samples(problem, trajectory))
         assert outcome.result.status == "optimal"
         assert outcome.result.objective <= 1e-20
         assert outcome.certified
@@ -293,7 +304,7 @@ class TestArcFixtureRecovery:
         # costate recursion then cannot meet transversality at 1e-7 even
         # though the solve is exact
         problem, trajectory, _ = builtin_example("ex2", ncells=50)
-        outcome = recover(problem, trajectory)
+        outcome = recover(Samples(problem, trajectory))
         assert outcome.result.status == "optimal"
         failing = [e.name for e in outcome.report.entries if not e.passed]
         assert failing == ["transversality"]
@@ -322,7 +333,7 @@ class TestStartCorral:
     def test_arc_fixture_certifies_from_the_start(self, ncells, caplog):
         problem, trajectory, _ = builtin_example("ex2", ncells=ncells)
         with caplog.at_level(logging.DEBUG, logger="lmpkit.recovery"):
-            outcome = recover(problem, trajectory)
+            outcome = recover(Samples(problem, trajectory))
         assert f"start corral of {ncells + 1} columns (alpha0, lambda): taken" in caplog.text
         assert outcome.result.status == "optimal"
         assert outcome.certified
@@ -334,7 +345,7 @@ class TestStartCorral:
         # alpha0 and lambda are the leading columns, and the start is taken
         # with no major iteration, so its weights are the answer
         problem, trajectory, _ = builtin_example("ex2", ncells=ncells)
-        program = build_program(problem, trajectory)
+        program = build_program(Samples(problem, trajectory))
         start = 1 + program.lam_cells.size
         res = geometry.min_norm_point(program.M, start)
         assert (res.start, res.iterations) == (start, 0)
@@ -344,7 +355,7 @@ class TestStartCorral:
     @pytest.mark.parametrize("ncells", [20, 101, 400])
     def test_atom_fixture_never_forms_the_corral(self, ncells, monkeypatch):
         problem, trajectory, _ = builtin_example("ex1", ncells=ncells)
-        program = build_program(problem, trajectory)
+        program = build_program(Samples(problem, trajectory))
         assert program.lam_cells.size > 0 and not program.lam_off_contact
         exact = geometry.min_norm_point
         offered = []
@@ -367,9 +378,10 @@ class TestOneUnknownPerContactCell:
     ])
     def test_lambda_carries_the_closed_form_sum(self, name, ncells):
         problem, trajectory, closed = builtin_example(name, ncells=ncells)
-        ms = recover(problem, trajectory).result.multipliers
+        samples = Samples(problem, trajectory)
+        ms = recover(samples).result.multipliers
         assert ms.s_cells.index.size == 0 and not ms.eta.density.any()
-        cells = geometry.contact_set(problem, trajectory, 1e-8, 1e-8).cell_flags
+        cells = geometry.contact_set(samples, 1e-8, 1e-8).cell_flags
         assert cells.any()
         want = (closed.lam + closed.eta.density[:, 0]) / closed.alpha0
         assert np.max(np.abs(ms.lam / ms.alpha0 - want)[cells]) <= 1e-9
@@ -380,5 +392,5 @@ def test_endpoint_gradient_error_is_the_bare_reason():
     problem, trajectory, _ = builtin_example("ex1", ncells=20)
     problem = replace(problem, J=expr.parse("x1_1/(x0_1 - 1)"))
     with pytest.raises(EvalError) as info:
-        recover(problem, trajectory)
+        recover(Samples(problem, trajectory))
     assert str(info.value) == "division by zero"
