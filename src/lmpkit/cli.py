@@ -34,8 +34,6 @@ _NODE_MATCH_RTOL = 1e-9
 
 def _check_config(args) -> CheckConfig:
     return CheckConfig(
-        delta=args.delta,
-        eps=args.eps,
         structural_tol=args.structural_tol,
         adjoint_tol=args.adjoint_tol,
         stationarity_tol=args.stationarity_tol,
@@ -82,8 +80,8 @@ def _load_inputs(args):
 def cmd_check(args) -> int:
     problem, trajectory = _load_inputs(args)
     certificate = io.load_certificate(args.certificate, trajectory.grid)
+    samples = Samples(problem, trajectory, delta=args.delta, eps=args.eps)
     config = _check_config(args)
-    samples = Samples(problem, trajectory)
     try:
         report = check_certificate(samples, certificate, config)
     except InputError as err:  # its one refusal: a costate of another width than n
@@ -96,12 +94,9 @@ def cmd_recover(args) -> int:
     problem, trajectory = _load_inputs(args)
     if trajectory.grid.ncells < 4:
         raise LmpkitError("grid too coarse: contact set unresolvable")
-    config = recovery.RecoveryConfig(
-        delta=args.delta,
-        eps=args.eps,
-        delta_slack=args.delta_slack,
-    )
-    outcome = recovery.recover(Samples(problem, trajectory), config)
+    samples = Samples(problem, trajectory, delta=args.delta, eps=args.eps)
+    config = recovery.RecoveryConfig(delta_slack=args.delta_slack)
+    outcome = recovery.recover(samples, config)
     log.info("recovery dims: %s", outcome.dims)
     if args.out_certificate:
         io.save_certificate(outcome.result.multipliers, args.out_certificate)
@@ -128,7 +123,10 @@ def cmd_example(args) -> int:
     if args.name == "ex1":
         params.update(t0=args.t0, t1=args.t1)
     elif args.name == "ex2":
-        shares = [float(v) for v in args.split.split(",")]
+        try:
+            shares = [float(v) for v in args.split.split(",")]
+        except ValueError:
+            shares = []
         if len(shares) != 2:
             raise LmpkitError("--split expects two comma-separated shares")
         params.update(T=args.T, m=args.m, contact_split=tuple(shares))

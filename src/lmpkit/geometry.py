@@ -10,7 +10,8 @@ the contact set and the jump-direction sets take that Samples as their
 first argument and read that layout.  A phase point is a pair (x, u) with
 G = 0 and G_u = 0; membership is always tested through the relaxed set
 {-delta <= G <= 0, |G_u| <= eps} because exact equalities are measure-zero
-in floating point.
+in floating point, with the tolerances delta and eps the Samples was built
+with.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ class JumpDirectionSet:
     generators: tuple[np.ndarray, ...]
 
 
-def contact_set(samples: Samples, delta: float, eps: float) -> ContactSet:
+def contact_set(samples: Samples) -> ContactSet:
     """Flag the nodes where some closure-in-measure point is a relaxed phase
     point; assemble maximal runs of flagged nodes as closed intervals."""
-    flags = samples.node_flags(delta, eps)
+    flags = samples.node_flags
     edges = np.diff(np.concatenate(([0], flags.astype(np.int8), [0])))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
@@ -73,27 +74,23 @@ def contact_set(samples: Samples, delta: float, eps: float) -> ContactSet:
     )
 
 
-def jump_directions_at_node(
-    samples: Samples, k: int, delta: float, eps: float
-) -> JumpDirectionSet:
+def jump_directions_at_node(samples: Samples, k: int) -> JumpDirectionSet:
     """Generators {G_x(x_k, u)} over the closure-in-measure points u of node
     k that pass the relaxed phase test; the costate may jump at node k only
     into their convex hull.  The rows are views of row k of
-    :meth:`Samples.node_gradients`, which batch readers index directly."""
-    row = samples.node_gradients(delta, eps)[k]
+    :attr:`Samples.node_gradients`, which batch readers index directly."""
+    row = samples.node_gradients[k]
     return JumpDirectionSet(
         t=float(samples.trajectory.grid.nodes[k]),
         generators=tuple(row[~np.isnan(row[:, 0])]),
     )
 
 
-def jump_directions_at_cell_mid(
-    samples: Samples, k: int, delta: float, eps: float
-) -> JumpDirectionSet:
+def jump_directions_at_cell_mid(samples: Samples, k: int) -> JumpDirectionSet:
     """The generator G_x at the midpoint of cell k if that is a relaxed phase
     point, none otherwise."""
     mid = samples.mid
-    gens = (mid.phase_gradients(delta, eps)[k],) if mid.phase(delta, eps)[k] else ()
+    gens = (mid.phase_gradients[k],) if mid.phase[k] else ()
     return JumpDirectionSet(t=float(samples.trajectory.grid.midpoints[k]), generators=gens)
 
 

@@ -33,9 +33,7 @@ a single aggregator that never aborts on a failing sub-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,14 +41,13 @@ from . import expr, geometry
 from .errors import EvalError, InputError, LmpkitError
 from .measures import BVFunction, SignedMeasure, running_sum
 from .problem import dynamics_defect
-
-if TYPE_CHECKING:
-    from .samples import Samples
+from .samples import Samples, refuse_bad_tolerances
 
 __all__ = [
     "Directions",
     "MultiplierSet",
     "CheckConfig",
+    "POSITIVE_TOL",
     "Entry",
     "Report",
     "check_signs_slackness",
@@ -150,32 +147,24 @@ class MultiplierSet:
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Tolerances of one checker run.
+    """Tolerances of one checker run; the phase-test tolerances are the
+    :class:`~lmpkit.samples.Samples`' own.
 
-    ``delta``/``eps`` relax the phase-point test (analytic fixtures keep the
-    1e-8 defaults; numerically obtained trajectories want ~1e-6).  Integral
-    residuals inherit a grid-tracking threshold max(structural, 10*h*scale)
-    when their explicit tolerance is left unset, with the scale reported.
+    Integral residuals inherit a grid-tracking threshold
+    max(structural, 10*h*scale) when their explicit tolerance is left unset,
+    with the scale reported.
     """
 
-    delta: float = 1e-8
-    eps: float = 1e-8
     structural_tol: float = 1e-7
-    positive_tol: float = 1e-8
     adjoint_tol: float | None = None
     stationarity_tol: float | None = None
 
     def __post_init__(self):
-        refuse_bad_tolerances(self)
+        refuse_bad_tolerances(**vars(self))
 
 
-def refuse_bad_tolerances(config) -> None:
-    """Raise InputError, naming the field, for a tolerance of a config
-    dataclass that is NaN, infinite or negative; None stands for unset."""
-    for name in config.__dataclass_fields__:
-        value = getattr(config, name)
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise InputError(f"{name} must be finite and nonnegative, not {value!r}")
+# nontriviality passes iff alpha0 + |lambda|_1 + eta mass is at least this
+POSITIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -284,7 +273,7 @@ def check_signs_slackness(
     )
     entries.append(Entry("slackness", slack, tol))
 
-    contact = samples.contact_set(config.delta, config.eps)
+    contact = samples.contact_set
     off = (density != 0.0) & ~contact.cell_flags
     outside = float(np.sum(np.abs(atoms[~contact.flags]))) + float(
         np.sum(np.abs(density[off]) * grid.widths[off])
@@ -293,12 +282,12 @@ def check_signs_slackness(
     return entries
 
 
-def check_nontriviality(ms: MultiplierSet, config: CheckConfig = CheckConfig()) -> Entry:
-    """Pass iff alpha0 + |lambda|_1 + eta mass stays above the positivity floor."""
+def check_nontriviality(ms: MultiplierSet) -> Entry:
+    """Pass iff alpha0 + |lambda|_1 + eta mass reaches POSITIVE_TOL."""
     nu = ms.nu()
     return Entry(
         "nontriviality",
-        max(0.0, config.positive_tol - nu),
+        max(0.0, POSITIVE_TOL - nu),
         0.0,
         detail=f"nu={nu!r}",
     )
@@ -345,7 +334,7 @@ def _records(directions: Directions, keys: np.ndarray, width: int):
 
 
 def _support_directions(
-    samples: Samples, ms: MultiplierSet, config: CheckConfig, resolve_bare: bool
+    samples: Samples, ms: MultiplierSet, resolve_bare: bool
 ) -> _Support:
     """Resolve s on every element of the eta support from its record.
 
@@ -356,15 +345,15 @@ def _support_directions(
     fit its generators raises.  Elements without generators are skipped
     unless ``resolve_bare`` is set; then weights there raise too.
     """
-    n, delta, eps = samples.problem.n, config.delta, config.eps
+    n = samples.problem.n
     atoms = ms.eta.atoms[:, 0]
     nodes = np.flatnonzero(atoms)
     cells = np.flatnonzero(ms.eta.density[:, 0] != 0.0)
     natoms = nodes.size
     gens = np.full((natoms + cells.size, 2, n), np.nan)
     if natoms:
-        gens[:natoms] = samples.node_gradients(delta, eps)[nodes]
-    gens[natoms:, 0] = samples.mid.phase_gradients(delta, eps)[cells]
+        gens[:natoms] = samples.node_gradients[nodes]
+    gens[natoms:, 0] = samples.mid.phase_gradients[cells]
     count = np.count_nonzero(~np.isnan(gens[:, :, 0]), axis=1)
     index = np.concatenate([nodes, cells])
     width = max(n, gens.shape[1])
@@ -428,7 +417,7 @@ def check_jump_inclusion(
     Where s is given as weights, the residual is their distance from the
     simplex, max(0, -min w) + |sum w - 1|.
     """
-    sup = _support_directions(samples, ms, config, resolve_bare=False)
+    sup = _support_directions(samples, ms, resolve_bare=False)
     outside_mass = float(np.sum(np.abs(sup.value * sup.width)[sup.count == 0]))
     w = sup.weights[sup.weighted]
     # the zeros after the weights change neither max(0, -min w) nor sum w
@@ -446,12 +435,10 @@ def check_jump_inclusion(
     ]
 
 
-def _direction_measure(
-    samples: Samples, ms: MultiplierSet, config: CheckConfig
-) -> SignedMeasure:
+def _direction_measure(samples: Samples, ms: MultiplierSet) -> SignedMeasure:
     """The vector measure s*d-eta used by the costate balance."""
     n = samples.problem.n
-    sup = _support_directions(samples, ms, config, resolve_bare=True)
+    sup = _support_directions(samples, ms, resolve_bare=True)
     sdeta = sup.rows * sup.value[:, None]
     k = sup.natoms
     atoms = np.zeros((ms.grid.ncells + 1, n))
@@ -489,9 +476,7 @@ def _balance_rows(
     return p.right_limits() - p.exterior_left + acc + mass
 
 
-def _adjoint_profile(
-    samples: Samples, ms: MultiplierSet, config: CheckConfig
-) -> tuple[np.ndarray, float]:
+def _adjoint_profile(samples: Samples, ms: MultiplierSet) -> tuple[np.ndarray, float]:
     """Residual rows of the cumulative costate balance at every node.
 
     r_k compares the right limit of p at node k against the exterior left
@@ -501,7 +486,7 @@ def _adjoint_profile(
     """
     grid = ms.grid
     p = ms.p
-    sdeta = _direction_measure(samples, ms, config)
+    sdeta = _direction_measure(samples, ms)
     left, right = samples.left, samples.right
     lam = ms.lam[:, None]
     a_left = _costate_times(p.values[:-1], left.f_x) + lam * left.G_x
@@ -528,7 +513,7 @@ def check_adjoint(
     samples: Samples, ms: MultiplierSet, config: CheckConfig = CheckConfig()
 ) -> Entry:
     """Max-norm residual of the costate balance in cumulative form."""
-    rows, scale = _adjoint_profile(samples, ms, config)
+    rows, scale = _adjoint_profile(samples, ms)
     residual = float(np.max(np.abs(rows)))
     h = float(np.max(ms.grid.widths))
     tol = _auto_tol(config.adjoint_tol, config, h, scale)
@@ -602,7 +587,7 @@ def check_certificate(
         entries.extend(check_signs_slackness(samples, ms, config))
     except LmpkitError as err:
         entries.append(_error_entry("signs_slackness", err))
-    entries.append(check_nontriviality(ms, config))
+    entries.append(check_nontriviality(ms))
     try:
         entries.extend(check_jump_inclusion(samples, ms, config))
     except LmpkitError as err:
@@ -630,7 +615,7 @@ def check_certificate(
     diagnostics["convention_sensitive_nodes"] = nodes[np.isin(nodes, samples.two_sided)].tolist()
     diagnostics["nu"] = ms.nu()
     try:
-        contact = samples.contact_set(config.delta, config.eps)
+        contact = samples.contact_set
         diagnostics["contact_intervals"] = [list(iv) for iv in contact.intervals]
     except LmpkitError as err:
         diagnostics["contact_intervals"] = f"error: {err}"

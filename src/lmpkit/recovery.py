@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,13 +50,10 @@ from .lmp import (
     MultiplierSet,
     Report,
     check_certificate,
-    refuse_bad_tolerances,
 )
 from .measures import BVFunction, SignedMeasure
 from .problem import TimeGrid
-
-if TYPE_CHECKING:
-    from .samples import Samples
+from .samples import Samples, refuse_bad_tolerances
 
 __all__ = [
     "RecoveryConfig",
@@ -74,12 +70,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    delta: float = 1e-8
-    eps: float = 1e-8
     delta_slack: float | None = None  # None: 1e-6 * max(1, sup |G|)
 
     def __post_init__(self):
-        refuse_bad_tolerances(self)
+        refuse_bad_tolerances(**vars(self))
 
 
 @dataclass
@@ -91,7 +85,7 @@ class RecoveryProgram:
     ``lam_cells`` (columns ``lam_cols``); and one coefficient per jump
     generator at the contact nodes, column ``atom_cols[i]`` for node
     ``atom_nodes[i]`` and generator ``atom_gens[i]``, which sits in slot
-    ``atom_slots[i]`` of the node (see :meth:`Samples.node_gradients`).
+    ``atom_slots[i]`` of the node (see :attr:`Samples.node_gradients`).
     Cells increase, and nodes do not decrease.  A contact cell has no
     unknown besides lambda.
     ``lam_off_contact`` says whether some lambda cell lies off the contact
@@ -148,7 +142,7 @@ def build_program(
     recursion, and the quadratic objective.
 
     The assembly runs over whole arrays: the atom generators are one index
-    of :meth:`Samples.node_gradients` at the contact nodes, then one batched
+    of :attr:`Samples.node_gradients` at the contact nodes, then one batched
     inverse of the N recursion matrices, one small product per cell in the
     backward sweep, and one batched product per sample side for the
     stationarity rows.
@@ -163,9 +157,9 @@ def build_program(
     slack = _slack_threshold(samples, config)
     lam_cells = np.flatnonzero(np.maximum(left.G, right.G) >= -slack)
 
-    contact = samples.contact_set(config.delta, config.eps)
+    contact = samples.contact_set
     nodes = np.flatnonzero(contact.flags)
-    table = samples.node_gradients(config.delta, config.eps)[nodes]
+    table = samples.node_gradients[nodes]
     node, slot = np.nonzero(~np.isnan(table[:, :, 0]))
     atom_nodes, atom_gens = nodes[node], table[node, slot]
 
@@ -348,12 +342,11 @@ class RecoveryOutcome:
 def recover(
     samples: Samples, config: RecoveryConfig = RecoveryConfig()
 ) -> RecoveryOutcome:
-    """End-to-end recovery: build, solve, cross-validate at the recovery's
-    own phase-test tolerances."""
+    """End-to-end recovery: build, solve, cross-validate on the same Samples,
+    so at the same phase-test tolerances, with the default CheckConfig."""
     program = build_program(samples, config)
     result = solve(program)
-    check_config = CheckConfig(delta=config.delta, eps=config.eps)
-    report = cross_validate(samples, result.multipliers, check_config)
+    report = cross_validate(samples, result.multipliers)
     return RecoveryOutcome(
         result=result,
         report=report,

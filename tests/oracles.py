@@ -30,7 +30,7 @@ import numpy as np
 from lmpkit import expr, geometry, lp
 from lmpkit.errors import InputError, LmpkitError, NumericalError
 from lmpkit.io import _index, _vector
-from lmpkit.lmp import CheckConfig, Directions, MultiplierSet
+from lmpkit.lmp import POSITIVE_TOL, Directions, MultiplierSet
 from lmpkit.measures import BVFunction, SignedMeasure, running_sum
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory
 from lmpkit.recovery import RecoveryConfig, _slack_threshold
@@ -517,12 +517,9 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
 
     slack = _slack_threshold(samples, config)
     active = np.flatnonzero(np.maximum(left.G, right.G) >= -slack).tolist()
-    contact = samples.contact_set(config.delta, config.eps)
     atom_gens = {
-        k: np.asarray(
-            reference_node_generators(problem, trajectory, k, config.delta, config.eps)
-        )
-        for k in np.flatnonzero(contact.flags).tolist()
+        k: np.asarray(reference_node_generators(problem, trajectory, k, *DEFAULT))
+        for k in np.flatnonzero(samples.contact_set.flags).tolist()
     }
 
     idx_lam = {k: 1 + i for i, k in enumerate(active)}
@@ -575,7 +572,6 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
     return SimpleNamespace(
         problem=problem,
         trajectory=trajectory,
-        config=config,
         nvars=nvars,
         idx_lam=idx_lam,
         idx_atom=idx_atom,
@@ -607,9 +603,7 @@ def encode_certificate_by_cells(program, ms) -> np.ndarray:
     grid = ms.grid
     theta = np.zeros(program.nvars)
     theta[0] = ms.alpha0
-    mid_gens = Samples(program.problem, program.trajectory).mid.phase_gradients(
-        program.config.delta, program.config.eps
-    )
+    mid_gens = Samples(program.problem, program.trajectory).mid.phase_gradients
     s_atoms, s_cells = records_of(ms.s_atoms), records_of(ms.s_cells)
     for k in range(grid.ncells):
         if ms.lam[k] != 0.0:
@@ -674,7 +668,7 @@ def random_trajectory(rng: np.random.Generator) -> Trajectory:
 
 def random_problem(n: int, m: int) -> ProblemDef:
     """Smooth data whose phase set a random trajectory meets at some points
-    under the relaxed tolerances of RELAXED."""
+    under the relaxed tolerances RELAXED."""
     f = [f"0.5*x{i % n + 1} + u{i % m + 1}^2 - x{(i + 1) % n + 1}*u1" for i in range(n)]
     G = " + ".join(f"0.25*u{j + 1}^2" for j in range(m)) + " - 1 + 0.1*x1"
     return ProblemDef.from_strings(
@@ -682,21 +676,27 @@ def random_problem(n: int, m: int) -> ProblemDef:
     )
 
 
-RELAXED = CheckConfig(delta=2.0, eps=1.0)
+# (delta, eps) of the relaxed phase test: the defaults of Samples, and the
+# wide pair under which the phase sets of random_problem meet random
+# trajectories
+DEFAULT = (1e-8, 1e-8)
+RELAXED = (2.0, 1.0)
 
 
-def random_certificate(rng, problem, trajectory, config) -> MultiplierSet:
+def random_certificate(rng, problem, trajectory, phase) -> MultiplierSet:
     """Multipliers with atoms at the declared jumps and at random nodes,
-    random densities, and directions given as vectors or as weights."""
+    random densities, and directions given as vectors or as weights; the
+    generators that weights refer to are those of the phase-test tolerances
+    ``phase``, a (delta, eps) pair."""
     grid = trajectory.grid
     N, n = grid.ncells, problem.n
     nodes = set(trajectory.jumps) | set(rng.choice(N + 1, size=3, replace=False).tolist())
     atoms = {int(k): float(rng.uniform(0.1, 1.0)) for k in nodes}
     density = np.where(rng.random(N) < 0.5, rng.uniform(0.0, 1.0, N), 0.0)
     s_atoms, s_cells = {}, {}
-    elements = [(k, reference_node_generators(problem, trajectory, k, config.delta, config.eps),
+    elements = [(k, reference_node_generators(problem, trajectory, k, *phase),
                  s_atoms) for k in atoms]
-    elements += [(k, reference_mid_generators(problem, trajectory, k, config.delta, config.eps),
+    elements += [(k, reference_mid_generators(problem, trajectory, k, *phase),
                   s_cells) for k in np.flatnonzero(density).tolist()]
     for k, gens, target in elements:
         if gens and rng.random() < 0.5:
@@ -841,7 +841,7 @@ def _ref_support(ms):
     return atoms, cells
 
 
-def _ref_signs_slackness(ms, problem, trajectory, config):
+def _ref_signs_slackness(ms, problem, trajectory, config, phase):
     grid = trajectory.grid
     tol = config.structural_tol
     out = [
@@ -858,7 +858,7 @@ def _ref_signs_slackness(ms, problem, trajectory, config):
         gr = at_point(problem, problem.G, trajectory.x[k + 1], trajectory.u_right[k])
         slack += abs(ms.lam[k]) * 0.5 * (abs(gl) + abs(gr)) * grid.widths[k]
     out.append(("slackness", slack, tol))
-    flags = reference_contact_flags(problem, trajectory, config.delta, config.eps)
+    flags = reference_contact_flags(problem, trajectory, *phase)
     outside = sum(abs(ms.eta.atoms[k, 0]) for k in range(grid.ncells + 1) if not flags[k])
     for k in range(grid.ncells):
         if ms.eta.density[k, 0] != 0.0 and not (flags[k] and flags[k + 1]):
@@ -867,15 +867,15 @@ def _ref_signs_slackness(ms, problem, trajectory, config):
     return out
 
 
-def _ref_jump_inclusion(ms, problem, trajectory, config):
+def _ref_jump_inclusion(ms, problem, trajectory, config, phase):
     atoms, cells = _ref_support(ms)
     worst, outside = 0.0, 0.0
     s_atoms, s_cells = records_of(ms.s_atoms), records_of(ms.s_cells)
     elements = [(mass, s_atoms.get(k), f"node {k}",
-                 reference_node_generators(problem, trajectory, k, config.delta, config.eps))
+                 reference_node_generators(problem, trajectory, k, *phase))
                 for k, mass in atoms]
     elements += [(mass, s_cells.get(k), f"cell {k}",
-                  reference_mid_generators(problem, trajectory, k, config.delta, config.eps))
+                  reference_mid_generators(problem, trajectory, k, *phase))
                  for k, mass in cells]
     for mass, sd, where, gens in elements:
         if not gens:
@@ -903,17 +903,17 @@ def hull_distance_exact(s, generators) -> float:
     return float(np.linalg.norm(a + t * d - s))
 
 
-def _ref_adjoint(ms, problem, trajectory, config):
+def _ref_adjoint(ms, problem, trajectory, config, phase):
     grid, p, n = ms.grid, ms.p, problem.n
     atoms, cells = _ref_support(ms)
     s_atoms, s_cells = records_of(ms.s_atoms), records_of(ms.s_cells)
     s_atom = {}
     for k, mass in atoms:
-        gens = reference_node_generators(problem, trajectory, k, config.delta, config.eps)
+        gens = reference_node_generators(problem, trajectory, k, *phase)
         s_atom[k] = _ref_direction(s_atoms.get(k), gens, n, f"node {k}") * mass
     s_density = np.zeros((grid.ncells, n))
     for k, _ in cells:
-        gens = reference_mid_generators(problem, trajectory, k, config.delta, config.eps)
+        gens = reference_mid_generators(problem, trajectory, k, *phase)
         shat = _ref_direction(s_cells.get(k), gens, n, f"cell {k}")
         s_density[k] = shat * ms.eta.density[k, 0]
     zero = np.zeros(n)
@@ -939,7 +939,7 @@ def _ref_adjoint(ms, problem, trajectory, config):
     return [("adjoint", worst, tol)]
 
 
-def _ref_stationarity(ms, problem, trajectory, config):
+def _ref_stationarity(ms, problem, trajectory, config, phase):
     grid, p = trajectory.grid, ms.p
     right = p.right_limits()
     worst, scale = 0.0, 1.0
@@ -960,7 +960,7 @@ def _ref_stationarity(ms, problem, trajectory, config):
     return [("stationarity", worst, tol)]
 
 
-def _ref_transversality(ms, problem, trajectory, config):
+def _ref_transversality(ms, problem, trajectory, config, phase):
     x0, x1 = trajectory.endpoints
     jx0 = at_endpoints(problem, problem.J_x0, x0, x1)
     jx1 = at_endpoints(problem, problem.J_x1, x0, x1)
@@ -979,9 +979,10 @@ def reference_dynamics_defect(problem, trajectory) -> np.ndarray:
     return out
 
 
-def reference_check(problem, trajectory, ms, config):
-    """Entries (name, residual, tolerance) in the order of check_certificate;
-    a sub-check that raises gives one (name, inf, 0.0) entry."""
+def reference_check(problem, trajectory, ms, config, phase):
+    """Entries (name, residual, tolerance) in the order of check_certificate,
+    at the phase-test tolerances ``phase``, a (delta, eps) pair; a sub-check
+    that raises gives one (name, inf, 0.0) entry."""
     entries = []
     nu = ms.nu()
     for name, check in (
@@ -993,10 +994,10 @@ def reference_check(problem, trajectory, ms, config):
         ("stationarity", _ref_stationarity),
     ):
         if check is None:
-            entries.append((name, max(0.0, config.positive_tol - nu), 0.0))
+            entries.append((name, max(0.0, POSITIVE_TOL - nu), 0.0))
             continue
         try:
-            entries.extend(check(ms, problem, trajectory, config))
+            entries.extend(check(ms, problem, trajectory, config, phase))
         except LmpkitError:
             entries.append((name, float("inf"), 0.0))
     return entries

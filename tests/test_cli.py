@@ -70,6 +70,13 @@ class TestExample:
         assert capsys.readouterr().err.startswith(f"error: {name} must be finite, not ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("split", ["a,b", "", "0.5,", "0.25,0.25,0.5"])
+    def test_a_split_that_is_not_two_numbers_is_refused(self, tmp_path, capsys, split):
+        out = tmp_path / "out"
+        assert run_cli("example", "ex2", "--split", split, "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == "error: --split expects two comma-separated shares\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-inf", "-1e400"])
     def test_a_negative_value_is_joined_to_its_option(self, tmp_path, capsys, value):
         # argparse takes "-inf" for an option name: the usage error names the
@@ -146,6 +153,18 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{field} must be finite and nonnegative, not {value}" in captured.err
+
+    def test_the_first_bad_tolerance_is_named(self, fixture_dir, capsys):
+        # the phase-test tolerances are refused before the checker's own
+        problem, trajectory, certificate = paths(fixture_dir)
+        assert run_cli(
+            "check", problem, trajectory, certificate, "--structural-tol", "inf", "--eps", "nan"
+        ) == 2
+        assert run_cli("recover", problem, trajectory, "--delta-slack", "nan", "--delta", "-1") == 2
+        assert capsys.readouterr().err == (
+            "error: eps must be finite and nonnegative, not nan\n"
+            "error: delta must be finite and nonnegative, not -1.0\n"
+        )
 
     def test_json_report_shape(self, fixture_dir, tmp_path):
         problem, trajectory, certificate = paths(fixture_dir)
@@ -326,6 +345,20 @@ def test_module_entry_point(fixture_dir):
     )
     assert proc.returncode == 0
     assert "overall: pass" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_delta_and_eps_reach_the_phase_test(tmp_path, command):
+    """ex2 touches its constraint on [-0.5, 0.5], nodes 50 to 150 of 200; at
+    delta = eps = 10 every node passes the relaxed phase test."""
+    out = tmp_path / "ex2"
+    assert run_cli("example", "ex2", "--N", "200", "--out-dir", str(out)) == 0
+    files = paths(out) if command == "check" else paths(out)[:2]
+    report = tmp_path / "report.json"
+    for options, intervals in [((), [[50, 150]]), (("--delta", "10", "--eps", "10"), [[0, 200]])]:
+        argv = (*files, *options, "--format", "json", "--out", str(report))
+        assert run_cli(command, *argv) == 0
+        assert json.loads(report.read_text())["diagnostics"]["contact_intervals"] == intervals
 
 
 def test_the_parser_is_built_once():

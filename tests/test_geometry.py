@@ -65,56 +65,54 @@ class TestClm:
                     assert np.array_equal(got, want)
 
 
-def phase_points(problem, x, u):
-    """The left point set of a two-cell trajectory that stays at (x, u)."""
+def phase_points(problem, x, u, delta, eps):
+    """The left point set of a two-cell trajectory that stays at (x, u),
+    under the phase-test tolerances (delta, eps)."""
     trajectory = Trajectory(
         grid=TimeGrid.uniform(problem.t0, problem.t1, 2),
         x=np.array([x] * 3, dtype=float),
         u_left=np.array([u] * 2, dtype=float),
         u_right=np.array([u] * 2, dtype=float),
     )
-    return Samples(problem, trajectory).left
+    return Samples(problem, trajectory, delta, eps).left
 
 
 class TestPhaseSet:
     def test_exact_phase_point(self, ex1):
         problem, _, _ = ex1
-        assert phase_points(problem, [1.0], [0.0]).phase(0.0, 0.0)[0]
+        assert phase_points(problem, [1.0], [0.0], 0.0, 0.0).phase[0]
 
     def test_strict_slack_rejected(self, ex1):
         problem, _, _ = ex1
-        assert not phase_points(problem, [2.0], [0.0]).phase(0.5, 0.5)[0]
+        assert not phase_points(problem, [2.0], [0.0], 0.5, 0.5).phase[0]
 
     def test_relaxed_membership_bands(self, ex2):
         problem, _, _ = ex2
-        points = phase_points(problem, [0.0, 0.02], [0.1])
-        assert points.phase(0.02, 0.1)[0]
-        assert not points.phase(0.02, 0.05)[0]
+        assert phase_points(problem, [0.0, 0.02], [0.1], 0.02, 0.1).phase[0]
+        assert not phase_points(problem, [0.0, 0.02], [0.1], 0.02, 0.05).phase[0]
 
     def test_negative_tolerances_rejected(self, ex1):
         problem, _, _ = ex1
-        points = phase_points(problem, [1.0], [0.0])
-        with pytest.raises(InputError):
-            points.phase(-1.0, 0.0)
-        with pytest.raises(InputError):
-            points.phase(0.0, -1.0)
+        with pytest.raises(InputError, match="^delta must be finite and nonnegative"):
+            phase_points(problem, [1.0], [0.0], -1.0, 0.0)
+        with pytest.raises(InputError, match="^eps must be finite and nonnegative"):
+            phase_points(problem, [1.0], [0.0], 0.0, -1.0)
 
 
 class TestContactSet:
     def test_whole_horizon(self, ex1):
         problem, trajectory, _ = ex1
-        samples = Samples(problem, trajectory)
-        contact = geometry.contact_set(samples, 1e-8, 1e-8)
+        contact = geometry.contact_set(Samples(problem, trajectory, 1e-8, 1e-8))
         assert contact.intervals == ((0, trajectory.grid.ncells),)
         assert contact.flags.all()
         # the fixture is exact in floating point, so zero tolerances already
         # recover the full contact interval
-        exact = geometry.contact_set(samples, 0.0, 0.0)
+        exact = geometry.contact_set(Samples(problem, trajectory, 0.0, 0.0))
         assert exact.intervals == contact.intervals
 
     def test_arc_fixture_interval(self, ex2):
         problem, trajectory, _ = ex2
-        contact = geometry.contact_set(Samples(problem, trajectory), 1e-9, 1e-9)
+        contact = geometry.contact_set(Samples(problem, trajectory, 1e-9, 1e-9))
         grid = trajectory.grid
         (lo, hi), = contact.intervals
         k_left = node_at(grid, -0.5)
@@ -131,7 +129,7 @@ class TestContactSet:
             u_left=trajectory.u_left,
             u_right=trajectory.u_right,
         )
-        contact = geometry.contact_set(Samples(problem_, raised), 0.5, 0.5)
+        contact = geometry.contact_set(Samples(problem_, raised, 0.5, 0.5))
         assert not contact.flags.any()
         assert contact.intervals == ()
 
@@ -140,7 +138,7 @@ class TestJumpDirections:
     def test_atom_fixture_direction(self, ex1):
         problem, trajectory, _ = ex1
         k = int(np.argmin(np.abs(trajectory.grid.midpoints - 0.375)))
-        value = geometry.jump_directions_at_cell_mid(Samples(problem, trajectory), k, 1e-8, 1e-8)
+        value = geometry.jump_directions_at_cell_mid(Samples(problem, trajectory, 1e-8, 1e-8), k)
         # the midpoint of the cell is a phase point; single generator G_x = -1
         assert value.t == 0.375
         assert len(value.generators) == 1
@@ -149,30 +147,31 @@ class TestJumpDirections:
     def test_arc_fixture_direction(self, ex2):
         problem, trajectory, _ = ex2
         k = node_at(trajectory.grid, 0.0)
-        value = geometry.jump_directions_at_node(Samples(problem, trajectory), k, 1e-9, 1e-9)
+        value = geometry.jump_directions_at_node(Samples(problem, trajectory, 1e-9, 1e-9), k)
         assert len(value.generators) == 1
         assert np.array_equal(value.generators[0], np.array([0.0, -1.0]))
 
     def test_inactive_time_empty(self, ex2):
         problem, trajectory, _ = ex2
         grid = trajectory.grid
-        samples = Samples(problem, trajectory)
-        node = geometry.jump_directions_at_node(samples, node_at(grid, 0.9), 1e-9, 1e-9)
+        samples = Samples(problem, trajectory, 1e-9, 1e-9)
+        node = geometry.jump_directions_at_node(samples, node_at(grid, 0.9))
         mid = geometry.jump_directions_at_cell_mid(
-            samples, int(np.argmin(np.abs(grid.midpoints - 0.9))), 1e-9, 1e-9
+            samples, int(np.argmin(np.abs(grid.midpoints - 0.9)))
         )
         assert node.generators == ()
         assert mid.generators == ()
 
     def test_tolerance_monotonicity(self, ex2):
         problem, trajectory, _ = ex2
-        samples = Samples(problem, trajectory)
-        small = geometry.contact_set(samples, 1e-9, 1e-9)
-        large = geometry.contact_set(samples, 1e-3, 1e-1)
+        tight = Samples(problem, trajectory, 1e-9, 1e-9)
+        loose = Samples(problem, trajectory, 1e-3, 1e-1)
+        small = geometry.contact_set(tight)
+        large = geometry.contact_set(loose)
         assert np.all(small.flags <= large.flags)
         for k in range(0, trajectory.grid.ncells + 1, 25):
-            g_small = geometry.jump_directions_at_node(samples, k, 1e-9, 1e-9).generators
-            g_large = geometry.jump_directions_at_node(samples, k, 1e-3, 1e-1).generators
+            g_small = geometry.jump_directions_at_node(tight, k).generators
+            g_large = geometry.jump_directions_at_node(loose, k).generators
             small_set = {tuple(g) for g in g_small}
             large_set = {tuple(g) for g in g_large}
             assert small_set <= large_set
@@ -382,14 +381,14 @@ def test_contact_set_skips_derivatives_off_the_phase_set():
     )
     with pytest.raises(EvalError):
         at_point(problem, problem.G_u, trajectory.x[0], trajectory.u_left[0])
-    samples = Samples(problem, trajectory)
     for eps in (1e-8, 2.0):
-        contact = geometry.contact_set(samples, 1e-8, eps)
+        contact = geometry.contact_set(Samples(problem, trajectory, 1e-8, eps))
         expected = reference_contact_flags(problem, trajectory, 1e-8, eps)
         assert np.array_equal(contact.flags, expected)
-    assert geometry.contact_set(samples, 1e-8, 2.0).intervals == ((3, 5),)
+    samples = Samples(problem, trajectory, 1e-8, 2.0)
+    assert geometry.contact_set(samples).intervals == ((3, 5),)
     for k in (3, 4):
-        gens = geometry.jump_directions_at_node(samples, k, 1e-8, 2.0).generators
+        gens = geometry.jump_directions_at_node(samples, k).generators
         assert len(gens) == 1 and gens[0][0] == -1.0
 
 
@@ -398,16 +397,12 @@ def test_node_generators_match_reference_on_random_trajectories():
     for _ in range(10):
         trajectory = random_trajectory(rng)
         problem = random_problem(trajectory.n, trajectory.m)
-        samples = Samples(problem, trajectory)
-        table = samples.node_gradients(RELAXED.delta, RELAXED.eps)
+        samples = Samples(problem, trajectory, *RELAXED)
+        table = samples.node_gradients
         assert table.shape == (trajectory.grid.ncells + 1, 2, trajectory.n)
         for k in range(trajectory.grid.ncells + 1):
-            gens = geometry.jump_directions_at_node(
-                samples, k, RELAXED.delta, RELAXED.eps
-            ).generators
-            expected = reference_node_generators(
-                problem, trajectory, k, RELAXED.delta, RELAXED.eps
-            )
+            gens = geometry.jump_directions_at_node(samples, k).generators
+            expected = reference_node_generators(problem, trajectory, k, *RELAXED)
             assert len(gens) == len(expected)
             for g, e in zip(gens, expected):
                 assert np.array_equal(g, e)
@@ -425,15 +420,17 @@ def test_G_x_is_the_same_whichever_is_read_first():
     for _ in range(10):
         trajectory = random_trajectory(rng)
         problem = random_problem(trajectory.n, trajectory.m)
-        alone, full_first, phase_first = (Samples(problem, trajectory) for _ in range(3))
+        alone, full_first, phase_first = (
+            Samples(problem, trajectory, *RELAXED) for _ in range(3)
+        )
         for name in ("left", "right", "mid"):
             a, b, c = (getattr(s, name) for s in (alone, full_first, phase_first))
             b.G_x
-            c.phase_gradients(RELAXED.delta, RELAXED.eps)
+            c.phase_gradients
             expected = a.G_x
             for points in (b, c):
                 assert np.array_equal(points.G_x, expected)
-                rows = points.phase_gradients(RELAXED.delta, RELAXED.eps)
-                flags = a.phase(RELAXED.delta, RELAXED.eps)
+                rows = points.phase_gradients
+                flags = a.phase
                 assert np.array_equal(rows[flags], expected[flags])
                 assert np.isnan(rows[~flags]).all()

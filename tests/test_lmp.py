@@ -23,6 +23,7 @@ from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
 from lmpkit.recovery import RecoveryConfig
 from lmpkit.samples import Samples
 from oracles import (
+    DEFAULT,
     RELAXED,
     Record,
     at_point,
@@ -301,8 +302,8 @@ class TestAdjoint:
     def test_telescoping_identity(self, ex2):
         problem, trajectory, ms = ex2
         samples = Samples(problem, trajectory)
-        rows, _ = lmp._adjoint_profile(samples, ms, CheckConfig())
-        sdeta = lmp._direction_measure(samples, ms, CheckConfig())
+        rows, _ = lmp._adjoint_profile(samples, ms)
+        sdeta = lmp._direction_measure(samples, ms)
         total_measure = sdeta.mass()
         grid = trajectory.grid
         acc = np.zeros(problem.n)
@@ -526,10 +527,10 @@ class TestMergedStateConstraint:
 # -- the array-based checker against the scalar reference ------------------------
 
 
-def assert_matches_reference(problem, trajectory, ms, config):
-    samples = Samples(problem, trajectory)
-    report = check_certificate(samples, ms, config)
-    expected = reference_check(problem, trajectory, ms, config)
+def assert_matches_reference(problem, trajectory, ms, phase):
+    samples = Samples(problem, trajectory, *phase)
+    report = check_certificate(samples, ms)
+    expected = reference_check(problem, trajectory, ms, CheckConfig(), phase)
     assert [e.name for e in report.entries] == [name for name, _, _ in expected]
     for entry, (name, residual, tol) in zip(report.entries, expected):
         assert entry.passed == (residual <= tol), name
@@ -538,8 +539,8 @@ def assert_matches_reference(problem, trajectory, ms, config):
             assert np.isinf(entry.residual), name
         else:
             assert abs(entry.residual - residual) <= 1e-12 * max(abs(residual), tol), name
-    flags = reference_contact_flags(problem, trajectory, config.delta, config.eps)
-    contact = geometry.contact_set(samples, config.delta, config.eps)
+    flags = reference_contact_flags(problem, trajectory, *phase)
+    contact = geometry.contact_set(samples)
     assert np.array_equal(contact.flags, flags)
     defect = reference_dynamics_defect(problem, trajectory)
     assert report.diagnostics["dynamics_defect_max"] == pytest.approx(
@@ -552,9 +553,9 @@ def test_checker_matches_scalar_reference_on_random_trajectories(seed):
     rng = np.random.default_rng(500 + seed)
     trajectory = random_trajectory(rng)
     problem = random_problem(trajectory.n, trajectory.m)
-    for config in (RELAXED, CheckConfig()):
-        ms = random_certificate(rng, problem, trajectory, config)
-        assert_matches_reference(problem, trajectory, ms, config)
+    for phase in (RELAXED, DEFAULT):
+        ms = random_certificate(rng, problem, trajectory, phase)
+        assert_matches_reference(problem, trajectory, ms, phase)
 
 
 @pytest.mark.parametrize("name, params", [
@@ -565,7 +566,7 @@ def test_checker_matches_scalar_reference_on_random_trajectories(seed):
 def test_checker_matches_scalar_reference_on_fixtures(name, params):
     problem, trajectory, ms = builtin_example(name, **params)
     for certificate in (ms, replace(ms, alpha0=-ms.alpha0)):
-        assert_matches_reference(problem, trajectory, certificate, CheckConfig())
+        assert_matches_reference(problem, trajectory, certificate, DEFAULT)
 
 
 def test_scalar_evaluations_do_not_grow_with_the_grid(monkeypatch):
@@ -610,10 +611,16 @@ def test_convention_sensitive_nodes_are_atoms_at_two_sided_jumps(ex1):
     assert report.diagnostics["convention_sensitive_nodes"] == [3]
 
 
+def ex2_samples(**tolerances) -> Samples:
+    problem, trajectory, _ = builtin_example("ex2", ncells=10)
+    return Samples(problem, trajectory, **tolerances)
+
+
 @pytest.mark.parametrize(
     "config, field",
     [(CheckConfig, name) for name in CheckConfig.__dataclass_fields__]
-    + [(RecoveryConfig, name) for name in RecoveryConfig.__dataclass_fields__],
+    + [(RecoveryConfig, name) for name in RecoveryConfig.__dataclass_fields__]
+    + [pytest.param(ex2_samples, name, id=f"Samples-{name}") for name in ("delta", "eps")],
 )
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-300])
 def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(config, field, value):

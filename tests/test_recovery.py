@@ -381,7 +381,7 @@ class TestOneUnknownPerContactCell:
         samples = Samples(problem, trajectory)
         ms = recover(samples).result.multipliers
         assert ms.s_cells.index.size == 0 and not ms.eta.density.any()
-        cells = geometry.contact_set(samples, 1e-8, 1e-8).cell_flags
+        cells = geometry.contact_set(samples).cell_flags
         assert cells.any()
         want = (closed.lam + closed.eta.density[:, 0]) / closed.alpha0
         assert np.max(np.abs(ms.lam / ms.alpha0 - want)[cells]) <= 1e-9

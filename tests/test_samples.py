@@ -15,6 +15,8 @@ from lmpkit.samples import PointSet, Samples
 PROBLEM = ProblemDef.from_strings(
     n=2, m=1, t0=0.0, t1=1.0, f=["x2", "u1"], G="0.5*u1^2 - x2", J="x1_1"
 )
+# (delta, eps) of the phase test, which no test here reads
+TOLERANCES = (1e-8, 1e-8)
 # constants, bare variables and compound entries, some failing where a
 # column is zero or negative
 ENTRIES = [
@@ -72,7 +74,7 @@ VALUES = st.sampled_from([0.0, -1.0, 1.0, 2.0, 0.5, -0.0, 1e200])
 )
 @settings(max_examples=300, deadline=None)
 def test_one_pass_matches_entry_by_entry(data_xu, sources, nested, data):
-    points = PointSet(PROBLEM, data_xu[:, :2], data_xu[:, 2:])
+    points = PointSet(PROBLEM, data_xu[:, :2], data_xu[:, 2:], *TOLERANCES)
     flat = tuple(expr.parse(s) for s in sources)
     table = tuple((e,) for e in flat) if nested else flat
     where = data.draw(st.none() | hnp.arrays(bool, data_xu.shape[0]))
@@ -82,7 +84,7 @@ def test_one_pass_matches_entry_by_entry(data_xu, sources, nested, data):
 def test_entries_failing_at_different_samples_and_at_one():
     x = np.array([[2.0, 1.0], [2.0, -1.0], [0.0, 1.0], [-1.0, -1.0]])
     u = np.array([[1.0], [1.0], [0.0], [1.0]])
-    points = PointSet(PROBLEM, x, u)
+    points = PointSet(PROBLEM, x, u, *TOLERANCES)
     log, sqrt, inv = (expr.parse(s) for s in ("log(x1)", "sqrt(x2)", "1/u1"))
     # sqrt fails first (sample 1), though log comes first in the table
     assert outcome(lambda: points.evaluate((expr.Const(1.0), log, sqrt))) == (
@@ -116,7 +118,7 @@ def test_mid_points_of_huge_finite_nodes_are_finite():
 
 def test_bare_variable_on_an_infinite_column_is_an_error():
     x = np.array([[0.0, 1.0], [np.inf, 1.0], [np.inf, 1.0], [0.0, 1.0]])
-    points = PointSet(PROBLEM, x, np.zeros((4, 1)))
+    points = PointSet(PROBLEM, x, np.zeros((4, 1)), *TOLERANCES)
     x1, x2 = expr.Var("x1"), expr.Var("x2")
     with pytest.raises(EvalError) as err:
         points.evaluate((x2, x1))
@@ -139,7 +141,7 @@ class _Unread(np.ndarray):
 
 def test_masked_evaluation_gathers_only_the_columns_the_table_reads():
     x = np.array([[2.0, 1.0], [2.0, -1.0], [1.0, 3.0]])
-    points = PointSet(PROBLEM, x, np.array([[1.0], [0.5], [2.0]]))
+    points = PointSet(PROBLEM, x, np.array([[1.0], [0.5], [2.0]]), *TOLERANCES)
     where = np.array([True, False, True])
     want = points.evaluate((expr.parse("x2*u1"), expr.Const(-1.0)), where)
     points.columns["x1"] = points.columns["x1"].view(_Unread)
