@@ -12,7 +12,7 @@ from .lmp import (
 )
 from .measures import BVFunction, SignedMeasure
 from .problem import ProblemDef, TimeGrid, Trajectory, builtin_example
-from .recovery import RecoveryConfig, build_program, recover
+from .recovery import build_program, recover
 from .samples import Samples
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "NumericalError",
     "ParseError",
     "ProblemDef",
-    "RecoveryConfig",
     "Report",
     "Samples",
     "SignedMeasure",

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``check`` a certificate, ``recover`` multipliers, ``example``
-to materialise a built-in fixture as files, and ``cones`` for the
-separation engine.  Exit codes: 0 success/pass, 1 a check failed, 2 input
-error.  Reports are deterministic: identical inputs and options produce
-byte-identical output at a fixed BLAS thread count.  Set LMP_LOG=debug|info for more logging.
+to materialise a built-in fixture as files, and ``cones`` to test one cone
+family file for separation (``scripts/cone_experiment.py`` runs seeded
+batches).  Exit codes: 0 success/pass, 1 a check failed, 2 input error or
+a request larger than memory.  Reports are deterministic: identical inputs
+and options produce byte-identical output at a fixed BLAS thread count.
+Set LMP_LOG=debug|info for more logging.
 """
 
 from __future__ import annotations
@@ -95,8 +97,7 @@ def cmd_recover(args) -> int:
     if trajectory.grid.ncells < 4:
         raise LmpkitError("grid too coarse: contact set unresolvable")
     samples = Samples(problem, trajectory, delta=args.delta, eps=args.eps)
-    config = recovery.RecoveryConfig(delta_slack=args.delta_slack)
-    outcome = recovery.recover(samples, config)
+    outcome = recovery.recover(samples)
     log.info("recovery dims: %s", outcome.dims)
     if args.out_certificate:
         io.save_certificate(outcome.result.multipliers, args.out_certificate)
@@ -139,43 +140,11 @@ def cmd_example(args) -> int:
     return 0
 
 
-def _cones_batch(args) -> int:
-    agree = 0
-    degenerate = 0
-    violations = []
-    for seed in range(args.seeds):
-        rng = np.random.default_rng(1000 + seed)
-        family = cones_mod.random_family(rng)
-        inter = cones_mod.intersection_nonempty(family)
-        sep = cones_mod.approx_separate(family, args.eps)
-        if 0.0 < inter.margin <= 1e-9:
-            degenerate += 1
-            continue
-        if inter.nonempty != sep.separated:
-            agree += 1
-        else:
-            violations.append(seed)
-    sys.stdout.write(
-        f"{args.seeds} instances: {agree} consistent, {degenerate} degenerate "
-        f"(margin within 1e-9), {len(violations)} violations\n"
-    )
-    if violations:
-        sys.stdout.write(f"violating seeds: {violations}\n")
-        return 1
-    return 0
-
-
 def cmd_cones(args) -> int:
     # refused here too: a file whose cones intersect never reaches the eps
     # check of approx_separate
     if not (np.isfinite(args.eps) and args.eps > 0):
         raise LmpkitError(f"--eps must be positive and finite, not {args.eps!r}")
-    if args.seeds < 0:
-        raise LmpkitError(f"--seeds must be a nonnegative count, not {args.seeds}")
-    if args.family is None:
-        if not args.seeds:
-            raise LmpkitError("give a cone file or --seeds for batch mode")
-        return _cones_batch(args)
     family = io.load_cone_family(args.family)
     inter = cones_mod.intersection_nonempty(family)
     if inter.nonempty:
@@ -210,9 +179,12 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def _add_check_options(sub) -> None:
+def _add_phase_options(sub) -> None:
     sub.add_argument("--delta", type=float, default=1e-8, help="phase-set slack on G")
     sub.add_argument("--eps", type=float, default=1e-8, help="phase-set slack on |G_u|")
+
+
+def _add_check_options(sub) -> None:
     sub.add_argument("--structural-tol", type=float, default=1e-7)
     sub.add_argument("--adjoint-tol", type=float, default=None)
     sub.add_argument("--stationarity-tol", type=float, default=None)
@@ -239,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("problem")
     check.add_argument("trajectory")
     check.add_argument("certificate")
+    _add_phase_options(check)
     _add_check_options(check)
     _add_output_options(check)
     check.set_defaults(fn=cmd_check)
@@ -246,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = subs.add_parser("recover", help="recover multipliers from a trajectory")
     rec.add_argument("problem")
     rec.add_argument("trajectory")
-    rec.add_argument("--delta", type=float, default=1e-8)
-    rec.add_argument("--eps", type=float, default=1e-8)
-    rec.add_argument("--delta-slack", type=float, default=None)
+    _add_phase_options(rec)
     rec.add_argument("--out-certificate", default=None)
     _add_output_options(rec)
     rec.set_defaults(fn=cmd_recover)
@@ -269,9 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     example.set_defaults(fn=cmd_example)
 
     cone = subs.add_parser("cones", help="approximate cone separation")
-    cone.add_argument("family", nargs="?", default=None, help="cone family file")
+    cone.add_argument("family", help="cone family file")
     cone.add_argument("--eps", type=float, default=1e-6)
-    cone.add_argument("--seeds", type=int, default=0, help="random batch size")
     cone.set_defaults(fn=cmd_cones)
     return parser
 
@@ -283,11 +253,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LmpkitError as err:
+    except (LmpkitError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except OSError as err:
-        sys.stderr.write(f"error: {err}\n")
+    except MemoryError as err:  # numpy's names the allocation it refused
+        sys.stderr.write(f"error: {str(err) or 'out of memory'}\n")
         return 2
 
 

@@ -188,7 +188,7 @@ class Entry:
 @dataclass(frozen=True)
 class Report:
     entries: tuple[Entry, ...]
-    diagnostics: dict
+    diagnostics: dict  # str keys; values are str, float, int or lists of them
 
     @property
     def overall_pass(self) -> bool:
@@ -207,7 +207,7 @@ class Report:
                 }
                 for e in self.entries
             ],
-            "diagnostics": _jsonable(self.diagnostics),
+            "diagnostics": self.diagnostics,
         }
 
     def to_text(self) -> str:
@@ -225,18 +225,6 @@ class Report:
         for key in sorted(self.diagnostics):
             lines.append(f"  {key}: {self.diagnostics[key]}")
         return "\n".join(lines)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 # -- individual condition checks -----------------------------------------------

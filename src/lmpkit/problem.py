@@ -76,13 +76,6 @@ class TimeGrid:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
 
-def _parse_or_keep(source, scope: expr.Scope) -> expr.Expression:
-    if isinstance(source, str):
-        return expr.parse(source, scope)
-    expr.validate_scope(source, scope)
-    return source
-
-
 @dataclass(frozen=True)
 class ProblemDef:
     """The data (f, G, J) with dimensions (n, m) on the horizon [t0, t1].
@@ -122,9 +115,9 @@ class ProblemDef:
             m=m,
             t0=t0,
             t1=t1,
-            f=tuple(_parse_or_keep(s, scope) for s in f),
-            G=_parse_or_keep(G, scope),
-            J=_parse_or_keep(J, expr.Scope(n, 0, endpoint=True)),
+            f=tuple(expr.parse(s, scope) for s in f),
+            G=expr.parse(G, scope),
+            J=expr.parse(J, expr.Scope(n, 0, endpoint=True)),
         )
 
     # Derivative tables are assembled once per problem and reused at every

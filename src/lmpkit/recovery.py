@@ -53,10 +53,9 @@ from .lmp import (
 )
 from .measures import BVFunction, SignedMeasure
 from .problem import TimeGrid
-from .samples import Samples, refuse_bad_tolerances
+from .samples import Samples
 
 __all__ = [
-    "RecoveryConfig",
     "RecoveryProgram",
     "RecoveryResult",
     "build_program",
@@ -66,14 +65,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    delta_slack: float | None = None  # None: 1e-6 * max(1, sup |G|)
-
-    def __post_init__(self):
-        refuse_bad_tolerances(**vars(self))
 
 
 @dataclass
@@ -125,9 +116,7 @@ class RecoveryResult:
     iterations: int
 
 
-def _slack_threshold(samples: Samples, config: RecoveryConfig) -> float:
-    if config.delta_slack is not None:
-        return config.delta_slack
+def _slack_threshold(samples: Samples) -> float:
     return 1e-6 * max(
         1.0,
         float(np.max(np.abs(samples.left.G))),
@@ -135,11 +124,10 @@ def _slack_threshold(samples: Samples, config: RecoveryConfig) -> float:
     )
 
 
-def build_program(
-    samples: Samples, config: RecoveryConfig = RecoveryConfig()
-) -> RecoveryProgram:
+def build_program(samples: Samples) -> RecoveryProgram:
     """Assemble unknowns, the normalisation row, the affine costate
-    recursion, and the quadratic objective.
+    recursion, and the quadratic objective, all from ``samples``.  A cell
+    carries lambda when G reaches -1e-6 * max(1, sup |G|) on it.
 
     The assembly runs over whole arrays: the atom generators are one index
     of :attr:`Samples.node_gradients` at the contact nodes, then one batched
@@ -154,7 +142,7 @@ def build_program(
     n, m = problem.n, problem.m
     h = grid.widths
 
-    slack = _slack_threshold(samples, config)
+    slack = _slack_threshold(samples)
     lam_cells = np.flatnonzero(np.maximum(left.G, right.G) >= -slack)
 
     contact = samples.contact_set
@@ -339,12 +327,10 @@ class RecoveryOutcome:
     dims: dict
 
 
-def recover(
-    samples: Samples, config: RecoveryConfig = RecoveryConfig()
-) -> RecoveryOutcome:
+def recover(samples: Samples) -> RecoveryOutcome:
     """End-to-end recovery: build, solve, cross-validate on the same Samples,
     so at the same phase-test tolerances, with the default CheckConfig."""
-    program = build_program(samples, config)
+    program = build_program(samples)
     result = solve(program)
     report = cross_validate(samples, result.multipliers)
     return RecoveryOutcome(

@@ -33,7 +33,7 @@ from lmpkit.io import _index, _vector
 from lmpkit.lmp import POSITIVE_TOL, Directions, MultiplierSet
 from lmpkit.measures import BVFunction, SignedMeasure, running_sum
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory
-from lmpkit.recovery import RecoveryConfig, _slack_threshold
+from lmpkit.recovery import _slack_threshold
 from lmpkit.samples import Samples
 
 
@@ -497,7 +497,7 @@ def _load_direction(rec: dict, where: str) -> Record:
 # -- the recovery program, cell by cell ------------------------------------------
 
 
-def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
+def build_program_by_cells(problem, trajectory):
     """The recovery program assembled one cell at a time: per-node dense
     atom maps ``W``, one linear solve per cell of the backward recursion and
     one row block per sample.  It shares the sampled data and the contact
@@ -515,7 +515,7 @@ def build_program_by_cells(problem, trajectory, config=RecoveryConfig()):
     N = grid.ncells
     n = problem.n
 
-    slack = _slack_threshold(samples, config)
+    slack = _slack_threshold(samples)
     active = np.flatnonzero(np.maximum(left.G, right.G) >= -slack).tolist()
     atom_gens = {
         k: np.asarray(reference_node_generators(problem, trajectory, k, *DEFAULT))

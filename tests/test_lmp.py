@@ -20,7 +20,6 @@ from lmpkit.lmp import (
 )
 from lmpkit.measures import BVFunction, SignedMeasure
 from lmpkit.problem import ProblemDef, TimeGrid, Trajectory, builtin_example
-from lmpkit.recovery import RecoveryConfig
 from lmpkit.samples import Samples
 from oracles import (
     DEFAULT,
@@ -619,7 +618,6 @@ def ex2_samples(**tolerances) -> Samples:
 @pytest.mark.parametrize(
     "config, field",
     [(CheckConfig, name) for name in CheckConfig.__dataclass_fields__]
-    + [(RecoveryConfig, name) for name in RecoveryConfig.__dataclass_fields__]
     + [pytest.param(ex2_samples, name, id=f"Samples-{name}") for name in ("delta", "eps")],
 )
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-300])

@@ -39,6 +39,14 @@ def test_run_fixtures_exits_1_when_an_independent_check_fails(arc_cells, code, v
     assert proc.stdout.rstrip().endswith(verdict)
 
 
+def test_cone_experiment_holds_on_the_families_from_seed_1000():
+    """The 25 families drawn from seeds 1000 to 1024: the two verdicts are
+    complements, and each witness and objective checks out within 1e-12."""
+    proc = run_script("cone_experiment.py", "--seed-base", "1000", "--instances", "25")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "violations:    0\n" in proc.stdout
+
+
 def test_bench_splits_and_counts_the_cone_lps(tmp_path, monkeypatch):
     """scripts/bench.py wraps ``cones.solve_standard_form`` and
     ``lp._solve_phase``: its two cone counters run on a few families of the
