@@ -86,7 +86,9 @@ def cmd_check(args) -> int:
     config = _check_config(args)
     try:
         report = check_certificate(samples, certificate, config)
-    except InputError as err:  # its one refusal: a costate of another width than n
+    except InputError as err:
+        # a costate of another width than n; the other refusal, a foreign
+        # grid, cannot arise, the certificate being read on the trajectory's
         raise InputError(f"{args.certificate}.p.values: {err}") from None
     _emit_report(report, args)
     return 0 if report.overall_pass else 1

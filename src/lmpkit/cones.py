@@ -66,7 +66,8 @@ class PolyCone:
 
     ``open`` marks the induced cone as the open variant (strict
     inequalities); open cones may carry a strictly interior point ``x0``
-    of the induced cone, verified on construction.
+    of the induced cone, verified on construction.  A cone without
+    generators is refused.
     """
 
     generators: np.ndarray
@@ -76,8 +77,10 @@ class PolyCone:
     def __post_init__(self):
         gens = np.asarray(self.generators, dtype=float)
         if gens.ndim == 1:
-            gens = gens.reshape(1, -1) if gens.size else gens.reshape(0, 0)
+            gens = gens.reshape(1, -1)
         object.__setattr__(self, "generators", gens)
+        if gens.size == 0:
+            raise InputError("degenerate input: a cone has no generators")
         if not np.isfinite(gens).all():
             raise InputError("generators must be finite")
         if not gens.any(axis=1).all():
@@ -87,8 +90,6 @@ class PolyCone:
             object.__setattr__(self, "x0", x0)
             if not np.isfinite(x0).all():
                 raise InputError("x0 must be finite")
-            if gens.shape[0] == 0:
-                return
             if x0.size != gens.shape[1]:
                 raise InputError("x0 dimension does not match the generators")
             # the signs of the pairings, from rows scaled to a largest entry
@@ -98,7 +99,7 @@ class PolyCone:
 
     @property
     def dim(self) -> int:
-        return self.generators.shape[1] if self.generators.size else 0
+        return self.generators.shape[1]
 
     @property
     def ngens(self) -> int:
@@ -141,7 +142,7 @@ def _check_family(cones) -> int:
     """The ambient dimension of a valid family."""
     if not cones:
         raise InputError("at least one cone is required")
-    dims = {c.generators.shape[1] for c in cones if c.generators.size}
+    dims = {c.dim for c in cones}
     if len(dims) != 1:
         raise InputError("all cones must share one ambient dimension")
     if sum(not c.open for c in cones) > 1:
@@ -176,8 +177,6 @@ def intersection_nonempty(cones) -> IntersectionResult:
     the optimum of its dual LP(w), w = 1 on the open generators; a positive
     margin yields the witness x, the multipliers of LP(w)'s generator rows.
     """
-    if any(c.ngens == 0 for c in cones):
-        raise InputError("degenerate input: a cone has no generators")
     d = _check_family(cones)
     if not any(c.open for c in cones):
         raise InputError("at least one open cone is required")
@@ -203,23 +202,23 @@ def approx_separate(cones, eps: float) -> SeparationResult:
     is compared with the absolute eps, from scaling as 1 / |x0_i|.  LP(w)
     is solved over the generators scaled to a largest entry of 1, which
     leaves its optimum as it is and keeps its data finite.
-    Separation succeeds when the optimum is below eps; with no open-cone
-    generator the normalisation cannot hold and no LP is solved.
+    Separation succeeds when the optimum is below eps; with no open cone
+    the normalisation cannot hold and no LP is solved.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise InputError(f"eps must be positive and finite, not {eps!r}")
-    d = _check_family(cones)
-    if any(c.open and c.ngens and c.x0 is None for c in cones):
+    _check_family(cones)
+    if any(c.open and c.x0 is None for c in cones):
         raise InputError("every open cone needs an interior point x0")
     # rows scaled to a largest entry of 1, so that neither the pairing nor
     # LP(w) overflows; LP(w)'s optimum does not change
-    G = np.concatenate([c.generators.reshape(-1, d) for c in cones])
+    G = np.concatenate([c.generators for c in cones])
     scale = np.abs(G).max(axis=1)
     G = G / scale[:, None]
     splits = np.cumsum([c.ngens for c in cones])[:-1]
     # math.hypot takes the norm of x0 without overflow or underflow
     pairing = np.concatenate([
-        g @ (c.x0 / math.hypot(*c.x0)) if c.open and c.ngens else np.zeros(c.ngens)
+        g @ (c.x0 / math.hypot(*c.x0)) if c.open else np.zeros(c.ngens)
         for g, c in zip(np.split(G, splits), cones)
     ])
     if pairing.max() <= 0.0:
@@ -229,7 +228,7 @@ def approx_separate(cones, eps: float) -> SeparationResult:
         return SeparationResult(separated=False, objective=result.objective)
     # the coefficients of the scaled rows, divided back by the scales
     coeffs = np.split(result.x[: pairing.size] / scale, splits)
-    hs = [ci @ c.generators if c.ngens else np.zeros(d) for ci, c in zip(coeffs, cones)]
+    hs = [ci @ c.generators for ci, c in zip(coeffs, cones)]
     return SeparationResult(True, result.objective, tuple(hs), tuple(coeffs))
 
 

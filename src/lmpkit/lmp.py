@@ -384,7 +384,7 @@ def _support_directions(
         natoms=natoms,
         index=index,
         value=np.concatenate([atoms[nodes], ms.eta.density[cells, 0]]),
-        width=np.concatenate([np.ones(natoms), ms.grid.widths[cells]]),
+        width=np.concatenate([np.ones(natoms), samples.trajectory.grid.widths[cells]]),
         count=count,
         gens=gens,
         rows=rows,
@@ -425,15 +425,15 @@ def check_jump_inclusion(
 
 def _direction_measure(samples: Samples, ms: MultiplierSet) -> SignedMeasure:
     """The vector measure s*d-eta used by the costate balance."""
-    n = samples.problem.n
+    n, grid = samples.problem.n, samples.trajectory.grid
     sup = _support_directions(samples, ms, resolve_bare=True)
     sdeta = sup.rows * sup.value[:, None]
     k = sup.natoms
-    atoms = np.zeros((ms.grid.ncells + 1, n))
+    atoms = np.zeros((grid.ncells + 1, n))
     atoms[sup.index[:k]] = sdeta[:k]
-    density = np.zeros((ms.grid.ncells, n))
+    density = np.zeros((grid.ncells, n))
     density[sup.index[k:]] = sdeta[k:]
-    return SignedMeasure(grid=ms.grid, dim=n, atoms=atoms, density=density)
+    return SignedMeasure(grid=grid, dim=n, atoms=atoms, density=density)
 
 
 def _costate_times(p_rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -472,7 +472,7 @@ def _adjoint_profile(samples: Samples, ms: MultiplierSet) -> tuple[np.ndarray, f
     p taken by its left-limit node values) minus the closed-interval mass of
     s*d-eta through node k.  Returns (rows, data scale).
     """
-    grid = ms.grid
+    grid = samples.trajectory.grid
     p = ms.p
     sdeta = _direction_measure(samples, ms)
     left, right = samples.left, samples.right
@@ -503,7 +503,7 @@ def check_adjoint(
     """Max-norm residual of the costate balance in cumulative form."""
     rows, scale = _adjoint_profile(samples, ms)
     residual = float(np.max(np.abs(rows)))
-    h = float(np.max(ms.grid.widths))
+    h = float(np.max(samples.trajectory.grid.widths))
     tol = _auto_tol(config.adjoint_tol, config, h, scale)
     return Entry("adjoint", residual, tol, detail=f"data_scale={scale!r}")
 
@@ -512,8 +512,7 @@ def check_transversality(
     samples: Samples, ms: MultiplierSet, config: CheckConfig = CheckConfig()
 ) -> Entry:
     """Endpoint relations: p(t0-) + alpha0*J_x0 = 0 and p(t1+) = alpha0*J_x1."""
-    x0, x1 = samples.trajectory.endpoints
-    jx0, jx1 = samples.problem.endpoint_gradients(x0, x1)
+    jx0, jx1 = samples.endpoint_gradients
     left = float(np.linalg.norm(ms.p.exterior_left + ms.alpha0 * jx0))
     right = float(np.linalg.norm(ms.p.exterior_right - ms.alpha0 * jx1))
     return Entry("transversality", left + right, config.structural_tol)
@@ -564,12 +563,16 @@ def check_certificate(
     instead of aborting the rest.  Diagnostics carry the dynamics defect (informational, not a
     gate), the nontriviality value, and the convention-sensitive nodes:
     atoms of d-eta at declared control jumps whose two sides differ, where
-    the integrand side at the atom is a convention.  A costate whose width
-    is not the problem's n is refused before any sub-check runs.
+    the integrand side at the atom is a convention.  Refused before any
+    sub-check runs: a costate whose width is not the problem's n, and
+    multipliers on a grid whose nodes are not the trajectory's, the one grid
+    every sub-check reads.
     """
     n = samples.problem.n
     if ms.p.dim != n:
         raise InputError(f"the costate p has width {ms.p.dim}, but the problem has n = {n}")
+    if not np.array_equal(ms.grid.nodes, samples.trajectory.grid.nodes):
+        raise InputError("the multipliers live on another grid than the trajectory's")
     entries: list[Entry] = []
     try:
         entries.extend(check_signs_slackness(samples, ms, config))
@@ -634,7 +637,7 @@ def merge_state_constraint(samples: Samples, ms: MultiplierSet) -> MergedStateCo
     """
     if not all(expr.is_zero(e) for e in samples.problem.G_u):
         raise InputError("G depends on the control; the merged form needs G(x,u)=g(x)")
-    grid = ms.grid
+    grid = samples.trajectory.grid
     merged = SignedMeasure(grid, atoms=ms.eta.atoms, density=ms.lam + ms.eta.density[:, 0])
     left, right = samples.left, samples.right
     gprime = samples.at_nodes(left.G_x, right.G_x)

@@ -6,8 +6,8 @@ processes live on a time grid: the state is a continuous piecewise-linear
 interpolant of node samples, the control is piecewise smooth with finitely
 many declared jump nodes carrying explicit left/right values.  All types are
 immutable after construction; :class:`~lmpkit.samples.Samples` evaluates the
-data over all grid cells at once and lays out the closure in measure of the
-control per node, and the endpoint gradients of J are a table of one sample.
+data over all grid cells at once, and the endpoint gradients of J at the
+endpoints, and lays out the closure in measure of the control per node.
 """
 
 from __future__ import annotations
@@ -151,19 +151,6 @@ class ProblemDef:
     @cached_property
     def J_x1(self) -> tuple[expr.Expression, ...]:
         return tuple(expr.differentiate(self.J, f"x1_{j + 1}") for j in range(self.n))
-
-    def endpoint_gradients(
-        self, x0: np.ndarray, x1: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """J_x0 and J_x1 at the endpoints, as a table of one sample; an
-        EvalError carries its bare reason, there being only one point."""
-        columns = {f"x{side}_{i + 1}": x[i : i + 1]
-                   for side, x in ((0, x0), (1, x1)) for i in range(self.n)}
-        try:
-            values = expr.evaluate_table(self.J_x0 + self.J_x1, columns, 1)[0]
-        except EvalError as err:
-            raise EvalError(err.reason) from err
-        return values[: self.n], values[self.n :]
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,7 @@ import numpy as np
 
 from . import geometry
 from .errors import NumericalError
-from .lmp import (
-    CheckConfig,
-    Directions,
-    MultiplierSet,
-    Report,
-    check_certificate,
-)
+from .lmp import Directions, MultiplierSet, Report, check_certificate
 from .measures import BVFunction, SignedMeasure
 from .problem import TimeGrid
 from .samples import Samples
@@ -172,8 +166,7 @@ def build_program(samples: Samples) -> RecoveryProgram:
     # every column enters the recursion at exactly one cell (the cost weight
     # and the last node's atoms at node N) as one row vector: scatter them
     # into a node-major store S[k] = A_L[k].T, then sweep backwards
-    x0, x1 = trajectory.endpoints
-    jx0, jx1 = problem.endpoint_gradients(x0, x1)
+    jx0, jx1 = samples.endpoint_gradients
     origin = np.concatenate(([N], lam_cells, atom_nodes))
     local = np.concatenate((
         jx1[None],
@@ -312,11 +305,10 @@ def _assemble(program: RecoveryProgram, theta: np.ndarray) -> MultiplierSet:
     )
 
 
-def cross_validate(
-    samples: Samples, ms: MultiplierSet, check_config: CheckConfig = CheckConfig()
-) -> Report:
-    """Independent acceptance: pipe recovered multipliers through the checker."""
-    return check_certificate(samples, ms, check_config)
+def cross_validate(samples: Samples, ms: MultiplierSet) -> Report:
+    """Independent acceptance: pipe recovered multipliers through the
+    checker, with the default CheckConfig."""
+    return check_certificate(samples, ms)
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,20 @@ point sets, each with one point per grid cell k:
 * ``right``: (x_{k+1}, u_right_k), the cell's right end;
 * ``mid``: the midpoints of both, the cell's midpoint.
 
-Every table of the problem (f, f_x, f_u, G, G_x, G_u) is evaluated over a
-whole point set the first time it is read, in one pass with
-:func:`lmpkit.expr.evaluate_table`: a constant entry is filled in, a bare
-variable is its column after one finiteness test, and only compound entries
-run the interpreter.  An error names the lowest failing point; of the
-entries failing there, the first in table order gives the reason.
+Every table of the problem (f, f_x, f_u, G, G_x, G_u) is evaluated over
+every point of a point set the first time it is read, in one pass with
+:func:`lmpkit.expr.evaluate_table`, and never again: a constant entry is
+filled in, a bare variable is its column after one finiteness test, and
+only compound entries run the interpreter.  An error names the lowest
+failing point; of the entries failing there, the first in table order gives
+the reason.
 
 A Samples fixes the tolerances (delta, eps) of the relaxed phase test
 {-delta <= G <= 0, |G_u| <= eps} when it is built, and refuses a NaN,
-infinite or negative one.  Read once and cached: the phase test and G_x at
-the phase points of each point set, the table of jump generators per node
-(laid out as :class:`Samples` says), and the contact set.  G_u is evaluated
-only where -delta <= G <= 0 and G_x for the phase rows only at phase
-points, so data that are undefined off the phase set do not raise; G_x is
-evaluated at most once per point, whether the phase rows or the whole
-table is read first.
+infinite or negative one.  Read once and cached, from those tables: the
+phase test and G_x at the phase points of each point set, the table of jump
+generators per node (laid out as :class:`Samples` says), the contact set,
+and the endpoint gradients of J.
 
 Geometry, the checker and recovery take one Samples as their first
 argument and read the problem and the trajectory from it; the command line
@@ -52,7 +50,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class PointSet:
-    """One point per grid cell; tables are evaluated lazily over all points.
+    """One point per grid cell; each table is evaluated over all points
+    when it is first read.
 
     Table shapes: ``f`` (K, n), ``f_x`` (K, n, n), ``f_u`` (K, n, m),
     ``G`` (K,), ``G_x`` (K, n), ``G_u`` (K, m) for K points.  ``delta`` and
@@ -69,27 +68,15 @@ class PointSet:
         self.columns.update({f"u{j + 1}": u[:, j] for j in range(u.shape[1])})
         self.delta, self.eps = delta, eps
 
-    def evaluate(self, table, where: np.ndarray | None = None) -> np.ndarray:
+    def evaluate(self, table) -> np.ndarray:
         """Evaluate a tuple (or a tuple of tuples) of expressions at every
-        point, or only at the points a boolean mask selects.
-
-        An EvalError names the first failing point, as evaluating point by
-        point in order would: its ``sample`` is the point's cell index.
+        point.  An EvalError names the first failing point, as evaluating
+        point by point in order would: its ``sample`` is the point's cell
+        index.
         """
         nested = isinstance(table[0], tuple)
         flat = [e for row in table for e in row] if nested else table
-        columns, size = self.columns, self.size
-        if where is not None:  # gathers only the columns the table reads
-            index = where.nonzero()[0]
-            names = frozenset().union(*map(expr.free_variables, flat))
-            columns = {name: col[index] for name, col in columns.items() if name in names}
-            size = index.size
-        try:
-            values = expr.evaluate_table(flat, columns, size)
-        except EvalError as err:
-            if where is None or err.sample is None:
-                raise
-            raise EvalError(err.reason, sample=int(index[err.sample])) from err
+        values = expr.evaluate_table(flat, self.columns, self.size)
         shape = (len(table), len(table[0])) if nested else (len(table),)
         return values.reshape(values.shape[0], *shape)
 
@@ -111,15 +98,7 @@ class PointSet:
 
     @cached_property
     def G_x(self) -> np.ndarray:
-        # rows already evaluated at phase points are copied, not evaluated again
-        known = self.__dict__.get("phase_gradients")
-        if known is None:
-            return _frozen(self.evaluate(self.problem.G_x))
-        rows = known.copy()
-        rest = np.isnan(rows[:, 0])
-        if rest.any():
-            rows[rest] = self.evaluate(self.problem.G_x, rest)
-        return _frozen(rows)
+        return _frozen(self.evaluate(self.problem.G_x))
 
     @cached_property
     def G_u(self) -> np.ndarray:
@@ -129,22 +108,12 @@ class PointSet:
     def phase(self) -> np.ndarray:
         """Relaxed phase test -delta <= G <= 0 and |G_u| <= eps per point."""
         band = (self.G >= -self.delta) & (self.G <= 0.0)
-        flags = np.zeros(self.size, dtype=bool)
-        if band.any():
-            gu = self.evaluate(self.problem.G_u, band)
-            flags[band] = np.linalg.norm(gu, axis=1) <= self.eps
-        return _frozen(flags)
+        return _frozen(band & (np.linalg.norm(self.G_u, axis=1) <= self.eps))
 
     @cached_property
     def phase_gradients(self) -> np.ndarray:
         """G_x at the relaxed phase points; NaN rows at the other points."""
-        flags = self.phase
-        rows = np.full((self.size, self.problem.n), np.nan)
-        if "G_x" in self.__dict__:
-            rows[flags] = self.G_x[flags]
-        elif flags.any():
-            rows[flags] = self.evaluate(self.problem.G_x, flags)
-        return _frozen(rows)
+        return _frozen(np.where(self.phase[:, None], self.G_x, np.nan))
 
 
 class Samples:
@@ -219,6 +188,22 @@ class Samples:
     def contact_set(self) -> geometry.ContactSet:
         """The contact set of :func:`lmpkit.geometry.contact_set`."""
         return geometry.contact_set(self)
+
+    @cached_property
+    def endpoint_gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """J_x0 and J_x1 at the trajectory's endpoints, as a table of one
+        sample; an EvalError carries its bare reason, there being only one
+        point."""
+        n = self.problem.n
+        x0, x1 = self.trajectory.endpoints
+        columns = {f"x{side}_{i + 1}": x[i : i + 1]
+                   for side, x in ((0, x0), (1, x1)) for i in range(n)}
+        table = self.problem.J_x0 + self.problem.J_x1
+        try:
+            values = _frozen(expr.evaluate_table(table, columns, 1)[0])
+        except EvalError as err:
+            raise EvalError(err.reason) from err
+        return values[:n], values[n:]
 
 
 def refuse_bad_tolerances(**tolerances: float | None) -> None:

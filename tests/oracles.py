@@ -535,8 +535,7 @@ def build_program_by_cells(problem, trajectory):
         W[k] = np.zeros((nvars, n))
         W[k][idx_atom[k]] = gens
 
-    x0, x1 = trajectory.endpoints
-    jx0, jx1 = problem.endpoint_gradients(x0, x1)
+    jx0, jx1 = samples.endpoint_gradients
     A_L = np.zeros((N + 1, nvars, n))
     A_L[N][0] = jx1
     if N in W:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lmpkit import cli, geometry
+from lmpkit import cli, expr, geometry
 from lmpkit.cli import build_parser, main
 from lmpkit.samples import PointSet
 
@@ -364,26 +364,38 @@ def test_the_parser_is_built_once():
 
 @pytest.mark.parametrize("command", ["check", "recover"])
 def test_contact_set_and_G_x_are_built_once(fixture_dir, monkeypatch, command):
-    """One build of the contact set per command, and G_x evaluated at most
-    once at each point of each point set."""
-    contact_set, evaluate = geometry.contact_set, PointSet.evaluate
+    """One build of the contact set per command; G_x and G_u evaluated at
+    most once at each point of each point set, and the endpoint gradients
+    of J once."""
+    contact_set, evaluate, evaluate_table = (
+        geometry.contact_set, PointSet.evaluate, expr.evaluate_table
+    )
     builds = []
-    points: dict[int, list[int]] = {}
+    points: dict[tuple[int, str], list[int]] = {}
+    endpoint_tables = []
 
     def counted_contact_set(*args, **kwargs):
         builds.append(args)
         return contact_set(*args, **kwargs)
 
-    def counted_evaluate(self, table, where=None):
-        if table is self.problem.G_x:
-            count = points.setdefault(id(self), [self.size, 0])
-            count[1] += self.size if where is None else int(np.count_nonzero(where))
-        return evaluate(self, table, where)
+    def counted_evaluate(self, table):
+        for name in ("G_x", "G_u"):
+            if table is getattr(self.problem, name):
+                points.setdefault((id(self), name), [self.size, 0])[1] += self.size
+        return evaluate(self, table)
+
+    def counted_evaluate_table(table, columns, size):
+        if "x0_1" in columns:
+            endpoint_tables.append(size)
+        return evaluate_table(table, columns, size)
 
     monkeypatch.setattr(geometry, "contact_set", counted_contact_set)
     monkeypatch.setattr(PointSet, "evaluate", counted_evaluate)
+    monkeypatch.setattr(expr, "evaluate_table", counted_evaluate_table)
     problem, trajectory, certificate = paths(fixture_dir)
     files = (problem, trajectory, certificate) if command == "check" else (problem, trajectory)
     assert run_cli(command, *files) == 0
     assert len(builds) == 1
-    assert points and all(evaluated <= size for size, evaluated in points.values())
+    assert {name for _, name in points} == {"G_x", "G_u"}
+    assert all(evaluated <= size for size, evaluated in points.values())
+    assert endpoint_tables == [1]

@@ -68,9 +68,11 @@ class TestIntersection:
         assert float(result.witness @ np.array([1.0, 0.0])) > 0.0
 
     def test_degenerate_input(self):
-        empty = PolyCone(generators=np.zeros((0, 2)), open=True)
-        with pytest.raises(InputError):
-            intersection_nonempty([empty, halfspace([1.0, 0.0], open=False)])
+        """A cone without generators is refused when it is made, so that
+        neither test ever meets one."""
+        for generators, x0 in [(np.zeros((0, 2)), None), ([], None), (np.zeros((0, 2)), [1.0, 0.0])]:
+            with pytest.raises(InputError, match="^degenerate input: a cone has no generators$"):
+                PolyCone(generators=generators, open=True, x0=x0)
 
     def test_at_most_one_closed(self):
         with pytest.raises(InputError):

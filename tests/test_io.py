@@ -257,16 +257,15 @@ def test_malformed_cone_files_are_input_errors(tmp_path, capsys, doc, message):
 
 
 def test_cone_family_reads_generators_as_matrices(tmp_path):
-    """Each cone's generators are one (rows, dim) array, none gives (0, dim),
-    and a cone without ``open`` is open."""
+    """Each cone's generators are one (rows, dim) array, and a cone without
+    ``open`` is open."""
     doc = _cones(lambda doc: doc["cones"][1].pop("open"))
-    doc["cones"].append({"generators": [], "open": True})
     path = tmp_path / "cones.json"
     path.write_text(json.dumps(doc))
     family = io.load_cone_family(str(path))
-    assert [c.generators.shape for c in family] == [(2, 2), (1, 2), (0, 2)]
+    assert [c.generators.shape for c in family] == [(2, 2), (1, 2)]
     assert family[0].generators.tolist() == [[1.0, 0.0], [1.0, 1.0]]
-    assert [c.open for c in family] == [False, True, True]
+    assert [c.open for c in family] == [False, True]
 
 
 def test_check_refuses_a_nan_multiplier(ex2_files, capsys):

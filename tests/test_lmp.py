@@ -422,6 +422,19 @@ class TestCheckCertificate:
         with pytest.raises(InputError, match="^the costate p has width 2, but the problem has n = 1$"):
             check_certificate(Samples(problem, trajectory), replace(ms, p=p))
 
+    def test_multipliers_on_another_grid_are_refused(self):
+        """The ex2 certificate on a distorted grid of as many cells: its
+        widths would weigh lambda and the densities otherwise than the
+        trajectory's, and on equal nodes it is accepted."""
+        problem, trajectory, ms = builtin_example("ex2", ncells=100)
+        nodes = trajectory.grid.nodes.copy()
+        nodes[1:-1] += 0.3 * np.diff(nodes)[1:] * np.sin(np.arange(1, 100))
+        moved = replace(trajectory, grid=TimeGrid(nodes))
+        with pytest.raises(InputError, match="^the multipliers live on another grid"):
+            check_certificate(Samples(problem, moved), ms)
+        same = replace(trajectory, grid=TimeGrid(trajectory.grid.nodes.copy()))
+        assert check_certificate(Samples(problem, same), ms).overall_pass
+
     def test_grid_refinement_keeps_acceptance(self):
         for ncells in (100, 200, 400):
             problem, trajectory, ms = builtin_example("ex2", ncells=ncells)

@@ -33,29 +33,27 @@ def outcome(call):
         return err.sample, err.reason
 
 
-def entry_by_entry(points, table, where=None):
+def entry_by_entry(points, table):
     """Each entry as a table of one; the error of the lowest failing sample,
     ties going to the first entry in table order."""
-    index = np.arange(points.size) if where is None else np.flatnonzero(where)
-    columns = {name: col[index] for name, col in points.columns.items()}
     nested = isinstance(table[0], tuple)
     flat = [e for row in table for e in row] if nested else list(table)
     values, errors = [], []
     for j, e in enumerate(flat):
         try:
-            values.append(expr.evaluate_table((e,), columns, index.size)[:, 0])
+            values.append(expr.evaluate_table((e,), points.columns, points.size)[:, 0])
         except EvalError as err:
             errors.append((err.sample, j, err.reason))
     if errors:
         sample, _, reason = min(errors)
-        return int(index[sample]), reason
+        return sample, reason
     shape = (len(table), len(table[0])) if nested else (len(table),)
-    return np.stack(values, axis=-1).reshape(index.size, *shape)
+    return np.stack(values, axis=-1).reshape(points.size, *shape)
 
 
-def assert_same(points, table, where=None):
-    got = outcome(lambda: points.evaluate(table, where))
-    want = entry_by_entry(points, table, where)
+def assert_same(points, table):
+    got = outcome(lambda: points.evaluate(table))
+    want = entry_by_entry(points, table)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -70,15 +68,13 @@ VALUES = st.sampled_from([0.0, -1.0, 1.0, 2.0, 0.5, -0.0, 1e200])
     st.integers(1, 6).flatmap(lambda k: hnp.arrays(float, (k, 3), elements=VALUES)),
     st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=6),
     st.booleans(),
-    st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_one_pass_matches_entry_by_entry(data_xu, sources, nested, data):
+def test_one_pass_matches_entry_by_entry(data_xu, sources, nested):
     points = PointSet(PROBLEM, data_xu[:, :2], data_xu[:, 2:], *TOLERANCES)
     flat = tuple(expr.parse(s) for s in sources)
     table = tuple((e,) for e in flat) if nested else flat
-    where = data.draw(st.none() | hnp.arrays(bool, data_xu.shape[0]))
-    assert_same(points, table, where)
+    assert_same(points, table)
 
 
 def test_entries_failing_at_different_samples_and_at_one():
@@ -95,14 +91,8 @@ def test_entries_failing_at_different_samples_and_at_one():
     assert outcome(lambda: points.evaluate(((log,), (inv,)))) == (
         2, "log of a non-positive value"
     )
-    # masked: only samples 0 and 3 are evaluated, and the error names 3
-    where = np.array([True, False, False, True])
-    assert outcome(lambda: points.evaluate((sqrt, log), where)) == (
-        3, "sqrt of a negative value"
-    )
     for table in [(log, sqrt), (inv, log), ((log,), (inv,))]:
         assert_same(points, table)
-        assert_same(points, table, where)
 
 
 def test_mid_points_of_huge_finite_nodes_are_finite():
@@ -126,30 +116,4 @@ def test_bare_variable_on_an_infinite_column_is_an_error():
         1, "expression evaluated to a non-finite value"
     )
     assert_same(points, (x2, x1))
-    assert_same(points, (x1,), np.array([False, True, True, False]))
-    np.testing.assert_array_equal(
-        points.evaluate((x1, x2), np.array([True, False, False, True]))[:, 0], [0.0, 0.0]
-    )
 
-
-class _Unread(np.ndarray):
-    """A column that fails when a masked evaluation gathers from it."""
-
-    def __getitem__(self, index):
-        raise AssertionError("gathered a column the table does not read")
-
-
-def test_masked_evaluation_gathers_only_the_columns_the_table_reads():
-    x = np.array([[2.0, 1.0], [2.0, -1.0], [1.0, 3.0]])
-    points = PointSet(PROBLEM, x, np.array([[1.0], [0.5], [2.0]]), *TOLERANCES)
-    where = np.array([True, False, True])
-    want = points.evaluate((expr.parse("x2*u1"), expr.Const(-1.0)), where)
-    points.columns["x1"] = points.columns["x1"].view(_Unread)
-    got = points.evaluate((expr.parse("x2*u1"), expr.Const(-1.0)), where)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got, [[1.0, -1.0], [6.0, -1.0]])
-    # a table of constants gathers nothing, and still has one row per point
-    points.columns = {name: col.view(_Unread) for name, col in points.columns.items()}
-    np.testing.assert_array_equal(
-        points.evaluate(((expr.Const(0.0), expr.Const(-1.0)),), where), [[[0.0, -1.0]]] * 2
-    )
